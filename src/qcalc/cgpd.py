@@ -320,7 +320,7 @@ def cgpd_weight(delta: CGPD) -> Poly:
     for i, grid in enumerate(delta.grids):
         for j, row in enumerate(grid, start=1):
             for k, code in enumerate(row, start=1):
-                label = Poly.var(xvar(i, j)) - Poly.var(xvar(i + 1, k))
+                label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
                 if code in "+-|":
                     total = total * label
                 elif code in "rj":
@@ -338,10 +338,7 @@ def cgpd_weight(delta: CGPD) -> Poly:
 
 def csm_cgpd(r: RankArray) -> Poly:
     """CSM class of the open locus as a sum of diagram weights."""
-    total = Poly.zero()
-    for delta in enumerate_cgpd(r):
-        total = total + cgpd_weight(delta)
-    return total
+    return Poly.sum(cgpd_weight(delta) for delta in enumerate_cgpd(r))
 
 
 def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:
@@ -365,10 +362,11 @@ def cgpd_infinity(r: RankArray) -> list[CGPD]:
 def quiver_poly_cgpd(r: RankArray) -> Poly:
     """Quiver polynomial as the h -> infinity limit of the CSM formula:
     only minimal diagrams survive, weighted by their straight tiles."""
-    total = Poly.zero()
-    for delta in cgpd_infinity(r):
+
+    def straight_weight(delta: CGPD) -> Poly:
         term = Poly.one()
         for i, j, k in crossing_tiles(delta):
-            term = term * (Poly.var(xvar(i, j)) - Poly.var(xvar(i + 1, k)))
-        total = total + term
-    return total
+            term = term * Poly.var_diff(xvar(i, j), xvar(i + 1, k))
+        return term
+
+    return Poly.sum(straight_weight(delta) for delta in cgpd_infinity(r))

@@ -157,7 +157,10 @@ def sweep_dims(budget: int) -> list[Dims]:
 def worker_count() -> int:
     env = os.environ.get("QCALC_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"QCALC_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -71,7 +71,7 @@ def roots(word: Word) -> list[Poly]:
     uinv = list(identity(word.d))
     out = []
     for t in word.letters:
-        out.append(Poly.var(word.zvars[uinv[t - 1] - 1]) - Poly.var(word.zvars[uinv[t] - 1]))
+        out.append(Poly.var_diff(word.zvars[uinv[t - 1] - 1], word.zvars[uinv[t] - 1]))
         uinv[t - 1], uinv[t] = uinv[t], uinv[t - 1]
     return out
 
@@ -105,14 +105,15 @@ def _factored_sum(
     betas = roots(word)
     hbar = Poly.hbar()
     L = len(word.letters)
-    total = Poly.zero()
-    for J in subsets:
-        term = Poly.one() if reduced else hbar ** (L - len(J))
+
+    def term(J: tuple[int, ...]) -> Poly:
+        out = Poly.one() if reduced else hbar ** (L - len(J))
         for j in J:
             if j not in common:
-                term = term * betas[j]
-        total = total + term
-    return tuple(sorted(common)), total
+                out = out * betas[j]
+        return out
+
+    return tuple(sorted(common)), Poly.sum(term(J) for J in subsets)
 
 
 def _subword_sum(word: Word, targets: frozenset, reduced: bool) -> Poly:
@@ -184,11 +185,3 @@ def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
     z = blockperm.zelevinsky_permutation(hom_rank_array(dims))
     return _factored_sum(word, frozenset([z]), reduced=True)
 
-
-def _hom_restriction(dims: Dims) -> Poly:
-    """Restriction of [X_{z(Hom)}] at the grid word's value, expanded."""
-    common, rest = _hom_factored(dims)
-    betas = roots(grid_word(dims))
-    for j in common:
-        rest = rest * betas[j]
-    return rest

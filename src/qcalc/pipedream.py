@@ -106,6 +106,15 @@ def locus_pipe_dreams(dims: Dims, targets: frozenset, region: str, mode: str):
         yield PipeDream(dims, frozenset(cells[k] for k in subset)), v
 
 
+def _label_product(dims: Dims, cells) -> Poly:
+    """Product of (row label - column label) over the cells."""
+    bs = BlockStructure(dims)
+    out = Poly.one()
+    for q, p in sorted(cells):
+        out = out * Poly.var_diff(bs.row_var(q), bs.col_var(p))
+    return out
+
+
 def weight(dream: PipeDream, flavor: str = "chern") -> Poly:
     """Product of (row label - column label) over the counted crosses.
 
@@ -117,10 +126,7 @@ def weight(dream: PipeDream, flavor: str = "chern") -> Poly:
     if not dream.crosses <= reg.strict_cells:
         bad = sorted(dream.crosses - reg.strict_cells)[0]
         raise RegionViolation(f"cross at {bad} is outside the strict region")
-    bs = BlockStructure(dims)
-    out = Poly.one()
-    for q, p in sorted(dream.crosses - reg.dhom_cells):
-        out = out * (Poly.var(bs.row_var(q)) - Poly.var(bs.col_var(p)))
+    out = _label_product(dims, dream.crosses - reg.dhom_cells)
     if flavor == "csm":
         out = out * Poly.hbar() ** (reg.L - len(dream.crosses))
     elif flavor != "chern":
@@ -131,10 +137,8 @@ def weight(dream: PipeDream, flavor: str = "chern") -> Poly:
 def quiver_poly_pd(r: RankArray) -> Poly:
     """Sum of cross weights over the reduced strict dreams of z(r)."""
     z = blockperm.zelevinsky_permutation(r)
-    total = Poly.zero()
-    for dream in enumerate_pipe_dreams(r.dims, z, region="strict", mode="reduced"):
-        total = total + weight(dream, "chern")
-    return total
+    dreams = enumerate_pipe_dreams(r.dims, z, region="strict", mode="reduced")
+    return Poly.sum(weight(dream, "chern") for dream in dreams)
 
 
 def csm_pd(r: RankArray) -> Poly:
@@ -143,14 +147,16 @@ def csm_pd(r: RankArray) -> Poly:
     dims = r.dims
     dhom = regions(dims).dhom_cells
     targets = frozenset(blockperm.perm_set(r))
-    total = Poly.zero()
-    for dream, v in locus_pipe_dreams(dims, targets, "strict", "all"):
-        if not dhom <= dream.crosses:
-            raise DHomViolation(
-                f"dream for {v} misses cells {sorted(dhom - dream.crosses)}"
-            )
-        total = total + weight(dream, "csm")
-    return total
+
+    def weights():
+        for dream, v in locus_pipe_dreams(dims, targets, "strict", "all"):
+            if not dhom <= dream.crosses:
+                raise DHomViolation(
+                    f"dream for {v} misses cells {sorted(dhom - dream.crosses)}"
+                )
+            yield weight(dream, "csm")
+
+    return Poly.sum(weights())
 
 
 def csm_pd_full_region(r: RankArray) -> Poly:
@@ -162,14 +168,10 @@ def csm_pd_full_region(r: RankArray) -> Poly:
     """
     dims = r.dims
     reg = regions(dims)
-    bs = BlockStructure(dims)
     targets = frozenset(blockperm.perm_set(r))
-    total = Poly.zero()
-    for dream, _ in locus_pipe_dreams(dims, targets, "full", "all"):
-        if len(dream.crosses) > reg.L:
-            continue
-        term = Poly.hbar() ** (reg.L - len(dream.crosses))
-        for q, p in sorted(dream.crosses - reg.dhom_cells):
-            term = term * (Poly.var(bs.row_var(q)) - Poly.var(bs.col_var(p)))
-        total = total + term
-    return total
+    return Poly.sum(
+        Poly.hbar() ** (reg.L - len(dream.crosses))
+        * _label_product(dims, dream.crosses - reg.dhom_cells)
+        for dream, _ in locus_pipe_dreams(dims, targets, "full", "all")
+        if len(dream.crosses) <= reg.L
+    )

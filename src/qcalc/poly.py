@@ -8,16 +8,39 @@ homogenizing variable h.  A variable is encoded as a tuple:
     ("h",)                the homogenizing variable h
 
 Variables are totally ordered: alphabet variables lexicographically by
-(level, index), with h strictly last.  A monomial is a tuple of
-(variable, exponent) pairs sorted in that order with all exponents
-positive, and a polynomial maps monomials to nonzero integer
-coefficients.  Canonical form is unique, so equality is structural.
+(level, index), with h strictly last.  The public form of a monomial is
+a tuple of (variable, exponent) pairs sorted in that order with all
+exponents positive.
+
+Storage is packed (after Monagan and Pearce's packed exponent vectors).
+A process-wide registry gives each variable a slot, the next free one
+the first time the variable is seen, so slot order is first-use order
+and need not follow the variable order.  A monomial is one int holding
+the exponent of the variable in slot s in the 16-bit field at bit 16*s;
+multiplying two monomials is adding their ints.  The top bit of every
+field is a guard bit: stored exponents stay below 2^15, so the sum of
+two fields stays below 2^16 and never carries into the next field, and
+after every monomial product one AND against the guard bits of all
+slots raises OverflowError for an exponent that reached 2^15.  Dividing
+subtracts from the dividend with every guard bit set; a guard bit that
+comes out cleared marks a field that borrowed, so the divisor does not
+divide.
+
+A polynomial maps packed monomials to nonzero integer coefficients
+(Poly.terms); within one process the form is unique, so equality is
+structural.  Graded-lex order is computed only where it is needed
+(format_poly, leading_term, exact_divide): the key of a monomial is its
+degree followed by its exponents over the polynomial's variables in the
+variable order.  Slot numbers differ between processes (pool workers
+register variables after they fork), so a Poly pickles as (variable,
+exponent) pairs and is packed afresh when loaded.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cmp_to_key
+import threading
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 Variable = tuple
@@ -25,7 +48,15 @@ Monomial = tuple  # tuple[tuple[Variable, int], ...], sorted, exponents > 0
 
 HBAR: Variable = ("h",)
 
-_ONE: Monomial = ()
+_WIDTH = 16  # bits per exponent field
+_FIELD = (1 << _WIDTH) - 1
+_TOP = 1 << (_WIDTH - 1)  # guard bit of slot 0
+
+# the registry: slot -> variable, variable -> slot, guard bits of all slots
+_slot_vars: list[Variable] = []
+_slots: dict[Variable, int] = {}
+_guard = 0
+_register_lock = threading.Lock()
 
 
 def xvar(level: int, index: int) -> Variable:
@@ -54,80 +85,125 @@ class ParseError(Exception):
         self.position = position
 
 
-def _mono(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
-    kept = [(v, e) for v, e in pairs if e != 0]
-    kept.sort(key=lambda p: var_key(p[0]))
-    return tuple(kept)
+def _unit(v: Variable) -> int:
+    """The packed monomial v^1, registering v on first use."""
+    s = _slots.get(v)
+    if s is None:
+        s = _register(v)
+    return 1 << (_WIDTH * s)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[Variable, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return _mono(exps.items())
+def _register(v: Variable) -> int:
+    """Give v the next free slot.  Two threads must never share a slot,
+    and v is published in _slots last, so a reader that finds it there
+    also finds its guard bit."""
+    global _guard
+    with _register_lock:
+        s = _slots.get(v)
+        if s is None:
+            s = len(_slot_vars)
+            _slot_vars.append(v)
+            _guard |= _TOP << (_WIDTH * s)
+            _slots[v] = s
+    return s
 
 
-def _mono_div(a: Monomial, b: Monomial) -> Monomial | None:
+def _pack(pairs: Iterable[tuple[Variable, int]]) -> int:
+    m = 0
+    for v, e in pairs:
+        if not 0 <= e < _TOP:
+            raise OverflowError(f"exponent {e} does not fit a {_WIDTH}-bit field")
+        m += e * _unit(v)
+    return m
+
+
+def _fields(m: int):
+    """(slot, exponent) for every nonzero field of a packed monomial."""
+    s = 0
+    while m:
+        e = m & _FIELD
+        if e:
+            yield s, e
+        m >>= _WIDTH
+        s += 1
+
+
+def _unpack(m: int) -> Monomial:
+    pairs = [(_slot_vars[s], e) for s, e in _fields(m)]
+    pairs.sort(key=lambda p: var_key(p[0]))
+    return tuple(pairs)
+
+
+def _check_overflow(monomials: Iterable[int]):
+    """Every product is a key of the result, so one AND per key guards all."""
+    g = _guard
+    for m in monomials:
+        if m & g:
+            raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
+
+
+def _mono_div(a: int, b: int) -> int | None:
     """a / b, or None when b does not divide a."""
-    exps = dict(a)
-    for v, e in b:
-        have = exps.get(v, 0)
-        if have < e:
-            return None
-        exps[v] = have - e
-    return _mono(exps.items())
+    g = _guard
+    d = (a | g) - b
+    return d ^ g if d & g == g else None
 
 
-def _grlex_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded-lex comparison in the global variable order."""
-    da = sum(e for _, e in a)
-    db = sum(e for _, e in b)
-    if da != db:
-        return -1 if da < db else 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        ka, kb = var_key(va), var_key(vb)
-        if ka != kb:
-            # the monomial holding the earlier variable is lex-larger
-            return 1 if ka < kb else -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
+def _shifts(variables: Iterable[Variable]) -> list[int]:
+    """Bit offsets of the variables' fields, in the variable order."""
+    return [_WIDTH * _slots[v] for v in sorted(variables, key=var_key)]
 
 
-_grlex_key = cmp_to_key(_grlex_cmp)
+def _grlex_key(shifts: list[int]):
+    """Graded-lex key over the fields at shifts, as one int: the degree,
+    then each exponent in the variable order, in 16-bit digits."""
+
+    def key(m: int) -> int:
+        exps = [(m >> s) & _FIELD for s in shifts]
+        k = sum(exps)
+        for e in exps:
+            k = (k << _WIDTH) | e
+        return k
+
+    return key
 
 
 class Poly:
-    """Immutable sparse polynomial; all operations return new values."""
+    """Immutable sparse polynomial; all operations return new values.
+
+    Poly.sum accumulates many polynomials into one dict in a single pass,
+    where repeated + would copy the running total every time.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        self.terms: dict[int, int] = {
             m: c for m, c in (terms or {}).items() if c != 0
         }
+
+    @classmethod
+    def _wrap(cls, terms: dict[int, int]) -> "Poly":
+        """Adopt terms (no zero coefficients) without copying."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    def __reduce__(self):
+        items = [
+            (tuple((_slot_vars[s], e) for s, e in _fields(m)), c)
+            for m, c in self.terms.items()
+        ]
+        return _unpickle, (items,)
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._wrap({})
 
     @classmethod
     def const(cls, c: int) -> "Poly":
-        return cls({_ONE: c})
+        return cls._wrap({0: c} if c else {})
 
     @classmethod
     def one(cls) -> "Poly":
@@ -135,24 +211,45 @@ class Poly:
 
     @classmethod
     def var(cls, v: Variable) -> "Poly":
-        return cls({((v, 1),): 1})
+        return cls._wrap({_unit(v): 1})
+
+    @classmethod
+    def var_diff(cls, a: Variable, b: Variable) -> "Poly":
+        """The linear form a - b (a row label minus a column label)."""
+        if a == b:
+            return cls._wrap({})
+        return cls._wrap({_unit(a): 1, _unit(b): -1})
 
     @classmethod
     def hbar(cls) -> "Poly":
         return cls.var(HBAR)
+
+    @classmethod
+    def sum(cls, polys: Iterable["Poly | int"]) -> "Poly":
+        """The sum of polys, accumulated in place in one dict."""
+        out: dict[int, int] = {}
+        get = out.get
+        for p in polys:
+            for m, c in _coerce(p).terms.items():
+                out[m] = get(m, 0) + c
+        return cls._wrap({m: c for m, c in out.items() if c})
 
     # -- ring arithmetic -------------------------------------------------
     def __add__(self, other: "Poly | int") -> "Poly":
         other = _coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Poly(out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Poly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         return self + (-_coerce(other))
@@ -162,12 +259,15 @@ class Poly:
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         other = _coerce(other)
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly(out)
+            for m2, c2 in right:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        _check_overflow(out)
+        return Poly._wrap({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -196,34 +296,50 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
     # -- queries ---------------------------------------------------------
+    def items(self):
+        """(monomial, coefficient) pairs, monomials in the public
+        tuple-of-pairs form."""
+        for m, c in self.terms.items():
+            yield _unpack(m), c
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max(sum(e for _, e in _fields(m)) for m in self.terms)
 
     def variables(self) -> set[Variable]:
-        return {v for m in self.terms for v, _ in m}
+        seen = 0
+        for m in self.terms:
+            seen |= m
+        return {_slot_vars[s] for s, _ in _fields(seen)}
 
     def hbar_coefficient(self, k: int) -> "Poly":
         """The coefficient of h^k, as a polynomial free of h."""
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            if exps.pop(HBAR, 0) == k:
-                out[_mono(exps.items())] = c
-        return Poly(out)
+        unit = _unit(HBAR)
+        shift = _WIDTH * _slots[HBAR]
+        return Poly._wrap(
+            {
+                m - k * unit: c
+                for m, c in self.terms.items()
+                if (m >> shift) & _FIELD == k
+            }
+        )
 
     def leading_term(self) -> tuple[Monomial, int]:
         """Graded-lex leading term of a nonzero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_grlex_key)
-        return m, self.terms[m]
+        m = max(self.terms, key=_grlex_key(_shifts(self.variables())))
+        return _unpack(m), self.terms[m]
 
 
 def _coerce(x: "Poly | int") -> Poly:
     return x if isinstance(x, Poly) else Poly.const(x)
+
+
+def _unpickle(items) -> Poly:
+    return Poly._wrap({_pack(pairs): c for pairs, c in items})
 
 
 def exact_divide(num: Poly, den: Poly) -> Poly:
@@ -231,35 +347,56 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
 
     Division is multivariate reduction against the single divisor under
     graded-lex order; any step that fails to cancel the leading term
-    raises NotDivisible.
+    raises NotDivisible.  The remainder is updated in place, and a heap
+    of grlex keys yields its leading monomial: every monomial a step adds
+    is below the one it cancels, so the heap maximum is always current.
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    den_lm, den_lc = den.leading_term()
-    quot: dict[Monomial, int] = {}
-    rem = num
-    while rem:
-        lm, lc = rem.leading_term()
+    key = _grlex_key(_shifts(num.variables() | den.variables()))
+    den_lm = max(den.terms, key=key)
+    den_lc = den.terms[den_lm]
+    den_rest = [(m, c) for m, c in den.terms.items() if m != den_lm]
+    rem = dict(num.terms)
+    heap = [(-key(m), m) for m in rem]
+    heapify(heap)
+    quot: dict[int, int] = {}
+    while heap:
+        lm = heappop(heap)[1]
+        lc = rem.pop(lm, 0)
+        if not lc:
+            continue  # cancelled since it was queued
         mq = _mono_div(lm, den_lm)
         if mq is None or lc % den_lc != 0:
             raise NotDivisible(f"{format_poly(den)} does not divide {format_poly(num)}")
         c = lc // den_lc
-        quot[mq] = quot.get(mq, 0) + c
-        rem = rem - Poly({mq: c}) * den
-    return Poly(quot)
+        quot[mq] = c
+        products = [m + mq for m, _ in den_rest]
+        _check_overflow(products)
+        for m, (_, dc) in zip(products, den_rest):
+            old = rem.get(m, 0)
+            new = old - c * dc
+            if new:
+                rem[m] = new
+                if not old:
+                    heappush(heap, (-key(m), m))
+            else:
+                del rem[m]
+    return Poly._wrap(quot)
 
 
 def substitute(p: Poly, assignment: Mapping[Variable, "Poly | int"]) -> Poly:
     """Evaluate p under a total assignment of its variables."""
-    out = Poly.zero()
-    for m, c in p.terms.items():
-        term = Poly.const(c)
-        for v, e in m:
+
+    def term(mono: Monomial, c: int) -> Poly:
+        out = Poly.const(c)
+        for v, e in mono:
             if v not in assignment:
                 raise MissingAssignment(f"no value for variable {_var_text(v, 'ascii')}")
-            term = term * (_coerce(assignment[v]) ** e)
-        out = out + term
-    return out
+            out = out * (_coerce(assignment[v]) ** e)
+        return out
+
+    return Poly.sum(term(mono, c) for mono, c in p.items())
 
 
 # -- formatting and parsing ----------------------------------------------
@@ -292,13 +429,21 @@ def format_poly(
     """
     if not p.terms:
         return "0"
+    variables = sorted(p.variables(), key=var_key)
+    names = [_var_text(v, style, sizes) for v in variables]
+    shifts = _shifts(variables)
+    rows = []
+    for m, c in p.terms.items():
+        exps = [(m >> s) & _FIELD for s in shifts]
+        rows.append((sum(exps), exps, c))
+    rows.sort(reverse=True)  # (degree, exponents) is the grlex key
     sep = " " if style == "latex" else "*"
     pieces: list[str] = []
-    for m in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[m]
+    for _, exps, c in rows:
         factors = []
-        for v, e in m:
-            name = _var_text(v, style, sizes)
+        for name, e in zip(names, exps):
+            if e == 0:
+                continue
             if e == 1:
                 factors.append(name)
             elif style == "latex":

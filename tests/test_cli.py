@@ -175,3 +175,10 @@ def test_csm_json_round_trip(capsys):
 
     r = parse_input(json.loads((FIXTURES / "ex_a3.json").read_text()))
     assert parse_poly(payload["polynomial"]) == compute(r, "csm", "pd")
+
+
+def test_bad_thread_count_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("QCALC_THREADS", "abc")
+    code, _, err = run(capsys, "sweep", "1")
+    assert code == 1
+    assert "QCALC_THREADS" in err and "'abc'" in err

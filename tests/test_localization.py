@@ -128,5 +128,5 @@ def test_csm_restriction_h_grading():
     for v in permutations(range(1, 4)):
         p = csm_restriction(tuple(v), word)
         assert all(
-            sum(e for _, e in mono) == 3 for mono in p.terms
+            sum(e for _, e in mono) == 3 for mono, _ in p.items()
         )

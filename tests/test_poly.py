@@ -1,6 +1,19 @@
 """Exact sparse polynomial arithmetic, canonical text, and parsing."""
 
+import os
+import pickle
+import random
+import re
+import subprocess
+import sys
+import threading
+from functools import cmp_to_key
+from pathlib import Path
+
 import pytest
+
+import qcalc
+from qcalc import poly
 
 from qcalc.poly import (
     HBAR,
@@ -12,6 +25,7 @@ from qcalc.poly import (
     format_poly,
     parse_poly,
     substitute,
+    var_key,
     xvar,
 )
 
@@ -123,3 +137,123 @@ def test_parse_errors():
     for text in ["", "x0_1 +", "* x0_1", "x0_1 ^ x1_1", "q"]:
         with pytest.raises(ParseError):
             parse_poly(text)
+
+
+def _grlex_cmp(a, b) -> int:
+    """The reference graded-lex comparison on tuple-of-pairs monomials."""
+    da = sum(e for _, e in a)
+    db = sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        ka, kb = var_key(va), var_key(vb)
+        if ka != kb:
+            # the monomial holding the earlier variable is lex-larger
+            return 1 if ka < kb else -1
+        if ea != eb:
+            return 1 if ea > eb else -1
+        i += 1
+        j += 1
+    if i < len(a):
+        return 1
+    if j < len(b):
+        return -1
+    return 0
+
+
+def test_order_matches_grlex_oracle():
+    # registered latest-first, so slot order runs against the variable order
+    alphabet = [xvar(level, index) for level in range(10, 14) for index in (1, 2, 3)]
+    for v in reversed(alphabet):
+        Poly.var(v)
+    variables = alphabet + [HBAR]
+    rng = random.Random(1)
+    for _ in range(40):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 12)):
+            term = Poly.const(rng.choice([-3, -1, 1, 2, 5]))
+            for v in rng.sample(variables, rng.randint(0, 4)):
+                term = term * Poly.var(v) ** rng.randint(1, 3)
+            p = p + term
+        if not p:
+            continue
+        expected = sorted((m for m, _ in p.items()), key=cmp_to_key(_grlex_cmp), reverse=True)
+        pieces = re.split(r" [+-] ", format_poly(p))
+        shown = [parse_poly(piece.lstrip("-")).leading_term()[0] for piece in pieces]
+        assert shown == expected
+        assert p.leading_term() == (expected[0], dict(p.items())[expected[0]])
+
+
+_CHILD = """
+import pickle, sys
+from qcalc.poly import HBAR, Poly, format_poly, xvar
+for v in [xvar(7, 3), HBAR, xvar(1, 2), xvar(1, 1), xvar(0, 1)]:
+    Poly.var(v)
+p = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.buffer.write(pickle.dumps((format_poly(p), p * p - Poly.hbar())))
+"""
+
+
+def test_pickle_across_processes():
+    """Slots differ between processes; pickles carry (variable, exponent)."""
+    p = (a - b) * (c + h) ** 2 + 3 * a * c
+    src = str(Path(qcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=pickle.dumps(p),
+        capture_output=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    seen, answer = pickle.loads(done.stdout)
+    assert seen == format_poly(p)
+    assert format_poly(answer) == format_poly(p * p - h)
+    assert answer == p * p - h
+
+
+def test_exponent_overflow_raises():
+    top = a ** (2**15 - 1)
+    assert top.degree() == 2**15 - 1
+    with pytest.raises(OverflowError):
+        top * a
+    with pytest.raises(OverflowError):
+        top * (b + a * c)
+    # the neighbouring fields are untouched by a product that fits
+    assert (top * b).leading_term() == (((xvar(0, 1), 2**15 - 1), (xvar(1, 1), 1)), 1)
+    assert exact_divide(top * b, b) == top
+
+
+def test_registry_threads_never_share_a_slot():
+    fresh = [xvar(40 + t, i) for t in range(8) for i in range(1, 201)]
+    start = threading.Barrier(8, timeout=30)
+
+    def register(vs):
+        start.wait()
+        for v in vs:
+            Poly.var(v)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # every thread registers every variable, each in its own order
+        threads = [
+            threading.Thread(target=register, args=(random.Random(t).sample(fresh, len(fresh)),))
+            for t in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    # one slot per variable, each slot guarded
+    assert len(set(poly._slot_vars)) == len(poly._slot_vars)
+    assert all(poly._slot_vars[poly._slots[v]] == v for v in fresh)
+    guards = [poly._guard >> (16 * s + 15) & 1 for s in range(len(poly._slot_vars))]
+    assert all(guards)
