@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
 
-from .quiver import Dims, RankArray, hom_rank_array, lace_array
+from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
 
 Permutation = tuple  # one-line notation, values 1..d
 
@@ -211,105 +210,65 @@ def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
     return m
 
 
-def _row_ranges(dims: Dims) -> list[range]:
-    offsets = [sum(dims.r[:i]) for i in range(dims.n + 2)]
-    return [range(offsets[i] + 1, offsets[i + 1] + 1) for i in range(dims.n + 1)]
+def _block_perms(r: RankArray, first: bool) -> list[Permutation]:
+    """The permutations with the block 1-counts of r, in lexicographic
+    order; only the first one if first.
 
+    Rows are filled top to bottom, each with any free column whose block
+    still owes the row's block a one.  A block owed a one always has a
+    free column, so the search never dead-ends.
+    """
+    dims = r.dims
+    owed = block_counts(r)
+    bs = BlockStructure(dims)
+    cols = [(p, bs.col_block(p)) for p in range(1, dims.d + 1)]
+    out, v, used = [], [], set()
 
-def _col_ranges(dims: Dims) -> list[range]:
-    # index j -> global column numbers, block columns labeled right to left
-    offsets = {}
-    start = 1
-    for j in range(dims.n, -1, -1):
-        offsets[j] = range(start, start + dims.r[j])
-        start += dims.r[j]
-    return [offsets[j] for j in range(dims.n + 1)]
+    def rec(q: int) -> bool:
+        if q > dims.d:
+            out.append(tuple(v))
+            return first
+        i = bs.row_block(q)
+        for p, j in cols:
+            if owed[(i, j)] and p not in used:
+                owed[(i, j)] -= 1
+                used.add(p)
+                v.append(p)
+                if rec(q + 1):
+                    return True
+                owed[(i, j)] += 1
+                used.discard(p)
+                v.pop()
+        return False
+
+    rec(1)
+    return out
 
 
 def zelevinsky_permutation(r: RankArray) -> Permutation:
     """The minimal-length permutation with the block counts of r.
 
-    Within each block row, read top to bottom, the ones go to column
-    blocks left to right; within each column block the receiving columns
-    are ordered by row index.  This placement has no inversion inside a
-    block row or block column.
+    It is the lexicographically first one: within each block row, read
+    top to bottom, the ones go to column blocks left to right, and
+    within each column block the receiving columns are ordered by row
+    index, so it has no inversion inside a block row or block column.
     """
-    dims = r.dims
-    m = block_counts(r)
-    row_ranges = _row_ranges(dims)
-    col_ranges = _col_ranges(dims)
-    rows_into_block_col: dict[int, list[int]] = {j: [] for j in range(dims.n + 1)}
-    for i in range(dims.n + 1):
-        rows = list(row_ranges[i])
-        pos = 0
-        for j in range(dims.n, -1, -1):  # column blocks left to right
-            for _ in range(m[(i, j)]):
-                rows_into_block_col[j].append(rows[pos])
-                pos += 1
-    v = [0] * dims.d
-    for j in range(dims.n + 1):
-        for row, col in zip(sorted(rows_into_block_col[j]), col_ranges[j]):
-            v[row - 1] = col
-    return tuple(v)
+    return _block_perms(r, first=True)[0]
 
 
 def perm_set(r: RankArray) -> list[Permutation]:
     """All permutations whose block 1-counts equal those of z(r), sorted."""
-    dims = r.dims
-    m = block_counts(r)
-    row_ranges = _row_ranges(dims)
-    col_ranges = _col_ranges(dims)
-    block_cols = list(range(dims.n, -1, -1))  # left to right
+    return _block_perms(r, first=False)
 
-    def distributions(rows: list[int], counts: list[int]):
-        """Partitions of rows into ordered groups of the given sizes."""
-        if not counts:
-            yield []
-            return
-        first, rest = counts[0], counts[1:]
-        for chosen in combinations(rows, first):
-            remaining = [x for x in rows if x not in chosen]
-            for tail in distributions(remaining, rest):
-                yield [list(chosen)] + tail
 
-    per_row_choices = []
-    for i in range(dims.n + 1):
-        counts = [m[(i, j)] for j in block_cols]
-        per_row_choices.append(list(distributions(list(row_ranges[i]), counts)))
+def orbit_zperm(r: RankArray) -> Permutation:
+    """z(r), computed once per quiver.Orbit."""
+    return shared(r, "z", zelevinsky_permutation)
 
-    out = []
 
-    def rec(i: int, assigned: dict[int, list[int]]):
-        if i == dims.n + 1:
-            # match rows to columns within each block column
-            choices_per_block = []
-            for j in range(dims.n + 1):
-                rows = assigned[j]
-                cols = list(col_ranges[j])
-                choices_per_block.append(
-                    [list(zip(rows, perm)) for perm in permutations(cols)]
-                )
-            def build(jdx: int, pairs: list[tuple[int, int]]):
-                if jdx == len(choices_per_block):
-                    v = [0] * dims.d
-                    for row, col in pairs:
-                        v[row - 1] = col
-                    out.append(tuple(v))
-                    return
-                for choice in choices_per_block[jdx]:
-                    build(jdx + 1, pairs + choice)
-            build(0, [])
-            return
-        for dist in per_row_choices[i]:
-            for jdx, j in enumerate(block_cols):
-                assigned[j].extend(dist[jdx])
-            rec(i + 1, assigned)
-            for jdx, j in enumerate(block_cols):
-                for _ in dist[jdx]:
-                    assigned[j].pop()
-
-    rec(0, {j: [] for j in range(dims.n + 1)})
-    return sorted(set(out))
+def orbit_perm_set(r: RankArray) -> frozenset:
+    """perm(r) as a frozenset, computed once per quiver.Orbit."""
+    return shared(r, "perm", lambda r: frozenset(perm_set(r)))
 
 
 def counts_of(v: Permutation, dims: Dims) -> dict[tuple[int, int], int]:

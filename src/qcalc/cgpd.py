@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import product
 
 from .poly import Poly, xvar
-from .quiver import Dims, RankArray, lace_array
+from .quiver import Dims, RankArray, lace_array, shared
 
 TILE_CODES = (".", "-", "|", "+", "r", "j", "b")
 
@@ -321,24 +321,24 @@ def cgpd_weight(delta: CGPD) -> Poly:
         for j, row in enumerate(grid, start=1):
             for k, code in enumerate(row, start=1):
                 label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
+                arcs = colors.get((i, j, k))
                 if code in "+-|":
                     total = total * label
-                elif code in "rj":
+                elif code in "rj" or (code == "b" and arcs["ES"] != arcs["NW"]):
                     total = total * Poly.hbar()
-                elif code == "b":
-                    arcs = colors[(i, j, k)]
-                    if arcs["ES"] == arcs["NW"]:
-                        total = total * (label + Poly.hbar())
-                    else:
-                        total = total * Poly.hbar()
                 else:
                     total = total * (label + Poly.hbar())
     return total
 
 
+def orbit_cgpd(r: RankArray) -> list[CGPD]:
+    """enumerate_cgpd(r), computed once per quiver.Orbit."""
+    return shared(r, "cgpd", enumerate_cgpd)
+
+
 def csm_cgpd(r: RankArray) -> Poly:
     """CSM class of the open locus as a sum of diagram weights."""
-    return Poly.sum(cgpd_weight(delta) for delta in enumerate_cgpd(r))
+    return Poly.sum(cgpd_weight(delta) for delta in orbit_cgpd(r))
 
 
 def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:
@@ -353,8 +353,13 @@ def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:
 
 
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
-    """The diagrams with the fewest straight-strand tiles."""
-    diagrams = enumerate_cgpd(r)
+    """The diagrams with the fewest straight-strand tiles, computed once
+    per quiver.Orbit."""
+    return shared(r, "cgpd_infinity", _fewest_straight)
+
+
+def _fewest_straight(r: RankArray) -> list[CGPD]:
+    diagrams = orbit_cgpd(r)
     best = min(len(crossing_tiles(d)) for d in diagrams)
     return [d for d in diagrams if len(crossing_tiles(d)) == best]
 

@@ -69,13 +69,7 @@ def render_lacing(s: LaceArray) -> str:
     vertex columns follow the representative's basis order.
     """
     dims = s.dims
-    laces = s.laces()
-    index_at: list[dict[int, int]] = [dict() for _ in range(dims.n + 1)]
-    counters = [0] * (dims.n + 1)
-    for lace_id, (p, q) in enumerate(laces):
-        for i in range(p, q + 1):
-            index_at[i][lace_id] = counters[i]
-            counters[i] += 1
+    phi = representative(s).phi
     width = 2 * max(dims.r) - 1
     lines = []
     for i in range(dims.n + 1):
@@ -86,11 +80,10 @@ def render_lacing(s: LaceArray) -> str:
         if i == dims.n:
             break
         link = [" "] * width
-        for lace_id, (p, q) in enumerate(laces):
-            if p <= i and i + 1 <= q:
-                a, b = index_at[i][lace_id], index_at[i + 1][lace_id]
-                col = a + b
-                link[col] = "|" if a == b else ("\\" if b > a else "/")
+        for b, row in enumerate(phi[i]):  # basis a at level i -> b at i + 1
+            for a, x in enumerate(row):
+                if x:
+                    link[a + b] = "|" if a == b else ("\\" if b > a else "/")
         lines.append("".join(link).rstrip())
     return "\n".join(lines)
 
@@ -201,26 +194,18 @@ def _cmd_zperm(args) -> int:
     return 0
 
 
-def _cmd_qpoly(args) -> int:
+def _cmd_poly(args) -> int:
+    """qpoly and csm: the subcommand names the target."""
     r = parse_input(_load_json(args.input))
-    p = engine.compute(r, "qpoly", args.method)
-    if args.format == "json":
-        print(json.dumps({"target": "qpoly", "method": args.method, "polynomial": format_poly(p)}))
-    else:
-        print(_poly_text(p, args, r.dims))
-    return 0
-
-
-def _cmd_csm(args) -> int:
-    r = parse_input(_load_json(args.input))
-    if args.region == "full":
+    if args.command == "csm" and args.region == "full":
         if args.method != "pd":
             raise ValueError("flag --region full requires --method pd")
-        p = pipedream.csm_pd_full_region(r)
+        p = pipedream.csm_pd(r, region="full")
     else:
-        p = engine.compute(r, "csm", args.method)
+        p = engine.compute(r, args.command, args.method)
     if args.format == "json":
-        print(json.dumps({"target": "csm", "method": args.method, "polynomial": format_poly(p)}))
+        payload = {"target": args.command, "method": args.method, "polynomial": format_poly(p)}
+        print(json.dumps(payload))
     else:
         print(_poly_text(p, args, r.dims))
     return 0
@@ -303,36 +288,31 @@ def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="qcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *, inp=True, method=False, fmt=("text", "latex", "json")):
+    def add(name, fn, *, method=False):
         p = sub.add_parser(name)
-        if inp:
-            p.add_argument("input", help="path to a JSON file, or inline JSON")
+        p.add_argument("input", help="path to a JSON file, or inline JSON")
         if method:
             p.add_argument("--method", choices=("pd", "cgpd", "ratio"), default="pd")
-        p.add_argument("--format", choices=fmt, default="text")
+        p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         p.set_defaults(fn=fn)
         return p
 
     add("lace", _cmd_lace)
     add("zperm", _cmd_zperm)
-    p = add("qpoly", _cmd_qpoly, method=True)
-    p.add_argument("--letters", action="store_true")
-    p = add("csm", _cmd_csm, method=True)
-    p.add_argument("--letters", action="store_true")
+    for target in ("qpoly", "csm"):
+        p = add(target, _cmd_poly, method=True)
+        p.add_argument("--letters", action="store_true")
     p.add_argument("--region", choices=("strict", "full"), default="strict")
     p = add("enum", _cmd_enum)
     p.add_argument("--what", choices=("pd", "cgpd", "perm"), default="pd")
     p.add_argument("--region", choices=("strict", "full"), default="strict")
-    p = add("check", _cmd_check)
+    add("check", _cmd_check)
     p = sub.add_parser("sweep")
     p.add_argument("budget", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_sweep)
-    p = sub.add_parser("render")
-    p.add_argument("input", help="path to a JSON file, or inline JSON")
+    p = add("render", _cmd_render)
     p.add_argument("--what", required=True)
-    p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p.set_defaults(fn=_cmd_render)
 
     args = parser.parse_args(argv)
     try:

@@ -5,8 +5,11 @@ chained generic pipe dreams, and a ratio of fixed-point restrictions),
 for both the quiver polynomial and the CSM class of the open locus.
 check() runs all six and also tests the two derived laws: the quiver
 polynomial has degree l(z(r)) - |D_Hom|, and it is the coefficient of
-h^(L - l(z(r))) in the CSM class.  Failures are recorded in the report,
-never raised, so a sweep always completes and aggregates.
+h^(L - l(z(r))) in the CSM class.  A disagreement is recorded in the
+report (ok is False).  A formula that raises (exact_divide's
+NotDivisible, csm_pd's DHomViolation, any bug) is not caught: the
+exception leaves check(), and sweep() re-raises it, so the reports of
+every other orbit are lost.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import blockperm, cgpd, localization, pipedream
-from .blockperm import length, perm_set, regions, zelevinsky_permutation
+from . import cgpd, localization, pipedream
+from .blockperm import length, orbit_perm_set, orbit_zperm, regions
 from .poly import Poly, format_poly
-from .quiver import Dims, RankArray, enumerate_rank_arrays, to_json
+from .quiver import Dims, Orbit, RankArray, enumerate_rank_arrays, to_json
 
 QPOLY_METHODS = {
     "pd": pipedream.quiver_poly_pd,
@@ -82,13 +85,19 @@ class ConsistencyReport:
 
 
 def check(r: RankArray) -> ConsistencyReport:
-    """Compute all six polynomials of r and verify every cross relation."""
+    """Compute all six polynomials of r and verify every cross relation.
+
+    The formulas share one Orbit, so z(r), perm(r), both strict subword
+    searches and the cgpd lists are built once; the counts are their
+    sizes.
+    """
+    orbit = Orbit(r)
     polys: dict[str, Poly] = {}
     timings: dict[str, float] = {}
     for target, table in (("qpoly", QPOLY_METHODS), ("csm", CSM_METHODS)):
         for method, fn in table.items():
             start = time.perf_counter()
-            polys[f"{target}_{method}"] = fn(r)
+            polys[f"{target}_{method}"] = fn(orbit)
             timings[f"{target}_{method}"] = (time.perf_counter() - start) * 1000.0
 
     equal = {}
@@ -98,26 +107,17 @@ def check(r: RankArray) -> ConsistencyReport:
                 polys[f"{target}_{left}"] == polys[f"{target}_{right}"]
             )
 
-    dims = r.dims
-    reg = regions(dims)
-    z = zelevinsky_permutation(r)
-    codim = length(z) - len(reg.dhom_cells)
-    degree_ok = polys["qpoly_pd"].degree() == codim
-    leading_ok = (
-        polys["csm_pd"].hbar_coefficient(reg.L - length(z)) == polys["qpoly_pd"]
-    )
+    reg = regions(r.dims)
+    lz = length(orbit_zperm(orbit))
+    degree_ok = polys["qpoly_pd"].degree() == lz - len(reg.dhom_cells)
+    leading_ok = polys["csm_pd"].hbar_coefficient(reg.L - lz) == polys["qpoly_pd"]
 
-    targets = frozenset(perm_set(r))
     counts = {
-        "perm": len(targets),
-        "rp_star": len(
-            pipedream.enumerate_pipe_dreams(dims, z, "strict", "reduced")
-        ),
-        "p_total": sum(
-            1 for _ in pipedream.locus_pipe_dreams(dims, targets, "strict", "all")
-        ),
-        "cgpd": len(cgpd.enumerate_cgpd(r)),
-        "cgpd_infinity": len(cgpd.cgpd_infinity(r)),
+        "perm": len(orbit_perm_set(orbit)),
+        "rp_star": len(localization.orbit_subwords(orbit, reduced=True)),
+        "p_total": len(localization.orbit_subwords(orbit, reduced=False)),
+        "cgpd": len(cgpd.orbit_cgpd(orbit)),
+        "cgpd_infinity": len(cgpd.cgpd_infinity(orbit)),
     }
     return ConsistencyReport(
         rank=r,

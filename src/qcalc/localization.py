@@ -21,10 +21,12 @@ from .blockperm import (
     composite,
     identity,
     length,
+    orbit_perm_set,
+    orbit_zperm,
     regions,
 )
 from .poly import Poly, Variable, exact_divide, xvar
-from .quiver import Dims, RankArray, hom_rank_array
+from .quiver import Dims, RankArray, shared
 
 
 class NotReducedWord(Exception):
@@ -81,10 +83,29 @@ def _require_reduced(word: Word):
         raise NotReducedWord(f"word {word.letters} is not reduced")
 
 
-def _factored_sum(
-    word: Word, targets: frozenset, reduced: bool
-) -> tuple[tuple[int, ...], Poly]:
-    """The subword sum with its forced positions kept as separate factors.
+def _search(word: Word, targets: frozenset, reduced: bool) -> list:
+    return list(blockperm.subword_subsets(word.letters, word.d, targets, reduced))
+
+
+def orbit_subwords(r: RankArray, reduced: bool) -> list:
+    """Pairs (J, v) over the subsets J of the grid word whose ordered
+    product v is z(r) (reduced subwords) or lies in perm(r) (all
+    subwords).  Searched once per quiver.Orbit; the pipe dream and ratio
+    formulas both read it."""
+    if reduced:
+        return shared(
+            r,
+            "reduced_subwords",
+            lambda r: _search(grid_word(r.dims), frozenset([orbit_zperm(r)]), True),
+        )
+    return shared(
+        r, "all_subwords", lambda r: _search(grid_word(r.dims), orbit_perm_set(r), False)
+    )
+
+
+def _factored_sum(word: Word, found: list, reduced: bool) -> tuple[tuple[int, ...], Poly]:
+    """The subword sum over the found (J, v) pairs, with its forced
+    positions kept as separate factors.
 
     Returns (common, rest): common lists the positions taken by every
     contributing subset, and rest is the sum over subsets of the product
@@ -93,12 +114,7 @@ def _factored_sum(
     roots.  Keeping the forced block factored makes the ratio formulas
     cancel it without ever expanding it.
     """
-    subsets = [
-        J
-        for J, _ in blockperm.subword_subsets(
-            word.letters, word.d, targets, reduced
-        )
-    ]
+    subsets = [J for J, _ in found]
     if not subsets:
         return (), Poly.zero()
     common = frozenset(subsets[0]).intersection(*subsets[1:])
@@ -122,7 +138,7 @@ def _subword_sum(word: Word, targets: frozenset, reduced: bool) -> Poly:
     Reduced mode takes products of reduced subwords only; otherwise each
     skipped position contributes a factor of h.
     """
-    common, rest = _factored_sum(word, targets, reduced)
+    common, rest = _factored_sum(word, _search(word, targets, reduced), reduced)
     betas = roots(word)
     for j in common:
         rest = rest * betas[j]
@@ -143,17 +159,17 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _subword_sum(word, frozenset([tuple(v)]), reduced=False)
 
 
-def _ratio(dims: Dims, targets: frozenset, reduced: bool) -> Poly:
-    """A subword sum divided by the Hom-orbit restriction.
+def _ratio(r: RankArray, reduced: bool) -> Poly:
+    """The orbit's subword sum divided by the Hom-orbit restriction.
 
     Both polynomials are products of forced-position roots times small
     sums, so the quotient cancels shared positions factor by factor and
     only divides out what is left; exact_divide still certifies that
     the division is exact.
     """
-    word = grid_word(dims)
-    num_common, num_rest = _factored_sum(word, targets, reduced)
-    den_common, den_rest = _hom_factored(dims)
+    word = grid_word(r.dims)
+    num_common, num_rest = _factored_sum(word, orbit_subwords(r, reduced), reduced)
+    den_common, den_rest = _hom_factored(r.dims)
     betas = roots(word)
     den_set = frozenset(den_common)
     for j in num_common:
@@ -170,18 +186,16 @@ def _ratio(dims: Dims, targets: frozenset, reduced: bool) -> Poly:
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    targets = frozenset([blockperm.zelevinsky_permutation(r)])
-    return _ratio(r.dims, targets, reduced=True)
+    return _ratio(r, reduced=True)
 
 
 def csm_ratio(r: RankArray) -> Poly:
     """Sum of cell restrictions over perm(r), divided by the Hom class."""
-    return _ratio(r.dims, frozenset(blockperm.perm_set(r)), reduced=False)
+    return _ratio(r, reduced=False)
 
 
 @lru_cache(maxsize=None)
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
     word = grid_word(dims)
-    z = blockperm.zelevinsky_permutation(hom_rank_array(dims))
-    return _factored_sum(word, frozenset([z]), reduced=True)
-
+    hom = frozenset([blockperm.zelevinsky_hom(dims)])
+    return _factored_sum(word, _search(word, hom, True), reduced=True)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import blockperm
-from .blockperm import BlockStructure, regions, subword_subsets
+from .blockperm import BlockStructure, orbit_perm_set, regions, subword_subsets
+from .localization import grid_word, orbit_subwords
 from .poly import Poly
 from .quiver import Dims, RankArray
 
@@ -74,15 +74,11 @@ def trace(dream: PipeDream) -> tuple:
 def region_cells(dims: Dims, region: str) -> list[tuple[int, int]]:
     """Cells of the region in reading order (rows bottom to top, then west
     to east), the order in which crosses spell the trace word."""
-    d = dims.d
-    if region == "full":
-        cells = [(q, p) for q in range(1, d + 1) for p in range(1, d + 1) if q + p <= d]
-    elif region == "strict":
-        cells = list(regions(dims).strict_cells)
-    else:
+    if region == "strict":
+        return list(grid_word(dims).cells)
+    if region != "full":
         raise ValueError(f"unknown region {region!r}")
-    cells.sort(key=lambda cell: (-cell[0], cell[1]))
-    return cells
+    return [(q, p) for q in range(dims.d - 1, 0, -1) for p in range(1, dims.d - q + 1)]
 
 
 def enumerate_pipe_dreams(
@@ -104,6 +100,13 @@ def locus_pipe_dreams(dims: Dims, targets: frozenset, region: str, mode: str):
     letters = tuple(q + p - 1 for q, p in cells)
     for subset, v in subword_subsets(letters, dims.d, targets, reduced=(mode == "reduced")):
         yield PipeDream(dims, frozenset(cells[k] for k in subset)), v
+
+
+def _orbit_dreams(r: RankArray, reduced: bool):
+    """(dream, trace) over the strict dreams of the orbit's shared search."""
+    cells = grid_word(r.dims).cells
+    for subset, v in orbit_subwords(r, reduced):
+        yield PipeDream(r.dims, frozenset(cells[k] for k in subset)), v
 
 
 def _label_product(dims: Dims, cells) -> Poly:
@@ -136,42 +139,35 @@ def weight(dream: PipeDream, flavor: str = "chern") -> Poly:
 
 def quiver_poly_pd(r: RankArray) -> Poly:
     """Sum of cross weights over the reduced strict dreams of z(r)."""
-    z = blockperm.zelevinsky_permutation(r)
-    dreams = enumerate_pipe_dreams(r.dims, z, region="strict", mode="reduced")
-    return Poly.sum(weight(dream, "chern") for dream in dreams)
+    return Poly.sum(weight(dream, "chern") for dream, _ in _orbit_dreams(r, reduced=True))
 
 
-def csm_pd(r: RankArray) -> Poly:
+def csm_pd(r: RankArray, region: str = "strict") -> Poly:
     """CSM class of the open locus as a sum over non-reduced strict dreams
-    of every permutation with the block counts of z(r)."""
-    dims = r.dims
-    dhom = regions(dims).dhom_cells
-    targets = frozenset(blockperm.perm_set(r))
+    of every permutation with the block counts of z(r).
 
-    def weights():
-        for dream, v in locus_pipe_dreams(dims, targets, "strict", "all"):
-            if not dhom <= dream.crosses:
-                raise DHomViolation(
-                    f"dream for {v} misses cells {sorted(dhom - dream.crosses)}"
-                )
-            yield weight(dream, "csm")
-
-    return Poly.sum(weights())
-
-
-def csm_pd_full_region(r: RankArray) -> Poly:
-    """Experimental probe: the csm sum taken over full-grid dreams.
-
-    Dreams with more crosses than L cannot carry a nonnegative h power
-    and are skipped; crosses outside the strict region contribute their
-    cell-label factor like any other counted cross.
+    region="full" is an experimental probe, not the CSM class on every
+    orbit: it takes the sum over full-grid dreams instead.  Dreams with
+    more crosses than L cannot carry a nonnegative h power and are
+    skipped; crosses outside the strict region contribute their cell
+    label like any other counted cross.
     """
     dims = r.dims
     reg = regions(dims)
-    targets = frozenset(blockperm.perm_set(r))
-    return Poly.sum(
-        Poly.hbar() ** (reg.L - len(dream.crosses))
-        * _label_product(dims, dream.crosses - reg.dhom_cells)
-        for dream, _ in locus_pipe_dreams(dims, targets, "full", "all")
-        if len(dream.crosses) <= reg.L
-    )
+    if region == "strict":
+        dreams = _orbit_dreams(r, reduced=False)
+    else:
+        dreams = locus_pipe_dreams(dims, orbit_perm_set(r), region, "all")
+
+    def weights():
+        for dream, v in dreams:
+            if region == "strict":
+                if missing := reg.dhom_cells - dream.crosses:
+                    raise DHomViolation(f"dream for {v} misses cells {sorted(missing)}")
+                yield weight(dream, "csm")
+            elif len(dream.crosses) <= reg.L:
+                yield Poly.hbar() ** (reg.L - len(dream.crosses)) * _label_product(
+                    dims, dream.crosses - reg.dhom_cells
+                )
+
+    return Poly.sum(weights())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 
 
@@ -89,6 +90,31 @@ class RankArray:
 
     def __repr__(self):
         return f"RankArray(dims={self.dims.r}, entries={self.entries})"
+
+
+class Orbit(RankArray):
+    """A rank array carrying a memo of the objects its formulas share.
+
+    engine.check builds one per orbit and hands it to all six formulas;
+    it compares and hashes as the plain rank array it wraps.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, r: RankArray):
+        super().__init__(r.dims, r.entries)
+        self.memo: dict[str, object] = {}
+
+
+def shared(r: RankArray, name: str, fn):
+    """fn(r), computed once per Orbit and kept under the fixed name; a
+    plain RankArray gets a fresh fn(r) on every call."""
+    if not isinstance(r, Orbit):
+        return fn(r)
+    memo = r.memo
+    if name not in memo:
+        memo[name] = fn(r)
+    return memo[name]
 
 
 class LaceArray:
@@ -383,32 +409,49 @@ def nw_rank_profile(matrix: list[list[int]]) -> dict[tuple[int, int], int]:
 
 # -- JSON input ------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_input(obj: dict | str) -> RankArray:
     """Parse {"dims": [...], "rank": {"i,j": v}} or {"dims": [...], "lace": ...}.
 
-    Diagonal rank entries are optional and default to the dims.
+    Diagonal rank entries are optional and default to the dims.  Every
+    malformed entry raises ValueError naming it.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if "dims" not in obj:
-        raise ValueError('input must carry a "dims" array')
-    dims = Dims(tuple(obj["dims"]))
+    if not isinstance(obj, dict) or "dims" not in obj:
+        raise ValueError('input must be a JSON object carrying a "dims" array')
+    raw = obj["dims"]
+    if not (isinstance(raw, list) and raw and all(map(_is_int, raw))):
+        raise ValueError(f'"dims" must be a non-empty array of integers, got {json.dumps(raw)}')
+    dims = Dims(tuple(raw))
 
-    def read_entries(raw: dict) -> dict[tuple[int, int], int]:
+    def read_entries(name: str) -> dict[tuple[int, int], int]:
+        raw = obj[name]
+        if not isinstance(raw, dict):
+            raise ValueError(f'"{name}" must be an object with "i,j" keys, got {json.dumps(raw)}')
         out = {}
         for key, value in raw.items():
-            i, j = (int(part) for part in key.split(","))
-            out[(i, j)] = int(value)
+            match = isinstance(key, str) and re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", key)
+            if not match:
+                raise ValueError(f'{name} key {json.dumps(key)} must have the form "i,j"')
+            if not _is_int(value):
+                raise ValueError(
+                    f"{name} entry {json.dumps(key)} must be an integer, got {json.dumps(value)}"
+                )
+            out[(int(match[1]), int(match[2]))] = value
         return out
 
     if "rank" in obj:
-        entries = read_entries(obj["rank"])
+        entries = read_entries("rank")
         for i, j in dims.pairs():
             if i != j and (i, j) not in entries:
                 raise ValueError(f"missing rank entry ({i},{j})")
         return RankArray(dims, entries)
     if "lace" in obj:
-        return rank_array(LaceArray(dims, read_entries(obj["lace"])))
+        return rank_array(LaceArray(dims, read_entries("lace")))
     raise ValueError('input must carry a "rank" or "lace" object')
 
 

@@ -119,7 +119,11 @@ def test_perm_set_counts_and_minimum():
             z = zelevinsky_permutation(r)
             members = perm_set(r)
             assert z in members
-            assert all(counts_of(v, dims) == block_counts(r) for v in members)
+            assert members == [
+                v
+                for v in permutations(range(1, dims.d + 1))
+                if counts_of(v, dims) == block_counts(r)
+            ]
             # z(r) is the unique minimal-length member
             assert [v for v in members if length(v) == length(z)] == [z]
 

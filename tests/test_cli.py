@@ -109,6 +109,14 @@ def test_input_error_names_entry(capsys):
     assert "(0,2)" in err
 
 
+def test_malformed_input_exits_one(capsys):
+    code, out, err = run(capsys, "check", '{"dims":[1,1],"rank":{"0,1":1.5}}')
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qcalc: error:") and '"0,1"' in err
+    assert "Traceback" not in err
+
+
 def test_bad_flag_exits_one(capsys):
     try:
         code = main(["qpoly", "--method", "sorcery", str(FIXTURES / "ex_a3.json")])

@@ -1,12 +1,19 @@
 """Formula dispatch, consistency reports, and the exhaustive sweep."""
 
+import importlib
 import json
 
 import pytest
 
+from qcalc import blockperm, cgpd
+from qcalc.blockperm import perm_set, zelevinsky_permutation
+from qcalc.cgpd import cgpd_infinity, enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
+from qcalc.pipedream import enumerate_pipe_dreams, locus_pipe_dreams
 from qcalc.poly import Poly, parse_poly, xvar
 from qcalc.quiver import Dims, RankArray, hom_rank_array
+
+MODULES = ("poly", "quiver", "blockperm", "pipedream", "cgpd", "localization", "engine", "cli")
 
 
 def test_compute_dispatch():
@@ -95,3 +102,68 @@ def test_sweep_budget_covers_11():
     reports = sweep(1)
     pairs = [report.rank.dims.r for report in reports]
     assert pairs.count((1, 1)) == 2  # both orbits of dims (1, 1)
+
+
+def _count_calls(monkeypatch, *functions):
+    """Point every qcalc module's reference to each function at a
+    wrapper that counts its calls; returns name -> calls."""
+    calls = {fn.__name__: 0 for fn in functions}
+    wrappers = {}
+    for fn in functions:
+
+        def wrapper(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        wrappers[id(fn)] = wrapper
+    for name in ("qcalc",) + tuple(f"qcalc.{m}" for m in MODULES):
+        mod = importlib.import_module(name)
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+    return calls
+
+
+SHARED = (blockperm.perm_set, blockperm.subword_subsets, cgpd.enumerate_cgpd)
+
+
+def test_check_builds_each_shared_object_once(monkeypatch):
+    r = RankArray(Dims((2, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1})
+    check(r)  # caches the Hom search of these dims
+    calls = _count_calls(monkeypatch, *SHARED)
+    report = check(r)
+    assert report.ok
+    assert report.rank is r
+    assert calls == {"perm_set": 1, "subword_subsets": 2, "enumerate_cgpd": 1}
+
+
+def test_compute_shares_nothing_between_requests(monkeypatch):
+    r = RankArray(Dims((2, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1})
+    check(r)  # caches the Hom search of these dims
+    calls = _count_calls(monkeypatch, *SHARED)
+    for _ in range(2):
+        compute(r, "csm", "pd")
+        compute(r, "csm", "cgpd")
+        compute(r, "csm", "ratio")
+    assert calls == {"perm_set": 4, "subword_subsets": 4, "enumerate_cgpd": 2}
+
+
+def _count_pass(r):
+    """The enumeration sizes, each recomputed from scratch."""
+    dims = r.dims
+    z = zelevinsky_permutation(r)
+    targets = frozenset(perm_set(r))
+    return {
+        "perm": len(targets),
+        "rp_star": len(enumerate_pipe_dreams(dims, z, "strict", "reduced")),
+        "p_total": sum(1 for _ in locus_pipe_dreams(dims, targets, "strict", "all")),
+        "cgpd": len(enumerate_cgpd(r)),
+        "cgpd_infinity": len(cgpd_infinity(r)),
+    }
+
+
+def test_counts_match_a_separate_count_pass():
+    reports = sweep(3)
+    assert len(reports) > 20
+    for report in reports:
+        assert report.counts == _count_pass(report.rank), report.rank

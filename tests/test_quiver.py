@@ -140,3 +140,27 @@ def test_parse_input_errors_name_the_entry():
         parse_input({"rank": {"0,1": 1}})
     with pytest.raises(ValueError):
         parse_input({"dims": [1, 2]})
+
+
+@pytest.mark.parametrize(
+    "obj, named",
+    [
+        ({"dims": "ab", "rank": {}}, '"dims"'),
+        ({"dims": [], "rank": {}}, '"dims"'),
+        ({"dims": [1, True], "rank": {}}, '"dims"'),
+        ({"dims": [1, 1.0], "rank": {}}, '"dims"'),
+        ({"dims": [1, 1], "rank": [1]}, '"rank"'),
+        ({"dims": [1, 1], "lace": "0,1"}, '"lace"'),
+        ({"dims": [1, 1], "rank": {"0,1": 1.5}}, '"0,1"'),
+        ({"dims": [1, 1], "rank": {"0,1": True}}, '"0,1"'),
+        ({"dims": [1, 1], "rank": {"0,1": "1"}}, '"0,1"'),
+        ({"dims": [1, 1], "rank": {"01": 1}}, '"01"'),
+        ({"dims": [1, 1], "rank": {"0,1,2": 1}}, '"0,1,2"'),
+        ({"dims": [1, 1], "lace": {"a,b": 1}}, '"a,b"'),
+        ([1, 1], "JSON object"),
+    ],
+)
+def test_parse_input_rejects_malformed_entries(obj, named):
+    with pytest.raises(ValueError) as info:
+        parse_input(obj)
+    assert named in str(info.value)
