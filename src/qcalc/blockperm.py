@@ -290,103 +290,81 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
 
 # -- subword enumeration (shared by pipe dreams and localization) -----------
 
-class TargetPruner:
-    """Length-distance cutoffs toward a set of target permutations.
-
-    remaining(u, lu) bounds from below the number of letters any
-    completion starting at the partial product u must still take.  For
-    few targets the Bruhat distance min_t l(t * u^-1) is computed
-    exactly (in reduced mode a continuation exists only when every step
-    raises length, so the distance must equal l(t) - l(u)); for large
-    target sets only the length gap |l(t) - l(u)| is used, since each
-    taken letter moves the length by exactly one.
-    """
-
-    _EXACT_LIMIT = 64
-
-    def __init__(self, targets: frozenset, reduced: bool):
-        self.targets = targets
-        self.reduced = reduced
-        self.exact = len(targets) <= self._EXACT_LIMIT
-        self.lengths = sorted({length(t) for t in targets})
-        self._memo: dict[Permutation, int] = {}
-
-    def remaining(self, u: Permutation, lu: int) -> int:
-        cached = self._memo.get(u)
-        if cached is not None:
-            return cached
-        if self.exact:
-            best = None
-            uinv = inverse(u)
-            for t in self.targets:
-                dist = length(compose(t, uinv))
-                if self.reduced and dist != length(t) - lu:
-                    continue
-                if best is None or dist < best:
-                    best = dist
-            value = len(u) * len(u) if best is None else best
-        else:
-            value = min(abs(lt - lu) for lt in self.lengths)
-        self._memo[u] = value
-        return value
-
-
-def subword_feasibility(letters: tuple[int, ...], targets: frozenset, reduced: bool):
-    """A memoized test: can the suffix from position k extend the partial
-    product u to some target?  Shared by subword enumeration and the
-    subword-sum recursions; the distance cutoff only shortcuts the exact
-    depth-first answer."""
-    L = len(letters)
-    pruner = TargetPruner(targets, reduced)
-    feas: dict[tuple[int, Permutation], bool] = {}
-
-    def feasible(k: int, u: Permutation) -> bool:
-        if k == L:
-            return u in targets
-        key = (k, u)
-        cached = feas.get(key)
-        if cached is not None:
-            return cached
-        if pruner.remaining(u, length(u)) > L - k:
-            result = False
-        else:
-            su = left_mul_s(letters[k], u)
-            if reduced:
-                result = feasible(k + 1, u) or (
-                    length(su) > length(u) and feasible(k + 1, su)
-                )
-            else:
-                result = feasible(k + 1, u) or feasible(k + 1, su)
-        feas[key] = result
-        return result
-
-    return feasible
-
-
 def subword_subsets(
     letters: tuple[int, ...], d: int, targets: frozenset, reduced: bool
 ):
     """Pairs (J, v): index subsets of the word whose ordered product is a
-    target v.  In reduced mode every taken letter must increase length,
-    so J is a reduced word for v.  A memoized feasibility table plus the
-    distance cutoff keeps the search output-sensitive.
+    target v, depth first, each letter skipped before it is taken.  In
+    reduced mode every taken letter must increase length, so J is a
+    reduced word for v.
+
+    Along with the partial product u of the letters taken so far, the
+    search carries each target t still in reach and its distance
+    d(u, t) = l(t u^-1).  The permutation t u^-1 sends u(a) to t(a), so
+    its inversions are the position pairs a < b that u and t order
+    differently (l counts inversions: Bjorner and Brenti, Combinatorics
+    of Coxeter Groups, ch. 1).  Hence d(id, t) = l(t), d(u, t) = 0
+    exactly when u = t, and d(u, t) >= l(t) - l(u) since
+    l(t) <= l(t u^-1) + l(u).
+
+    The step.  Taking s_i swaps the values i and i+1 of u, which sit at
+    positions p and q.  Every other value lies below both or above both,
+    so only the pair {p, q} changes order, and d(u, t) moves by exactly
+    one: down when s_i u, which has i+1 at p, agrees with t there, that
+    is t(p) > t(q), and up otherwise.  Skipping a letter moves nothing.
+
+    Rule 1.  t is dropped once d(u, t) exceeds the number of letters
+    left.  It could never come back in reach: d falls by at most one
+    per letter, and the letters left fall by exactly one.  So after the
+    last letter only targets at distance 0 remain, and u is one of them.
+
+    Rule 2, reduced mode.  If the letters still to be taken spell x with
+    t = x u and l(x) letters, then l(t) = l(x) + l(u), so u lies below t
+    in the left weak order (ch. 3) and d(u, t) = l(t) - l(u).  That
+    holds at u = id.  A taken letter raises l(u) by one, so it must
+    lower d(u, t); t is dropped when it raises it instead.  The gap
+    d(u, t) - l(t) + l(u) is then 2, and each later reduced step changes
+    it by 0 or 2, so it never closes.  A letter with p > q lowers length
+    and is refused.  It would raise every kept distance, so refusing it
+    only spares the pass over the targets.
+
+    By the two rules, the targets in reach at letter k are fixed by
+    (k, u): those with d(u, t) <= L - k, and in reduced mode also
+    d(u, t) = l(t) - l(u).  So whether (k, u) leads to a target is fixed
+    too, and a state found to lead nowhere is never entered again.
     """
     L = len(letters)
-    feasible = subword_feasibility(letters, targets, reduced)
-
+    dead: set[tuple[int, Permutation]] = set()
     chosen: list[int] = []
+    found = 0
 
-    def rec(k: int, u: Permutation):
+    def rec(k: int, u: Permutation, reach: list):
+        # reach: a (t, d(u, t)) pair for each target in reach at (k, u)
+        nonlocal found
         if k == L:
-            if u in targets:
-                yield tuple(chosen), u
+            found += 1
+            yield tuple(chosen), u
             return
-        if feasible(k + 1, u):
-            yield from rec(k + 1, u)
-        su = left_mul_s(letters[k], u)
-        if (not reduced or length(su) > length(u)) and feasible(k + 1, su):
-            chosen.append(k)
-            yield from rec(k + 1, su)
-            chosen.pop()
+        before = found
+        left = L - k - 1
+        skip = [(t, e) for t, e in reach if e <= left]
+        if skip and (k + 1, u) not in dead:
+            yield from rec(k + 1, u, skip)
+        i = letters[k]
+        p, q = u.index(i), u.index(i + 1)
+        if not (reduced and p > q):
+            take = [(t, e - 1) for t, e in reach if t[p] > t[q]]
+            if not reduced:
+                take += [(t, e + 1) for t, e in reach if t[p] < t[q] and e < left]
+            if take:
+                su = left_mul_s(i, u)
+                if (k + 1, su) not in dead:
+                    chosen.append(k)
+                    yield from rec(k + 1, su, take)
+                    chosen.pop()
+        if found == before:
+            dead.add((k, u))
 
-    yield from rec(0, identity(d))
+    reach = [(t, lt) for t in targets if (lt := length(t)) <= L]
+    if reach:
+        yield from rec(0, identity(d), reach)

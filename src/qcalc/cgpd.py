@@ -129,10 +129,14 @@ class CGPD:
 
     @classmethod
     def from_json(cls, dims: Dims, obj: dict) -> "CGPD":
-        grids = tuple(
-            tuple(tuple(row) for row in grid) for grid in obj["rects"]
-        )
-        return cls(dims, grids)
+        rects = obj["rects"]
+        if not isinstance(rects, list) or not all(
+            isinstance(grid, list)
+            and all(isinstance(row, list) and all(isinstance(c, str) for c in row) for row in grid)
+            for grid in rects
+        ):
+            raise InvalidCGPD('"rects" must be a list of grids, each a list of rows of tile strings')
+        return cls(dims, tuple(tuple(tuple(row) for row in grid) for grid in rects))
 
 
 def _check_edges(delta: CGPD):

@@ -22,6 +22,7 @@ from .quiver import (
     Dims,
     LaceArray,
     lace_array,
+    parse_dims,
     parse_input,
     representative,
     zelevinsky_matrix,
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(text: str) -> dict:
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):
         return json.loads(text)
     with open(text, encoding="utf-8") as handle:
         return json.load(handle)
@@ -149,19 +150,28 @@ def _render(args) -> str:
     what = args.what
     if what == "lacing":
         return render_lacing(lace_array(parse_input(obj)))
+    if not isinstance(obj, dict):
+        raise ValueError(f"render input must be a JSON object, got {json.dumps(obj)}")
     if what == "pipedream":
-        d = int(obj["d"])
-        crosses = frozenset((int(q), int(p)) for q, p in obj.get("crosses", []))
+        d, pairs = obj["d"], obj.get("crosses", [])
+        if not (quiver.is_int(d) and d >= 1):
+            raise ValueError(f'"d" must be a positive integer, got {json.dumps(d)}')
+        if not (isinstance(pairs, list) and all(
+            isinstance(c, list) and len(c) == 2 and all(map(quiver.is_int, c)) for c in pairs
+        )):
+            raise ValueError(f'"crosses" must be an array of [q, p] pairs, got {json.dumps(pairs)}')
+        crosses = frozenset(map(tuple, pairs))
         for q, p in crosses:
             if not (1 <= q and 1 <= p and q + p <= d):
                 raise pipedream.RegionViolation(
                     f"cross at ({q},{p}) is outside the grid"
                 )
-        dims = Dims(tuple(obj["dims"])) if "dims" in obj else None
+        dims = parse_dims(obj["dims"]) if "dims" in obj else None
+        if dims is not None and dims.d != d:
+            raise ValueError(f'"dims" {list(dims.r)} add up to {dims.d}, not "d" = {d}')
         return render_pipedream(d, crosses, dims)
     if what == "cgpd":
-        dims = Dims(tuple(obj["dims"]))
-        return render_cgpd(CGPD.from_json(dims, obj))
+        return render_cgpd(CGPD.from_json(parse_dims(obj["dims"]), obj))
     if what == "zmatrix":
         r = parse_input(obj)
         return render_zmatrix(representative(lace_array(r)))

@@ -37,8 +37,8 @@ class Dims:
 
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(self.r))
-        if not self.r or any(x < 1 for x in self.r):
-            raise ValueError(f"dimension vector must be positive, got {self.r}")
+        if not self.r or not all(is_int(x) and x >= 1 for x in self.r):
+            raise ValueError(f"dimension vector must be positive integers, got {self.r}")
 
     @property
     def n(self) -> int:
@@ -409,8 +409,16 @@ def nw_rank_profile(matrix: list[list[int]]) -> dict[tuple[int, int], int]:
 
 # -- JSON input ------------------------------------------------------------
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_dims(raw) -> Dims:
+    """The "dims" entry of a JSON input: a non-empty array of integers."""
+    if not (isinstance(raw, list) and raw and all(map(is_int, raw))):
+        raise ValueError(f'"dims" must be a non-empty array of integers, got {json.dumps(raw)}')
+    return Dims(tuple(raw))
 
 
 def parse_input(obj: dict | str) -> RankArray:
@@ -423,10 +431,7 @@ def parse_input(obj: dict | str) -> RankArray:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ValueError('input must be a JSON object carrying a "dims" array')
-    raw = obj["dims"]
-    if not (isinstance(raw, list) and raw and all(map(_is_int, raw))):
-        raise ValueError(f'"dims" must be a non-empty array of integers, got {json.dumps(raw)}')
-    dims = Dims(tuple(raw))
+    dims = parse_dims(obj["dims"])
 
     def read_entries(name: str) -> dict[tuple[int, int], int]:
         raw = obj[name]
@@ -437,7 +442,7 @@ def parse_input(obj: dict | str) -> RankArray:
             match = isinstance(key, str) and re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", key)
             if not match:
                 raise ValueError(f'{name} key {json.dumps(key)} must have the form "i,j"')
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(
                     f"{name} entry {json.dumps(key)} must be an integer, got {json.dumps(value)}"
                 )

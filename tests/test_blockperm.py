@@ -1,5 +1,6 @@
 """Permutations, reduced words, block structure, and subword search."""
 
+import random
 from itertools import permutations
 
 from qcalc.blockperm import (
@@ -128,23 +129,37 @@ def test_perm_set_counts_and_minimum():
             assert [v for v in members if length(v) == length(z)] == [z]
 
 
+def brute_force_subsets(letters, d, targets, reduced):
+    """Every (J, v) with v a target, by filtering all 2^L index subsets."""
+    out = []
+    for mask in range(1 << len(letters)):
+        J = tuple(k for k in range(len(letters)) if mask >> k & 1)
+        word = tuple(letters[k] for k in J)
+        if reduced and not is_reduced_word(word, d):
+            continue
+        v = composite(word, d)
+        if v in targets:
+            out.append((J, v))
+    return sorted(out)
+
+
 def test_subword_subsets_against_brute_force():
-    letters = (1, 2, 1, 2)
-    d = 3
-    for reduced in (True, False):
-        for target in permutations(range(1, 4)):
-            expected = []
-            for mask in range(1 << len(letters)):
-                J = tuple(k for k in range(len(letters)) if mask >> k & 1)
-                if reduced and not is_reduced_word(tuple(letters[k] for k in J), d):
-                    continue
-                if composite(tuple(letters[k] for k in J), d) == tuple(target):
-                    expected.append(J)
-            got = sorted(
-                J
-                for J, v in subword_subsets(letters, d, frozenset([tuple(target)]), reduced)
+    cases = [((1, 2, 1, 2), 3, frozenset([t])) for t in permutations(range(1, 4))]
+    # seeded random words, with target sets of every size from empty to all of S_d
+    rng = random.Random(4)
+    for d in range(2, 6):
+        perms = list(permutations(range(1, d + 1)))
+        for size in range(len(perms) + 1):
+            letters = tuple(rng.randint(1, d - 1) for _ in range(rng.randint(0, 9)))
+            cases.append((letters, d, frozenset(rng.sample(perms, size))))
+    for letters, d, targets in cases:
+        for reduced in (True, False):
+            got = sorted(subword_subsets(letters, d, targets, reduced))
+            assert got == brute_force_subsets(letters, d, targets, reduced), (
+                letters,
+                sorted(targets),
+                reduced,
             )
-            assert got == sorted(expected), (reduced, target)
 
 
 def test_subword_subsets_multi_target():

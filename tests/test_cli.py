@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qcalc.cli import main, render_lacing, render_pipedream
 from qcalc.poly import parse_poly
 from qcalc.quiver import Dims, LaceArray, parse_input
@@ -115,6 +117,29 @@ def test_malformed_input_exits_one(capsys):
     assert out == ""
     assert err.startswith("qcalc: error:") and '"0,1"' in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--what", "cgpd", '{"dims":["a"],"rects":[]}'),
+        ("render", "--what", "pipedream", '{"d":1,"dims":["a"]}'),
+        ("render", "--what", "cgpd", '{"dims":[1,1],"rects":5}'),
+        ("render", "--what", "cgpd", '{"dims":[1,1],"rects":[[[["r"]]]]}'),
+        ("render", "--what", "cgpd", '{"dims":5,"rects":[]}'),
+        ("render", "--what", "pipedream", '{"d":3,"dims":[1,1]}'),
+        ("render", "--what", "pipedream", '{"d":[3]}'),
+        ("render", "--what", "pipedream", '{"d":3,"crosses":5}'),
+        ("render", "--what", "pipedream", "[1]"),
+        ("check", "[1]"),
+    ],
+)
+def test_bad_input_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qcalc: error:")
+    assert "Traceback" not in err and "No such file" not in err
 
 
 def test_bad_flag_exits_one(capsys):

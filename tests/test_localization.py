@@ -1,11 +1,13 @@
 """Fixed-point restrictions of Schubert and Schubert-cell classes and the
 ratio formulas built from them."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
 
 from qcalc.blockperm import all_reduced_words, length, regions, w0
+from qcalc.engine import sweep_dims
 from qcalc.localization import (
     NotReducedWord,
     Word,
@@ -14,11 +16,19 @@ from qcalc.localization import (
     csm_restriction,
     generic_word,
     grid_word,
+    orbit_subwords,
     quiver_poly_ratio,
     roots,
 )
 from qcalc.poly import Poly, xvar
-from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
+from qcalc.quiver import (
+    Dims,
+    Orbit,
+    RankArray,
+    enumerate_rank_arrays,
+    hom_rank_array,
+    parse_input,
+)
 
 
 def test_grid_word_value():
@@ -130,3 +140,23 @@ def test_csm_restriction_h_grading():
         assert all(
             sum(e for _, e in mono) == 3 for mono, _ in p.items()
         )
+
+
+def test_orbit_subwords_order_pinned():
+    """The shared searches list their (J, v) pairs in a fixed order, which
+    `qcalc enum --what pd` prints; polynomial checks cannot see it.  The
+    digest was captured at commit a8098bf, before the search's pruning
+    was rewritten."""
+    ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
+    ranks.append(parse_input({"dims": [2, 3, 3], "rank": {"0,1": 1, "0,2": 0, "1,2": 1}}))
+    digest = hashlib.sha256()
+    pairs = 0
+    for r in ranks:
+        for reduced in (True, False):
+            found = orbit_subwords(Orbit(r), reduced)
+            pairs += len(found)
+            digest.update(repr(found).encode())
+    assert (len(ranks), pairs) == (215, 1915)
+    assert digest.hexdigest() == (
+        "c05701e3c40ee681cbb9294a2afd1716c1c47b69aad0a4f689d80f823dff8195"
+    )

@@ -33,6 +33,9 @@ def test_dims_validation():
         Dims(())
     with pytest.raises(ValueError):
         Dims((1, 0, 1))
+    for bad in (("a",), (1, 1.5), (True, 1)):
+        with pytest.raises(ValueError):
+            Dims(bad)
 
 
 def test_rank_array_validation():
