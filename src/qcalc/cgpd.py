@@ -26,8 +26,6 @@ equal color may never cross.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
@@ -55,6 +53,15 @@ _STEP = {
     ("+", "N"): "S",
     ("j", "N"): "W",
     ("b", "N"): "W",
+}
+
+# the tiles that take exactly the strands arriving from (east, north)
+_FITS = {
+    (east, north): tuple(
+        code for code in TILE_CODES if ("E" in _EDGES[code], "N" in _EDGES[code]) == (east, north)
+    )
+    for east in (False, True)
+    for north in (False, True)
 }
 
 
@@ -88,16 +95,10 @@ class LaceCountMismatch(InvalidCGPD):
 
 @dataclass(frozen=True)
 class PipePath:
-    """One pipe: the lace interval it realizes plus its route.
-
-    entries lists (rectangle, east entry row); cells lists every
-    (rectangle, row, column) the pipe passes through, in travel order.
-    """
+    """One pipe: the lace interval [start, end] it realizes."""
 
     start: int
     end: int
-    entries: tuple[tuple[int, int], ...]
-    cells: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,8 @@ class CGPD:
 
     @classmethod
     def from_json(cls, dims: Dims, obj: dict) -> "CGPD":
+        if "rects" not in obj:
+            raise InvalidCGPD('missing "rects"')
         rects = obj["rects"]
         if not isinstance(rects, list) or not all(
             isinstance(grid, list)
@@ -139,172 +142,154 @@ class CGPD:
         return cls(dims, tuple(tuple(tuple(row) for row in grid) for grid in rects))
 
 
-def _check_edges(delta: CGPD):
-    """Local consistency: strands meet across every interior edge, every
-    east row edge is used, and nothing pokes out of the north side."""
-    dims = delta.dims
-    for i, grid in enumerate(delta.grids):
-        rows, cols = dims.r[i], dims.r[i + 1]
-        for j in range(1, rows + 1):
-            for k in range(1, cols + 1):
-                edges = _EDGES[delta.tile(i, j, k)]
-                if k == cols and "E" not in edges:
-                    raise EdgeMismatch(i, j, k, "east edge of the row is unused")
-                if k < cols:
-                    east = _EDGES[delta.tile(i, j, k + 1)]
-                    if ("E" in edges) != ("W" in east):
-                        raise EdgeMismatch(i, j, k, "east neighbor disagrees")
-                if j == 1 and "N" in edges:
+def _route(
+    dims: Dims, want: dict[tuple[int, int], int] | None = None, held: CGPD | None = None
+):
+    """Lay tiles and route pipes in one depth-first pass.
+
+    Rectangles are tiled in order, each top to bottom and east to west,
+    so the pipes arriving at a cell from the east and the north are
+    known when it is reached; only the tiles whose edges take exactly
+    those strands are tried, and each pipe follows _STEP.  A pipe ends
+    when it leaves a west edge, or in rectangle n when it leaves the
+    last tiled rectangle southward (rectangle n's other rows start
+    pipes that end at once).
+
+    With want (lace counts by interval) a branch stops as soon as a lace
+    is used more often than want allows, or a rectangle closes while a
+    lace ending in it is still owed.  With held every cell is held to
+    that diagram's tile, and a tile that does not take the arriving
+    strands raises EdgeMismatch or NorthLeak.
+
+    Yields (grids, pipes, colors) per routed diagram: grids are live
+    lists that the next step overwrites, pipes lists (start, end) per
+    pipe, and colors maps each cell where two pipes meet (codes + and b)
+    to the colors of the pipes arriving from the east and from the north.
+    """
+    n, r = dims.n, dims.r
+    grids = [[[""] * r[i + 1] for _ in range(r[i])] for i in range(n)]
+    # south[i][j][k]: the pipe leaving cell (j, k) of rectangle i southward;
+    # row 0 is the closed north edge
+    south = [[[None] * (r[i + 1] + 1) for _ in range(r[i] + 1)] for i in range(n)]
+    start: list[int] = []
+    end: list[int] = []
+    used = dict.fromkeys(dims.pairs(), 0)
+    meets: list[tuple[tuple[int, int, int], int, int]] = []  # (cell, pipe from E, pipe from N)
+
+    def finish(pipe: int, i: int, then):
+        """Pipe ends in rectangle i; go on unless its lace is overused."""
+        lace = (start[pipe], i)
+        end[pipe] = i
+        used[lace] += 1
+        if want is None or used[lace] <= want[lace]:
+            yield from then
+        used[lace] -= 1
+
+    def row(i: int, j: int):
+        """Row j of rectangle i, whose pipe enters from the east; past the
+        last row, rectangle i closes.  Rectangle n has rows but no tiles."""
+        if j > r[i]:
+            if want is not None and any(used[p, i] != want[p, i] for p in range(i + 1)):
+                return
+            if i < n:
+                yield from row(i + 1, 1)
+            else:
+                colors = {cell: (end[east], end[north]) for cell, east, north in meets}
+                yield grids, list(zip(start, end)), colors
+            return
+        pipe = south[i - 1][-1][j] if i else None
+        fresh = pipe is None
+        if fresh:
+            pipe = len(start)
+            start.append(i)
+            end.append(i)
+        if i < n:
+            yield from lay(i, j, r[i + 1], pipe)
+        else:
+            yield from finish(pipe, n, row(n, j + 1))
+        if fresh:
+            start.pop()
+            end.pop()
+
+    def lay(i: int, j: int, k: int, east: int | None):
+        north = south[i][j - 1][k]
+        codes = _FITS[east is not None, north is not None]
+        if held is not None:
+            code = held.grids[i][j - 1][k - 1]
+            if code not in codes:
+                if ("E" in _EDGES[code]) != (east is not None):
+                    raise EdgeMismatch(i, j, k, "east neighbor disagrees" if k < r[i + 1]
+                                       else "east edge of the row is unused")
+                if j == 1:
                     raise NorthLeak(
                         f"rectangle {i}, cell ({j},{k}) expects a strand from the north edge"
                     )
-                if j < rows:
-                    south = _EDGES[delta.tile(i, j + 1, k)]
-                    if ("S" in edges) != ("N" in south):
-                        raise EdgeMismatch(i, j, k, "south neighbor disagrees")
+                raise EdgeMismatch(i, j - 1, k, "south neighbor disagrees")
+            codes = (code,)
+        for code in codes:
+            grids[i][j - 1][k - 1] = code
+            west = down = None
+            for came, pipe in (("E", east), ("N", north)):
+                if pipe is not None:
+                    if _STEP[code, came] == "W":
+                        west = pipe
+                    else:
+                        down = pipe
+            south[i][j][k] = down
+            if down is not None and west is not None:
+                meets.append(((i, j, k), east, north))
+            if k > 1:
+                yield from lay(i, j, k - 1, west)
+            elif west is None:
+                yield from row(i, j + 1)
+            else:
+                yield from finish(west, i, row(i, j + 1))
+            if down is not None and west is not None:
+                meets.pop()
+
+    yield from row(0, 1)
 
 
-class _Pipe:
-    __slots__ = ("start", "end", "entries", "cells", "modes")
-
-    def __init__(self, start: int):
-        self.start = start
-        self.end = start
-        self.entries: list[tuple[int, int]] = []
-        self.cells: list[tuple[int, int, int]] = []
-        self.modes: list[str] = []  # "EW", "ES", "NS", "NW" per cell
+def _same_color_cross(grids, colors) -> tuple[int, int, int] | None:
+    """The first crossing tile whose two pipes end in the same rectangle."""
+    for (i, j, k), (east, north) in colors.items():
+        if east == north and grids[i][j - 1][k - 1] == "+":
+            return i, j, k
+    return None
 
 
-def _trace(delta: CGPD) -> list[_Pipe]:
-    """Follow every pipe through the chain of rectangles."""
-    _check_edges(delta)
-    dims = delta.dims
-    pipes: list[_Pipe] = []
-    incoming: dict[int, _Pipe] = {}  # east entry row -> continuing pipe
-    for i in range(dims.n):
-        rows, cols = dims.r[i], dims.r[i + 1]
-        outgoing: dict[int, _Pipe] = {}
-        for j in range(1, rows + 1):
-            pipe = incoming.get(j)
-            if pipe is None:
-                pipe = _Pipe(i)
-                pipes.append(pipe)
-            pipe.entries.append((i, j))
-            row, col, came = j, cols, "E"
-            while True:
-                code = delta.tile(i, row, col)
-                out = _STEP.get((code, came))
-                if out is None:
-                    raise EdgeMismatch(i, row, col, f"tile {code!r} has no {came} strand")
-                pipe.cells.append((i, row, col))
-                pipe.modes.append(came + out)
-                if out == "W":
-                    if col == 1:
-                        pipe.end = i
-                        break
-                    col, came = col - 1, "E"
-                else:
-                    if row == rows:
-                        outgoing[col] = pipe
-                        pipe.end = i + 1
-                        break
-                    row, came = row + 1, "N"
-        incoming = outgoing
-    for row in range(1, dims.r[dims.n] + 1):
-        pipe = incoming.get(row)
-        if pipe is None:
-            pipe = _Pipe(dims.n)
-            pipes.append(pipe)
-        pipe.entries.append((dims.n, row))
-    return pipes
-
-
-def _cell_colors(pipes: list[_Pipe]) -> dict[tuple[int, int, int], dict[str, int]]:
-    """At each cell, the color (end rectangle) of the pipe on each arc."""
-    out: dict[tuple[int, int, int], dict[str, int]] = {}
-    for pipe in pipes:
-        for cell, mode in zip(pipe.cells, pipe.modes):
-            out.setdefault(cell, {})[mode] = pipe.end
-    return out
-
-
-def _check_crossings(delta: CGPD, pipes: list[_Pipe]):
-    for cell, arcs in _cell_colors(pipes).items():
-        i, j, k = cell
-        if delta.tile(i, j, k) == "+" and arcs["EW"] == arcs["NS"]:
-            raise SameColorCross(i, j, k)
+def _routed(delta: CGPD):
+    """Route a given diagram: its pipes and the colors where two pipes
+    meet.  Raises on the first fault, in laying order (east to west)."""
+    grids, pipes, colors = next(_route(delta.dims, held=delta))
+    cell = _same_color_cross(grids, colors)
+    if cell is not None:
+        raise SameColorCross(*cell)
+    return pipes, colors
 
 
 def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
     """Trace the pipes and check every invariant against the rank array."""
     if delta.dims != r.dims:
         raise InvalidCGPD("dims of the diagram and rank array differ")
-    pipes = _trace(delta)
-    _check_crossings(delta, pipes)
-    intervals = sorted((p.start, p.end) for p in pipes)
+    pipes, _ = _routed(delta)
+    intervals = sorted(pipes)
     expected = sorted(lace_array(r).laces())
     if intervals != expected:
         raise LaceCountMismatch(
             f"pipes realize laces {intervals}, rank array needs {expected}"
         )
-    return [
-        PipePath(p.start, p.end, tuple(p.entries), tuple(p.cells))
-        for p in sorted(pipes, key=lambda p: (p.start, p.end, p.entries))
-    ]
-
-
-@lru_cache(maxsize=None)
-def _rect_tilings(rows: int, cols: int) -> tuple[tuple[tuple[str, ...], ...], ...]:
-    """Every locally consistent tiling of one rectangle.
-
-    Cells are filled top to bottom, east to west, so both inputs of a
-    cell are known when it is reached: a strand always arrives from the
-    east on every row, never from the north edge.
-    """
-    cells = [(j, k) for j in range(1, rows + 1) for k in range(cols, 0, -1)]
-    out = []
-    grid = [[""] * cols for _ in range(rows)]
-
-    def rec(idx: int):
-        if idx == len(cells):
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        j, k = cells[idx]
-        east = True if k == cols else "W" in _EDGES[grid[j - 1][k]]
-        north = False if j == 1 else "S" in _EDGES[grid[j - 2][k - 1]]
-        if east and north:
-            choices = "+b"
-        elif east:
-            choices = "-r"
-        elif north:
-            choices = "|j"
-        else:
-            choices = "."
-        for code in choices:
-            grid[j - 1][k - 1] = code
-            rec(idx + 1)
-        grid[j - 1][k - 1] = ""
-
-    rec(0)
-    return tuple(out)
+    return [PipePath(start, end) for start, end in intervals]
 
 
 def enumerate_cgpd(r: RankArray) -> list[CGPD]:
     """All valid diagrams realizing the laces of r, in tile-code order."""
     dims = r.dims
-    expected = sorted(lace_array(r).laces())
-    out = []
-    per_rect = [_rect_tilings(dims.r[i], dims.r[i + 1]) for i in range(dims.n)]
-    for grids in product(*per_rect):
-        delta = CGPD(dims, grids)
-        pipes = _trace(delta)
-        if sorted((p.start, p.end) for p in pipes) != expected:
-            continue
-        try:
-            _check_crossings(delta, pipes)
-        except SameColorCross:
-            continue
-        out.append(delta)
+    out = [
+        CGPD(dims, tuple(tuple(map(tuple, grid)) for grid in grids))
+        for grids, _, colors in _route(dims, want=lace_array(r).entries)
+        if _same_color_cross(grids, colors) is None
+    ]
     out.sort(key=lambda delta: delta.grids)
     return out
 
@@ -317,18 +302,15 @@ def cgpd_weight(delta: CGPD) -> Poly:
     contribute h; blanks and one-color bumps contribute the cell label
     plus h.
     """
-    pipes = _trace(delta)
-    _check_crossings(delta, pipes)
-    colors = _cell_colors(pipes)
+    _, colors = _routed(delta)
     total = Poly.one()
     for i, grid in enumerate(delta.grids):
         for j, row in enumerate(grid, start=1):
             for k, code in enumerate(row, start=1):
                 label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
-                arcs = colors.get((i, j, k))
                 if code in "+-|":
                     total = total * label
-                elif code in "rj" or (code == "b" and arcs["ES"] != arcs["NW"]):
+                elif code in "rj" or (code == "b" and colors[i, j, k][0] != colors[i, j, k][1]):
                     total = total * Poly.hbar()
                 else:
                     total = total * (label + Poly.hbar())

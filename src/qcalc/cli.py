@@ -145,6 +145,13 @@ def render_zmatrix(rep) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in zelevinsky_matrix(rep))
 
 
+def _field(obj: dict, key: str):
+    """obj[key], or a ValueError naming the missing key."""
+    if key not in obj:
+        raise ValueError(f'missing "{key}"')
+    return obj[key]
+
+
 def _render(args) -> str:
     obj = _load_json(args.input)
     what = args.what
@@ -153,7 +160,7 @@ def _render(args) -> str:
     if not isinstance(obj, dict):
         raise ValueError(f"render input must be a JSON object, got {json.dumps(obj)}")
     if what == "pipedream":
-        d, pairs = obj["d"], obj.get("crosses", [])
+        d, pairs = _field(obj, "d"), obj.get("crosses", [])
         if not (quiver.is_int(d) and d >= 1):
             raise ValueError(f'"d" must be a positive integer, got {json.dumps(d)}')
         if not (isinstance(pairs, list) and all(
@@ -171,7 +178,7 @@ def _render(args) -> str:
             raise ValueError(f'"dims" {list(dims.r)} add up to {dims.d}, not "d" = {d}')
         return render_pipedream(d, crosses, dims)
     if what == "cgpd":
-        return render_cgpd(CGPD.from_json(parse_dims(obj["dims"]), obj))
+        return render_cgpd(CGPD.from_json(parse_dims(_field(obj, "dims")), obj))
     if what == "zmatrix":
         r = parse_input(obj)
         return render_zmatrix(representative(lace_array(r)))
@@ -273,6 +280,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"sweep budget must be at least 1, got {args.budget}")
     reports = engine.sweep(args.budget)
     if args.format == "json":
         print(json.dumps([report.to_json() for report in reports]))

@@ -446,7 +446,12 @@ def parse_input(obj: dict | str) -> RankArray:
                 raise ValueError(
                     f"{name} entry {json.dumps(key)} must be an integer, got {json.dumps(value)}"
                 )
-            out[(int(match[1]), int(match[2]))] = value
+            i, j = int(match[1]), int(match[2])
+            if not 0 <= i <= j <= dims.n:
+                raise ValueError(
+                    f"{name} key {json.dumps(key)} is out of range: need 0 <= i <= j <= {dims.n}"
+                )
+            out[(i, j)] = value
         return out
 
     if "rank" in obj:

@@ -1,5 +1,6 @@
 """Chained generic pipe dreams: validation, enumeration, and weights."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,8 +21,9 @@ from qcalc.cgpd import (
     quiver_poly_cgpd,
     validate,
 )
+from qcalc.engine import sweep_dims
 from qcalc.poly import Poly, xvar
-from qcalc.quiver import Dims, RankArray, hom_rank_array, parse_input
+from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array, parse_input
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,9 +60,14 @@ def test_same_color_cross():
     grids = ((("+", "r"), ("r", "|")),)
     with pytest.raises((SameColorCross, LaceCountMismatch, EdgeMismatch)):
         validate(CGPD(dims, grids), r)
-    assert all(
-        delta.grids != grids for delta in enumerate_cgpd(r)
-    )
+    # locally consistent and realizing the laces of r: the crossing is its only fault
+    alone = (((".", "r"), ("r", "+")),)
+    with pytest.raises(SameColorCross) as info:
+        validate(CGPD(dims, alone), r)
+    assert info.value.cell == (0, 2, 2)
+    with pytest.raises(SameColorCross):
+        cgpd_weight(CGPD(dims, alone))
+    assert all(delta.grids not in (grids, alone) for delta in enumerate_cgpd(r))
 
 
 def test_big_example_fixture_validates():
@@ -120,6 +127,24 @@ def test_cgpd_infinity_final_example():
 def test_crossing_tiles_counts_straight_strands():
     delta = CGPD(Dims((1, 2, 1)), ((("j", "r"),), (("r",), ("+",))))
     assert crossing_tiles(delta) == [(1, 2, 1)]
+
+
+def test_enumeration_order_pinned():
+    """The diagrams and their order, which `qcalc enum --what cgpd` prints;
+    polynomial checks cannot see them.  The digest was captured at commit
+    168a177, before enumeration routed pipes while laying tiles."""
+    ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    digest = hashlib.sha256()
+    diagrams = 0
+    for r in ranks:
+        grids = [delta.grids for delta in enumerate_cgpd(r)]
+        diagrams += len(grids)
+        digest.update(repr(grids).encode())
+    assert (len(ranks), diagrams) == (230, 2795)
+    assert digest.hexdigest() == (
+        "1f3bdab161b849bf5d5230bfc7ccd2940846c7a2f7e188a0edffba78132aed9b"
+    )
 
 
 def test_forced_diagram_11():

@@ -119,26 +119,33 @@ def test_malformed_input_exits_one(capsys):
     assert "Traceback" not in err
 
 
+BAD_INPUT = [
+    # (argv, the key or value stderr must name)
+    (("render", "--what", "cgpd", '{"dims":["a"],"rects":[]}'), '"dims"'),
+    (("render", "--what", "pipedream", '{"d":1,"dims":["a"]}'), '"dims"'),
+    (("render", "--what", "cgpd", '{"dims":[1,1],"rects":5}'), '"rects"'),
+    (("render", "--what", "cgpd", '{"dims":[1,1],"rects":[[[["r"]]]]}'), '"rects"'),
+    (("render", "--what", "cgpd", '{"dims":5,"rects":[]}'), '"dims"'),
+    (("render", "--what", "pipedream", '{"d":3,"dims":[1,1]}'), '"d"'),
+    (("render", "--what", "pipedream", '{"d":[3]}'), '"d"'),
+    (("render", "--what", "pipedream", '{"d":3,"crosses":5}'), '"crosses"'),
+    (("render", "--what", "pipedream", "[1]"), "[1]"),
+    (("check", "[1]"), "JSON object"),
+    (("render", "--what", "cgpd", '{"dims":[1,1]}'), 'missing "rects"'),
+    (("render", "--what", "pipedream", '{"dims":[1,1]}'), 'missing "d"'),
+    (("sweep", "-3"), "-3"),
+    (("sweep", "0"), "budget"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("render", "--what", "cgpd", '{"dims":["a"],"rects":[]}'),
-        ("render", "--what", "pipedream", '{"d":1,"dims":["a"]}'),
-        ("render", "--what", "cgpd", '{"dims":[1,1],"rects":5}'),
-        ("render", "--what", "cgpd", '{"dims":[1,1],"rects":[[[["r"]]]]}'),
-        ("render", "--what", "cgpd", '{"dims":5,"rects":[]}'),
-        ("render", "--what", "pipedream", '{"d":3,"dims":[1,1]}'),
-        ("render", "--what", "pipedream", '{"d":[3]}'),
-        ("render", "--what", "pipedream", '{"d":3,"crosses":5}'),
-        ("render", "--what", "pipedream", "[1]"),
-        ("check", "[1]"),
-    ],
+    "argv, named", BAD_INPUT, ids=[f"argv{i}" for i in range(len(BAD_INPUT))]
 )
-def test_bad_input_exits_one(capsys, argv):
+def test_bad_input_exits_one(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("qcalc: error:")
+    assert err.startswith("qcalc: error:") and named in err
     assert "Traceback" not in err and "No such file" not in err
 
 

@@ -161,6 +161,9 @@ def test_parse_input_errors_name_the_entry():
         ({"dims": [1, 1], "rank": {"0,1,2": 1}}, '"0,1,2"'),
         ({"dims": [1, 1], "lace": {"a,b": 1}}, '"a,b"'),
         ([1, 1], "JSON object"),
+        ({"dims": [1, 1], "rank": {"0,5": 1}}, '"0,5"'),
+        ({"dims": [1, 1], "lace": {"0,5": 1}}, '"0,5"'),
+        ({"dims": [1, 1], "lace": {"0,1": 1, "3,4": 2}}, '"3,4"'),
     ],
 )
 def test_parse_input_rejects_malformed_entries(obj, named):
