@@ -368,3 +368,159 @@ def subword_subsets(
     reach = [(t, lt) for t in targets if (lt := length(t)) <= L]
     if reach:
         yield from rec(0, identity(d), reach)
+
+
+# -- the all-subwords sum over states (shared by pipe dreams and localization)
+
+def _swap(s: tuple, t: int) -> tuple:
+    """s_t acting on a label vector: swap the labels of values t and t+1."""
+    return s[: t - 1] + (s[t], s[t - 1]) + s[t + 1 :]
+
+
+@dataclass(frozen=True)
+class SubwordStates:
+    """The live states of subword_states, level by level.
+
+    levels[k] maps each state s reachable at letter k from which some
+    accepted completion exists to the pair (N, skipped): N(k, s) is the
+    number of accepted completions, and skipped has bit j set when some
+    accepted completion skips position j >= k.
+    """
+
+    letters: tuple[int, ...]
+    levels: tuple[dict, ...]
+
+    @property
+    def total(self) -> int:
+        """The number of accepted subsets, N(0, start)."""
+        return sum(n for n, _ in self.levels[0].values())
+
+    @property
+    def skipped(self) -> int:
+        """The positions some accepted subset skips, as a bit mask; a
+        position outside it is taken by every accepted subset."""
+        out = 0
+        for _, mask in self.levels[0].values():
+            out |= mask
+        return out
+
+    def edges(self, k: int):
+        """(s, skip, take) for each live state s at letter k: skip and
+        take are the live states it reaches at k + 1 by skipping or
+        taking letter k, or None where that branch accepts nothing."""
+        t = self.letters[k]
+        below = self.levels[k + 1]
+        for s in self.levels[k]:
+            take = _swap(s, t)
+            yield s, s if s in below else None, take if take in below else None
+
+
+def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
+    """The subsets of the word whose ordered product lies in perm(r),
+    counted over states instead of listed.
+
+    The state.  Write a permutation u as its label vector: the label of
+    a value x is the row block of the position u^-1(x) that holds it.  A
+    permutation v lies in perm(r) when its block 1-counts, the pairs
+    (row block of q, column block of v(q)) over the positions q, equal
+    block_counts(r).  Indexed by the value x = v(q), those pairs are
+    (label of x, column block of x), so acceptance reads only the label
+    vector.  Two permutations have the same label vector exactly when
+    they differ by a permutation of positions within row blocks, that is
+    when they lie in one left coset u W_rows of the row-block Young
+    subgroup.  Taking letter t replaces u by s_t u, whose label vector
+    is u's with the labels of t and t+1 swapped; s_t (u W_rows) is
+    (s_t u) W_rows, so the step is well defined on cosets.  Hence a sum
+    over the accepted subsets J of a product of per-position weights,
+    h for a skipped position k and w_k for a taken one, is S(0, start)
+    with S(k, s) = h S(k+1, s) + w_k S(k+1, s_{t_k} s), over at most
+    d!/(r_0! ... r_n!) states per letter; start is the identity's label
+    vector (the row block of each value).
+
+    The flow bound.  Let b end a column block (the column blocks of b
+    and b+1 differ).  An accepted label vector holds, among the values
+    1..b, exactly need_b(i) = sum of m(i, j) over the column blocks j
+    inside 1..b labels i.  Only letter b moves a label across b, and
+    each copy exchanges one label for another, so the deficit
+    sum_i max(0, need_b(i) - #{x <= b : label i}) falls by at most one
+    per copy of letter b.  A state whose deficit at b exceeds the copies
+    of letter b left cannot be accepted.  A step at letter k changes
+    only the deficit at boundary t_k and only the copies of letter t_k
+    left, so each child is tested at that one boundary.  The bound only
+    prunes; acceptance is still tested after the last letter.
+
+    The counts.  A forward pass lists the states that survive the bound.
+    A backward pass computes over integers N(k, s), the number of
+    accepted completions from (k, s): N(L, s) is 1 for an accepted s and
+    N(k, s) = N(k+1, s) + N(k+1, s_{t_k} s).  It keeps the states with
+    N > 0 and, for each, the mask of positions that some accepted
+    completion skips (SubwordStates).  N(0, start) is the number of
+    subsets subword_subsets(letters, d, perm(r), False) lists.  The
+    number of accepted subsets that skip a position of a set D is
+    positive exactly when the mask at start meets D; csm_pd reads it so
+    for the D_Hom cells.
+    """
+    dims = r.dims
+    bs = BlockStructure(dims)
+    d = dims.d
+    m = block_counts(r)
+    col = [bs.col_block(x) for x in range(1, d + 1)]
+    want = {}  # boundary b -> (label i, need_b(i)) for the labels needed
+    for b in range(1, d):
+        if col[b - 1] != col[b]:
+            blocks = set(col[:b])
+            want[b] = tuple(
+                (i, need)
+                for i in range(dims.n + 1)
+                if (need := sum(m[(i, j)] for j in blocks))
+            )
+    segments = list(zip((0, *want), (*want, d)))
+    accepted = [
+        tuple(sorted(i for i in range(dims.n + 1) for _ in range(m[(i, col[a])])))
+        for a, _ in segments
+    ]
+
+    L = len(letters)
+    reach = [{tuple(bs.row_block(x) for x in range(1, d + 1))}]
+    for k, t in enumerate(letters):
+        nxt = set()
+        copies = letters[k + 1 :].count(t)
+        # no deficit at b exceeds min(b, d - b), so many copies left need no test
+        need = want.get(t) if copies < min(t, d - t) else None
+        for s in reach[k]:
+            for c in (s,) if s[t - 1] == s[t] else (s, _swap(s, t)):
+                if need:
+                    left = c[:t]
+                    deficit = 0
+                    for i, owed in need:
+                        have = left.count(i)
+                        if have < owed:
+                            deficit += owed - have
+                    if deficit > copies:
+                        continue
+                nxt.add(c)
+        reach.append(nxt)
+
+    level = {
+        s: (1, 0)
+        for s in reach[L]
+        if [tuple(sorted(s[a:b])) for a, b in segments] == accepted
+    }
+    levels = [level]  # from the last letter back
+    for k in range(L - 1, -1, -1):
+        t = letters[k]
+        bit = 1 << k
+        below = level
+        level = {}
+        for s in reach[k]:
+            n, mask = below.get(s, (0, 0))
+            if n:
+                mask |= bit
+            take = below.get(_swap(s, t))
+            if take:
+                n += take[0]
+                mask |= take[1]
+            if n:
+                level[s] = (n, mask)
+        levels.append(level)
+    return SubwordStates(tuple(letters), tuple(reversed(levels)))

@@ -87,9 +87,12 @@ class ConsistencyReport:
 def check(r: RankArray) -> ConsistencyReport:
     """Compute all six polynomials of r and verify every cross relation.
 
-    The formulas share one Orbit, so z(r), perm(r), both strict subword
-    searches and the cgpd lists are built once; the counts are their
-    sizes.
+    The formulas share one Orbit, so z(r), perm(r), the reduced subword
+    search, the CSM subword states and the cgpd lists are built once;
+    the counts are their sizes.  p_total, the number of strict subwords
+    with product in perm(r) (non-reduced strict dreams), is read off the
+    states as N(0, start) (localization.orbit_states), never by listing
+    the subwords.
     """
     orbit = Orbit(r)
     polys: dict[str, Poly] = {}
@@ -114,8 +117,8 @@ def check(r: RankArray) -> ConsistencyReport:
 
     counts = {
         "perm": len(orbit_perm_set(orbit)),
-        "rp_star": len(localization.orbit_subwords(orbit, reduced=True)),
-        "p_total": len(localization.orbit_subwords(orbit, reduced=False)),
+        "rp_star": len(localization.orbit_subwords(orbit)),
+        "p_total": localization.orbit_states(orbit).total,
         "cgpd": len(cgpd.orbit_cgpd(orbit)),
         "cgpd_infinity": len(cgpd.cgpd_infinity(orbit)),
     }

@@ -21,9 +21,9 @@ from .blockperm import (
     composite,
     identity,
     length,
-    orbit_perm_set,
     orbit_zperm,
     regions,
+    subword_states,
 )
 from .poly import Poly, Variable, exact_divide, xvar
 from .quiver import Dims, RankArray, shared
@@ -78,6 +78,11 @@ def roots(word: Word) -> list[Poly]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _grid_roots(dims: Dims) -> tuple[Poly, ...]:
+    return tuple(roots(grid_word(dims)))
+
+
 def _require_reduced(word: Word):
     if length(word.value()) != len(word.letters):
         raise NotReducedWord(f"word {word.letters} is not reduced")
@@ -87,20 +92,52 @@ def _search(word: Word, targets: frozenset, reduced: bool) -> list:
     return list(blockperm.subword_subsets(word.letters, word.d, targets, reduced))
 
 
-def orbit_subwords(r: RankArray, reduced: bool) -> list:
-    """Pairs (J, v) over the subsets J of the grid word whose ordered
-    product v is z(r) (reduced subwords) or lies in perm(r) (all
-    subwords).  Searched once per quiver.Orbit; the pipe dream and ratio
-    formulas both read it."""
-    if reduced:
-        return shared(
-            r,
-            "reduced_subwords",
-            lambda r: _search(grid_word(r.dims), frozenset([orbit_zperm(r)]), True),
-        )
+def orbit_subwords(r: RankArray) -> list:
+    """Pairs (J, v) over the reduced subwords J of the grid word whose
+    ordered product v is z(r).  Searched once per quiver.Orbit; the pipe
+    dream and ratio quiver polynomials both read it."""
     return shared(
-        r, "all_subwords", lambda r: _search(grid_word(r.dims), orbit_perm_set(r), False)
+        r,
+        "reduced_subwords",
+        lambda r: _search(grid_word(r.dims), frozenset([orbit_zperm(r)]), True),
     )
+
+
+def orbit_states(r: RankArray) -> blockperm.SubwordStates:
+    """The grid word's subsets with product in perm(r), as live states
+    (blockperm.subword_states).  Built once per quiver.Orbit; the pipe
+    dream and ratio CSM classes both walk it, each with its own
+    weights."""
+    return shared(r, "subword_states", lambda r: subword_states(grid_word(r.dims).letters, r))
+
+
+def state_sum(states: blockperm.SubwordStates, weights: list) -> Poly:
+    """The sum over the accepted subsets J of the product of weights[j]
+    over j in J times h^(L - |J|).
+
+    It runs the recursion S(k, s) = h S(k+1, s) + w_k S(k+1, s_k s)
+    from the last letter back, over the live states only, keeping one
+    level of partial sums at a time.  A position every accepted subset
+    takes has no live skip branch, so it contributes w_k and no h.
+    """
+    hbar, one = Poly.hbar(), Poly.one()
+    below = {s: one for s in states.levels[-1]}
+    for k in range(len(weights) - 1, -1, -1):
+        w = weights[k]
+        forced = w == one
+        level = {}
+        for s, skip, take in states.edges(k):
+            if skip is None and forced:
+                level[s] = below[take]
+                continue
+            pairs = []
+            if skip is not None:
+                pairs.append((hbar, below[skip]))
+            if take is not None:
+                pairs.append((w, below[take]))
+            level[s] = Poly.sum_of_products(pairs)
+        below = level
+    return Poly.sum(below.values())
 
 
 def _factored_sum(word: Word, found: list, reduced: bool) -> tuple[tuple[int, ...], Poly]:
@@ -159,18 +196,17 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _subword_sum(word, frozenset([tuple(v)]), reduced=False)
 
 
-def _ratio(r: RankArray, reduced: bool) -> Poly:
-    """The orbit's subword sum divided by the Hom-orbit restriction.
+def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
+    """The orbit's subword sum, given as the roots at num_common times
+    num_rest, divided by the Hom-orbit restriction.
 
     Both polynomials are products of forced-position roots times small
     sums, so the quotient cancels shared positions factor by factor and
     only divides out what is left; exact_divide still certifies that
     the division is exact.
     """
-    word = grid_word(r.dims)
-    num_common, num_rest = _factored_sum(word, orbit_subwords(r, reduced), reduced)
-    den_common, den_rest = _hom_factored(r.dims)
-    betas = roots(word)
+    den_common, den_rest = _hom_factored(dims)
+    betas = _grid_roots(dims)
     den_set = frozenset(den_common)
     for j in num_common:
         if j not in den_set:
@@ -186,12 +222,21 @@ def _ratio(r: RankArray, reduced: bool) -> Poly:
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    return _ratio(r, reduced=True)
+    return _cancel_hom(r.dims, *_factored_sum(grid_word(r.dims), orbit_subwords(r), True))
 
 
 def csm_ratio(r: RankArray) -> Poly:
-    """Sum of cell restrictions over perm(r), divided by the Hom class."""
-    return _ratio(r, reduced=False)
+    """Sum of cell restrictions over perm(r), divided by the Hom class.
+
+    The numerator is the state sum of the roots over the orbit's
+    subsets; the positions every subset takes are kept out of it as
+    forced factors, to cancel against the Hom class."""
+    states = orbit_states(r)
+    betas = _grid_roots(r.dims)
+    skipped = states.skipped
+    common = tuple(j for j in range(len(betas)) if not skipped >> j & 1)
+    weights = [b if skipped >> j & 1 else Poly.one() for j, b in enumerate(betas)]
+    return _cancel_hom(r.dims, common, state_sum(states, weights))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockperm import BlockStructure, orbit_perm_set, regions, subword_subsets
-from .localization import grid_word, orbit_subwords
+from .localization import grid_word, orbit_states, orbit_subwords, state_sum
 from .poly import Poly
 from .quiver import Dims, RankArray
 
@@ -102,10 +102,11 @@ def locus_pipe_dreams(dims: Dims, targets: frozenset, region: str, mode: str):
         yield PipeDream(dims, frozenset(cells[k] for k in subset)), v
 
 
-def _orbit_dreams(r: RankArray, reduced: bool):
-    """(dream, trace) over the strict dreams of the orbit's shared search."""
+def _orbit_dreams(r: RankArray):
+    """(dream, trace) over the reduced strict dreams of z(r), from the
+    orbit's shared search."""
     cells = grid_word(r.dims).cells
-    for subset, v in orbit_subwords(r, reduced):
+    for subset, v in orbit_subwords(r):
         yield PipeDream(r.dims, frozenset(cells[k] for k in subset)), v
 
 
@@ -139,12 +140,17 @@ def weight(dream: PipeDream, flavor: str = "chern") -> Poly:
 
 def quiver_poly_pd(r: RankArray) -> Poly:
     """Sum of cross weights over the reduced strict dreams of z(r)."""
-    return Poly.sum(weight(dream, "chern") for dream, _ in _orbit_dreams(r, reduced=True))
+    return Poly.sum(weight(dream, "chern") for dream, _ in _orbit_dreams(r))
 
 
 def csm_pd(r: RankArray, region: str = "strict") -> Poly:
     """CSM class of the open locus as a sum over non-reduced strict dreams
     of every permutation with the block counts of z(r).
+
+    The strict sum runs over the orbit's shared states
+    (localization.state_sum): a cross weighs its cell label, a D_Hom
+    cell weighs 1, and every dream must cross every D_Hom cell, else
+    DHomViolation.
 
     region="full" is an experimental probe, not the CSM class on every
     orbit: it takes the sum over full-grid dreams instead.  Dreams with
@@ -155,17 +161,21 @@ def csm_pd(r: RankArray, region: str = "strict") -> Poly:
     dims = r.dims
     reg = regions(dims)
     if region == "strict":
-        dreams = _orbit_dreams(r, reduced=False)
-    else:
-        dreams = locus_pipe_dreams(dims, orbit_perm_set(r), region, "all")
+        states = orbit_states(r)
+        cells = grid_word(dims).cells
+        skipped = states.skipped
+        if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in reg.dhom_cells]:
+            raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
+        bs = BlockStructure(dims)
+        weights = [
+            Poly.one() if (q, p) in reg.dhom_cells else Poly.var_diff(bs.row_var(q), bs.col_var(p))
+            for q, p in cells
+        ]
+        return state_sum(states, weights)
 
     def weights():
-        for dream, v in dreams:
-            if region == "strict":
-                if missing := reg.dhom_cells - dream.crosses:
-                    raise DHomViolation(f"dream for {v} misses cells {sorted(missing)}")
-                yield weight(dream, "csm")
-            elif len(dream.crosses) <= reg.L:
+        for dream, _ in locus_pipe_dreams(dims, orbit_perm_set(r), region, "all"):
+            if len(dream.crosses) <= reg.L:
                 yield Poly.hbar() ** (reg.L - len(dream.crosses)) * _label_product(
                     dims, dream.crosses - reg.dhom_cells
                 )

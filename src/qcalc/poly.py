@@ -234,6 +234,25 @@ class Poly:
                 out[m] = get(m, 0) + c
         return cls._wrap({m: c for m, c in out.items() if c})
 
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
+        """The sum of a * b over the pairs (a, b), accumulated in one dict;
+        no product is built on its own."""
+        out: dict[int, int] = {}
+        get = out.get
+        for a, b in pairs:
+            right = b.terms.items()
+            for m1, c1 in a.terms.items():
+                if not out:  # the first term's products cannot collide
+                    out = {m1 + m2: c1 * c2 for m2, c2 in right}
+                    get = out.get
+                    continue
+                for m2, c2 in right:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+        _check_overflow(out)
+        return cls._wrap({m: c for m, c in out.items() if c})
+
     # -- ring arithmetic -------------------------------------------------
     def __add__(self, other: "Poly | int") -> "Poly":
         other = _coerce(other)

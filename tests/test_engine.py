@@ -11,7 +11,7 @@ from qcalc.cgpd import cgpd_infinity, enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
 from qcalc.pipedream import enumerate_pipe_dreams, locus_pipe_dreams
 from qcalc.poly import Poly, parse_poly, xvar
-from qcalc.quiver import Dims, RankArray, hom_rank_array
+from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
 
 MODULES = ("poly", "quiver", "blockperm", "pipedream", "cgpd", "localization", "engine", "cli")
 
@@ -104,6 +104,42 @@ def test_sweep_budget_covers_11():
     assert pairs.count((1, 1)) == 2  # both orbits of dims (1, 1)
 
 
+def _hom_csm(dims: Dims, sign: int) -> Poly:
+    """The product over the coordinates (j, k) of each map V_i -> V_{i+1}
+    of sign * (x^i_j - x^{i+1}_k) + h."""
+    out = Poly.one()
+    for i in range(dims.n):
+        for j in range(1, dims.r[i] + 1):
+            for k in range(1, dims.r[i + 1] + 1):
+                diff = Poly.var(xvar(i, j)) - Poly.var(xvar(i + 1, k))
+                out = out * (sign * diff + Poly.hbar())
+    return out
+
+
+# small dims of two to five vertices; (2,2,2,2) also holds but takes
+# longer than all of these together
+ADDITIVITY_DIMS = [
+    (1, 1), (1, 2), (2, 1), (2, 2), (1, 2, 1), (2, 2, 1), (1, 2, 2), (2, 3),
+    (2, 2, 2), (1, 2, 1, 1), (2, 3, 2), (3, 3), (1, 3, 2), (1, 2, 2, 1),
+    (3, 2, 3), (1, 1, 1, 1, 1),
+]
+
+
+def test_csm_classes_add_up_to_hom():
+    """The orbits of one dims partition Hom, and CSM classes are additive,
+    so the CSM classes of the orbits sum to that of the vector space Hom:
+    the product of (x^i_j - x^{i+1}_k + h) over its coordinates.  The
+    law reads only each formula's output."""
+    for r in ADDITIVITY_DIMS:
+        dims = Dims(r)
+        ranks = enumerate_rank_arrays(dims)
+        hom = _hom_csm(dims, 1)
+        for method in ("pd", "cgpd", "ratio"):
+            total = Poly.sum(compute(rank, "csm", method) for rank in ranks)
+            assert total == hom, (r, method)
+    assert total != _hom_csm(dims, -1)
+
+
 def _count_calls(monkeypatch, *functions):
     """Point every qcalc module's reference to each function at a
     wrapper that counts its calls; returns name -> calls."""
@@ -124,7 +160,12 @@ def _count_calls(monkeypatch, *functions):
     return calls
 
 
-SHARED = (blockperm.perm_set, blockperm.subword_subsets, cgpd.enumerate_cgpd)
+SHARED = (
+    blockperm.perm_set,
+    blockperm.subword_subsets,
+    blockperm.subword_states,
+    cgpd.enumerate_cgpd,
+)
 
 
 def test_check_builds_each_shared_object_once(monkeypatch):
@@ -134,7 +175,12 @@ def test_check_builds_each_shared_object_once(monkeypatch):
     report = check(r)
     assert report.ok
     assert report.rank is r
-    assert calls == {"perm_set": 1, "subword_subsets": 2, "enumerate_cgpd": 1}
+    assert calls == {
+        "perm_set": 1,
+        "subword_subsets": 1,
+        "subword_states": 1,
+        "enumerate_cgpd": 1,
+    }
 
 
 def test_compute_shares_nothing_between_requests(monkeypatch):
@@ -145,7 +191,12 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
         compute(r, "csm", "pd")
         compute(r, "csm", "cgpd")
         compute(r, "csm", "ratio")
-    assert calls == {"perm_set": 4, "subword_subsets": 4, "enumerate_cgpd": 2}
+    assert calls == {
+        "perm_set": 0,
+        "subword_subsets": 0,
+        "subword_states": 4,
+        "enumerate_cgpd": 2,
+    }
 
 
 def _count_pass(r):

@@ -2,25 +2,36 @@
 ratio formulas built from them."""
 
 import hashlib
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
-from qcalc.blockperm import all_reduced_words, length, regions, w0
-from qcalc.engine import sweep_dims
+from qcalc.blockperm import (
+    BlockStructure,
+    all_reduced_words,
+    length,
+    perm_set,
+    regions,
+    subword_subsets,
+    w0,
+    zelevinsky_permutation,
+)
+from qcalc.engine import check, sweep_dims
 from qcalc.localization import (
     NotReducedWord,
     Word,
+    _cancel_hom,
     ajs_billey,
     csm_ratio,
     csm_restriction,
     generic_word,
     grid_word,
-    orbit_subwords,
+    orbit_states,
     quiver_poly_ratio,
     roots,
 )
-from qcalc.poly import Poly, xvar
+from qcalc.pipedream import csm_pd
+from qcalc.poly import Poly, format_poly, xvar
 from qcalc.quiver import (
     Dims,
     Orbit,
@@ -143,20 +154,78 @@ def test_csm_restriction_h_grading():
 
 
 def test_orbit_subwords_order_pinned():
-    """The shared searches list their (J, v) pairs in a fixed order, which
-    `qcalc enum --what pd` prints; polynomial checks cannot see it.  The
-    digest was captured at commit a8098bf, before the search's pruning
-    was rewritten."""
+    """The strict subword searches list their (J, v) pairs in a fixed
+    order, which `qcalc enum --what pd` prints; polynomial checks cannot
+    see it.  The digest was captured at commit a8098bf, before the
+    search's pruning was rewritten, over the orbit searches in both
+    modes (toward z(r) reduced, toward perm(r) all subsets)."""
     ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
     ranks.append(parse_input({"dims": [2, 3, 3], "rank": {"0,1": 1, "0,2": 0, "1,2": 1}}))
     digest = hashlib.sha256()
     pairs = 0
     for r in ranks:
+        letters = grid_word(r.dims).letters
         for reduced in (True, False):
-            found = orbit_subwords(Orbit(r), reduced)
+            targets = [zelevinsky_permutation(r)] if reduced else perm_set(r)
+            found = list(subword_subsets(letters, r.dims.d, frozenset(targets), reduced))
             pairs += len(found)
             digest.update(repr(found).encode())
     assert (len(ranks), pairs) == (215, 1915)
     assert digest.hexdigest() == (
         "c05701e3c40ee681cbb9294a2afd1716c1c47b69aad0a4f689d80f823dff8195"
     )
+
+
+def _subset_sum(subsets: list, weights: list, L: int) -> Poly:
+    """The sum over the listed subsets J of the product of weights[j]
+    over j in J times h^(L - |J|), grouped by common prefixes: the
+    subsets starting with position f share the factor h^(f - start)
+    weights[f].  Nothing is merged that the subsets do not share."""
+    hbar = Poly.hbar()
+
+    def rec(suffixes: list, start: int) -> Poly:
+        parts = []
+        for f, group in groupby(sorted(suffixes), key=lambda J: J[0] if J else L):
+            if f == L:
+                parts.append(hbar ** (L - start))
+            else:
+                rest = rec([J[1:] for J in group], f + 1)
+                parts.append(hbar ** (f - start) * weights[f] * rest)
+        return Poly.sum(parts)
+
+    return rec(subsets, 0)
+
+
+def test_state_sum_matches_subset_sum():
+    """csm_pd and csm_ratio sum over (position, coset) states; the
+    reference lists the subsets with subword_subsets toward perm(r) and
+    weighs each one.  The positions every subset takes (the D_Hom cells
+    among them) weigh 1 in the sum and are multiplied in afterwards, for
+    pd as cell labels, for ratio by the Hom cancellation.  The cell
+    labels are the roots, so one sum serves both.  Every orbit of
+    sweep(6) and of dims (2,3,3)."""
+    ranks = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
+    small = len(ranks)
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    for n, r in enumerate(ranks):
+        dims = r.dims
+        word = grid_word(dims)
+        L = len(word.letters)
+        found = subword_subsets(word.letters, dims.d, frozenset(perm_set(r)), False)
+        subsets = [J for J, _ in found]
+        common = frozenset(subsets[0]).intersection(*subsets[1:])
+        assert regions(dims).dhom_cells <= {word.cells[j] for j in common}
+        bs = BlockStructure(dims)
+        labels = [Poly.var_diff(bs.row_var(q), bs.col_var(p)) for q, p in word.cells]
+        assert labels == roots(word)
+        rest = _subset_sum(subsets, [1 if j in common else w for j, w in enumerate(labels)], L)
+        pd_ref = rest
+        for j in sorted(common):
+            if word.cells[j] not in regions(dims).dhom_cells:
+                pd_ref = pd_ref * labels[j]
+        ratio_ref = _cancel_hom(dims, tuple(sorted(common)), rest)
+        assert format_poly(csm_pd(r)) == format_poly(pd_ref), r
+        assert format_poly(csm_ratio(r)) == format_poly(ratio_ref), r
+        # check() reports orbit_states(r).total as p_total
+        total = check(r).counts["p_total"] if n < small else orbit_states(Orbit(r)).total
+        assert total == len(subsets), r

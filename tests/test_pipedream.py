@@ -6,6 +6,7 @@ import pytest
 
 from qcalc.blockperm import composite, regions, zelevinsky_permutation
 from qcalc.pipedream import (
+    DHomViolation,
     PipeDream,
     RegionViolation,
     csm_pd,
@@ -108,6 +109,26 @@ def test_csm_pd_121_hom():
         + h**3 * (b1 - c)
     )
     assert csm_pd(hom_rank_array(dims)) == expected
+
+
+def test_dhom_violation(monkeypatch):
+    """csm_pd raises DHomViolation when a dream of the orbit misses a
+    D_Hom cell.  No orbit has one, so regions is patched to declare D_Hom
+    a strict cell that an accepted subset skips."""
+    from qcalc import pipedream
+    from qcalc.blockperm import Regions, perm_set, subword_subsets
+    from qcalc.localization import grid_word
+
+    r = hom_rank_array(Dims((1, 2, 1)))
+    word = grid_word(r.dims)
+    real = regions(r.dims)
+    J, _ = next(subword_subsets(word.letters, r.dims.d, frozenset(perm_set(r)), False))
+    cell = next(c for k, c in enumerate(word.cells) if k not in J)
+    assert cell not in real.dhom_cells
+    fake = Regions(real.strict_cells, real.dhom_cells | {cell})
+    monkeypatch.setattr(pipedream, "regions", lambda dims: fake)
+    with pytest.raises(DHomViolation):
+        csm_pd(r)
 
 
 def test_quiver_poly_pd_final_example():

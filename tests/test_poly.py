@@ -257,3 +257,18 @@ def test_registry_threads_never_share_a_slot():
     assert all(poly._slot_vars[poly._slots[v]] == v for v in fresh)
     guards = [poly._guard >> (16 * s + 15) & 1 for s in range(len(poly._slot_vars))]
     assert all(guards)
+
+
+def test_sum_of_products_matches_sum_of_products_built_one_by_one():
+    a, b, c = (Poly.var(xvar(0, q)) for q in (1, 2, 3))
+    h = Poly.hbar()
+    cases = [
+        [],
+        [(a - b, Poly.zero())],
+        [(Poly.zero(), a), (h, a + b)],
+        [(h, a - b), (a - b, b - c)],
+        [(a - b, a + b), (b, b), (-a, a)],  # everything cancels
+        [(a + h, (a - c) ** 2), (Poly.const(3), c), (a - b, h)],
+    ]
+    for pairs in cases:
+        assert Poly.sum_of_products(pairs) == Poly.sum(x * y for x, y in pairs), pairs
