@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import factorial, prod
 
 from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
 
@@ -261,14 +262,18 @@ def perm_set(r: RankArray) -> list[Permutation]:
     return _block_perms(r, first=False)
 
 
+def perm_count(r: RankArray) -> int:
+    """|perm(r)|, without listing it.  Row block i spreads its r_i rows
+    over the column blocks in r_i! / prod_j m(i, j)! ways, column block
+    j its r_j columns over the row blocks in r_j! / prod_i m(i, j)!
+    ways, and block (i, j) matches its m(i, j) rows to its columns in
+    m(i, j)! ways: (prod_i r_i!)^2 / prod_(i, j) m(i, j)! in all."""
+    return prod(map(factorial, r.dims.r)) ** 2 // prod(map(factorial, block_counts(r).values()))
+
+
 def orbit_zperm(r: RankArray) -> Permutation:
     """z(r), computed once per quiver.Orbit."""
     return shared(r, "z", zelevinsky_permutation)
-
-
-def orbit_perm_set(r: RankArray) -> frozenset:
-    """perm(r) as a frozenset, computed once per quiver.Orbit."""
-    return shared(r, "perm", lambda r: frozenset(perm_set(r)))
 
 
 def counts_of(v: Permutation, dims: Dims) -> dict[tuple[int, int], int]:
@@ -370,7 +375,7 @@ def subword_subsets(
         yield from rec(0, identity(d), reach)
 
 
-# -- the all-subwords sum over states (shared by pipe dreams and localization)
+# -- subword sums over states (shared by pipe dreams and localization) ------
 
 def _swap(s: tuple, t: int) -> tuple:
     """s_t acting on a label vector: swap the labels of values t and t+1."""
@@ -379,40 +384,68 @@ def _swap(s: tuple, t: int) -> tuple:
 
 @dataclass(frozen=True)
 class SubwordStates:
-    """The live states of subword_states, level by level.
+    """The live states of subword_states or target_states, level by level.
 
     levels[k] maps each state s reachable at letter k from which some
-    accepted completion exists to the pair (N, skipped): N(k, s) is the
-    number of accepted completions, and skipped has bit j set when some
-    accepted completion skips position j >= k.
+    accepted completion exists to (N, skipped, skip, take): N(k, s) is
+    the number of accepted completions; skipped has bit j set when some
+    accepted completion skips position j >= k; skip and take are the
+    live states s reaches at k + 1 by skipping or taking letter k, or
+    None where that branch accepts nothing.  A skipped letter weighs 1
+    in reduced mode and h otherwise.
     """
 
-    letters: tuple[int, ...]
     levels: tuple[dict, ...]
+    reduced: bool
 
     @property
     def total(self) -> int:
         """The number of accepted subsets, N(0, start)."""
-        return sum(n for n, _ in self.levels[0].values())
+        return sum(rec[0] for rec in self.levels[0].values())
 
     @property
     def skipped(self) -> int:
         """The positions some accepted subset skips, as a bit mask; a
         position outside it is taken by every accepted subset."""
         out = 0
-        for _, mask in self.levels[0].values():
-            out |= mask
+        for rec in self.levels[0].values():
+            out |= rec[1]
         return out
 
     def edges(self, k: int):
-        """(s, skip, take) for each live state s at letter k: skip and
-        take are the live states it reaches at k + 1 by skipping or
-        taking letter k, or None where that branch accepts nothing."""
-        t = self.letters[k]
-        below = self.levels[k + 1]
-        for s in self.levels[k]:
-            take = _swap(s, t)
-            yield s, s if s in below else None, take if take in below else None
+        """(s, skip, take) for each live state s at letter k."""
+        for s, (_, _, skip, take) in self.levels[k].items():
+            yield s, skip, take
+
+
+def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
+    """The backward pass of both builders.  children[k] maps each state
+    a forward pass kept at letter k to its (skip, take) children at
+    k + 1, None for a pruned branch; accepted holds the accepted states
+    after the last letter.  N(L, s) is 1 for an accepted s and N(k, s)
+    is N(k+1, skip) + N(k+1, take); the states with N > 0 are kept, each
+    with the mask of positions some accepted completion skips."""
+    level = {s: (1, 0, None, None) for s in accepted}
+    levels = [level]  # from the last letter back
+    for k in range(len(children) - 1, -1, -1):
+        bit = 1 << k
+        below = level
+        level = {}
+        for s, (skip, take) in children[k].items():
+            n = mask = 0
+            if rec := below.get(skip):
+                n, mask = rec[0], rec[1] | bit
+            else:
+                skip = None
+            if rec := below.get(take):
+                n += rec[0]
+                mask |= rec[1]
+            else:
+                take = None
+            if n:
+                level[s] = (n, mask, skip, take)
+        levels.append(level)
+    return SubwordStates(tuple(reversed(levels)), reduced)
 
 
 def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
@@ -449,16 +482,15 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     left, so each child is tested at that one boundary.  The bound only
     prunes; acceptance is still tested after the last letter.
 
-    The counts.  A forward pass lists the states that survive the bound.
-    A backward pass computes over integers N(k, s), the number of
-    accepted completions from (k, s): N(L, s) is 1 for an accepted s and
-    N(k, s) = N(k+1, s) + N(k+1, s_{t_k} s).  It keeps the states with
-    N > 0 and, for each, the mask of positions that some accepted
-    completion skips (SubwordStates).  N(0, start) is the number of
-    subsets subword_subsets(letters, d, perm(r), False) lists.  The
-    number of accepted subsets that skip a position of a set D is
-    positive exactly when the mask at start meets D; csm_pd reads it so
-    for the D_Hom cells.
+    The counts.  A forward pass lists the states that survive the bound,
+    each with its two children; the backward pass (_live) computes over
+    integers N(k, s), the number of accepted completions from (k, s),
+    and keeps the states with N > 0, each with the mask of positions
+    that some accepted completion skips (SubwordStates).  N(0, start) is
+    the number of subsets subword_subsets(letters, d, perm(r), False)
+    lists.  The number of accepted subsets that skip a position of a set
+    D is positive exactly when the mask at start meets D; csm_pd reads
+    it so for the D_Hom cells.
     """
     dims = r.dims
     bs = BlockStructure(dims)
@@ -480,47 +512,82 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
         for a, _ in segments
     ]
 
-    L = len(letters)
-    reach = [{tuple(bs.row_block(x) for x in range(1, d + 1))}]
+    live = {tuple(bs.row_block(x) for x in range(1, d + 1))}
+    children = []
     for k, t in enumerate(letters):
-        nxt = set()
         copies = letters[k + 1 :].count(t)
         # no deficit at b exceeds min(b, d - b), so many copies left need no test
         need = want.get(t) if copies < min(t, d - t) else None
-        for s in reach[k]:
-            for c in (s,) if s[t - 1] == s[t] else (s, _swap(s, t)):
-                if need:
-                    left = c[:t]
-                    deficit = 0
-                    for i, owed in need:
-                        have = left.count(i)
-                        if have < owed:
-                            deficit += owed - have
-                    if deficit > copies:
-                        continue
-                nxt.add(c)
-        reach.append(nxt)
 
-    level = {
-        s: (1, 0)
-        for s in reach[L]
-        if [tuple(sorted(s[a:b])) for a, b in segments] == accepted
-    }
-    levels = [level]  # from the last letter back
-    for k in range(L - 1, -1, -1):
-        t = letters[k]
-        bit = 1 << k
-        below = level
-        level = {}
-        for s in reach[k]:
-            n, mask = below.get(s, (0, 0))
-            if n:
-                mask |= bit
-            take = below.get(_swap(s, t))
-            if take:
-                n += take[0]
-                mask |= take[1]
-            if n:
-                level[s] = (n, mask)
-        levels.append(level)
-    return SubwordStates(tuple(letters), tuple(reversed(levels)))
+        def fits(c: tuple) -> bool:
+            if not need:
+                return True
+            left = c[:t]
+            deficit = 0
+            for i, owed in need:
+                have = left.count(i)
+                if have < owed:
+                    deficit += owed - have
+            return deficit <= copies
+
+        kids = {}
+        for s in live:
+            skip = s if fits(s) else None
+            if s[t - 1] == s[t]:
+                take = skip
+            else:
+                take = _swap(s, t)
+                take = take if fits(take) else None
+            kids[s] = (skip, take)
+        children.append(kids)
+        live = {c for pair in kids.values() for c in pair if c is not None}
+
+    final = {s for s in live if [tuple(sorted(s[a:b])) for a, b in segments] == accepted}
+    return _live(children, final, reduced=False)
+
+
+def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> SubwordStates:
+    """The subsets of the word whose ordered product is v, only the
+    reduced subwords for v in reduced mode, counted over states instead
+    of listed.
+
+    The state of a partial product u is u^-1, the position of each
+    value: the label vector of subword_states with every position its
+    own row block.  So taking letter t swaps the entries of t and t+1
+    (_swap), and the backward pass, SubwordStates and state_sum are
+    shared.  Each state carries its distance d(u, v) = l(v u^-1), and
+    the forward pass prunes by rules 1 and 2 of subword_subsets with v
+    the only target.  Taking t moves the distance by one: down when v
+    orders the positions p and q of t and t+1 the other way than u does,
+    v(p) > v(q), else up.  In all-subsets mode a child whose distance
+    exceeds the letters left is pruned.  In reduced mode a take is
+    allowed only when the distance falls, and a skip only when the
+    distance, l(v) - l(u), is at most the letters left.  A take that
+    lowers length (p > q) would raise that distance (rule 2), so every
+    take allowed raises length.  The state v^-1 is accepted.
+    """
+    L = len(letters)
+    lv = length(v)
+    dist = {identity(len(v)): lv} if lv <= L else {}
+    children = []
+    for k, t in enumerate(letters):
+        left = L - k - 1
+        kids, nxt = {}, {}
+        for s, e in dist.items():
+            p, q = s[t - 1], s[t]
+            skip = s if e <= left else None
+            if v[p - 1] > v[q - 1]:
+                f = e - 1
+            elif not reduced and e < left:
+                f = e + 1
+            else:
+                f = None
+            take = None if f is None else _swap(s, t)
+            kids[s] = (skip, take)
+            if skip is not None:
+                nxt[s] = e
+            if take is not None:
+                nxt[take] = f
+        children.append(kids)
+        dist = nxt
+    return _live(children, {inverse(v)} & dist.keys(), reduced)

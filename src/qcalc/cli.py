@@ -214,12 +214,7 @@ def _cmd_zperm(args) -> int:
 def _cmd_poly(args) -> int:
     """qpoly and csm: the subcommand names the target."""
     r = parse_input(_load_json(args.input))
-    if args.command == "csm" and args.region == "full":
-        if args.method != "pd":
-            raise ValueError("flag --region full requires --method pd")
-        p = pipedream.csm_pd(r, region="full")
-    else:
-        p = engine.compute(r, args.command, args.method)
+    p = engine.compute(r, args.command, args.method)
     if args.format == "json":
         payload = {"target": args.command, "method": args.method, "polynomial": format_poly(p)}
         print(json.dumps(payload))
@@ -321,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
     for target in ("qpoly", "csm"):
         p = add(target, _cmd_poly, method=True)
         p.add_argument("--letters", action="store_true")
-    p.add_argument("--region", choices=("strict", "full"), default="strict")
     p = add("enum", _cmd_enum)
     p.add_argument("--what", choices=("pd", "cgpd", "perm"), default="pd")
     p.add_argument("--region", choices=("strict", "full"), default="strict")

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import cgpd, localization, pipedream
-from .blockperm import length, orbit_perm_set, orbit_zperm, regions
+from .blockperm import length, orbit_zperm, perm_count, regions
 from .poly import Poly, format_poly
 from .quiver import Dims, Orbit, RankArray, enumerate_rank_arrays, to_json
 
@@ -87,12 +87,14 @@ class ConsistencyReport:
 def check(r: RankArray) -> ConsistencyReport:
     """Compute all six polynomials of r and verify every cross relation.
 
-    The formulas share one Orbit, so z(r), perm(r), the reduced subword
-    search, the CSM subword states and the cgpd lists are built once;
-    the counts are their sizes.  p_total, the number of strict subwords
-    with product in perm(r) (non-reduced strict dreams), is read off the
-    states as N(0, start) (localization.orbit_states), never by listing
-    the subwords.
+    The formulas share one Orbit, so z(r), the reduced subword states,
+    the CSM subword states and the cgpd lists are built once; the counts
+    are their sizes, and no subword or member of perm(r) is listed.
+    rp_star, the number of reduced strict dreams of z(r), and p_total,
+    the number of strict subwords with product in perm(r) (non-reduced
+    strict dreams), are N(0, start) of the two state sets
+    (localization.orbit_reduced_states and orbit_states); perm, the
+    size of perm(r), follows from its block counts (blockperm.perm_count).
     """
     orbit = Orbit(r)
     polys: dict[str, Poly] = {}
@@ -116,8 +118,8 @@ def check(r: RankArray) -> ConsistencyReport:
     leading_ok = polys["csm_pd"].hbar_coefficient(reg.L - lz) == polys["qpoly_pd"]
 
     counts = {
-        "perm": len(orbit_perm_set(orbit)),
-        "rp_star": len(localization.orbit_subwords(orbit)),
+        "perm": perm_count(orbit),
+        "rp_star": localization.orbit_reduced_states(orbit).total,
         "p_total": localization.orbit_states(orbit).total,
         "cgpd": len(cgpd.orbit_cgpd(orbit)),
         "cgpd_infinity": len(cgpd.cgpd_infinity(orbit)),

@@ -24,6 +24,7 @@ from .blockperm import (
     orbit_zperm,
     regions,
     subword_states,
+    target_states,
 )
 from .poly import Poly, Variable, exact_divide, xvar
 from .quiver import Dims, RankArray, shared
@@ -88,21 +89,6 @@ def _require_reduced(word: Word):
         raise NotReducedWord(f"word {word.letters} is not reduced")
 
 
-def _search(word: Word, targets: frozenset, reduced: bool) -> list:
-    return list(blockperm.subword_subsets(word.letters, word.d, targets, reduced))
-
-
-def orbit_subwords(r: RankArray) -> list:
-    """Pairs (J, v) over the reduced subwords J of the grid word whose
-    ordered product v is z(r).  Searched once per quiver.Orbit; the pipe
-    dream and ratio quiver polynomials both read it."""
-    return shared(
-        r,
-        "reduced_subwords",
-        lambda r: _search(grid_word(r.dims), frozenset([orbit_zperm(r)]), True),
-    )
-
-
 def orbit_states(r: RankArray) -> blockperm.SubwordStates:
     """The grid word's subsets with product in perm(r), as live states
     (blockperm.subword_states).  Built once per quiver.Orbit; the pipe
@@ -111,89 +97,79 @@ def orbit_states(r: RankArray) -> blockperm.SubwordStates:
     return shared(r, "subword_states", lambda r: subword_states(grid_word(r.dims).letters, r))
 
 
+def orbit_reduced_states(r: RankArray) -> blockperm.SubwordStates:
+    """The grid word's reduced subwords for z(r), as live states
+    (blockperm.target_states).  Built once per quiver.Orbit; the pipe
+    dream and ratio quiver polynomials both walk it."""
+    return shared(
+        r,
+        "reduced_states",
+        lambda r: target_states(grid_word(r.dims).letters, orbit_zperm(r), True),
+    )
+
+
 def state_sum(states: blockperm.SubwordStates, weights: list) -> Poly:
     """The sum over the accepted subsets J of the product of weights[j]
-    over j in J times h^(L - |J|).
+    over j in J times the skip weight to the power L - |J|: h, or 1 in
+    reduced mode.
 
-    It runs the recursion S(k, s) = h S(k+1, s) + w_k S(k+1, s_k s)
-    from the last letter back, over the live states only, keeping one
-    level of partial sums at a time.  A position every accepted subset
-    takes has no live skip branch, so it contributes w_k and no h.
+    It runs the recursion S(k, s) = h S(k+1, s) + w_k S(k+1, s_k s),
+    h the skip weight, from the last letter back, over the live states
+    only, keeping one level of partial sums at a time.  A state whose
+    only live branch weighs 1 passes that branch's partial sum through.
     """
-    hbar, one = Poly.hbar(), Poly.one()
+    one = Poly.one()
+    hbar = one if states.reduced else Poly.hbar()
     below = {s: one for s in states.levels[-1]}
     for k in range(len(weights) - 1, -1, -1):
         w = weights[k]
         forced = w == one
         level = {}
         for s, skip, take in states.edges(k):
-            if skip is None and forced:
+            if take is None and states.reduced:
+                level[s] = below[skip]
+            elif skip is None and forced:
                 level[s] = below[take]
-                continue
-            pairs = []
-            if skip is not None:
-                pairs.append((hbar, below[skip]))
-            if take is not None:
-                pairs.append((w, below[take]))
-            level[s] = Poly.sum_of_products(pairs)
+            else:
+                pairs = []
+                if skip is not None:
+                    pairs.append((hbar, below[skip]))
+                if take is not None:
+                    pairs.append((w, below[take]))
+                level[s] = Poly.sum_of_products(pairs)
         below = level
     return Poly.sum(below.values())
 
 
-def _factored_sum(word: Word, found: list, reduced: bool) -> tuple[tuple[int, ...], Poly]:
-    """The subword sum over the found (J, v) pairs, with its forced
-    positions kept as separate factors.
-
-    Returns (common, rest): common lists the positions taken by every
-    contributing subset, and rest is the sum over subsets of the product
-    of the remaining roots (h-weighted per skipped position when not
-    reduced), so the full sum is rest times the product of the common
-    roots.  Keeping the forced block factored makes the ratio formulas
-    cancel it without ever expanding it.
-    """
-    subsets = [J for J, _ in found]
-    if not subsets:
-        return (), Poly.zero()
-    common = frozenset(subsets[0]).intersection(*subsets[1:])
-    betas = roots(word)
-    hbar = Poly.hbar()
-    L = len(word.letters)
-
-    def term(J: tuple[int, ...]) -> Poly:
-        out = Poly.one() if reduced else hbar ** (L - len(J))
-        for j in J:
-            if j not in common:
-                out = out * betas[j]
-        return out
-
-    return tuple(sorted(common)), Poly.sum(term(J) for J in subsets)
-
-
-def _subword_sum(word: Word, targets: frozenset, reduced: bool) -> Poly:
-    """Sum over position subsets whose ordered product lands in targets.
-
-    Reduced mode takes products of reduced subwords only; otherwise each
-    skipped position contributes a factor of h.
-    """
-    common, rest = _factored_sum(word, _search(word, targets, reduced), reduced)
-    betas = roots(word)
-    for j in common:
-        rest = rest * betas[j]
-    return rest
+def _restriction(v: tuple, word: Word, reduced: bool) -> Poly:
+    _require_reduced(word)
+    v = tuple(v)
+    if sorted(v) != list(range(1, word.d + 1)):
+        raise ValueError(f"v = {v} is not a permutation of 1..d, d = {word.d}")
+    return state_sum(target_states(word.letters, v, reduced), roots(word))
 
 
 def ajs_billey(v: tuple, word: Word) -> Poly:
     """Restriction of the Schubert class of v at the word's value: the sum
     over reduced subwords for v of the product of their roots."""
-    _require_reduced(word)
-    return _subword_sum(word, frozenset([tuple(v)]), reduced=True)
+    return _restriction(v, word, reduced=True)
 
 
 def csm_restriction(v: tuple, word: Word) -> Poly:
     """Restriction of the CSM class of the Schubert cell of v: the sum over
     all subwords with ordered product v, h-weighted by skipped letters."""
-    _require_reduced(word)
-    return _subword_sum(word, frozenset([tuple(v)]), reduced=False)
+    return _restriction(v, word, reduced=False)
+
+
+def _forced_sum(states: blockperm.SubwordStates, betas) -> tuple[tuple[int, ...], Poly]:
+    """(common, rest): the positions every accepted subset takes, and the
+    state sum of the roots with those positions weighing 1.  The full
+    sum is rest times the roots at common; keeping that forced block
+    factored lets the ratio formulas cancel it without expanding it."""
+    skipped = states.skipped
+    common = tuple(j for j in range(len(betas)) if not skipped >> j & 1)
+    weights = [b if skipped >> j & 1 else Poly.one() for j, b in enumerate(betas)]
+    return common, state_sum(states, weights)
 
 
 def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
@@ -222,25 +198,15 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    return _cancel_hom(r.dims, *_factored_sum(grid_word(r.dims), orbit_subwords(r), True))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), _grid_roots(r.dims)))
 
 
 def csm_ratio(r: RankArray) -> Poly:
-    """Sum of cell restrictions over perm(r), divided by the Hom class.
-
-    The numerator is the state sum of the roots over the orbit's
-    subsets; the positions every subset takes are kept out of it as
-    forced factors, to cancel against the Hom class."""
-    states = orbit_states(r)
-    betas = _grid_roots(r.dims)
-    skipped = states.skipped
-    common = tuple(j for j in range(len(betas)) if not skipped >> j & 1)
-    weights = [b if skipped >> j & 1 else Poly.one() for j, b in enumerate(betas)]
-    return _cancel_hom(r.dims, common, state_sum(states, weights))
+    """Sum of cell restrictions over perm(r), divided by the Hom class."""
+    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_roots(r.dims)))
 
 
 @lru_cache(maxsize=None)
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
-    word = grid_word(dims)
-    hom = frozenset([blockperm.zelevinsky_hom(dims)])
-    return _factored_sum(word, _search(word, hom, True), reduced=True)
+    states = target_states(grid_word(dims).letters, blockperm.zelevinsky_hom(dims), True)
+    return _forced_sum(states, _grid_roots(dims))

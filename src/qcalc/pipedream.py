@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockperm import BlockStructure, orbit_perm_set, regions, subword_subsets
-from .localization import grid_word, orbit_states, orbit_subwords, state_sum
+from .blockperm import BlockStructure, regions, subword_subsets
+from .localization import grid_word, orbit_reduced_states, orbit_states, state_sum
 from .poly import Poly
 from .quiver import Dims, RankArray
 
@@ -102,82 +102,36 @@ def locus_pipe_dreams(dims: Dims, targets: frozenset, region: str, mode: str):
         yield PipeDream(dims, frozenset(cells[k] for k in subset)), v
 
 
-def _orbit_dreams(r: RankArray):
-    """(dream, trace) over the reduced strict dreams of z(r), from the
-    orbit's shared search."""
-    cells = grid_word(r.dims).cells
-    for subset, v in orbit_subwords(r):
-        yield PipeDream(r.dims, frozenset(cells[k] for k in subset)), v
-
-
-def _label_product(dims: Dims, cells) -> Poly:
-    """Product of (row label - column label) over the cells."""
+def _cell_weights(dims: Dims) -> list[Poly]:
+    """The weight of a cross at each grid word position: its cell label
+    (row label - column label), or 1 on a D_Hom cell."""
     bs = BlockStructure(dims)
-    out = Poly.one()
-    for q, p in sorted(cells):
-        out = out * Poly.var_diff(bs.row_var(q), bs.col_var(p))
-    return out
-
-
-def weight(dream: PipeDream, flavor: str = "chern") -> Poly:
-    """Product of (row label - column label) over the counted crosses.
-
-    Crosses above the block superantidiagonal contribute no factor; the
-    csm flavor additionally carries h^(L - #crosses).
-    """
-    dims = dream.dims
-    reg = regions(dims)
-    if not dream.crosses <= reg.strict_cells:
-        bad = sorted(dream.crosses - reg.strict_cells)[0]
-        raise RegionViolation(f"cross at {bad} is outside the strict region")
-    out = _label_product(dims, dream.crosses - reg.dhom_cells)
-    if flavor == "csm":
-        out = out * Poly.hbar() ** (reg.L - len(dream.crosses))
-    elif flavor != "chern":
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return out
+    dhom = regions(dims).dhom_cells
+    return [
+        Poly.one() if (q, p) in dhom else Poly.var_diff(bs.row_var(q), bs.col_var(p))
+        for q, p in grid_word(dims).cells
+    ]
 
 
 def quiver_poly_pd(r: RankArray) -> Poly:
-    """Sum of cross weights over the reduced strict dreams of z(r)."""
-    return Poly.sum(weight(dream, "chern") for dream, _ in _orbit_dreams(r))
+    """Sum of cross weights over the reduced strict dreams of z(r), walked
+    over the orbit's reduced states (localization.state_sum)."""
+    return state_sum(orbit_reduced_states(r), _cell_weights(r.dims))
 
 
-def csm_pd(r: RankArray, region: str = "strict") -> Poly:
+def csm_pd(r: RankArray) -> Poly:
     """CSM class of the open locus as a sum over non-reduced strict dreams
     of every permutation with the block counts of z(r).
 
-    The strict sum runs over the orbit's shared states
-    (localization.state_sum): a cross weighs its cell label, a D_Hom
-    cell weighs 1, and every dream must cross every D_Hom cell, else
+    The sum runs over the orbit's shared states (localization.state_sum):
+    a cross weighs its cell label, a D_Hom cell weighs 1, a missing cross
+    weighs h, and every dream must cross every D_Hom cell, else
     DHomViolation.
-
-    region="full" is an experimental probe, not the CSM class on every
-    orbit: it takes the sum over full-grid dreams instead.  Dreams with
-    more crosses than L cannot carry a nonnegative h power and are
-    skipped; crosses outside the strict region contribute their cell
-    label like any other counted cross.
     """
-    dims = r.dims
-    reg = regions(dims)
-    if region == "strict":
-        states = orbit_states(r)
-        cells = grid_word(dims).cells
-        skipped = states.skipped
-        if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in reg.dhom_cells]:
-            raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
-        bs = BlockStructure(dims)
-        weights = [
-            Poly.one() if (q, p) in reg.dhom_cells else Poly.var_diff(bs.row_var(q), bs.col_var(p))
-            for q, p in cells
-        ]
-        return state_sum(states, weights)
-
-    def weights():
-        for dream, _ in locus_pipe_dreams(dims, orbit_perm_set(r), region, "all"):
-            if len(dream.crosses) <= reg.L:
-                yield Poly.hbar() ** (reg.L - len(dream.crosses)) * _label_product(
-                    dims, dream.crosses - reg.dhom_cells
-                )
-
-    return Poly.sum(weights())
+    states = orbit_states(r)
+    cells = grid_word(r.dims).cells
+    dhom = regions(r.dims).dhom_cells
+    skipped = states.skipped
+    if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in dhom]:
+        raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
+    return state_sum(states, _cell_weights(r.dims))

@@ -16,6 +16,7 @@ from qcalc.blockperm import (
     is_reduced_word,
     left_mul_s,
     length,
+    perm_count,
     perm_set,
     regions,
     rothe_diagram,
@@ -127,6 +128,7 @@ def test_perm_set_counts_and_minimum():
             ]
             # z(r) is the unique minimal-length member
             assert [v for v in members if length(v) == length(z)] == [z]
+            assert perm_count(r) == len(members)
 
 
 def brute_force_subsets(letters, d, targets, reduced):

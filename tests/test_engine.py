@@ -164,6 +164,7 @@ SHARED = (
     blockperm.perm_set,
     blockperm.subword_subsets,
     blockperm.subword_states,
+    blockperm.target_states,
     cgpd.enumerate_cgpd,
 )
 
@@ -176,9 +177,10 @@ def test_check_builds_each_shared_object_once(monkeypatch):
     assert report.ok
     assert report.rank is r
     assert calls == {
-        "perm_set": 1,
-        "subword_subsets": 1,
+        "perm_set": 0,
+        "subword_subsets": 0,
         "subword_states": 1,
+        "target_states": 1,
         "enumerate_cgpd": 1,
     }
 
@@ -188,14 +190,16 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
     check(r)  # caches the Hom search of these dims
     calls = _count_calls(monkeypatch, *SHARED)
     for _ in range(2):
-        compute(r, "csm", "pd")
-        compute(r, "csm", "cgpd")
-        compute(r, "csm", "ratio")
+        for target in ("qpoly", "csm"):
+            compute(r, target, "pd")
+            compute(r, target, "cgpd")
+            compute(r, target, "ratio")
     assert calls == {
         "perm_set": 0,
         "subword_subsets": 0,
         "subword_states": 4,
-        "enumerate_cgpd": 2,
+        "target_states": 4,
+        "enumerate_cgpd": 4,
     }
 
 

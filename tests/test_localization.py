@@ -26,11 +26,12 @@ from qcalc.localization import (
     csm_restriction,
     generic_word,
     grid_word,
+    orbit_reduced_states,
     orbit_states,
     quiver_poly_ratio,
     roots,
 )
-from qcalc.pipedream import csm_pd
+from qcalc.pipedream import csm_pd, quiver_poly_pd
 from qcalc.poly import Poly, format_poly, xvar
 from qcalc.quiver import (
     Dims,
@@ -134,8 +135,6 @@ def test_csm_ratio_121_hom():
 
 
 def test_ratio_agrees_with_pipe_dreams():
-    from qcalc.pipedream import csm_pd, quiver_poly_pd
-
     for dims in [Dims((1, 2, 1)), Dims((2, 2, 1)), Dims((2, 1, 2))]:
         for r in enumerate_rank_arrays(dims):
             assert quiver_poly_ratio(r) == quiver_poly_pd(r)
@@ -176,32 +175,35 @@ def test_orbit_subwords_order_pinned():
     )
 
 
-def _subset_sum(subsets: list, weights: list, L: int) -> Poly:
+def _subset_sum(subsets: list, weights: list, L: int, skip: Poly) -> Poly:
     """The sum over the listed subsets J of the product of weights[j]
-    over j in J times h^(L - |J|), grouped by common prefixes: the
-    subsets starting with position f share the factor h^(f - start)
-    weights[f].  Nothing is merged that the subsets do not share."""
-    hbar = Poly.hbar()
+    over j in J times skip^(L - |J|), grouped by common prefixes: the
+    subsets starting with position f share the factor
+    skip^(f - start) weights[f].  Nothing is merged that the subsets do
+    not share."""
 
     def rec(suffixes: list, start: int) -> Poly:
         parts = []
         for f, group in groupby(sorted(suffixes), key=lambda J: J[0] if J else L):
             if f == L:
-                parts.append(hbar ** (L - start))
+                parts.append(skip ** (L - start))
             else:
                 rest = rec([J[1:] for J in group], f + 1)
-                parts.append(hbar ** (f - start) * weights[f] * rest)
+                parts.append(skip ** (f - start) * weights[f] * rest)
         return Poly.sum(parts)
 
     return rec(subsets, 0)
 
 
 def test_state_sum_matches_subset_sum():
-    """csm_pd and csm_ratio sum over (position, coset) states; the
-    reference lists the subsets with subword_subsets toward perm(r) and
-    weighs each one.  The positions every subset takes (the D_Hom cells
-    among them) weigh 1 in the sum and are multiplied in afterwards, for
-    pd as cell labels, for ratio by the Hom cancellation.  The cell
+    """All four subword formulas sum over states; the reference lists the
+    subsets with subword_subsets and weighs each one.  csm_pd and
+    csm_ratio: every subset toward perm(r), a skipped position weighing
+    h.  quiver_poly_pd and quiver_poly_ratio: the reduced subwords
+    toward {z(r)}, a skipped position weighing 1.  The positions every
+    subset takes (the D_Hom cells among them) weigh 1 in the sum and are
+    multiplied in afterwards, for pd as cell labels, for ratio by the
+    Hom cancellation; pd weighs a D_Hom cell by 1 throughout.  The cell
     labels are the roots, so one sum serves both.  Every orbit of
     sweep(6) and of dims (2,3,3)."""
     ranks = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
@@ -211,21 +213,39 @@ def test_state_sum_matches_subset_sum():
         dims = r.dims
         word = grid_word(dims)
         L = len(word.letters)
-        found = subword_subsets(word.letters, dims.d, frozenset(perm_set(r)), False)
-        subsets = [J for J, _ in found]
-        common = frozenset(subsets[0]).intersection(*subsets[1:])
-        assert regions(dims).dhom_cells <= {word.cells[j] for j in common}
+        dhom = regions(dims).dhom_cells
         bs = BlockStructure(dims)
         labels = [Poly.var_diff(bs.row_var(q), bs.col_var(p)) for q, p in word.cells]
         assert labels == roots(word)
-        rest = _subset_sum(subsets, [1 if j in common else w for j, w in enumerate(labels)], L)
-        pd_ref = rest
-        for j in sorted(common):
-            if word.cells[j] not in regions(dims).dhom_cells:
-                pd_ref = pd_ref * labels[j]
-        ratio_ref = _cancel_hom(dims, tuple(sorted(common)), rest)
-        assert format_poly(csm_pd(r)) == format_poly(pd_ref), r
-        assert format_poly(csm_ratio(r)) == format_poly(ratio_ref), r
-        # check() reports orbit_states(r).total as p_total
-        total = check(r).counts["p_total"] if n < small else orbit_states(Orbit(r)).total
-        assert total == len(subsets), r
+        report = check(r) if n < small else None
+        for reduced, skip in ((False, Poly.hbar()), (True, Poly.one())):
+            targets = [zelevinsky_permutation(r)] if reduced else perm_set(r)
+            found = subword_subsets(word.letters, dims.d, frozenset(targets), reduced)
+            subsets = [J for J, _ in found]
+            common = frozenset(subsets[0]).intersection(*subsets[1:])
+            assert dhom <= {word.cells[j] for j in common}
+            weights = [1 if j in common else w for j, w in enumerate(labels)]
+            rest = _subset_sum(subsets, weights, L, skip)
+            pd_ref = rest
+            for j in sorted(common):
+                if word.cells[j] not in dhom:
+                    pd_ref = pd_ref * labels[j]
+            ratio_ref = _cancel_hom(dims, tuple(sorted(common)), rest)
+            pd, ratio = (quiver_poly_pd, quiver_poly_ratio) if reduced else (csm_pd, csm_ratio)
+            assert format_poly(pd(r)) == format_poly(pd_ref), (r, reduced)
+            assert format_poly(ratio(r)) == format_poly(ratio_ref), (r, reduced)
+            # check() reports N(0, start) of the two state sets as rp_star
+            # and p_total
+            if report is not None:
+                total = report.counts["rp_star" if reduced else "p_total"]
+            else:
+                total = (orbit_reduced_states if reduced else orbit_states)(Orbit(r)).total
+            assert total == len(subsets), (r, reduced)
+
+
+def test_restrictions_reject_a_v_that_is_not_a_permutation():
+    word = generic_word((1, 2, 1), 3)
+    for v in [(1, 2), (1, 2, 3, 4), (2, 2, 3), (0, 1, 2)]:
+        for restriction in (ajs_billey, csm_restriction):
+            with pytest.raises(ValueError, match=r"v = .* d = 3"):
+                restriction(v, word)

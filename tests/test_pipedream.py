@@ -15,9 +15,8 @@ from qcalc.pipedream import (
     quiver_poly_pd,
     region_cells,
     trace,
-    weight,
 )
-from qcalc.poly import Poly, format_poly, xvar
+from qcalc.poly import Poly, xvar
 from qcalc.quiver import Dims, RankArray, hom_rank_array
 
 
@@ -85,15 +84,6 @@ def test_enumeration_traces_match():
         assert trace(dream) == v == z
 
 
-def test_weight_requires_strict_crosses():
-    dims = Dims((1, 2))
-    dream = PipeDream(dims, frozenset([(2, 1)]))  # on the block antidiagonal
-    with pytest.raises(RegionViolation):
-        weight(dream)
-    with pytest.raises(ValueError):
-        weight(PipeDream(dims, frozenset()), "banana")
-
-
 def test_csm_pd_121_hom():
     dims = Dims((1, 2, 1))
     a = Poly.var(xvar(0, 1))
@@ -154,263 +144,3 @@ def test_leading_hbar_recovers_quiver_poly():
             z = zelevinsky_permutation(r)
             csm = csm_pd(r)
             assert csm.hbar_coefficient(reg.L - length(z)) == quiver_poly_pd(r)
-
-
-def test_full_region_probe_runs():
-    dims = Dims((1, 1))
-    r = hom_rank_array(dims)
-    assert csm_pd(r, region="full") == csm_pd(r)
-
-
-# format_poly of csm_pd(r, region="full") on orbits where the probe
-# differs from the CSM class; pinned before the probe was folded into csm_pd
-FULL_REGION_PROBE = {
-    ((1, 3), 1): (
-        "3*x0_1^2*h - 3*x0_1*x1_1^2 + 6*x0_1*x1_1*x1_2 - 2*x0_1*x1_1*h"
-        " - 3*x0_1*x1_2^2 - 2*x0_1*x1_2*h - 2*x0_1*x1_3*h + 3*x0_1*h^2"
-        " + x1_1^3 - x1_1^2*x1_2 + x1_1^2*x1_3 - x1_1^2*h - x1_1*x1_2^2"
-        " - 2*x1_1*x1_2*x1_3 + 3*x1_1*x1_2*h + x1_1*x1_3*h - x1_1*h^2"
-        " + x1_2^3 + x1_2^2*x1_3 - x1_2^2*h + x1_2*x1_3*h - x1_2*h^2"
-        " - x1_3*h^2 + h^3"
-    ),
-    ((3, 2), 1): (
-        "-x0_1^4*x0_2^2 - 2*x0_1^4*x0_2*x0_3 + 2*x0_1^4*x0_2*x1_1"
-        " + 2*x0_1^4*x0_2*x1_2 - x0_1^4*x0_2*h - x0_1^4*x0_3^2"
-        " + 2*x0_1^4*x0_3*x1_1 + 2*x0_1^4*x0_3*x1_2 - x0_1^4*x0_3*h"
-        " - x0_1^4*x1_1^2 - 2*x0_1^4*x1_1*x1_2 + x0_1^4*x1_1*h"
-        " - x0_1^4*x1_2^2 + x0_1^4*x1_2*h + 2*x0_1^3*x0_2^3"
-        " + 2*x0_1^3*x0_2^2*x0_3 - 2*x0_1^3*x0_2^2*x1_1"
-        " - 2*x0_1^3*x0_2^2*x1_2 + x0_1^3*x0_2^2*h"
-        " + 2*x0_1^3*x0_2*x0_3*x1_1 + 2*x0_1^3*x0_2*x0_3*x1_2"
-        " - x0_1^3*x0_2*x1_1^2 - 4*x0_1^3*x0_2*x1_1*x1_2"
-        " + x0_1^3*x0_2*x1_1*h - x0_1^3*x0_2*x1_2^2 + x0_1^3*x0_2*x1_2*h"
-        " - x0_1^3*x0_2*h^2 + 2*x0_1^3*x0_3^2*x1_1 + 2*x0_1^3*x0_3^2*x1_2"
-        " - x0_1^3*x0_3^2*h - 3*x0_1^3*x0_3*x1_1^2"
-        " - 8*x0_1^3*x0_3*x1_1*x1_2 + 3*x0_1^3*x0_3*x1_1*h"
-        " - 3*x0_1^3*x0_3*x1_2^2 + 3*x0_1^3*x0_3*x1_2*h - x0_1^3*x0_3*h^2"
-        " + x0_1^3*x1_1^3 + 5*x0_1^3*x1_1^2*x1_2 - 2*x0_1^3*x1_1^2*h"
-        " + 5*x0_1^3*x1_1*x1_2^2 - 4*x0_1^3*x1_1*x1_2*h + x0_1^3*x1_1*h^2"
-        " + x0_1^3*x1_2^3 - 2*x0_1^3*x1_2^2*h + x0_1^3*x1_2*h^2"
-        " - x0_1^2*x0_2^4 + 2*x0_1^2*x0_2^3*x0_3 - 2*x0_1^2*x0_2^3*x1_1"
-        " - 2*x0_1^2*x0_2^3*x1_2 + x0_1^2*x0_2^3*h + 2*x0_1^2*x0_2^2*x0_3^2"
-        " - 8*x0_1^2*x0_2^2*x0_3*x1_1 - 8*x0_1^2*x0_2^2*x0_3*x1_2"
-        " + 4*x0_1^2*x0_2^2*x0_3*h + 4*x0_1^2*x0_2^2*x1_1^2"
-        " + 12*x0_1^2*x0_2^2*x1_1*x1_2 - 5*x0_1^2*x0_2^2*x1_1*h"
-        " + 4*x0_1^2*x0_2^2*x1_2^2 - 5*x0_1^2*x0_2^2*x1_2*h"
-        " + 3*x0_1^2*x0_2^2*h^2 - 2*x0_1^2*x0_2*x0_3^2*x1_1"
-        " - 2*x0_1^2*x0_2*x0_3^2*x1_2 + 3*x0_1^2*x0_2*x0_3^2*h"
-        " + 3*x0_1^2*x0_2*x0_3*x1_1^2 + 8*x0_1^2*x0_2*x0_3*x1_1*x1_2"
-        " - 7*x0_1^2*x0_2*x0_3*x1_1*h + 3*x0_1^2*x0_2*x0_3*x1_2^2"
-        " - 7*x0_1^2*x0_2*x0_3*x1_2*h + 3*x0_1^2*x0_2*x0_3*h^2"
-        " - x0_1^2*x0_2*x1_1^3 - 5*x0_1^2*x0_2*x1_1^2*x1_2"
-        " + 3*x0_1^2*x0_2*x1_1^2*h - 5*x0_1^2*x0_2*x1_1*x1_2^2"
-        " + 8*x0_1^2*x0_2*x1_1*x1_2*h - 3*x0_1^2*x0_2*x1_1*h^2"
-        " - x0_1^2*x0_2*x1_2^3 + 3*x0_1^2*x0_2*x1_2^2*h"
-        " - 3*x0_1^2*x0_2*x1_2*h^2 + x0_1^2*x0_2*h^3 - x0_1^2*x0_3^2*x1_1^2"
-        " - 2*x0_1^2*x0_3^2*x1_1*x1_2 - x0_1^2*x0_3^2*x1_2^2"
-        " + x0_1^2*x0_3^2*h^2 + x0_1^2*x0_3*x1_1^3"
-        " + 5*x0_1^2*x0_3*x1_1^2*x1_2 - x0_1^2*x0_3*x1_1^2*h"
-        " + 5*x0_1^2*x0_3*x1_1*x1_2^2 - x0_1^2*x0_3*x1_1*h^2"
-        " + x0_1^2*x0_3*x1_2^3 - x0_1^2*x0_3*x1_2^2*h"
-        " - x0_1^2*x0_3*x1_2*h^2 + x0_1^2*x0_3*h^3 - 3*x0_1^2*x1_1^3*x1_2"
-        " + x0_1^2*x1_1^3*h - 3*x0_1^2*x1_1^2*x1_2^2 + x0_1^2*x1_1^2*x1_2*h"
-        " - 3*x0_1^2*x1_1*x1_2^3 + x0_1^2*x1_1*x1_2^2*h"
-        " + x0_1^2*x1_1*x1_2*h^2 - x0_1^2*x1_1*h^3 + x0_1^2*x1_2^3*h"
-        " - x0_1^2*x1_2*h^3 - 2*x0_1*x0_2^4*x0_3 + 2*x0_1*x0_2^4*x1_1"
-        " + 2*x0_1*x0_2^4*x1_2 - x0_1*x0_2^4*h + 2*x0_1*x0_2^3*x0_3*x1_1"
-        " + 2*x0_1*x0_2^3*x0_3*x1_2 - x0_1*x0_2^3*x1_1^2"
-        " - 4*x0_1*x0_2^3*x1_1*x1_2 + x0_1*x0_2^3*x1_1*h"
-        " - x0_1*x0_2^3*x1_2^2 + x0_1*x0_2^3*x1_2*h - x0_1*x0_2^3*h^2"
-        " - 2*x0_1*x0_2^2*x0_3^2*x1_1 - 2*x0_1*x0_2^2*x0_3^2*x1_2"
-        " + 3*x0_1*x0_2^2*x0_3^2*h + 3*x0_1*x0_2^2*x0_3*x1_1^2"
-        " + 8*x0_1*x0_2^2*x0_3*x1_1*x1_2 - 7*x0_1*x0_2^2*x0_3*x1_1*h"
-        " + 3*x0_1*x0_2^2*x0_3*x1_2^2 - 7*x0_1*x0_2^2*x0_3*x1_2*h"
-        " + 3*x0_1*x0_2^2*x0_3*h^2 - x0_1*x0_2^2*x1_1^3"
-        " - 5*x0_1*x0_2^2*x1_1^2*x1_2 + 3*x0_1*x0_2^2*x1_1^2*h"
-        " - 5*x0_1*x0_2^2*x1_1*x1_2^2 + 8*x0_1*x0_2^2*x1_1*x1_2*h"
-        " - 3*x0_1*x0_2^2*x1_1*h^2 - x0_1*x0_2^2*x1_2^3"
-        " + 3*x0_1*x0_2^2*x1_2^2*h - 3*x0_1*x0_2^2*x1_2*h^2"
-        " + x0_1*x0_2^2*h^3 + 2*x0_1*x0_2*x0_3^2*x1_1^2"
-        " + 4*x0_1*x0_2*x0_3^2*x1_1*x1_2 - 6*x0_1*x0_2*x0_3^2*x1_1*h"
-        " + 2*x0_1*x0_2*x0_3^2*x1_2^2 - 6*x0_1*x0_2*x0_3^2*x1_2*h"
-        " + 2*x0_1*x0_2*x0_3^2*h^2 - 2*x0_1*x0_2*x0_3*x1_1^3"
-        " - 10*x0_1*x0_2*x0_3*x1_1^2*x1_2 + 10*x0_1*x0_2*x0_3*x1_1^2*h"
-        " - 10*x0_1*x0_2*x0_3*x1_1*x1_2^2 + 20*x0_1*x0_2*x0_3*x1_1*x1_2*h"
-        " - 8*x0_1*x0_2*x0_3*x1_1*h^2 - 2*x0_1*x0_2*x0_3*x1_2^3"
-        " + 10*x0_1*x0_2*x0_3*x1_2^2*h - 8*x0_1*x0_2*x0_3*x1_2*h^2"
-        " + 2*x0_1*x0_2*x0_3*h^3 + 6*x0_1*x0_2*x1_1^3*x1_2"
-        " - 3*x0_1*x0_2*x1_1^3*h + 6*x0_1*x0_2*x1_1^2*x1_2^2"
-        " - 13*x0_1*x0_2*x1_1^2*x1_2*h + 5*x0_1*x0_2*x1_1^2*h^2"
-        " + 6*x0_1*x0_2*x1_1*x1_2^3 - 13*x0_1*x0_2*x1_1*x1_2^2*h"
-        " + 10*x0_1*x0_2*x1_1*x1_2*h^2 - 3*x0_1*x0_2*x1_1*h^3"
-        " - 3*x0_1*x0_2*x1_2^3*h + 5*x0_1*x0_2*x1_2^2*h^2"
-        " - 3*x0_1*x0_2*x1_2*h^3 + x0_1*x0_2*h^4 + x0_1*x0_3^2*x1_1^2*h"
-        " + 4*x0_1*x0_3^2*x1_1*x1_2*h - 2*x0_1*x0_3^2*x1_1*h^2"
-        " + x0_1*x0_3^2*x1_2^2*h - 2*x0_1*x0_3^2*x1_2*h^2 + x0_1*x0_3^2*h^3"
-        " - x0_1*x0_3*x1_1^3*h - 7*x0_1*x0_3*x1_1^2*x1_2*h"
-        " + 3*x0_1*x0_3*x1_1^2*h^2 - 7*x0_1*x0_3*x1_1*x1_2^2*h"
-        " + 8*x0_1*x0_3*x1_1*x1_2*h^2 - 3*x0_1*x0_3*x1_1*h^3"
-        " - x0_1*x0_3*x1_2^3*h + 3*x0_1*x0_3*x1_2^2*h^2"
-        " - 3*x0_1*x0_3*x1_2*h^3 + x0_1*x0_3*h^4 + 2*x0_1*x1_1^3*x1_2*h"
-        " - x0_1*x1_1^3*h^2 + 6*x0_1*x1_1^2*x1_2^2*h"
-        " - 5*x0_1*x1_1^2*x1_2*h^2 + 2*x0_1*x1_1^2*h^3"
-        " + 2*x0_1*x1_1*x1_2^3*h - 5*x0_1*x1_1*x1_2^2*h^2"
-        " + 4*x0_1*x1_1*x1_2*h^3 - x0_1*x1_1*h^4 - x0_1*x1_2^3*h^2"
-        " + 2*x0_1*x1_2^2*h^3 - x0_1*x1_2*h^4 - x0_2^4*x0_3^2"
-        " + 2*x0_2^4*x0_3*x1_1 + 2*x0_2^4*x0_3*x1_2 - x0_2^4*x0_3*h"
-        " - x0_2^4*x1_1^2 - 2*x0_2^4*x1_1*x1_2 + x0_2^4*x1_1*h"
-        " - x0_2^4*x1_2^2 + x0_2^4*x1_2*h + 2*x0_2^3*x0_3^2*x1_1"
-        " + 2*x0_2^3*x0_3^2*x1_2 - x0_2^3*x0_3^2*h - 3*x0_2^3*x0_3*x1_1^2"
-        " - 8*x0_2^3*x0_3*x1_1*x1_2 + 3*x0_2^3*x0_3*x1_1*h"
-        " - 3*x0_2^3*x0_3*x1_2^2 + 3*x0_2^3*x0_3*x1_2*h - x0_2^3*x0_3*h^2"
-        " + x0_2^3*x1_1^3 + 5*x0_2^3*x1_1^2*x1_2 - 2*x0_2^3*x1_1^2*h"
-        " + 5*x0_2^3*x1_1*x1_2^2 - 4*x0_2^3*x1_1*x1_2*h + x0_2^3*x1_1*h^2"
-        " + x0_2^3*x1_2^3 - 2*x0_2^3*x1_2^2*h + x0_2^3*x1_2*h^2"
-        " - x0_2^2*x0_3^2*x1_1^2 - 2*x0_2^2*x0_3^2*x1_1*x1_2"
-        " - x0_2^2*x0_3^2*x1_2^2 + x0_2^2*x0_3^2*h^2 + x0_2^2*x0_3*x1_1^3"
-        " + 5*x0_2^2*x0_3*x1_1^2*x1_2 - x0_2^2*x0_3*x1_1^2*h"
-        " + 5*x0_2^2*x0_3*x1_1*x1_2^2 - x0_2^2*x0_3*x1_1*h^2"
-        " + x0_2^2*x0_3*x1_2^3 - x0_2^2*x0_3*x1_2^2*h"
-        " - x0_2^2*x0_3*x1_2*h^2 + x0_2^2*x0_3*h^3 - 3*x0_2^2*x1_1^3*x1_2"
-        " + x0_2^2*x1_1^3*h - 3*x0_2^2*x1_1^2*x1_2^2 + x0_2^2*x1_1^2*x1_2*h"
-        " - 3*x0_2^2*x1_1*x1_2^3 + x0_2^2*x1_1*x1_2^2*h"
-        " + x0_2^2*x1_1*x1_2*h^2 - x0_2^2*x1_1*h^3 + x0_2^2*x1_2^3*h"
-        " - x0_2^2*x1_2*h^3 + x0_2*x0_3^2*x1_1^2*h"
-        " + 4*x0_2*x0_3^2*x1_1*x1_2*h - 2*x0_2*x0_3^2*x1_1*h^2"
-        " + x0_2*x0_3^2*x1_2^2*h - 2*x0_2*x0_3^2*x1_2*h^2 + x0_2*x0_3^2*h^3"
-        " - x0_2*x0_3*x1_1^3*h - 7*x0_2*x0_3*x1_1^2*x1_2*h"
-        " + 3*x0_2*x0_3*x1_1^2*h^2 - 7*x0_2*x0_3*x1_1*x1_2^2*h"
-        " + 8*x0_2*x0_3*x1_1*x1_2*h^2 - 3*x0_2*x0_3*x1_1*h^3"
-        " - x0_2*x0_3*x1_2^3*h + 3*x0_2*x0_3*x1_2^2*h^2"
-        " - 3*x0_2*x0_3*x1_2*h^3 + x0_2*x0_3*h^4 + 2*x0_2*x1_1^3*x1_2*h"
-        " - x0_2*x1_1^3*h^2 + 6*x0_2*x1_1^2*x1_2^2*h"
-        " - 5*x0_2*x1_1^2*x1_2*h^2 + 2*x0_2*x1_1^2*h^3"
-        " + 2*x0_2*x1_1*x1_2^3*h - 5*x0_2*x1_1*x1_2^2*h^2"
-        " + 4*x0_2*x1_1*x1_2*h^3 - x0_2*x1_1*h^4 - x0_2*x1_2^3*h^2"
-        " + 2*x0_2*x1_2^2*h^3 - x0_2*x1_2*h^4 - 2*x0_3^2*x1_1^2*x1_2*h"
-        " + x0_3^2*x1_1^2*h^2 - 2*x0_3^2*x1_1*x1_2^2*h"
-        " + 2*x0_3^2*x1_1*x1_2*h^2 - x0_3^2*x1_1*h^3 + x0_3^2*x1_2^2*h^2"
-        " - x0_3^2*x1_2*h^3 + 2*x0_3*x1_1^3*x1_2*h - x0_3*x1_1^3*h^2"
-        " + 6*x0_3*x1_1^2*x1_2^2*h - 5*x0_3*x1_1^2*x1_2*h^2"
-        " + 2*x0_3*x1_1^2*h^3 + 2*x0_3*x1_1*x1_2^3*h"
-        " - 5*x0_3*x1_1*x1_2^2*h^2 + 4*x0_3*x1_1*x1_2*h^3 - x0_3*x1_1*h^4"
-        " - x0_3*x1_2^3*h^2 + 2*x0_3*x1_2^2*h^3 - x0_3*x1_2*h^4"
-        " - 3*x1_1^3*x1_2^2*h + 3*x1_1^3*x1_2*h^2 - x1_1^3*h^3"
-        " - 3*x1_1^2*x1_2^3*h + 3*x1_1^2*x1_2^2*h^2 - 3*x1_1^2*x1_2*h^3"
-        " + x1_1^2*h^4 + 3*x1_1*x1_2^3*h^2 - 3*x1_1*x1_2^2*h^3"
-        " + x1_1*x1_2*h^4 - x1_2^3*h^3 + x1_2^2*h^4"
-    ),
-    ((3, 2), 2): (
-        "-2*x0_1^4*x0_2*x0_3 + x0_1^4*x0_2*x1_1 + x0_1^4*x0_2*x1_2"
-        " - x0_1^4*x0_2*h + x0_1^4*x0_3*x1_1 + x0_1^4*x0_3*x1_2"
-        " - x0_1^4*x0_3*h - 2*x0_1^4*x1_1*x1_2 + x0_1^4*x1_1*h"
-        " + x0_1^4*x1_2*h - x0_1^4*h^2 + 2*x0_1^3*x0_2^2*x0_3"
-        " - x0_1^3*x0_2^2*x1_1 - x0_1^3*x0_2^2*x1_2 + x0_1^3*x0_2^2*h"
-        " - 2*x0_1^3*x0_2*x0_3^2 + 4*x0_1^3*x0_2*x0_3*x1_1"
-        " + 4*x0_1^3*x0_2*x0_3*x1_2 - 4*x0_1^3*x0_2*x0_3*h"
-        " - 2*x0_1^3*x0_2*x1_1^2 - 2*x0_1^3*x0_2*x1_1*x1_2"
-        " + 3*x0_1^3*x0_2*x1_1*h - 2*x0_1^3*x0_2*x1_2^2"
-        " + 3*x0_1^3*x0_2*x1_2*h - x0_1^3*x0_2*h^2 + x0_1^3*x0_3^2*x1_1"
-        " + x0_1^3*x0_3^2*x1_2 - x0_1^3*x0_3^2*h - 2*x0_1^3*x0_3*x1_1^2"
-        " - 6*x0_1^3*x0_3*x1_1*x1_2 + 5*x0_1^3*x0_3*x1_1*h"
-        " - 2*x0_1^3*x0_3*x1_2^2 + 5*x0_1^3*x0_3*x1_2*h - 3*x0_1^3*x0_3*h^2"
-        " + 4*x0_1^3*x1_1^2*x1_2 - 2*x0_1^3*x1_1^2*h + 4*x0_1^3*x1_1*x1_2^2"
-        " - 8*x0_1^3*x1_1*x1_2*h + 4*x0_1^3*x1_1*h^2 - 2*x0_1^3*x1_2^2*h"
-        " + 4*x0_1^3*x1_2*h^2 - 2*x0_1^3*h^3 + 2*x0_1^2*x0_2^3*x0_3"
-        " - x0_1^2*x0_2^3*x1_1 - x0_1^2*x0_2^3*x1_2 + x0_1^2*x0_2^3*h"
-        " + 4*x0_1^2*x0_2^2*x0_3^2 - 10*x0_1^2*x0_2^2*x0_3*x1_1"
-        " - 10*x0_1^2*x0_2^2*x0_3*x1_2 + 10*x0_1^2*x0_2^2*x0_3*h"
-        " + 4*x0_1^2*x0_2^2*x1_1^2 + 8*x0_1^2*x0_2^2*x1_1*x1_2"
-        " - 8*x0_1^2*x0_2^2*x1_1*h + 4*x0_1^2*x0_2^2*x1_2^2"
-        " - 8*x0_1^2*x0_2^2*x1_2*h + 4*x0_1^2*x0_2^2*h^2"
-        " - x0_1^2*x0_2*x0_3^2*x1_1 - x0_1^2*x0_2*x0_3^2*x1_2"
-        " + x0_1^2*x0_2*x0_3^2*h + 2*x0_1^2*x0_2*x0_3*x1_1^2"
-        " + 6*x0_1^2*x0_2*x0_3*x1_1*x1_2 - 5*x0_1^2*x0_2*x0_3*x1_1*h"
-        " + 2*x0_1^2*x0_2*x0_3*x1_2^2 - 5*x0_1^2*x0_2*x0_3*x1_2*h"
-        " + 5*x0_1^2*x0_2*x0_3*h^2 - 4*x0_1^2*x0_2*x1_1^2*x1_2"
-        " + 2*x0_1^2*x0_2*x1_1^2*h - 4*x0_1^2*x0_2*x1_1*x1_2^2"
-        " + 8*x0_1^2*x0_2*x1_1*x1_2*h - 5*x0_1^2*x0_2*x1_1*h^2"
-        " + 2*x0_1^2*x0_2*x1_2^2*h - 5*x0_1^2*x0_2*x1_2*h^2"
-        " + 3*x0_1^2*x0_2*h^3 - 2*x0_1^2*x0_3^2*x1_1*x1_2"
-        " + x0_1^2*x0_3^2*x1_1*h + x0_1^2*x0_3^2*x1_2*h - x0_1^2*x0_3^2*h^2"
-        " + 4*x0_1^2*x0_3*x1_1^2*x1_2 - 2*x0_1^2*x0_3*x1_1^2*h"
-        " + 4*x0_1^2*x0_3*x1_1*x1_2^2 - 8*x0_1^2*x0_3*x1_1*x1_2*h"
-        " + 3*x0_1^2*x0_3*x1_1*h^2 - 2*x0_1^2*x0_3*x1_2^2*h"
-        " + 3*x0_1^2*x0_3*x1_2*h^2 - x0_1^2*x0_3*h^3"
-        " - 6*x0_1^2*x1_1^2*x1_2^2 + 6*x0_1^2*x1_1^2*x1_2*h"
-        " - 2*x0_1^2*x1_1^2*h^2 + 6*x0_1^2*x1_1*x1_2^2*h"
-        " - 6*x0_1^2*x1_1*x1_2*h^2 + 2*x0_1^2*x1_1*h^3"
-        " - 2*x0_1^2*x1_2^2*h^2 + 2*x0_1^2*x1_2*h^3 - 2*x0_1*x0_2^4*x0_3"
-        " + x0_1*x0_2^4*x1_1 + x0_1*x0_2^4*x1_2 - x0_1*x0_2^4*h"
-        " - 2*x0_1*x0_2^3*x0_3^2 + 4*x0_1*x0_2^3*x0_3*x1_1"
-        " + 4*x0_1*x0_2^3*x0_3*x1_2 - 4*x0_1*x0_2^3*x0_3*h"
-        " - 2*x0_1*x0_2^3*x1_1^2 - 2*x0_1*x0_2^3*x1_1*x1_2"
-        " + 3*x0_1*x0_2^3*x1_1*h - 2*x0_1*x0_2^3*x1_2^2"
-        " + 3*x0_1*x0_2^3*x1_2*h - x0_1*x0_2^3*h^2"
-        " - x0_1*x0_2^2*x0_3^2*x1_1 - x0_1*x0_2^2*x0_3^2*x1_2"
-        " + x0_1*x0_2^2*x0_3^2*h + 2*x0_1*x0_2^2*x0_3*x1_1^2"
-        " + 6*x0_1*x0_2^2*x0_3*x1_1*x1_2 - 5*x0_1*x0_2^2*x0_3*x1_1*h"
-        " + 2*x0_1*x0_2^2*x0_3*x1_2^2 - 5*x0_1*x0_2^2*x0_3*x1_2*h"
-        " + 5*x0_1*x0_2^2*x0_3*h^2 - 4*x0_1*x0_2^2*x1_1^2*x1_2"
-        " + 2*x0_1*x0_2^2*x1_1^2*h - 4*x0_1*x0_2^2*x1_1*x1_2^2"
-        " + 8*x0_1*x0_2^2*x1_1*x1_2*h - 5*x0_1*x0_2^2*x1_1*h^2"
-        " + 2*x0_1*x0_2^2*x1_2^2*h - 5*x0_1*x0_2^2*x1_2*h^2"
-        " + 3*x0_1*x0_2^2*h^3 + 4*x0_1*x0_2*x0_3^2*x1_1*x1_2"
-        " - 2*x0_1*x0_2*x0_3^2*x1_1*h - 2*x0_1*x0_2*x0_3^2*x1_2*h"
-        " + 4*x0_1*x0_2*x0_3^2*h^2 - 8*x0_1*x0_2*x0_3*x1_1^2*x1_2"
-        " + 4*x0_1*x0_2*x0_3*x1_1^2*h - 8*x0_1*x0_2*x0_3*x1_1*x1_2^2"
-        " + 16*x0_1*x0_2*x0_3*x1_1*x1_2*h - 14*x0_1*x0_2*x0_3*x1_1*h^2"
-        " + 4*x0_1*x0_2*x0_3*x1_2^2*h - 14*x0_1*x0_2*x0_3*x1_2*h^2"
-        " + 10*x0_1*x0_2*x0_3*h^3 + 12*x0_1*x0_2*x1_1^2*x1_2^2"
-        " - 12*x0_1*x0_2*x1_1^2*x1_2*h + 6*x0_1*x0_2*x1_1^2*h^2"
-        " - 12*x0_1*x0_2*x1_1*x1_2^2*h + 22*x0_1*x0_2*x1_1*x1_2*h^2"
-        " - 11*x0_1*x0_2*x1_1*h^3 + 6*x0_1*x0_2*x1_2^2*h^2"
-        " - 11*x0_1*x0_2*x1_2*h^3 + 5*x0_1*x0_2*h^4 - x0_1*x0_3^2*x1_1*h^2"
-        " - x0_1*x0_3^2*x1_2*h^2 + x0_1*x0_3^2*h^3 + 2*x0_1*x0_3*x1_1^2*h^2"
-        " + 6*x0_1*x0_3*x1_1*x1_2*h^2 - 5*x0_1*x0_3*x1_1*h^3"
-        " + 2*x0_1*x0_3*x1_2^2*h^2 - 5*x0_1*x0_3*x1_2*h^3 + 3*x0_1*x0_3*h^4"
-        " - 4*x0_1*x1_1^2*x1_2*h^2 + 2*x0_1*x1_1^2*h^3"
-        " - 4*x0_1*x1_1*x1_2^2*h^2 + 8*x0_1*x1_1*x1_2*h^3 - 4*x0_1*x1_1*h^4"
-        " + 2*x0_1*x1_2^2*h^3 - 4*x0_1*x1_2*h^4 + 2*x0_1*h^5"
-        " + x0_2^4*x0_3*x1_1 + x0_2^4*x0_3*x1_2 - x0_2^4*x0_3*h"
-        " - 2*x0_2^4*x1_1*x1_2 + x0_2^4*x1_1*h + x0_2^4*x1_2*h - x0_2^4*h^2"
-        " + x0_2^3*x0_3^2*x1_1 + x0_2^3*x0_3^2*x1_2 - x0_2^3*x0_3^2*h"
-        " - 2*x0_2^3*x0_3*x1_1^2 - 6*x0_2^3*x0_3*x1_1*x1_2"
-        " + 5*x0_2^3*x0_3*x1_1*h - 2*x0_2^3*x0_3*x1_2^2"
-        " + 5*x0_2^3*x0_3*x1_2*h - 3*x0_2^3*x0_3*h^2 + 4*x0_2^3*x1_1^2*x1_2"
-        " - 2*x0_2^3*x1_1^2*h + 4*x0_2^3*x1_1*x1_2^2 - 8*x0_2^3*x1_1*x1_2*h"
-        " + 4*x0_2^3*x1_1*h^2 - 2*x0_2^3*x1_2^2*h + 4*x0_2^3*x1_2*h^2"
-        " - 2*x0_2^3*h^3 - 2*x0_2^2*x0_3^2*x1_1*x1_2 + x0_2^2*x0_3^2*x1_1*h"
-        " + x0_2^2*x0_3^2*x1_2*h - x0_2^2*x0_3^2*h^2"
-        " + 4*x0_2^2*x0_3*x1_1^2*x1_2 - 2*x0_2^2*x0_3*x1_1^2*h"
-        " + 4*x0_2^2*x0_3*x1_1*x1_2^2 - 8*x0_2^2*x0_3*x1_1*x1_2*h"
-        " + 3*x0_2^2*x0_3*x1_1*h^2 - 2*x0_2^2*x0_3*x1_2^2*h"
-        " + 3*x0_2^2*x0_3*x1_2*h^2 - x0_2^2*x0_3*h^3"
-        " - 6*x0_2^2*x1_1^2*x1_2^2 + 6*x0_2^2*x1_1^2*x1_2*h"
-        " - 2*x0_2^2*x1_1^2*h^2 + 6*x0_2^2*x1_1*x1_2^2*h"
-        " - 6*x0_2^2*x1_1*x1_2*h^2 + 2*x0_2^2*x1_1*h^3"
-        " - 2*x0_2^2*x1_2^2*h^2 + 2*x0_2^2*x1_2*h^3 - x0_2*x0_3^2*x1_1*h^2"
-        " - x0_2*x0_3^2*x1_2*h^2 + x0_2*x0_3^2*h^3 + 2*x0_2*x0_3*x1_1^2*h^2"
-        " + 6*x0_2*x0_3*x1_1*x1_2*h^2 - 5*x0_2*x0_3*x1_1*h^3"
-        " + 2*x0_2*x0_3*x1_2^2*h^2 - 5*x0_2*x0_3*x1_2*h^3 + 3*x0_2*x0_3*h^4"
-        " - 4*x0_2*x1_1^2*x1_2*h^2 + 2*x0_2*x1_1^2*h^3"
-        " - 4*x0_2*x1_1*x1_2^2*h^2 + 8*x0_2*x1_1*x1_2*h^3 - 4*x0_2*x1_1*h^4"
-        " + 2*x0_2*x1_2^2*h^3 - 4*x0_2*x1_2*h^4 + 2*x0_2*h^5"
-        " + 2*x0_3^2*x1_1*x1_2*h^2 - x0_3^2*x1_1*h^3 - x0_3^2*x1_2*h^3"
-        " + x0_3^2*h^4 - 4*x0_3*x1_1^2*x1_2*h^2 + 2*x0_3*x1_1^2*h^3"
-        " - 4*x0_3*x1_1*x1_2^2*h^2 + 8*x0_3*x1_1*x1_2*h^3 - 4*x0_3*x1_1*h^4"
-        " + 2*x0_3*x1_2^2*h^3 - 4*x0_3*x1_2*h^4 + 2*x0_3*h^5"
-        " + 6*x1_1^2*x1_2^2*h^2 - 6*x1_1^2*x1_2*h^3 + 2*x1_1^2*h^4"
-        " - 6*x1_1*x1_2^2*h^3 + 8*x1_1*x1_2*h^4 - 3*x1_1*h^5 + 2*x1_2^2*h^4"
-        " - 3*x1_2*h^5 + h^6"
-    ),
-}
-
-
-@pytest.mark.parametrize("key", sorted(FULL_REGION_PROBE))
-def test_full_region_probe_pinned(key):
-    dims, r01 = key
-    r = RankArray(Dims(dims), {(0, 1): r01})
-    probe = csm_pd(r, region="full")
-    assert format_poly(probe) == FULL_REGION_PROBE[key]
-    assert probe != csm_pd(r)
