@@ -103,7 +103,7 @@ class PipePath:
 
 @dataclass(frozen=True)
 class CGPD:
-    """Tile grids only; pipes and colors are always re-derived."""
+    """Tile grids only; each pipe and its color are always re-derived."""
 
     dims: Dims
     grids: tuple[tuple[tuple[str, ...], ...], ...]
@@ -145,71 +145,72 @@ class CGPD:
 def _route(
     dims: Dims, want: dict[tuple[int, int], int] | None = None, held: CGPD | None = None
 ):
-    """Lay tiles and route pipes in one depth-first pass.
+    """Lay tiles and route colored pipes in one depth-first pass.
 
     Rectangles are tiled in order, each top to bottom and east to west,
     so the pipes arriving at a cell from the east and the north are
     known when it is reached; only the tiles whose edges take exactly
-    those strands are tried, and each pipe follows _STEP.  A pipe ends
-    when it leaves a west edge, or in rectangle n when it leaves the
-    last tiled rectangle southward (rectangle n's other rows start
-    pipes that end at once).
+    those strands are tried, and each pipe follows _STEP.  A row of
+    rectangle i not fed from above starts a pipe, whose color c >= i is
+    chosen there: with want (lace counts by interval) from the laces
+    (i, c) still owed, without it freely.  A branch stops when a pipe of
+    color c leaves rectangle i westward with c != i, or southward out of
+    its last row with c == i, so every pipe ends in the rectangle of its
+    color (rectangle n, untiled, takes only color n).  With want a
+    crossing of two pipes of one color stops the branch where it is laid.
+    With held every cell is held to that diagram's tile, and a tile that
+    does not take the arriving strands raises EdgeMismatch or NorthLeak.
 
-    With want (lace counts by interval) a branch stops as soon as a lace
-    is used more often than want allows, or a rectangle closes while a
-    lace ending in it is still owed.  With held every cell is held to
-    that diagram's tile, and a tile that does not take the arriving
-    strands raises EdgeMismatch or NorthLeak.
+    A completed diagram realizes want exactly: used counts the pipes by
+    (start, end), and each row of rectangle i carries one pipe, which
+    enters i only there, so sum over p <= i <= q of used[p, q] is r_i, as
+    for want (the row sums of a lace array).  Summing over i gives
+    sum (q - p + 1) used[p, q] = sum (q - p + 1) want[p, q], and
+    used <= want entrywise forces used == want.
 
-    Yields (grids, pipes, colors) per routed diagram: grids are live
-    lists that the next step overwrites, pipes lists (start, end) per
-    pipe, and colors maps each cell where two pipes meet (codes + and b)
-    to the colors of the pipes arriving from the east and from the north.
+    With held, the tiles fix the paths, so branches differ only in the
+    color of each pipe, and exactly one completes: the rectangle a pipe
+    ends in, as its color, hits no exit (held mode lets crossings pass);
+    any other c leaves rectangle c southward or the end westward.  Faults
+    do not depend on color; the branch coloring each pipe not yet ended n
+    reaches the first in laying order, which is the one raised.
+
+    Yields (grids, pipes, same) per routed diagram: grids are live lists
+    that the next step overwrites, pipes lists (start, color) per pipe,
+    and same lists, in laying order, the cells where two pipes of one
+    color meet (codes + and b).
     """
     n, r = dims.n, dims.r
     grids = [[[""] * r[i + 1] for _ in range(r[i])] for i in range(n)]
     # south[i][j][k]: the pipe leaving cell (j, k) of rectangle i southward;
     # row 0 is the closed north edge
     south = [[[None] * (r[i + 1] + 1) for _ in range(r[i] + 1)] for i in range(n)]
-    start: list[int] = []
-    end: list[int] = []
+    pipes: list[tuple[int, int]] = []
     used = dict.fromkeys(dims.pairs(), 0)
-    meets: list[tuple[tuple[int, int, int], int, int]] = []  # (cell, pipe from E, pipe from N)
-
-    def finish(pipe: int, i: int, then):
-        """Pipe ends in rectangle i; go on unless its lace is overused."""
-        lace = (start[pipe], i)
-        end[pipe] = i
-        used[lace] += 1
-        if want is None or used[lace] <= want[lace]:
-            yield from then
-        used[lace] -= 1
+    same: list[tuple[int, int, int]] = []
 
     def row(i: int, j: int):
         """Row j of rectangle i, whose pipe enters from the east; past the
         last row, rectangle i closes.  Rectangle n has rows but no tiles."""
         if j > r[i]:
-            if want is not None and any(used[p, i] != want[p, i] for p in range(i + 1)):
-                return
             if i < n:
                 yield from row(i + 1, 1)
             else:
-                colors = {cell: (end[east], end[north]) for cell, east, north in meets}
-                yield grids, list(zip(start, end)), colors
+                yield grids, pipes, same
             return
         pipe = south[i - 1][-1][j] if i else None
-        fresh = pipe is None
-        if fresh:
-            pipe = len(start)
-            start.append(i)
-            end.append(i)
-        if i < n:
-            yield from lay(i, j, r[i + 1], pipe)
-        else:
-            yield from finish(pipe, n, row(n, j + 1))
-        if fresh:
-            start.pop()
-            end.pop()
+        if pipe is not None:
+            yield from enter(i, j, pipe)
+            return
+        for lace in [(i, c) for c in range(i, n + 1) if want is None or used[i, c] < want[i, c]]:
+            used[lace] += 1
+            pipes.append(lace)
+            yield from enter(i, j, len(pipes) - 1)
+            pipes.pop()
+            used[lace] -= 1
+
+    def enter(i: int, j: int, pipe: int):
+        return lay(i, j, r[i + 1], pipe) if i < n else row(n, j + 1)
 
     def lay(i: int, j: int, k: int, east: int | None):
         north = south[i][j - 1][k]
@@ -227,7 +228,6 @@ def _route(
                 raise EdgeMismatch(i, j - 1, k, "south neighbor disagrees")
             codes = (code,)
         for code in codes:
-            grids[i][j - 1][k - 1] = code
             west = down = None
             for came, pipe in (("E", east), ("N", north)):
                 if pipe is not None:
@@ -235,37 +235,32 @@ def _route(
                         west = pipe
                     else:
                         down = pipe
+            one = west is not None and down is not None and pipes[west][1] == pipes[down][1]
+            if (
+                one and code == "+" and want is not None
+                or k == 1 and west is not None and pipes[west][1] != i
+                or j == r[i] and down is not None and pipes[down][1] == i
+            ):
+                continue
+            grids[i][j - 1][k - 1] = code
             south[i][j][k] = down
-            if down is not None and west is not None:
-                meets.append(((i, j, k), east, north))
-            if k > 1:
-                yield from lay(i, j, k - 1, west)
-            elif west is None:
-                yield from row(i, j + 1)
-            else:
-                yield from finish(west, i, row(i, j + 1))
-            if down is not None and west is not None:
-                meets.pop()
+            if one:
+                same.append((i, j, k))
+            yield from lay(i, j, k - 1, west) if k > 1 else row(i, j + 1)
+            if one:
+                same.pop()
 
     yield from row(0, 1)
 
 
-def _same_color_cross(grids, colors) -> tuple[int, int, int] | None:
-    """The first crossing tile whose two pipes end in the same rectangle."""
-    for (i, j, k), (east, north) in colors.items():
-        if east == north and grids[i][j - 1][k - 1] == "+":
-            return i, j, k
-    return None
-
-
 def _routed(delta: CGPD):
-    """Route a given diagram: its pipes and the colors where two pipes
-    meet.  Raises on the first fault, in laying order (east to west)."""
-    grids, pipes, colors = next(_route(delta.dims, held=delta))
-    cell = _same_color_cross(grids, colors)
-    if cell is not None:
-        raise SameColorCross(*cell)
-    return pipes, colors
+    """Route a given diagram: its pipes and the cells where pipes of one
+    color meet.  Raises on the first fault, in laying order (east to west)."""
+    grids, pipes, same = next(_route(delta.dims, held=delta))
+    for i, j, k in same:
+        if grids[i][j - 1][k - 1] == "+":
+            raise SameColorCross(i, j, k)
+    return pipes, same
 
 
 def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
@@ -287,34 +282,34 @@ def enumerate_cgpd(r: RankArray) -> list[CGPD]:
     dims = r.dims
     out = [
         CGPD(dims, tuple(tuple(map(tuple, grid)) for grid in grids))
-        for grids, _, colors in _route(dims, want=lace_array(r).entries)
-        if _same_color_cross(grids, colors) is None
+        for grids, _, _ in _route(dims, want=lace_array(r).entries)
     ]
     out.sort(key=lambda delta: delta.grids)
     return out
 
 
-def cgpd_weight(delta: CGPD) -> Poly:
-    """Product of the tile weights, with colors derived from the routing.
-
-    Straight strands (crossing, horizontal, vertical) contribute the
-    cell label x^i_j - x^{i+1}_k; turning tiles and two-color bumps
-    contribute h; blanks and one-color bumps contribute the cell label
-    plus h.
-    """
-    _, colors = _routed(delta)
+def _weight(grids, same: list[tuple[int, int, int]]) -> Poly:
+    """Product of the tile weights: straight strands (+ - |) weigh the
+    cell label x^i_j - x^{i+1}_k, turns and two-color bumps h, blanks and
+    one-color bumps (the cells in same) the label plus h."""
     total = Poly.one()
-    for i, grid in enumerate(delta.grids):
+    for i, grid in enumerate(grids):
         for j, row in enumerate(grid, start=1):
             for k, code in enumerate(row, start=1):
                 label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
                 if code in "+-|":
                     total = total * label
-                elif code in "rj" or (code == "b" and colors[i, j, k][0] != colors[i, j, k][1]):
+                elif code in "rj" or (code == "b" and (i, j, k) not in same):
                     total = total * Poly.hbar()
                 else:
                     total = total * (label + Poly.hbar())
     return total
+
+
+def cgpd_weight(delta: CGPD) -> Poly:
+    """The weight of one given diagram, each pipe colored by its routing."""
+    _, same = _routed(delta)
+    return _weight(delta.grids, same)
 
 
 def orbit_cgpd(r: RankArray) -> list[CGPD]:
@@ -323,8 +318,10 @@ def orbit_cgpd(r: RankArray) -> list[CGPD]:
 
 
 def csm_cgpd(r: RankArray) -> Poly:
-    """CSM class of the open locus as a sum of diagram weights."""
-    return Poly.sum(cgpd_weight(delta) for delta in orbit_cgpd(r))
+    """CSM class of the open locus: the weights of the routed diagrams."""
+    return Poly.sum(
+        _weight(grids, same) for grids, _, same in _route(r.dims, want=lace_array(r).entries)
+    )
 
 
 def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:

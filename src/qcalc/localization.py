@@ -176,10 +176,13 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
     """The orbit's subword sum, given as the roots at num_common times
     num_rest, divided by the Hom-orbit restriction.
 
-    Both polynomials are products of forced-position roots times small
-    sums, so the quotient cancels shared positions factor by factor and
-    only divides out what is left; exact_divide still certifies that
-    the division is exact.
+    Shared forced positions cancel factor by factor, and exact_divide
+    certifies the division of what is left.  On an orbit neither division
+    runs: z(Hom) is dominant and its one reduced subword is D_Hom, so the
+    Hom restriction is (the D_Hom positions, 1) (pinned over
+    sweep_dims(8)), and every orbit's subsets take every D_Hom position
+    (all of sweep(7); csm_pd raises DHomViolation if one does not).  The
+    ratio is then the orbit's sum with the D_Hom roots left out.
     """
     den_common, den_rest = _hom_factored(dims)
     betas = _grid_roots(dims)

@@ -44,6 +44,13 @@ def test_edge_errors():
     # a crossing in the top row expects a strand from the closed north edge
     with pytest.raises(NorthLeak):
         validate(CGPD(Dims((1, 1)), ((("+",),),)), hom_rank_array(Dims((1, 1))))
+    # the top elbow sends a strand south that the row below does not take
+    with pytest.raises(EdgeMismatch, match="south neighbor disagrees") as info:
+        validate(CGPD(Dims((2, 1)), ((("r",), ("-",)),)), hom_rank_array(Dims((2, 1))))
+    assert info.value.cell == (0, 1, 1)
+    # a diagram on other dims than the rank array's
+    with pytest.raises(InvalidCGPD, match="dims of the diagram and rank array differ"):
+        validate(CGPD(Dims((1, 1)), ((("r",),),)), hom_rank_array(Dims((1, 2))))
 
 
 def test_lace_count_mismatch():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qcalc.cgpd import CGPD, enumerate_cgpd
 from qcalc.cli import main, render_lacing, render_pipedream
 from qcalc.poly import parse_poly
 from qcalc.quiver import Dims, LaceArray, parse_input
@@ -103,6 +104,19 @@ def test_enum_pd_counts(capsys):
         capsys, "enum", "--what", "pd", "--format", "json", str(FIXTURES / "ex_oldpd.json")
     )
     assert len(json.loads(out)) == 9
+
+
+def test_enum_cgpd(capsys):
+    path = str(FIXTURES / "ex_a3.json")
+    code, out, _ = run(capsys, "enum", "--what", "cgpd", path)
+    assert code == 0
+    assert out.startswith("count: 3\n")
+    code, out, _ = run(capsys, "enum", "--what", "cgpd", "--format", "json", path)
+    assert code == 0
+    r = parse_input(json.loads(Path(path).read_text()))
+    items = json.loads(out)
+    assert len(items) == 3
+    assert [CGPD.from_json(r.dims, item) for item in items] == enumerate_cgpd(r)
 
 
 def test_input_error_names_entry(capsys):

@@ -199,7 +199,7 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
         "subword_subsets": 0,
         "subword_states": 4,
         "target_states": 4,
-        "enumerate_cgpd": 4,
+        "enumerate_cgpd": 2,
     }
 
 

@@ -21,6 +21,7 @@ from qcalc.localization import (
     NotReducedWord,
     Word,
     _cancel_hom,
+    _hom_factored,
     ajs_billey,
     csm_ratio,
     csm_restriction,
@@ -32,7 +33,7 @@ from qcalc.localization import (
     roots,
 )
 from qcalc.pipedream import csm_pd, quiver_poly_pd
-from qcalc.poly import Poly, format_poly, xvar
+from qcalc.poly import NotDivisible, Poly, format_poly, xvar
 from qcalc.quiver import (
     Dims,
     Orbit,
@@ -249,3 +250,25 @@ def test_restrictions_reject_a_v_that_is_not_a_permutation():
         for restriction in (ajs_billey, csm_restriction):
             with pytest.raises(ValueError, match=r"v = .* d = 3"):
                 restriction(v, word)
+
+
+def test_hom_restriction_is_the_dhom_roots():
+    """The Hom orbit's restriction is the product of the roots at the
+    D_Hom cells: z(Hom) has one reduced subword in the grid word, so every
+    position outside D_Hom is skipped and the rest of the sum is 1."""
+    for dims in sweep_dims(8):
+        common, rest = _hom_factored(dims)
+        dhom = regions(dims).dhom_cells
+        assert rest == Poly.one(), dims
+        assert common == tuple(j for j, c in enumerate(grid_word(dims).cells) if c in dhom), dims
+
+
+def test_cancel_hom_divides_a_root_the_orbit_does_not_take():
+    """Every orbit takes every D_Hom position, so the ratios never reach the
+    root division of _cancel_hom; drive it directly, exact and not."""
+    dims = Dims((1, 1, 1))
+    (j,), _ = _hom_factored(dims)
+    beta = roots(grid_word(dims))[j]
+    assert _cancel_hom(dims, (), beta * Poly.hbar()) == Poly.hbar()
+    with pytest.raises(NotDivisible):
+        _cancel_hom(dims, (), Poly.hbar())
