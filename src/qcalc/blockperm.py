@@ -197,18 +197,12 @@ def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
     superantidiagonal block carries r_{i,i+1}, and everything above it
     is empty.
     """
-    dims = r.dims
-    s = lace_array(r)
-    m = {}
-    for i in range(dims.n + 1):
-        for j in range(dims.n + 1):
-            if j <= i:
-                m[(i, j)] = s[(j, i)]
-            elif j == i + 1:
-                m[(i, j)] = r[i, i + 1]
-            else:
-                m[(i, j)] = 0
-    return m
+    s, blocks = lace_array(r), range(r.dims.n + 1)
+    return {
+        (i, j): s[j, i] if j <= i else r[i, i + 1] if j == i + 1 else 0
+        for i in blocks
+        for j in blocks
+    }
 
 
 def _block_perms(r: RankArray, first: bool) -> list[Permutation]:
@@ -220,7 +214,7 @@ def _block_perms(r: RankArray, first: bool) -> list[Permutation]:
     free column, so the search never dead-ends.
     """
     dims = r.dims
-    owed = block_counts(r)
+    owed = dict(orbit_block_counts(r))  # rec decrements it, and a first find skips the restore
     bs = BlockStructure(dims)
     cols = [(p, bs.col_block(p)) for p in range(1, dims.d + 1)]
     out, v, used = [], [], set()
@@ -268,7 +262,13 @@ def perm_count(r: RankArray) -> int:
     j its r_j columns over the row blocks in r_j! / prod_i m(i, j)!
     ways, and block (i, j) matches its m(i, j) rows to its columns in
     m(i, j)! ways: (prod_i r_i!)^2 / prod_(i, j) m(i, j)! in all."""
-    return prod(map(factorial, r.dims.r)) ** 2 // prod(map(factorial, block_counts(r).values()))
+    m = orbit_block_counts(r).values()
+    return prod(map(factorial, r.dims.r)) ** 2 // prod(map(factorial, m))
+
+
+def orbit_block_counts(r: RankArray) -> dict[tuple[int, int], int]:
+    """block_counts(r), computed once per quiver.Orbit; do not mutate."""
+    return shared(r, "blocks", block_counts)
 
 
 def orbit_zperm(r: RankArray) -> Permutation:
@@ -495,7 +495,7 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     dims = r.dims
     bs = BlockStructure(dims)
     d = dims.d
-    m = block_counts(r)
+    m = orbit_block_counts(r)
     col = [bs.col_block(x) for x in range(1, d + 1)]
     want = {}  # boundary b -> (label i, need_b(i)) for the labels needed
     for b in range(1, d):

@@ -26,6 +26,7 @@ equal color may never cross.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
@@ -277,15 +278,24 @@ def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
     return [PipePath(start, end) for start, end in intervals]
 
 
+def _diagrams(r: RankArray) -> list[tuple[CGPD, list[tuple[int, int, int]]]]:
+    """The valid diagrams realizing the laces of r, in tile-code order,
+    each with the cells where two pipes of one color meet: one routing
+    pass, made once per quiver.Orbit."""
+
+    def build(r: RankArray):
+        out = [
+            (CGPD(r.dims, tuple(tuple(map(tuple, grid)) for grid in grids)), list(same))
+            for grids, _, same in _route(r.dims, want=lace_array(r).entries)
+        ]
+        return sorted(out, key=lambda pair: pair[0].grids)
+
+    return shared(r, "cgpd", build)
+
+
 def enumerate_cgpd(r: RankArray) -> list[CGPD]:
     """All valid diagrams realizing the laces of r, in tile-code order."""
-    dims = r.dims
-    out = [
-        CGPD(dims, tuple(tuple(map(tuple, grid)) for grid in grids))
-        for grids, _, _ in _route(dims, want=lace_array(r).entries)
-    ]
-    out.sort(key=lambda delta: delta.grids)
-    return out
+    return [delta for delta, _ in _diagrams(r)]
 
 
 def _weight(grids, same: list[tuple[int, int, int]]) -> Poly:
@@ -312,16 +322,9 @@ def cgpd_weight(delta: CGPD) -> Poly:
     return _weight(delta.grids, same)
 
 
-def orbit_cgpd(r: RankArray) -> list[CGPD]:
-    """enumerate_cgpd(r), computed once per quiver.Orbit."""
-    return shared(r, "cgpd", enumerate_cgpd)
-
-
 def csm_cgpd(r: RankArray) -> Poly:
-    """CSM class of the open locus: the weights of the routed diagrams."""
-    return Poly.sum(
-        _weight(grids, same) for grids, _, same in _route(r.dims, want=lace_array(r).entries)
-    )
+    """CSM class of the open locus: the weights of all valid diagrams."""
+    return Poly.sum(_weight(delta.grids, same) for delta, same in _diagrams(r))
 
 
 def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:
@@ -338,23 +341,20 @@ def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
     """The diagrams with the fewest straight-strand tiles, computed once
     per quiver.Orbit."""
-    return shared(r, "cgpd_infinity", _fewest_straight)
 
+    def fewest(r: RankArray) -> list[CGPD]:
+        straight = [(len(crossing_tiles(delta)), delta) for delta in enumerate_cgpd(r)]
+        best = min(count for count, _ in straight)
+        return [delta for count, delta in straight if count == best]
 
-def _fewest_straight(r: RankArray) -> list[CGPD]:
-    diagrams = orbit_cgpd(r)
-    best = min(len(crossing_tiles(d)) for d in diagrams)
-    return [d for d in diagrams if len(crossing_tiles(d)) == best]
+    return shared(r, "cgpd_infinity", fewest)
 
 
 def quiver_poly_cgpd(r: RankArray) -> Poly:
     """Quiver polynomial as the h -> infinity limit of the CSM formula:
     only minimal diagrams survive, weighted by their straight tiles."""
-
-    def straight_weight(delta: CGPD) -> Poly:
-        term = Poly.one()
-        for i, j, k in crossing_tiles(delta):
-            term = term * Poly.var_diff(xvar(i, j), xvar(i + 1, k))
-        return term
-
-    return Poly.sum(straight_weight(delta) for delta in cgpd_infinity(r))
+    return Poly.sum(
+        prod((Poly.var_diff(xvar(i, j), xvar(i + 1, k)) for i, j, k in crossing_tiles(delta)),
+             start=Poly.one())
+        for delta in cgpd_infinity(r)
+    )

@@ -87,9 +87,10 @@ class ConsistencyReport:
 def check(r: RankArray) -> ConsistencyReport:
     """Compute all six polynomials of r and verify every cross relation.
 
-    The formulas share one Orbit, so z(r), the reduced subword states,
-    the CSM subword states and the cgpd lists are built once; the counts
-    are their sizes, and no subword or member of perm(r) is listed.
+    The formulas share one Orbit, so the block counts, z(r), the reduced
+    and the CSM subword states and the cgpd diagrams (one routing pass,
+    read by both cgpd formulas) are built once; the counts are their
+    sizes, and no subword or member of perm(r) is listed.
     rp_star, the number of reduced strict dreams of z(r), and p_total,
     the number of strict subwords with product in perm(r) (non-reduced
     strict dreams), are N(0, start) of the two state sets
@@ -121,7 +122,7 @@ def check(r: RankArray) -> ConsistencyReport:
         "perm": perm_count(orbit),
         "rp_star": localization.orbit_reduced_states(orbit).total,
         "p_total": localization.orbit_states(orbit).total,
-        "cgpd": len(cgpd.orbit_cgpd(orbit)),
+        "cgpd": len(cgpd.enumerate_cgpd(orbit)),
         "cgpd_infinity": len(cgpd.cgpd_infinity(orbit)),
     }
     return ConsistencyReport(

@@ -306,6 +306,8 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self.terms.keys() <= {0}:  # a constant hashes as the int it equals
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
@@ -451,16 +453,13 @@ def format_poly(
     variables = sorted(p.variables(), key=var_key)
     names = [_var_text(v, style, sizes) for v in variables]
     shifts = _shifts(variables)
-    rows = []
-    for m, c in p.terms.items():
-        exps = [(m >> s) & _FIELD for s in shifts]
-        rows.append((sum(exps), exps, c))
-    rows.sort(reverse=True)  # (degree, exponents) is the grlex key
     sep = " " if style == "latex" else "*"
     pieces: list[str] = []
-    for _, exps, c in rows:
+    for m in sorted(p.terms, key=_grlex_key(shifts), reverse=True):
+        c = p.terms[m]
         factors = []
-        for name, e in zip(names, exps):
+        for name, s in zip(names, shifts):
+            e = (m >> s) & _FIELD
             if e == 0:
                 continue
             if e == 1:

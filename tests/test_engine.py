@@ -161,11 +161,13 @@ def _count_calls(monkeypatch, *functions):
 
 
 SHARED = (
+    blockperm.block_counts,
     blockperm.perm_set,
     blockperm.subword_subsets,
     blockperm.subword_states,
     blockperm.target_states,
     cgpd.enumerate_cgpd,
+    cgpd._route,
 )
 
 
@@ -177,11 +179,13 @@ def test_check_builds_each_shared_object_once(monkeypatch):
     assert report.ok
     assert report.rank is r
     assert calls == {
+        "block_counts": 1,
         "perm_set": 0,
         "subword_subsets": 0,
         "subword_states": 1,
         "target_states": 1,
-        "enumerate_cgpd": 1,
+        "enumerate_cgpd": 2,  # cgpd_infinity and counts["cgpd"], both off one routing
+        "_route": 1,
     }
 
 
@@ -195,11 +199,13 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
             compute(r, target, "cgpd")
             compute(r, target, "ratio")
     assert calls == {
+        "block_counts": 8,
         "perm_set": 0,
         "subword_subsets": 0,
         "subword_states": 4,
         "target_states": 4,
         "enumerate_cgpd": 2,
+        "_route": 4,
     }
 
 

@@ -45,6 +45,20 @@ def test_constructors_and_equality():
     assert Poly.one()
 
 
+def test_constants_hash_as_the_ints_they_equal():
+    """Equal values hash equally, so a constant Poly and its int are one
+    key of a set or dict."""
+    for n in (0, 1, -1, 2, 7):
+        assert Poly.const(n) == n
+        assert hash(Poly.const(n)) == hash(n)
+        assert Poly.const(n) in {n}
+        assert n in {Poly.const(n)}
+    assert Poly.one() in {1} and Poly.zero() in {0}
+    assert {a: "x"}[Poly.var(xvar(0, 1))] == "x"
+    assert (h - h) in {0}
+    assert a - a + 3 in {3}
+
+
 def test_ring_axioms_small():
     polys = [Poly.zero(), Poly.one(), a, b, a + b, a * b - h, 2 * a - 3]
     for p in polys:
