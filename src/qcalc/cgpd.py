@@ -26,7 +26,7 @@ equal color may never cross.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from functools import lru_cache
 
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
@@ -123,9 +123,6 @@ class CGPD:
                     if code not in _EDGES:
                         raise InvalidCGPD(f"unknown tile code {code!r}")
 
-    def tile(self, rect: int, row: int, col: int) -> str:
-        return self.grids[rect][row - 1][col - 1]
-
     def to_json(self) -> dict:
         return {"rects": [[list(row) for row in grid] for grid in self.grids]}
 
@@ -141,6 +138,14 @@ class CGPD:
         ):
             raise InvalidCGPD('"rects" must be a list of grids, each a list of rows of tile strings')
         return cls(dims, tuple(tuple(tuple(row) for row in grid) for grid in rects))
+
+
+@lru_cache(maxsize=None)
+def _cells(dims: Dims) -> tuple[tuple[int, int, int], ...]:
+    """The cells (rect, row, col) in laying order: rectangles in turn,
+    each top to bottom and east to west."""
+    return tuple((i, j, k) for i in range(dims.n) for j in range(1, dims.r[i] + 1)
+                 for k in range(dims.r[i + 1], 0, -1))
 
 
 def _route(
@@ -176,10 +181,10 @@ def _route(
     do not depend on color; the branch coloring each pipe not yet ended n
     reaches the first in laying order, which is the one raised.
 
-    Yields (grids, pipes, same) per routed diagram: grids are live lists
+    Yields (grids, pipes, word) per routed diagram: grids are live lists
     that the next step overwrites, pipes lists (start, color) per pipe,
-    and same lists, in laying order, the cells where two pipes of one
-    color meet (codes + and b).
+    and word spells the codes in laying order (_cells), a meeting of two
+    pipes of one color written B (a bump) or X (a crossing).
     """
     n, r = dims.n, dims.r
     grids = [[[""] * r[i + 1] for _ in range(r[i])] for i in range(n)]
@@ -188,7 +193,7 @@ def _route(
     south = [[[None] * (r[i + 1] + 1) for _ in range(r[i] + 1)] for i in range(n)]
     pipes: list[tuple[int, int]] = []
     used = dict.fromkeys(dims.pairs(), 0)
-    same: list[tuple[int, int, int]] = []
+    word: list[str] = []
 
     def row(i: int, j: int):
         """Row j of rectangle i, whose pipe enters from the east; past the
@@ -197,7 +202,7 @@ def _route(
             if i < n:
                 yield from row(i + 1, 1)
             else:
-                yield grids, pipes, same
+                yield grids, pipes, "".join(word)
             return
         pipe = south[i - 1][-1][j] if i else None
         if pipe is not None:
@@ -245,31 +250,27 @@ def _route(
                 continue
             grids[i][j - 1][k - 1] = code
             south[i][j][k] = down
-            if one:
-                same.append((i, j, k))
+            word.append(("X" if code == "+" else "B") if one else code)
             yield from lay(i, j, k - 1, west) if k > 1 else row(i, j + 1)
-            if one:
-                same.pop()
+            word.pop()
 
     yield from row(0, 1)
 
 
 def _routed(delta: CGPD):
-    """Route a given diagram: its pipes and the cells where pipes of one
-    color meet.  Raises on the first fault, in laying order (east to west)."""
-    grids, pipes, same = next(_route(delta.dims, held=delta))
-    for i, j, k in same:
-        if grids[i][j - 1][k - 1] == "+":
-            raise SameColorCross(i, j, k)
-    return pipes, same
+    """Route a given diagram: its pipes and its tile word.  Raises on the
+    first fault, in laying order (east to west)."""
+    _, pipes, word = next(_route(delta.dims, held=delta))
+    if "X" in word:
+        raise SameColorCross(*_cells(delta.dims)[word.index("X")])
+    return pipes, word
 
 
 def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
     """Trace the pipes and check every invariant against the rank array."""
     if delta.dims != r.dims:
         raise InvalidCGPD("dims of the diagram and rank array differ")
-    pipes, _ = _routed(delta)
-    intervals = sorted(pipes)
+    intervals = sorted(_routed(delta)[0])
     expected = sorted(lace_array(r).laces())
     if intervals != expected:
         raise LaceCountMismatch(
@@ -278,15 +279,14 @@ def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
     return [PipePath(start, end) for start, end in intervals]
 
 
-def _diagrams(r: RankArray) -> list[tuple[CGPD, list[tuple[int, int, int]]]]:
+def _diagrams(r: RankArray) -> list[tuple[CGPD, str]]:
     """The valid diagrams realizing the laces of r, in tile-code order,
-    each with the cells where two pipes of one color meet: one routing
-    pass, made once per quiver.Orbit."""
+    each with its tile word: one routing pass, made once per quiver.Orbit."""
 
     def build(r: RankArray):
         out = [
-            (CGPD(r.dims, tuple(tuple(map(tuple, grid)) for grid in grids)), list(same))
-            for grids, _, same in _route(r.dims, want=lace_array(r).entries)
+            (CGPD(r.dims, tuple(tuple(map(tuple, grid)) for grid in grids)), word)
+            for grids, _, word in _route(r.dims, want=lace_array(r).entries)
         ]
         return sorted(out, key=lambda pair: pair[0].grids)
 
@@ -298,63 +298,66 @@ def enumerate_cgpd(r: RankArray) -> list[CGPD]:
     return [delta for delta, _ in _diagrams(r)]
 
 
-def _weight(grids, same: list[tuple[int, int, int]]) -> Poly:
-    """Product of the tile weights: straight strands (+ - |) weigh the
-    cell label x^i_j - x^{i+1}_k, turns and two-color bumps h, blanks and
-    one-color bumps (the cells in same) the label plus h."""
-    total = Poly.one()
-    for i, grid in enumerate(grids):
-        for j, row in enumerate(grid, start=1):
-            for k, code in enumerate(row, start=1):
-                label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
-                if code in "+-|":
-                    total = total * label
-                elif code in "rj" or (code == "b" and (i, j, k) not in same):
-                    total = total * Poly.hbar()
-                else:
-                    total = total * (label + Poly.hbar())
-    return total
+@lru_cache(maxsize=None)
+def _tile_weights(dims: Dims, hbar: bool) -> tuple[dict[str, Poly], ...]:
+    """The weight of each tile code at each laying-order position.
+    Straight strands (+ - |) weigh the cell label x^i_j - x^{i+1}_k.
+    With hbar (the CSM weights) turns and two-color bumps weigh h, blanks
+    and one-color bumps (B) the label plus h; without it (the h ->
+    infinity limit) every other tile weighs 1."""
+    out = []
+    for i, j, k in _cells(dims):
+        label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
+        turn, blank = (Poly.hbar(), label + Poly.hbar()) if hbar else (Poly.one(),) * 2
+        out.append(dict(zip("+-|rjb.B", [label] * 3 + [turn] * 3 + [blank] * 2)))
+    return tuple(out)
+
+
+def _word_sum(words: list[str], weights: tuple[dict[str, Poly], ...]) -> Poly:
+    """The sum over the words w of the product of weights[p][w[p]], with
+    shared prefixes factored: S(u) is the sum over the codes c that
+    follow u of weights[|u|][c] * S(uc), one Poly.sum_of_products per
+    prefix u, and S of a whole word is 1.  A prefix whose words all go on
+    with one code of weight 1 passes that child's sum through."""
+
+    def node(words: list[str], p: int) -> Poly:
+        if p == len(weights):
+            return Poly.one()
+        children: dict[str, list[str]] = {}
+        for w in words:
+            children.setdefault(w[p], []).append(w)
+        pairs = [(weights[p][c], node(group, p + 1)) for c, group in children.items()]
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            return pairs[0][1]
+        return Poly.sum_of_products(pairs)
+
+    return node(words, 0)
 
 
 def cgpd_weight(delta: CGPD) -> Poly:
     """The weight of one given diagram, each pipe colored by its routing."""
-    _, same = _routed(delta)
-    return _weight(delta.grids, same)
+    return _word_sum([_routed(delta)[1]], _tile_weights(delta.dims, True))
 
 
 def csm_cgpd(r: RankArray) -> Poly:
     """CSM class of the open locus: the weights of all valid diagrams."""
-    return Poly.sum(_weight(delta.grids, same) for delta, same in _diagrams(r))
+    return _word_sum([word for _, word in _diagrams(r)], _tile_weights(r.dims, True))
 
 
-def crossing_tiles(delta: CGPD) -> list[tuple[int, int, int]]:
-    """The cells carrying a straight strand (codes +, -, |)."""
-    return [
-        (i, j, k)
-        for i, grid in enumerate(delta.grids)
-        for j, row in enumerate(grid, start=1)
-        for k, code in enumerate(row, start=1)
-        if code in "+-|"
-    ]
+def _minimal(r: RankArray) -> list[tuple[CGPD, str]]:
+    """The diagrams of _diagrams with the fewest straight-strand tiles."""
+    pairs = _diagrams(r)
+    straight = [sum(map(word.count, "+-|")) for _, word in pairs]
+    best = min(straight)
+    return [pair for pair, count in zip(pairs, straight) if count == best]
 
 
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
-    """The diagrams with the fewest straight-strand tiles, computed once
-    per quiver.Orbit."""
-
-    def fewest(r: RankArray) -> list[CGPD]:
-        straight = [(len(crossing_tiles(delta)), delta) for delta in enumerate_cgpd(r)]
-        best = min(count for count, _ in straight)
-        return [delta for count, delta in straight if count == best]
-
-    return shared(r, "cgpd_infinity", fewest)
+    """The diagrams with the fewest straight-strand tiles."""
+    return [delta for delta, _ in _minimal(r)]
 
 
 def quiver_poly_cgpd(r: RankArray) -> Poly:
     """Quiver polynomial as the h -> infinity limit of the CSM formula:
     only minimal diagrams survive, weighted by their straight tiles."""
-    return Poly.sum(
-        prod((Poly.var_diff(xvar(i, j), xvar(i + 1, k)) for i, j, k in crossing_tiles(delta)),
-             start=Poly.one())
-        for delta in cgpd_infinity(r)
-    )
+    return _word_sum([word for _, word in _minimal(r)], _tile_weights(r.dims, False))

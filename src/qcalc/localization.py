@@ -108,7 +108,7 @@ def orbit_reduced_states(r: RankArray) -> blockperm.SubwordStates:
     )
 
 
-def state_sum(states: blockperm.SubwordStates, weights: list) -> Poly:
+def state_sum(states: blockperm.SubwordStates, weights: list | tuple) -> Poly:
     """The sum over the accepted subsets J of the product of weights[j]
     over j in J times the skip weight to the power L - |J|: h, or 1 in
     reduced mode.

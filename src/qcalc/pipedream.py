@@ -16,6 +16,7 @@ given permutation therefore runs as a pruned subword search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .blockperm import BlockStructure, regions, subword_subsets
 from .localization import grid_word, orbit_reduced_states, orbit_states, state_sum
@@ -102,15 +103,16 @@ def locus_pipe_dreams(dims: Dims, targets: frozenset, region: str, mode: str):
         yield PipeDream(dims, frozenset(cells[k] for k in subset)), v
 
 
-def _cell_weights(dims: Dims) -> list[Poly]:
+@lru_cache(maxsize=None)
+def _cell_weights(dims: Dims) -> tuple[Poly, ...]:
     """The weight of a cross at each grid word position: its cell label
     (row label - column label), or 1 on a D_Hom cell."""
     bs = BlockStructure(dims)
     dhom = regions(dims).dhom_cells
-    return [
+    return tuple(
         Poly.one() if (q, p) in dhom else Poly.var_diff(bs.row_var(q), bs.col_var(p))
         for q, p in grid_word(dims).cells
-    ]
+    )
 
 
 def quiver_poly_pd(r: RankArray) -> Poly:

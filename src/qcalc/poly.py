@@ -237,10 +237,13 @@ class Poly:
     @classmethod
     def sum_of_products(cls, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
         """The sum of a * b over the pairs (a, b), accumulated in one dict;
-        no product is built on its own."""
+        no product is built on its own.  The factor with fewer terms runs
+        the outer loop.  This is the only product loop of the module."""
         out: dict[int, int] = {}
         get = out.get
         for a, b in pairs:
+            if len(a.terms) > len(b.terms):
+                a, b = b, a
             right = b.terms.items()
             for m1, c1 in a.terms.items():
                 if not out:  # the first term's products cannot collide
@@ -277,16 +280,7 @@ class Poly:
         return _coerce(other) - self
 
     def __mul__(self, other: "Poly | int") -> "Poly":
-        other = _coerce(other)
-        out: dict[int, int] = {}
-        get = out.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        _check_overflow(out)
-        return Poly._wrap({m: c for m, c in out.items() if c})
+        return Poly.sum_of_products([(self, _coerce(other))])
 
     __rmul__ = __mul__
 

@@ -13,9 +13,9 @@ from qcalc.cgpd import (
     LaceCountMismatch,
     NorthLeak,
     SameColorCross,
+    _diagrams,
     cgpd_infinity,
     cgpd_weight,
-    crossing_tiles,
     csm_cgpd,
     enumerate_cgpd,
     quiver_poly_cgpd,
@@ -75,6 +75,11 @@ def test_same_color_cross():
     with pytest.raises(SameColorCross):
         cgpd_weight(CGPD(dims, alone))
     assert all(delta.grids not in (grids, alone) for delta in enumerate_cgpd(r))
+    # two same-color crossings, at (2,3) and (3,3): the first laid is named
+    twice = (((".", ".", "r"), ("r", "-", "+"), ("|", "r", "+")),)
+    with pytest.raises(SameColorCross) as info:
+        validate(CGPD(Dims((3, 3)), twice), hom_rank_array(Dims((3, 3))))
+    assert info.value.cell == (0, 2, 3)
 
 
 def test_big_example_fixture_validates():
@@ -131,9 +136,16 @@ def test_cgpd_infinity_final_example():
     assert quiver_poly_cgpd(r) == expected
 
 
-def test_crossing_tiles_counts_straight_strands():
-    delta = CGPD(Dims((1, 2, 1)), ((("j", "r"),), (("r",), ("+",))))
-    assert crossing_tiles(delta) == [(1, 2, 1)]
+def test_tile_words():
+    """Each diagram's word lists its tiles in laying order (top to bottom,
+    east to west); the bump of two pipes of one color is written B."""
+    r = hom_rank_array(Dims((2, 2)))
+    pairs = _diagrams(r)
+    assert [delta.grids for delta, _ in pairs] == [
+        (((".", "r"), ("r", "b")),),
+        ((("r", "-"), ("|", "r")),),
+    ]
+    assert [word for _, word in pairs] == ["r.Br", "-rr|"]
 
 
 def test_enumeration_order_pinned():

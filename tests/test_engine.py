@@ -184,7 +184,7 @@ def test_check_builds_each_shared_object_once(monkeypatch):
         "subword_subsets": 0,
         "subword_states": 1,
         "target_states": 1,
-        "enumerate_cgpd": 2,  # cgpd_infinity and counts["cgpd"], both off one routing
+        "enumerate_cgpd": 1,  # counts["cgpd"]; every cgpd formula reads the one routing
         "_route": 1,
     }
 
@@ -204,7 +204,7 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
         "subword_subsets": 0,
         "subword_states": 4,
         "target_states": 4,
-        "enumerate_cgpd": 2,
+        "enumerate_cgpd": 0,
         "_route": 4,
     }
 

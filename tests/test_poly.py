@@ -286,3 +286,47 @@ def test_sum_of_products_matches_sum_of_products_built_one_by_one():
     ]
     for pairs in cases:
         assert Poly.sum_of_products(pairs) == Poly.sum(x * y for x, y in pairs), pairs
+
+
+def _schoolbook(p, q) -> dict:
+    """p * q expanded term by term over the public (monomial, coefficient)
+    form, with monomials multiplied by adding exponents."""
+    out: dict = {}
+    for m1, c1 in _coerce_items(p):
+        for m2, c2 in _coerce_items(q):
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items(), key=lambda pair: var_key(pair[0])))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _coerce_items(x):
+    return x.items() if isinstance(x, Poly) else ([((), x)] if x else [])
+
+
+def test_products_match_a_schoolbook_expansion():
+    variables = [xvar(level, index) for level in range(3) for index in (1, 2)] + [HBAR]
+    rng = random.Random(7)
+
+    def random_poly(terms: int) -> Poly:
+        out = Poly.zero()
+        while len(out.terms) < terms:
+            term = Poly.const(rng.choice([-4, -1, 1, 2, 3]))
+            for v in rng.sample(variables, rng.randint(0, 3)):
+                term = term * Poly.var(v) ** rng.randint(1, 2)
+            out = out + term
+        return out
+
+    pairs = []
+    for _ in range(30):
+        short, long = sorted(rng.sample(range(1, 13), 2))
+        pairs.append((random_poly(short), random_poly(long)))
+    pairs += [(a - b, a + b), (a - b, 0), (Poly.zero(), a + h), (a + h, -3), (a - h, 1)]
+    for p, q in pairs:
+        for left, right in ((p, q), (q, p)):
+            product = left * right
+            assert dict(product.items()) == _schoolbook(left, right), (left, right)
+    assert (a - b) * (a + b) == a**2 - b**2  # the cross terms cancel
+    assert (a - b) * 0 == 0 and 0 * (a - b) == 0 and Poly.zero() * (a + h) == 0
