@@ -293,88 +293,6 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
     return zelevinsky_permutation(hom_rank_array(dims))
 
 
-# -- subword enumeration (shared by pipe dreams and localization) -----------
-
-def subword_subsets(
-    letters: tuple[int, ...], d: int, targets: frozenset, reduced: bool
-):
-    """Pairs (J, v): index subsets of the word whose ordered product is a
-    target v, depth first, each letter skipped before it is taken.  In
-    reduced mode every taken letter must increase length, so J is a
-    reduced word for v.
-
-    Along with the partial product u of the letters taken so far, the
-    search carries each target t still in reach and its distance
-    d(u, t) = l(t u^-1).  The permutation t u^-1 sends u(a) to t(a), so
-    its inversions are the position pairs a < b that u and t order
-    differently (l counts inversions: Bjorner and Brenti, Combinatorics
-    of Coxeter Groups, ch. 1).  Hence d(id, t) = l(t), d(u, t) = 0
-    exactly when u = t, and d(u, t) >= l(t) - l(u) since
-    l(t) <= l(t u^-1) + l(u).
-
-    The step.  Taking s_i swaps the values i and i+1 of u, which sit at
-    positions p and q.  Every other value lies below both or above both,
-    so only the pair {p, q} changes order, and d(u, t) moves by exactly
-    one: down when s_i u, which has i+1 at p, agrees with t there, that
-    is t(p) > t(q), and up otherwise.  Skipping a letter moves nothing.
-
-    Rule 1.  t is dropped once d(u, t) exceeds the number of letters
-    left.  It could never come back in reach: d falls by at most one
-    per letter, and the letters left fall by exactly one.  So after the
-    last letter only targets at distance 0 remain, and u is one of them.
-
-    Rule 2, reduced mode.  If the letters still to be taken spell x with
-    t = x u and l(x) letters, then l(t) = l(x) + l(u), so u lies below t
-    in the left weak order (ch. 3) and d(u, t) = l(t) - l(u).  That
-    holds at u = id.  A taken letter raises l(u) by one, so it must
-    lower d(u, t); t is dropped when it raises it instead.  The gap
-    d(u, t) - l(t) + l(u) is then 2, and each later reduced step changes
-    it by 0 or 2, so it never closes.  A letter with p > q lowers length
-    and is refused.  It would raise every kept distance, so refusing it
-    only spares the pass over the targets.
-
-    By the two rules, the targets in reach at letter k are fixed by
-    (k, u): those with d(u, t) <= L - k, and in reduced mode also
-    d(u, t) = l(t) - l(u).  So whether (k, u) leads to a target is fixed
-    too, and a state found to lead nowhere is never entered again.
-    """
-    L = len(letters)
-    dead: set[tuple[int, Permutation]] = set()
-    chosen: list[int] = []
-    found = 0
-
-    def rec(k: int, u: Permutation, reach: list):
-        # reach: a (t, d(u, t)) pair for each target in reach at (k, u)
-        nonlocal found
-        if k == L:
-            found += 1
-            yield tuple(chosen), u
-            return
-        before = found
-        left = L - k - 1
-        skip = [(t, e) for t, e in reach if e <= left]
-        if skip and (k + 1, u) not in dead:
-            yield from rec(k + 1, u, skip)
-        i = letters[k]
-        p, q = u.index(i), u.index(i + 1)
-        if not (reduced and p > q):
-            take = [(t, e - 1) for t, e in reach if t[p] > t[q]]
-            if not reduced:
-                take += [(t, e + 1) for t, e in reach if t[p] < t[q] and e < left]
-            if take:
-                su = left_mul_s(i, u)
-                if (k + 1, su) not in dead:
-                    chosen.append(k)
-                    yield from rec(k + 1, su, take)
-                    chosen.pop()
-        if found == before:
-            dead.add((k, u))
-
-    reach = [(t, lt) for t in targets if (lt := length(t)) <= L]
-    if reach:
-        yield from rec(0, identity(d), reach)
-
-
 # -- subword sums over states (shared by pipe dreams and localization) ------
 
 def _swap(s: tuple, t: int) -> tuple:
@@ -416,6 +334,30 @@ class SubwordStates:
         """(s, skip, take) for each live state s at letter k."""
         for s, (_, _, skip, take) in self.levels[k].items():
             yield s, skip, take
+
+    def subsets(self):
+        """Each accepted subset J, the tuple of its taken positions, depth
+        first, each letter skipped before it is taken.  A path from a start
+        state to an accepted state is one accepted subset, and every live
+        state has N > 0, so the walk enters no branch that accepts nothing."""
+        levels = self.levels
+        L = len(levels) - 1
+        chosen: list[int] = []
+
+        def rec(k: int, s: tuple):
+            if k == L:
+                yield tuple(chosen)
+                return
+            _, _, skip, take = levels[k][s]
+            if skip is not None:
+                yield from rec(k + 1, skip)
+            if take is not None:
+                chosen.append(k)
+                yield from rec(k + 1, take)
+                chosen.pop()
+
+        for s in levels[0]:
+            yield from rec(0, s)
 
 
 def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
@@ -487,8 +429,8 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     integers N(k, s), the number of accepted completions from (k, s),
     and keeps the states with N > 0, each with the mask of positions
     that some accepted completion skips (SubwordStates).  N(0, start) is
-    the number of subsets subword_subsets(letters, d, perm(r), False)
-    lists.  The number of accepted subsets that skip a position of a set
+    the number of subsets whose ordered product lies in perm(r), one per
+    path that SubwordStates.subsets walks.  The number of accepted subsets that skip a position of a set
     D is positive exactly when the mask at start meets D; csm_pd reads
     it so for the D_Hom cells.
     """
@@ -555,16 +497,34 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> Su
     value: the label vector of subword_states with every position its
     own row block.  So taking letter t swaps the entries of t and t+1
     (_swap), and the backward pass, SubwordStates and state_sum are
-    shared.  Each state carries its distance d(u, v) = l(v u^-1), and
-    the forward pass prunes by rules 1 and 2 of subword_subsets with v
-    the only target.  Taking t moves the distance by one: down when v
-    orders the positions p and q of t and t+1 the other way than u does,
-    v(p) > v(q), else up.  In all-subsets mode a child whose distance
-    exceeds the letters left is pruned.  In reduced mode a take is
-    allowed only when the distance falls, and a skip only when the
-    distance, l(v) - l(u), is at most the letters left.  A take that
-    lowers length (p > q) would raise that distance (rule 2), so every
-    take allowed raises length.  The state v^-1 is accepted.
+    shared.  The state v^-1 is accepted.
+
+    The distance.  Each state carries d(u, v) = l(v u^-1).  The
+    permutation v u^-1 sends u(a) to v(a), so its inversions are the
+    position pairs a < b that u and v order differently (l counts
+    inversions: Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    ch. 1).  Hence d(id, v) = l(v), d(u, v) = 0 exactly when u = v, and
+    d(u, v) >= l(v) - l(u) since l(v) <= l(v u^-1) + l(u).  Taking t
+    swaps the values t and t+1 of u, which sit at positions p and q.
+    Every other value lies below both or above both, so only the pair
+    {p, q} changes order, and d(u, v) moves by exactly one: down when
+    s_t u, which has t+1 at p, agrees with v there, that is
+    v(p) > v(q), and up otherwise.  Skipping a letter moves nothing.
+
+    Rule 1.  A child whose distance exceeds the letters left is pruned.
+    It could never come back in reach: the distance falls by at most
+    one per letter, and the letters left fall by exactly one.  So after
+    the last letter only distance 0 remains, and u = v.
+
+    Rule 2, reduced mode.  If the letters still to be taken spell x with
+    v = x u and l(x) letters, then l(v) = l(x) + l(u), so u lies below v
+    in the left weak order (ch. 3) and d(u, v) = l(v) - l(u).  That
+    holds at u = id.  A taken letter raises l(u) by one, so it must
+    lower d(u, v), and a take is allowed only when the distance falls.
+    Had it raised it, the gap d(u, v) - l(v) + l(u) would be 2, and each
+    later reduced step changes it by 0 or 2, so it never closes.  A take
+    that lowers length (p > q) would raise the distance, so every take
+    allowed raises length, and each accepted J is a reduced word for v.
     """
     L = len(letters)
     lv = length(v)

@@ -227,7 +227,7 @@ def _cmd_enum(args) -> int:
     r = parse_input(_load_json(args.input))
     if args.what == "pd":
         z = zelevinsky_permutation(r)
-        dreams = enumerate_pipe_dreams(r.dims, z, args.region, "reduced")
+        dreams = enumerate_pipe_dreams(r.dims, z, args.region)
         items = [dream.to_json() for dream in dreams]
         texts = [render_pipedream(r.dims.d, dream.crosses, r.dims) for dream in dreams]
     elif args.what == "cgpd":

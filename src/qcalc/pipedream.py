@@ -9,8 +9,9 @@ edge at column trace(q).
 
 Crosses read rows bottom to top, west to east within a row, spell a
 word in simple transpositions (letter s_{q+p-1} at cell (q, p)) whose
-ordered product equals the trace; enumeration of pipe dreams for a
-given permutation therefore runs as a pruned subword search.
+ordered product equals the trace; the pipe dreams of a given
+permutation are therefore the paths of the region word's subword states
+(blockperm.target_states).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blockperm import BlockStructure, regions, subword_subsets
+from .blockperm import BlockStructure, regions, target_states
 from .localization import grid_word, orbit_reduced_states, orbit_states, state_sum
 from .poly import Poly
 from .quiver import Dims, RankArray
@@ -82,25 +83,12 @@ def region_cells(dims: Dims, region: str) -> list[tuple[int, int]]:
     return [(q, p) for q in range(dims.d - 1, 0, -1) for p in range(1, dims.d - q + 1)]
 
 
-def enumerate_pipe_dreams(
-    dims: Dims, v: tuple, region: str = "full", mode: str = "reduced"
-) -> list[PipeDream]:
-    """All pipe dreams with crosses in the region whose trace is v."""
-    return [dream for dream, _ in locus_pipe_dreams(dims, frozenset([tuple(v)]), region, mode)]
-
-
-def locus_pipe_dreams(dims: Dims, targets: frozenset, region: str, mode: str):
-    """Pairs (dream, trace) over every dream whose trace is a target.
-
-    One shared traversal of the region; much cheaper than enumerating
-    target by target when the target set is large.
-    """
-    if mode not in ("reduced", "all"):
-        raise ValueError(f"unknown mode {mode!r}")
+def enumerate_pipe_dreams(dims: Dims, v: tuple, region: str = "full") -> list[PipeDream]:
+    """All reduced pipe dreams with crosses in the region whose trace is
+    v, in the order SubwordStates.subsets walks them."""
     cells = region_cells(dims, region)
-    letters = tuple(q + p - 1 for q, p in cells)
-    for subset, v in subword_subsets(letters, dims.d, targets, reduced=(mode == "reduced")):
-        yield PipeDream(dims, frozenset(cells[k] for k in subset)), v
+    states = target_states(tuple(q + p - 1 for q, p in cells), tuple(v), True)
+    return [PipeDream(dims, frozenset(cells[k] for k in J)) for J in states.subsets()]
 
 
 @lru_cache(maxsize=None)

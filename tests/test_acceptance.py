@@ -14,17 +14,15 @@ from qcalc.blockperm import (
     perm_set,
     regions,
     rothe_diagram,
-    subword_subsets,
     zelevinsky_permutation,
 )
 from qcalc.cgpd import cgpd_infinity, csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
 from qcalc.engine import check, sweep
-from qcalc.localization import Word, ajs_billey, csm_restriction, roots
+from qcalc.localization import Word, ajs_billey, csm_restriction, grid_word, roots
 from qcalc.pipedream import (
     PipeDream,
     csm_pd,
     enumerate_pipe_dreams,
-    locus_pipe_dreams,
     quiver_poly_pd,
     trace,
 )
@@ -42,6 +40,7 @@ from qcalc.quiver import (
     rank_array,
     zelevinsky_matrix,
 )
+from subword_reference import subword_subsets
 
 
 def _report(n: int, text: str):
@@ -91,8 +90,8 @@ def test_criterion_3_oldpd_example():
     )
     z = zelevinsky_permutation(r)
     assert z == (5, 2, 3, 6, 1, 4, 8, 7)
-    assert len(enumerate_pipe_dreams(dims, z, "full", "reduced")) == 21
-    assert len(enumerate_pipe_dreams(dims, z, "strict", "reduced")) == 9
+    assert len(enumerate_pipe_dreams(dims, z, "full")) == 21
+    assert len(enumerate_pipe_dreams(dims, z, "strict")) == 9
     a1 = Poly.var(xvar(0, 1))
     b1, b2, b3 = (Poly.var(xvar(1, k)) for k in (1, 2, 3))
     c1, c2, c3 = (Poly.var(xvar(2, k)) for k in (1, 2, 3))
@@ -113,8 +112,8 @@ def test_criterion_4_a3_example():
         (3, 2, 1, 4),
     ]
     targets = frozenset(perm_set(r))
-    dreams = list(locus_pipe_dreams(dims, targets, "strict", "all"))
-    assert len(dreams) == 5
+    subsets = list(subword_subsets(grid_word(dims).letters, dims.d, targets, False))
+    assert len(subsets) == 5
     a = Poly.var(xvar(0, 1))
     b1 = Poly.var(xvar(1, 1))
     b2 = Poly.var(xvar(1, 2))
@@ -138,7 +137,7 @@ def test_criterion_5_final_example():
     dims = Dims((2, 2, 1))
     r = RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 1})
     z = zelevinsky_permutation(r)
-    assert len(enumerate_pipe_dreams(dims, z, "strict", "reduced")) == 3
+    assert len(enumerate_pipe_dreams(dims, z, "strict")) == 3
     assert len(cgpd_infinity(r)) == 3
     a1, a2 = Poly.var(xvar(0, 1)), Poly.var(xvar(0, 2))
     b1, b2 = Poly.var(xvar(1, 1)), Poly.var(xvar(1, 2))
@@ -163,10 +162,11 @@ def test_criterion_7_property_sweep():
     # violation, and every report above ran it; spot re-check explicitly
     for dims in (Dims((1, 2, 1)), Dims((2, 2, 1)), Dims((1, 1, 1, 1))):
         dhom = regions(dims).dhom_cells
+        word = grid_word(dims)
         for r in enumerate_rank_arrays(dims):
             targets = frozenset(perm_set(r))
-            for dream, _ in locus_pipe_dreams(dims, targets, "strict", "all"):
-                assert dhom <= dream.crosses
+            for J, _ in subword_subsets(word.letters, dims.d, targets, False):
+                assert dhom <= {word.cells[k] for k in J}
     _report(7, f"budget-8 sweep: {len(reports)} orbits, six-way agreement and both laws")
 
 

@@ -1,4 +1,4 @@
-"""Permutations, reduced words, block structure, and subword search."""
+"""Permutations, reduced words, block structure, and subword states."""
 
 import random
 from itertools import permutations
@@ -21,12 +21,14 @@ from qcalc.blockperm import (
     regions,
     rothe_diagram,
     simple,
-    subword_subsets,
+    subword_states,
+    target_states,
     w0,
     zelevinsky_hom,
     zelevinsky_permutation,
 )
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
+from subword_reference import subword_subsets
 
 
 def test_group_axioms_s4():
@@ -178,3 +180,33 @@ def test_subword_subsets_multi_target():
         for J, v in subword_subsets(letters, d, frozenset([t]), reduced=False)
     ]
     assert sorted(pairs) == sorted(singles)
+
+
+def test_subsets_walk_against_brute_force():
+    """SubwordStates.subsets lists the accepted subsets that a brute-force
+    filter finds, in the reference search's order: target_states toward
+    each permutation, reduced and all subsets, and subword_states toward
+    perm(r) for every orbit of a few dims, on seeded random words."""
+    rng = random.Random(11)
+    for d in range(2, 5):
+        perms = list(permutations(range(1, d + 1)))
+        for _ in range(6):
+            letters = tuple(rng.randint(1, d - 1) for _ in range(rng.randint(0, 9)))
+            for v in perms:
+                for reduced in (True, False):
+                    got = list(target_states(letters, v, reduced).subsets())
+                    ref = [J for J, _ in subword_subsets(letters, d, frozenset([v]), reduced)]
+                    assert got == ref, (letters, v, reduced)
+                    assert sorted(got) == [
+                        J for J, _ in brute_force_subsets(letters, d, {v}, reduced)
+                    ]
+    for dims in (Dims((1, 2, 1)), Dims((2, 2)), Dims((2, 1, 1)), Dims((1, 1, 1, 1))):
+        for r in enumerate_rank_arrays(dims):
+            targets = frozenset(perm_set(r))
+            for _ in range(4):
+                letters = tuple(rng.randint(1, dims.d - 1) for _ in range(rng.randint(0, 10)))
+                got = list(subword_states(letters, r).subsets())
+                ref = [J for J, _ in subword_subsets(letters, dims.d, targets, False)]
+                assert got == ref, (r, letters)
+                brute = brute_force_subsets(letters, dims.d, targets, False)
+                assert sorted(got) == sorted(J for J, _ in brute)

@@ -1,5 +1,6 @@
 """The qcalc command line: outputs, exit codes, rendering, round trips."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -104,6 +105,23 @@ def test_enum_pd_counts(capsys):
         capsys, "enum", "--what", "pd", "--format", "json", str(FIXTURES / "ex_oldpd.json")
     )
     assert len(json.loads(out)) == 9
+
+
+def test_enum_pd_order_pinned(capsys):
+    """`qcalc enum --what pd` prints the dreams of a frontier orbit in a
+    fixed order in both regions; the SHA-256 digests of the JSON output
+    were captured at commit 5c27f57, from the subword search that
+    tests/subword_reference.py keeps."""
+    path = str(FIXTURES / "ex_lace.json")
+    pinned = {
+        "strict": (162, "91bc75914f23133a641cee9d35de1b51aa74a5961712c499fbdefdfcb78e1952"),
+        "full": (834, "6156090713b87f3082622c26f464151c1424943a5866cc686a4b692d8bb54a16"),
+    }
+    for region, (count, digest) in pinned.items():
+        code, out, _ = run(capsys, "enum", "--what", "pd", "--region", region, "--format", "json", path)
+        assert code == 0
+        assert len(json.loads(out)) == count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, region
 
 
 def test_enum_cgpd(capsys):

@@ -9,9 +9,10 @@ from qcalc import blockperm, cgpd
 from qcalc.blockperm import perm_set, zelevinsky_permutation
 from qcalc.cgpd import cgpd_infinity, enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
-from qcalc.pipedream import enumerate_pipe_dreams, locus_pipe_dreams
+from qcalc.localization import grid_word
 from qcalc.poly import Poly, parse_poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
+from subword_reference import subword_subsets
 
 MODULES = ("poly", "quiver", "blockperm", "pipedream", "cgpd", "localization", "engine", "cli")
 
@@ -163,7 +164,6 @@ def _count_calls(monkeypatch, *functions):
 SHARED = (
     blockperm.block_counts,
     blockperm.perm_set,
-    blockperm.subword_subsets,
     blockperm.subword_states,
     blockperm.target_states,
     cgpd.enumerate_cgpd,
@@ -181,7 +181,6 @@ def test_check_builds_each_shared_object_once(monkeypatch):
     assert calls == {
         "block_counts": 1,
         "perm_set": 0,
-        "subword_subsets": 0,
         "subword_states": 1,
         "target_states": 1,
         "enumerate_cgpd": 1,  # counts["cgpd"]; every cgpd formula reads the one routing
@@ -201,7 +200,6 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
     assert calls == {
         "block_counts": 8,
         "perm_set": 0,
-        "subword_subsets": 0,
         "subword_states": 4,
         "target_states": 4,
         "enumerate_cgpd": 0,
@@ -214,10 +212,11 @@ def _count_pass(r):
     dims = r.dims
     z = zelevinsky_permutation(r)
     targets = frozenset(perm_set(r))
+    letters = grid_word(dims).letters
     return {
         "perm": len(targets),
-        "rp_star": len(enumerate_pipe_dreams(dims, z, "strict", "reduced")),
-        "p_total": sum(1 for _ in locus_pipe_dreams(dims, targets, "strict", "all")),
+        "rp_star": sum(1 for _ in subword_subsets(letters, dims.d, frozenset([z]), True)),
+        "p_total": sum(1 for _ in subword_subsets(letters, dims.d, targets, False)),
         "cgpd": len(enumerate_cgpd(r)),
         "cgpd_infinity": len(cgpd_infinity(r)),
     }

@@ -9,10 +9,12 @@ import pytest
 from qcalc.blockperm import (
     BlockStructure,
     all_reduced_words,
+    composite,
     length,
     perm_set,
     regions,
-    subword_subsets,
+    subword_states,
+    target_states,
     w0,
     zelevinsky_permutation,
 )
@@ -42,6 +44,7 @@ from qcalc.quiver import (
     hom_rank_array,
     parse_input,
 )
+from subword_reference import subword_subsets
 
 
 def test_grid_word_value():
@@ -154,20 +157,26 @@ def test_csm_restriction_h_grading():
 
 
 def test_orbit_subwords_order_pinned():
-    """The strict subword searches list their (J, v) pairs in a fixed
-    order, which `qcalc enum --what pd` prints; polynomial checks cannot
-    see it.  The digest was captured at commit a8098bf, before the
-    search's pruning was rewritten, over the orbit searches in both
-    modes (toward z(r) reduced, toward perm(r) all subsets)."""
+    """SubwordStates.subsets walks the strict subwords in a fixed order,
+    which `qcalc enum --what pd` prints; polynomial checks cannot see
+    it.  The digest was captured at commit a8098bf from the subword
+    search that subword_reference keeps, which lists the same (J, v)
+    pairs in the same order, over
+    both walks of each orbit: target_states toward z(r), reduced, and
+    subword_states toward perm(r), all subsets, v the product of J."""
     ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
     ranks.append(parse_input({"dims": [2, 3, 3], "rank": {"0,1": 1, "0,2": 0, "1,2": 1}}))
     digest = hashlib.sha256()
     pairs = 0
     for r in ranks:
         letters = grid_word(r.dims).letters
-        for reduced in (True, False):
-            targets = [zelevinsky_permutation(r)] if reduced else perm_set(r)
-            found = list(subword_subsets(letters, r.dims.d, frozenset(targets), reduced))
+        z = zelevinsky_permutation(r)
+        reduced = [(J, z) for J in target_states(letters, z, True).subsets()]
+        every = [
+            (J, composite(tuple(letters[k] for k in J), r.dims.d))
+            for J in subword_states(letters, r).subsets()
+        ]
+        for found in (reduced, every):
             pairs += len(found)
             digest.update(repr(found).encode())
     assert (len(ranks), pairs) == (215, 1915)

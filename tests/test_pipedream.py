@@ -4,20 +4,20 @@ from itertools import combinations
 
 import pytest
 
-from qcalc.blockperm import composite, regions, zelevinsky_permutation
+from qcalc.blockperm import composite, regions, target_states, zelevinsky_permutation
 from qcalc.pipedream import (
     DHomViolation,
     PipeDream,
     RegionViolation,
     csm_pd,
     enumerate_pipe_dreams,
-    locus_pipe_dreams,
     quiver_poly_pd,
     region_cells,
     trace,
 )
 from qcalc.poly import Poly, xvar
 from qcalc.quiver import Dims, RankArray, hom_rank_array
+from subword_reference import subword_subsets
 
 
 def _all_cells(d):
@@ -67,21 +67,25 @@ def test_enumeration_oldpd_counts():
         dims, {(0, 1): 1, (0, 2): 1, (0, 3): 0, (1, 2): 2, (1, 3): 1, (2, 3): 1}
     )
     z = zelevinsky_permutation(r)
-    assert len(enumerate_pipe_dreams(dims, z, "full", "reduced")) == 21
-    assert len(enumerate_pipe_dreams(dims, z, "strict", "reduced")) == 9
+    assert len(enumerate_pipe_dreams(dims, z, "full")) == 21
+    assert len(enumerate_pipe_dreams(dims, z, "strict")) == 9
 
 
 def test_enumeration_traces_match():
     dims = Dims((2, 2, 1))
     r = RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 1})
     z = zelevinsky_permutation(r)
-    for dream in enumerate_pipe_dreams(dims, z, "strict", "reduced"):
+    for dream in enumerate_pipe_dreams(dims, z, "strict"):
         assert trace(dream) == z
         assert len(dream.crosses) == len(
             [c for c in dream.crosses]
         )  # crosses are a set
-    for dream, v in locus_pipe_dreams(dims, frozenset([z]), "strict", "all"):
-        assert trace(dream) == v == z
+    cells = region_cells(dims, "strict")
+    letters = tuple(q + p - 1 for q, p in cells)
+    found = list(subword_subsets(letters, dims.d, frozenset([z]), False))
+    assert [J for J, _ in found] == list(target_states(letters, z, False).subsets())
+    for J, v in found:
+        assert trace(PipeDream(dims, frozenset(cells[k] for k in J))) == v == z
 
 
 def test_csm_pd_121_hom():
@@ -106,7 +110,7 @@ def test_dhom_violation(monkeypatch):
     D_Hom cell.  No orbit has one, so regions is patched to declare D_Hom
     a strict cell that an accepted subset skips."""
     from qcalc import pipedream
-    from qcalc.blockperm import Regions, perm_set, subword_subsets
+    from qcalc.blockperm import Regions, perm_set
     from qcalc.localization import grid_word
 
     r = hom_rank_array(Dims((1, 2, 1)))
