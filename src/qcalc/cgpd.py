@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
@@ -92,14 +93,6 @@ class SameColorCross(InvalidCGPD):
 
 class LaceCountMismatch(InvalidCGPD):
     """The traced pipes do not realize the requested lace array."""
-
-
-@dataclass(frozen=True)
-class PipePath:
-    """One pipe: the lace interval [start, end] it realizes."""
-
-    start: int
-    end: int
 
 
 @dataclass(frozen=True)
@@ -181,13 +174,12 @@ def _route(
     do not depend on color; the branch coloring each pipe not yet ended n
     reaches the first in laying order, which is the one raised.
 
-    Yields (grids, pipes, word) per routed diagram: grids are live lists
-    that the next step overwrites, pipes lists (start, color) per pipe,
-    and word spells the codes in laying order (_cells), a meeting of two
-    pipes of one color written B (a bump) or X (a crossing).
+    Yields (pipes, word) per routed diagram: pipes is a live list of
+    (start, color) per pipe that the next step overwrites, and word spells
+    the codes in laying order (_cells), a meeting of two pipes of one
+    color written B (a bump) or X (a crossing).
     """
     n, r = dims.n, dims.r
-    grids = [[[""] * r[i + 1] for _ in range(r[i])] for i in range(n)]
     # south[i][j][k]: the pipe leaving cell (j, k) of rectangle i southward;
     # row 0 is the closed north edge
     south = [[[None] * (r[i + 1] + 1) for _ in range(r[i] + 1)] for i in range(n)]
@@ -202,7 +194,7 @@ def _route(
             if i < n:
                 yield from row(i + 1, 1)
             else:
-                yield grids, pipes, "".join(word)
+                yield pipes, "".join(word)
             return
         pipe = south[i - 1][-1][j] if i else None
         if pipe is not None:
@@ -248,7 +240,6 @@ def _route(
                 or j == r[i] and down is not None and pipes[down][1] == i
             ):
                 continue
-            grids[i][j - 1][k - 1] = code
             south[i][j][k] = down
             word.append(("X" if code == "+" else "B") if one else code)
             yield from lay(i, j, k - 1, west) if k > 1 else row(i, j + 1)
@@ -260,14 +251,15 @@ def _route(
 def _routed(delta: CGPD):
     """Route a given diagram: its pipes and its tile word.  Raises on the
     first fault, in laying order (east to west)."""
-    _, pipes, word = next(_route(delta.dims, held=delta))
+    pipes, word = next(_route(delta.dims, held=delta))
     if "X" in word:
         raise SameColorCross(*_cells(delta.dims)[word.index("X")])
     return pipes, word
 
 
-def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
-    """Trace the pipes and check every invariant against the rank array."""
+def validate(delta: CGPD, r: RankArray) -> list[tuple[int, int]]:
+    """Trace the pipes and check every invariant against the rank array;
+    returns the lace intervals (start, end) of the pipes, sorted."""
     if delta.dims != r.dims:
         raise InvalidCGPD("dims of the diagram and rank array differ")
     intervals = sorted(_routed(delta)[0])
@@ -276,26 +268,41 @@ def validate(delta: CGPD, r: RankArray) -> list[PipePath]:
         raise LaceCountMismatch(
             f"pipes realize laces {intervals}, rank array needs {expected}"
         )
-    return [PipePath(start, end) for start, end in intervals]
+    return intervals
 
 
-def _diagrams(r: RankArray) -> list[tuple[CGPD, str]]:
-    """The valid diagrams realizing the laces of r, in tile-code order,
-    each with its tile word: one routing pass, made once per quiver.Orbit."""
+def orbit_words(r: RankArray) -> list[str]:
+    """The tile words of the valid diagrams realizing the laces of r, in
+    routing order: one routing pass, made once per quiver.Orbit."""
+    return shared(r, "cgpd", lambda r: [
+        word for _, word in _route(r.dims, want=lace_array(r).entries)
+    ])
 
-    def build(r: RankArray):
-        out = [
-            (CGPD(r.dims, tuple(tuple(map(tuple, grid)) for grid in grids)), word)
-            for grids, _, word in _route(r.dims, want=lace_array(r).entries)
-        ]
-        return sorted(out, key=lambda pair: pair[0].grids)
 
-    return shared(r, "cgpd", build)
+def minimal_words(r: RankArray) -> list[str]:
+    """The words of orbit_words with the fewest straight-strand tiles."""
+    words = orbit_words(r)
+    straight = [sum(map(word.count, "+-|")) for word in words]
+    best = min(straight)
+    return [word for word, count in zip(words, straight) if count == best]
+
+
+def _spell(dims: Dims, words: list[str]) -> list[CGPD]:
+    """The diagrams that routed words spell, in tile-code order: each
+    word's codes in laying order (_cells), every row reversed to run west
+    to east, and B read as b (a want-mode word holds no X)."""
+
+    def grids(codes):
+        return tuple(tuple(tuple(islice(codes, dims.r[i + 1]))[::-1] for _ in range(dims.r[i]))
+                     for i in range(dims.n))
+
+    return sorted((CGPD(dims, grids(iter(word.replace("B", "b")))) for word in words),
+                  key=lambda delta: delta.grids)
 
 
 def enumerate_cgpd(r: RankArray) -> list[CGPD]:
     """All valid diagrams realizing the laces of r, in tile-code order."""
-    return [delta for delta, _ in _diagrams(r)]
+    return _spell(r.dims, orbit_words(r))
 
 
 @lru_cache(maxsize=None)
@@ -341,23 +348,15 @@ def cgpd_weight(delta: CGPD) -> Poly:
 
 def csm_cgpd(r: RankArray) -> Poly:
     """CSM class of the open locus: the weights of all valid diagrams."""
-    return _word_sum([word for _, word in _diagrams(r)], _tile_weights(r.dims, True))
-
-
-def _minimal(r: RankArray) -> list[tuple[CGPD, str]]:
-    """The diagrams of _diagrams with the fewest straight-strand tiles."""
-    pairs = _diagrams(r)
-    straight = [sum(map(word.count, "+-|")) for _, word in pairs]
-    best = min(straight)
-    return [pair for pair, count in zip(pairs, straight) if count == best]
+    return _word_sum(orbit_words(r), _tile_weights(r.dims, True))
 
 
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
-    """The diagrams with the fewest straight-strand tiles."""
-    return [delta for delta, _ in _minimal(r)]
+    """The diagrams with the fewest straight-strand tiles, in tile-code order."""
+    return _spell(r.dims, minimal_words(r))
 
 
 def quiver_poly_cgpd(r: RankArray) -> Poly:
     """Quiver polynomial as the h -> infinity limit of the CSM formula:
     only minimal diagrams survive, weighted by their straight tiles."""
-    return _word_sum([word for _, word in _minimal(r)], _tile_weights(r.dims, False))
+    return _word_sum(minimal_words(r), _tile_weights(r.dims, False))

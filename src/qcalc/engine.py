@@ -88,9 +88,9 @@ def check(r: RankArray) -> ConsistencyReport:
     """Compute all six polynomials of r and verify every cross relation.
 
     The formulas share one Orbit, so the block counts, z(r), the reduced
-    and the CSM subword states and the cgpd diagrams (one routing pass,
+    and the CSM subword states and the cgpd tile words (one routing pass,
     read by both cgpd formulas) are built once; the counts are their
-    sizes, and no subword or member of perm(r) is listed.
+    sizes, and no subword, member of perm(r) or CGPD object is listed.
     rp_star, the number of reduced strict dreams of z(r), and p_total,
     the number of strict subwords with product in perm(r) (non-reduced
     strict dreams), are N(0, start) of the two state sets
@@ -122,8 +122,8 @@ def check(r: RankArray) -> ConsistencyReport:
         "perm": perm_count(orbit),
         "rp_star": localization.orbit_reduced_states(orbit).total,
         "p_total": localization.orbit_states(orbit).total,
-        "cgpd": len(cgpd.enumerate_cgpd(orbit)),
-        "cgpd_infinity": len(cgpd.cgpd_infinity(orbit)),
+        "cgpd": len(cgpd.orbit_words(orbit)),
+        "cgpd_infinity": len(cgpd.minimal_words(orbit)),
     }
     return ConsistencyReport(
         rank=r,

@@ -13,15 +13,17 @@ from qcalc.cgpd import (
     LaceCountMismatch,
     NorthLeak,
     SameColorCross,
-    _diagrams,
+    _spell,
     cgpd_infinity,
     cgpd_weight,
     csm_cgpd,
     enumerate_cgpd,
+    minimal_words,
+    orbit_words,
     quiver_poly_cgpd,
     validate,
 )
-from qcalc.engine import sweep_dims
+from qcalc.engine import check, sweep_dims
 from qcalc.poly import Poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array, parse_input
 
@@ -86,8 +88,7 @@ def test_big_example_fixture_validates():
     obj = json.loads((FIXTURES / "ex_cgpd_big.json").read_text())
     r = parse_input(obj)
     delta = CGPD.from_json(r.dims, obj)
-    pipes = validate(delta, r)
-    assert sorted((p.start, p.end) for p in pipes) == [
+    assert validate(delta, r) == [
         (0, 2),
         (2, 5),
         (3, 3),
@@ -140,12 +141,12 @@ def test_tile_words():
     """Each diagram's word lists its tiles in laying order (top to bottom,
     east to west); the bump of two pipes of one color is written B."""
     r = hom_rank_array(Dims((2, 2)))
-    pairs = _diagrams(r)
-    assert [delta.grids for delta, _ in pairs] == [
+    words = orbit_words(r)
+    assert words == ["-rr|", "r.Br"]
+    assert [delta.grids for delta in _spell(r.dims, words)] == [
         (((".", "r"), ("r", "b")),),
         ((("r", "-"), ("|", "r")),),
     ]
-    assert [word for _, word in pairs] == ["r.Br", "-rr|"]
 
 
 def test_enumeration_order_pinned():
@@ -164,6 +165,39 @@ def test_enumeration_order_pinned():
     assert digest.hexdigest() == (
         "1f3bdab161b849bf5d5230bfc7ccd2940846c7a2f7e188a0edffba78132aed9b"
     )
+
+
+def _straight(delta: CGPD) -> int:
+    return sum(code in "+-|" for grid in delta.grids for row in grid for code in row)
+
+
+def test_cgpd_infinity_order_pinned():
+    """cgpd_infinity lists the diagrams of enumerate_cgpd with the fewest
+    straight-strand tiles, in enumerate_cgpd's order."""
+    ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    for r in ranks:
+        diagrams = enumerate_cgpd(r)
+        best = min(map(_straight, diagrams))
+        assert cgpd_infinity(r) == [delta for delta in diagrams if _straight(delta) == best]
+
+
+def test_formulas_build_no_diagram_objects(monkeypatch):
+    """check() and the cgpd formulas read tile words only; CGPD objects
+    are built for enumeration alone."""
+    built = []
+    post_init = CGPD.__post_init__
+    monkeypatch.setattr(CGPD, "__post_init__", lambda self: built.append(post_init(self)))
+    ranks = [r for dims in sweep_dims(4)[::4] for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))[::4]
+    for r in ranks:
+        check(r)
+        csm_cgpd(r)
+        quiver_poly_cgpd(r)
+        orbit_words(r)
+        minimal_words(r)
+    assert built == []
+    assert len(enumerate_cgpd(ranks[0])) == len(built) > 0
 
 
 def test_forced_diagram_11():

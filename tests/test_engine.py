@@ -183,7 +183,7 @@ def test_check_builds_each_shared_object_once(monkeypatch):
         "perm_set": 0,
         "subword_states": 1,
         "target_states": 1,
-        "enumerate_cgpd": 1,  # counts["cgpd"]; every cgpd formula reads the one routing
+        "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one routing
         "_route": 1,
     }
 
