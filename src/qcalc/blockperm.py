@@ -305,59 +305,38 @@ class SubwordStates:
     """The live states of subword_states or target_states, level by level.
 
     levels[k] maps each state s reachable at letter k from which some
-    accepted completion exists to (N, skipped, skip, take): N(k, s) is
-    the number of accepted completions; skipped has bit j set when some
-    accepted completion skips position j >= k; skip and take are the
-    live states s reaches at k + 1 by skipping or taking letter k, or
-    None where that branch accepts nothing.  A skipped letter weighs 1
-    in reduced mode and h otherwise.
+    accepted completion exists to its edges (c, t), skip first: label c
+    is 0 for skipping letter k and 1 for taking it, and t is the live
+    state s reaches at k + 1.  The accepted states after the last letter
+    have no edges.  total is the number of accepted subsets, and skipped
+    has bit j set when some accepted subset skips position j; a position
+    outside it is taken by every accepted subset.  A skipped letter
+    weighs 1 in reduced mode and h otherwise.
     """
 
     levels: tuple[dict, ...]
+    total: int
+    skipped: int
     reduced: bool
-
-    @property
-    def total(self) -> int:
-        """The number of accepted subsets, N(0, start)."""
-        return sum(rec[0] for rec in self.levels[0].values())
-
-    @property
-    def skipped(self) -> int:
-        """The positions some accepted subset skips, as a bit mask; a
-        position outside it is taken by every accepted subset."""
-        out = 0
-        for rec in self.levels[0].values():
-            out |= rec[1]
-        return out
-
-    def edges(self, k: int):
-        """(s, skip, take) for each live state s at letter k."""
-        for s, (_, _, skip, take) in self.levels[k].items():
-            yield s, skip, take
 
     def subsets(self):
         """Each accepted subset J, the tuple of its taken positions, depth
         first, each letter skipped before it is taken.  A path from a start
         state to an accepted state is one accepted subset, and every live
-        state has N > 0, so the walk enters no branch that accepts nothing."""
+        state has an accepted completion, so the walk enters no branch
+        that accepts nothing."""
         levels = self.levels
         L = len(levels) - 1
-        chosen: list[int] = []
 
-        def rec(k: int, s: tuple):
+        def rec(k: int, s: tuple, J: tuple):
             if k == L:
-                yield tuple(chosen)
+                yield J
                 return
-            _, _, skip, take = levels[k][s]
-            if skip is not None:
-                yield from rec(k + 1, skip)
-            if take is not None:
-                chosen.append(k)
-                yield from rec(k + 1, take)
-                chosen.pop()
+            for c, t in levels[k][s]:
+                yield from rec(k + 1, t, J + (k,) if c else J)
 
         for s in levels[0]:
-            yield from rec(0, s)
+            yield from rec(0, s, ())
 
 
 def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
@@ -365,29 +344,34 @@ def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
     a forward pass kept at letter k to its (skip, take) children at
     k + 1, None for a pruned branch; accepted holds the accepted states
     after the last letter.  N(L, s) is 1 for an accepted s and N(k, s)
-    is N(k+1, skip) + N(k+1, take); the states with N > 0 are kept, each
-    with the mask of positions some accepted completion skips."""
-    level = {s: (1, 0, None, None) for s in accepted}
+    is N(k+1, skip) + N(k+1, take); the states with N > 0 are kept with
+    the edges to their live children.  N and the mask of positions some
+    accepted completion skips are kept one level at a time, and only
+    their values at the start become total and skipped."""
+    level = dict.fromkeys(accepted, ())
+    counts = dict.fromkeys(accepted, (1, 0))  # s -> (N, skip mask) below letter k
     levels = [level]  # from the last letter back
     for k in range(len(children) - 1, -1, -1):
         bit = 1 << k
-        below = level
-        level = {}
+        below = counts
+        level, counts = {}, {}
         for s, (skip, take) in children[k].items():
-            n = mask = 0
-            if rec := below.get(skip):
-                n, mask = rec[0], rec[1] | bit
-            else:
-                skip = None
-            if rec := below.get(take):
-                n += rec[0]
-                mask |= rec[1]
-            else:
-                take = None
-            if n:
-                level[s] = (n, mask, skip, take)
+            a, b = below.get(skip), below.get(take)
+            if a and b:
+                level[s] = ((0, skip), (1, take))
+                counts[s] = (a[0] + b[0], a[1] | b[1] | bit)
+            elif a:
+                level[s] = ((0, skip),)
+                counts[s] = (a[0], a[1] | bit)
+            elif b:
+                level[s] = ((1, take),)
+                counts[s] = b
         levels.append(level)
-    return SubwordStates(tuple(reversed(levels)), reduced)
+    total = skipped = 0
+    for n, mask in counts.values():
+        total += n
+        skipped |= mask
+    return SubwordStates(tuple(reversed(levels)), total, skipped, reduced)
 
 
 def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
@@ -427,12 +411,12 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     The counts.  A forward pass lists the states that survive the bound,
     each with its two children; the backward pass (_live) computes over
     integers N(k, s), the number of accepted completions from (k, s),
-    and keeps the states with N > 0, each with the mask of positions
-    that some accepted completion skips (SubwordStates).  N(0, start) is
-    the number of subsets whose ordered product lies in perm(r), one per
-    path that SubwordStates.subsets walks.  The number of accepted subsets that skip a position of a set
-    D is positive exactly when the mask at start meets D; csm_pd reads
-    it so for the D_Hom cells.
+    and keeps the states with N > 0 and their edges (SubwordStates).
+    Its total, N(0, start), is the number of subsets whose ordered
+    product lies in perm(r), one per path that SubwordStates.subsets
+    walks.  The number of accepted subsets that skip a position of a set
+    D is positive exactly when the skipped mask meets D; csm_pd reads it
+    so for the D_Hom cells.
     """
     dims = r.dims
     bs = BlockStructure(dims)
@@ -496,7 +480,7 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> Su
     The state of a partial product u is u^-1, the position of each
     value: the label vector of subword_states with every position its
     own row block.  So taking letter t swaps the entries of t and t+1
-    (_swap), and the backward pass, SubwordStates and state_sum are
+    (_swap), and the backward pass, SubwordStates and subword_sum are
     shared.  The state v^-1 is accepted.
 
     The distance.  Each state carries d(u, v) = l(v u^-1).  The

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
+from .localization import state_sum
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
 
@@ -320,35 +321,38 @@ def _tile_weights(dims: Dims, hbar: bool) -> tuple[dict[str, Poly], ...]:
     return tuple(out)
 
 
-def _word_sum(words: list[str], weights: tuple[dict[str, Poly], ...]) -> Poly:
-    """The sum over the words w of the product of weights[p][w[p]], with
-    shared prefixes factored: S(u) is the sum over the codes c that
-    follow u of weights[|u|][c] * S(uc), one Poly.sum_of_products per
-    prefix u, and S of a whole word is 1.  A prefix whose words all go on
-    with one code of weight 1 passes that child's sum through."""
-
-    def node(words: list[str], p: int) -> Poly:
-        if p == len(weights):
-            return Poly.one()
-        children: dict[str, list[str]] = {}
-        for w in words:
-            children.setdefault(w[p], []).append(w)
-        pairs = [(weights[p][c], node(group, p + 1)) for c, group in children.items()]
-        if len(pairs) == 1 and pairs[0][0] == 1:
-            return pairs[0][1]
-        return Poly.sum_of_products(pairs)
-
-    return node(words, 0)
+def _trie(dims: Dims, words: list[str]) -> list[dict]:
+    """The tile words of dims as a trie in state_sum's level format, built
+    in one pass over the words: levels[p] maps each prefix of length p,
+    numbered, to its edges (c, child), one per code c that follows it in
+    some word, in the order the words first use them.  The words end at
+    the last level's nodes, which have no edges, so state_sum over the
+    trie with _tile_weights sums the product of weights[p][w[p]] over
+    the words w, each shared prefix's weights multiplying the sum of its
+    completions once."""
+    depth = len(_cells(dims))
+    levels: list[dict] = [{} for _ in range(depth + 1)]
+    child: dict = {}  # (prefix, code) -> prefix
+    for word in words:
+        node = 0
+        for p, c in enumerate(word):
+            nxt = child.get((node, c))
+            if nxt is None:
+                nxt = child[node, c] = len(child) + 1
+                levels[p].setdefault(node, []).append((c, nxt))
+            node = nxt
+        levels[depth][node] = ()
+    return levels
 
 
 def cgpd_weight(delta: CGPD) -> Poly:
     """The weight of one given diagram, each pipe colored by its routing."""
-    return _word_sum([_routed(delta)[1]], _tile_weights(delta.dims, True))
+    return state_sum(_trie(delta.dims, [_routed(delta)[1]]), _tile_weights(delta.dims, True))
 
 
 def csm_cgpd(r: RankArray) -> Poly:
     """CSM class of the open locus: the weights of all valid diagrams."""
-    return _word_sum(orbit_words(r), _tile_weights(r.dims, True))
+    return state_sum(_trie(r.dims, orbit_words(r)), _tile_weights(r.dims, True))
 
 
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
@@ -359,4 +363,4 @@ def cgpd_infinity(r: RankArray) -> list[CGPD]:
 def quiver_poly_cgpd(r: RankArray) -> Poly:
     """Quiver polynomial as the h -> infinity limit of the CSM formula:
     only minimal diagrams survive, weighted by their straight tiles."""
-    return _word_sum(minimal_words(r), _tile_weights(r.dims, False))
+    return state_sum(_trie(r.dims, minimal_words(r)), _tile_weights(r.dims, False))

@@ -235,7 +235,7 @@ def _cmd_enum(args) -> int:
         items = [delta.to_json() for delta in diagrams]
         texts = [render_cgpd(delta) for delta in diagrams]
     elif args.what == "perm":
-        perms = sorted(perm_set(r))
+        perms = perm_set(r)
         items = [{"perm": list(v)} for v in perms]
         texts = [_perm_text(v) for v in perms]
     else:

@@ -93,9 +93,10 @@ def check(r: RankArray) -> ConsistencyReport:
     sizes, and no subword, member of perm(r) or CGPD object is listed.
     rp_star, the number of reduced strict dreams of z(r), and p_total,
     the number of strict subwords with product in perm(r) (non-reduced
-    strict dreams), are N(0, start) of the two state sets
-    (localization.orbit_reduced_states and orbit_states); perm, the
-    size of perm(r), follows from its block counts (blockperm.perm_count).
+    strict dreams), are the totals (SubwordStates.total) of the two
+    state sets (localization.orbit_reduced_states and orbit_states);
+    perm, the size of perm(r), follows from its block counts
+    (blockperm.perm_count).
     """
     orbit = Orbit(r)
     polys: dict[str, Poly] = {}

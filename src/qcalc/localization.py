@@ -108,37 +108,42 @@ def orbit_reduced_states(r: RankArray) -> blockperm.SubwordStates:
     )
 
 
-def state_sum(states: blockperm.SubwordStates, weights: list | tuple) -> Poly:
-    """The sum over the accepted subsets J of the product of weights[j]
-    over j in J times the skip weight to the power L - |J|: h, or 1 in
-    reduced mode.
+def state_sum(levels: tuple[dict, ...], weights) -> Poly:
+    """The levelled path sum S(0, root), with S(k, s) the sum over the
+    edges (c, t) of s of weights[k][c] * S(k+1, t) and S = 1 at the last
+    level.  levels[k] maps each node at level k to its edges, label c and
+    child t at level k + 1: the live subword states (subword_sum) or the
+    trie of the cgpd tile words (cgpd._trie).
 
-    It runs the recursion S(k, s) = h S(k+1, s) + w_k S(k+1, s_k s),
-    h the skip weight, from the last letter back, over the live states
-    only, keeping one level of partial sums at a time.  A state whose
-    only live branch weighs 1 passes that branch's partial sum through.
+    It runs from the last level back, keeping one level of partial sums
+    at a time.  A node whose single edge weighs 1 passes its child's sum
+    through.  Level 0 holds the root, or nothing when nothing is
+    accepted, and then the sum is 0.
     """
     one = Poly.one()
-    hbar = one if states.reduced else Poly.hbar()
-    below = {s: one for s in states.levels[-1]}
-    for k in range(len(weights) - 1, -1, -1):
+    below = dict.fromkeys(levels[-1], one)
+    for k in range(len(levels) - 2, -1, -1):
         w = weights[k]
-        forced = w == one
         level = {}
-        for s, skip, take in states.edges(k):
-            if take is None and states.reduced:
-                level[s] = below[skip]
-            elif skip is None and forced:
-                level[s] = below[take]
+        for s, edges in levels[k].items():
+            if len(edges) == 1 and w[edges[0][0]] == one:
+                level[s] = below[edges[0][1]]
             else:
-                pairs = []
-                if skip is not None:
-                    pairs.append((hbar, below[skip]))
-                if take is not None:
-                    pairs.append((w, below[take]))
-                level[s] = Poly.sum_of_products(pairs)
+                level[s] = Poly.sum_of_products([(w[c], below[t]) for c, t in edges])
         below = level
-    return Poly.sum(below.values())
+    if not below:
+        return Poly.zero()
+    (root,) = below.values()
+    return root
+
+
+def subword_sum(states: blockperm.SubwordStates, weights: list | tuple) -> Poly:
+    """The sum over the accepted subsets J of the product of weights[j]
+    over j in J times the skip weight to the power L - |J|: h, or 1 in
+    reduced mode.  It is state_sum over the live states, a skip weighing
+    the skip weight and a take at letter k weighing weights[k]."""
+    skip = Poly.one() if states.reduced else Poly.hbar()
+    return state_sum(states.levels, [(skip, w) for w in weights])
 
 
 def _restriction(v: tuple, word: Word, reduced: bool) -> Poly:
@@ -146,7 +151,7 @@ def _restriction(v: tuple, word: Word, reduced: bool) -> Poly:
     v = tuple(v)
     if sorted(v) != list(range(1, word.d + 1)):
         raise ValueError(f"v = {v} is not a permutation of 1..d, d = {word.d}")
-    return state_sum(target_states(word.letters, v, reduced), roots(word))
+    return subword_sum(target_states(word.letters, v, reduced), roots(word))
 
 
 def ajs_billey(v: tuple, word: Word) -> Poly:
@@ -169,7 +174,7 @@ def _forced_sum(states: blockperm.SubwordStates, betas) -> tuple[tuple[int, ...]
     skipped = states.skipped
     common = tuple(j for j in range(len(betas)) if not skipped >> j & 1)
     weights = [b if skipped >> j & 1 else Poly.one() for j, b in enumerate(betas)]
-    return common, state_sum(states, weights)
+    return common, subword_sum(states, weights)
 
 
 def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:

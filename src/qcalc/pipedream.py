@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .blockperm import BlockStructure, regions, target_states
-from .localization import grid_word, orbit_reduced_states, orbit_states, state_sum
+from .localization import grid_word, orbit_reduced_states, orbit_states, subword_sum
 from .poly import Poly
 from .quiver import Dims, RankArray
 
@@ -105,15 +105,15 @@ def _cell_weights(dims: Dims) -> tuple[Poly, ...]:
 
 def quiver_poly_pd(r: RankArray) -> Poly:
     """Sum of cross weights over the reduced strict dreams of z(r), walked
-    over the orbit's reduced states (localization.state_sum)."""
-    return state_sum(orbit_reduced_states(r), _cell_weights(r.dims))
+    over the orbit's reduced states (localization.subword_sum)."""
+    return subword_sum(orbit_reduced_states(r), _cell_weights(r.dims))
 
 
 def csm_pd(r: RankArray) -> Poly:
     """CSM class of the open locus as a sum over non-reduced strict dreams
     of every permutation with the block counts of z(r).
 
-    The sum runs over the orbit's shared states (localization.state_sum):
+    The sum runs over the orbit's shared states (localization.subword_sum):
     a cross weighs its cell label, a D_Hom cell weighs 1, a missing cross
     weighs h, and every dream must cross every D_Hom cell, else
     DHomViolation.
@@ -124,4 +124,4 @@ def csm_pd(r: RankArray) -> Poly:
     skipped = states.skipped
     if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in dhom]:
         raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
-    return state_sum(states, _cell_weights(r.dims))
+    return subword_sum(states, _cell_weights(r.dims))

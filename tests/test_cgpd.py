@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from qcalc.cgpd import (
     NorthLeak,
     SameColorCross,
     _spell,
+    _tile_weights,
     cgpd_infinity,
     cgpd_weight,
     csm_cgpd,
@@ -165,6 +167,24 @@ def test_enumeration_order_pinned():
     assert digest.hexdigest() == (
         "1f3bdab161b849bf5d5230bfc7ccd2940846c7a2f7e188a0edffba78132aed9b"
     )
+
+
+def test_word_sums_match_a_plain_product_sum():
+    """An oracle for both cgpd sums that shares no code with the trie or
+    the state sum: each word's tile weights multiplied out on their own,
+    and the products added up."""
+    ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+
+    def plain(words, weights):
+        return Poly.sum(
+            math.prod((weights[p][c] for p, c in enumerate(word)), start=Poly.one())
+            for word in words
+        )
+
+    for r in ranks:
+        assert csm_cgpd(r) == plain(orbit_words(r), _tile_weights(r.dims, True))
+        assert quiver_poly_cgpd(r) == plain(minimal_words(r), _tile_weights(r.dims, False))
 
 
 def _straight(delta: CGPD) -> int:

@@ -244,7 +244,7 @@ def test_state_sum_matches_subset_sum():
             pd, ratio = (quiver_poly_pd, quiver_poly_ratio) if reduced else (csm_pd, csm_ratio)
             assert format_poly(pd(r)) == format_poly(pd_ref), (r, reduced)
             assert format_poly(ratio(r)) == format_poly(ratio_ref), (r, reduced)
-            # check() reports N(0, start) of the two state sets as rp_star
+            # check() reports the totals of the two state sets as rp_star
             # and p_total
             if report is not None:
                 total = report.counts["rp_star" if reduced else "p_total"]
