@@ -33,39 +33,18 @@ from .localization import state_sum
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
 
-TILE_CODES = (".", "-", "|", "+", "r", "j", "b")
-
-# which of the four cell edges each tile kind touches
-_EDGES = {
-    ".": frozenset(),
-    "-": frozenset("EW"),
-    "|": frozenset("NS"),
-    "+": frozenset("NSEW"),
-    "r": frozenset("ES"),
-    "j": frozenset("NW"),
-    "b": frozenset("NSEW"),
+# The tiles that take exactly the strands arriving from (east, north), in
+# trying order, each with the arriving strand ("E" or "N") it sends west
+# and the one it sends south.
+_TILES = {
+    (False, False): ((".", None, None),),
+    (True, False): (("-", "E", None), ("r", None, "E")),
+    (False, True): (("|", None, "N"), ("j", "N", None)),
+    (True, True): (("+", "E", "N"), ("b", "N", "E")),
 }
 
-# outgoing edge by (tile, incoming edge); pipes only ever enter from E or N
-_STEP = {
-    ("-", "E"): "W",
-    ("+", "E"): "W",
-    ("r", "E"): "S",
-    ("b", "E"): "S",
-    ("|", "N"): "S",
-    ("+", "N"): "S",
-    ("j", "N"): "W",
-    ("b", "N"): "W",
-}
-
-# the tiles that take exactly the strands arriving from (east, north)
-_FITS = {
-    (east, north): tuple(
-        code for code in TILE_CODES if ("E" in _EDGES[code], "N" in _EDGES[code]) == (east, north)
-    )
-    for east in (False, True)
-    for north in (False, True)
-}
+# each known tile code's (east, north) key in _TILES
+_SIDES = {code: sides for sides, tiles in _TILES.items() for code, _, _ in tiles}
 
 
 class InvalidCGPD(Exception):
@@ -114,7 +93,7 @@ class CGPD:
                 )
             for row in grid:
                 for code in row:
-                    if code not in _EDGES:
+                    if code not in _SIDES:
                         raise InvalidCGPD(f"unknown tile code {code!r}")
 
     def to_json(self) -> dict:
@@ -149,17 +128,20 @@ def _route(
 
     Rectangles are tiled in order, each top to bottom and east to west,
     so the pipes arriving at a cell from the east and the north are
-    known when it is reached; only the tiles whose edges take exactly
-    those strands are tried, and each pipe follows _STEP.  A row of
-    rectangle i not fed from above starts a pipe, whose color c >= i is
-    chosen there: with want (lace counts by interval) from the laces
-    (i, c) still owed, without it freely.  A branch stops when a pipe of
-    color c leaves rectangle i westward with c != i, or southward out of
-    its last row with c == i, so every pipe ends in the rectangle of its
-    color (rectangle n, untiled, takes only color n).  With want a
-    crossing of two pipes of one color stops the branch where it is laid.
-    With held every cell is held to that diagram's tile, and a tile that
-    does not take the arriving strands raises EdgeMismatch or NorthLeak.
+    known when it is reached; only the tiles that _TILES lists for those
+    strands are tried, in its order, each sending them on west and south
+    as its entry says.  A row of rectangle i not fed from above starts a
+    pipe, whose color c >= i is chosen there: with want (lace counts by
+    interval) from the laces (i, c) still owed, without it freely.  A
+    branch stops when a pipe of color c leaves rectangle i westward with
+    c != i, or southward out of its last row with c == i, so every pipe
+    ends in the rectangle of its color (rectangle n, untiled, takes only
+    color n).  With want a crossing of two pipes of one color stops the
+    branch where it is laid.
+    With held every cell is held to that diagram's tile; a tile that does
+    not take the arriving strands raises EdgeMismatch if its (east, north)
+    key in _SIDES wants another east strand, else NorthLeak in a top row,
+    else EdgeMismatch at the cell above.
 
     A completed diagram realizes want exactly: used counts the pipes by
     (start, end), and each row of rectangle i carries one pipe, which
@@ -213,11 +195,12 @@ def _route(
 
     def lay(i: int, j: int, k: int, east: int | None):
         north = south[i][j - 1][k]
-        codes = _FITS[east is not None, north is not None]
+        tiles = _TILES[east is not None, north is not None]
         if held is not None:
             code = held.grids[i][j - 1][k - 1]
-            if code not in codes:
-                if ("E" in _EDGES[code]) != (east is not None):
+            tiles = [tile for tile in tiles if tile[0] == code]
+            if not tiles:
+                if _SIDES[code][0] != (east is not None):
                     raise EdgeMismatch(i, j, k, "east neighbor disagrees" if k < r[i + 1]
                                        else "east edge of the row is unused")
                 if j == 1:
@@ -225,15 +208,9 @@ def _route(
                         f"rectangle {i}, cell ({j},{k}) expects a strand from the north edge"
                     )
                 raise EdgeMismatch(i, j - 1, k, "south neighbor disagrees")
-            codes = (code,)
-        for code in codes:
-            west = down = None
-            for came, pipe in (("E", east), ("N", north)):
-                if pipe is not None:
-                    if _STEP[code, came] == "W":
-                        west = pipe
-                    else:
-                        down = pipe
+        strand = {"E": east, "N": north, None: None}
+        for code, to_west, to_south in tiles:
+            west, down = strand[to_west], strand[to_south]
             one = west is not None and down is not None and pipes[west][1] == pipes[down][1]
             if (
                 one and code == "+" and want is not None

@@ -226,7 +226,8 @@ class Poly:
 
     @classmethod
     def sum(cls, polys: Iterable["Poly | int"]) -> "Poly":
-        """The sum of polys, accumulated in place in one dict."""
+        """The sum of polys, accumulated in place in one dict; + is this
+        sum of one pair."""
         out: dict[int, int] = {}
         get = out.get
         for p in polys:
@@ -258,15 +259,7 @@ class Poly:
 
     # -- ring arithmetic -------------------------------------------------
     def __add__(self, other: "Poly | int") -> "Poly":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c += out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return Poly._wrap(out)
+        return Poly.sum((self, other))
 
     __radd__ = __add__
 

@@ -205,41 +205,34 @@ def hom_rank_array(dims: Dims) -> RankArray:
 
 
 def enumerate_lace_arrays(dims: Dims) -> list[LaceArray]:
-    """All lace arrays for dims, in lexicographic order of their entries."""
+    """All lace arrays for dims, in lexicographic order of their entries.
+
+    The intervals are filled in dims.pairs() order while room[i] counts
+    the laces row i still takes.  Every interval after (p, q) either
+    starts at p and ends after q, or starts after p.  So for q < n, row p
+    and the rows after it can still take laces later, and (p, q) may take
+    any count up to the least room of rows p..q.  No interval after
+    (p, n) covers row p, so (p, n) takes exactly row p's room, and fits
+    only when no row of p..n has less.  Each row is thus filled exactly
+    when the last interval through it is set, and counts are tried in
+    increasing order, which gives the lexicographic order.
+    """
     pairs = dims.pairs()
+    entries: dict[tuple[int, int], int] = {}
     results: list[LaceArray] = []
 
-    def rec(idx: int, partial: dict[tuple[int, int], int]):
+    def rec(idx: int, room: tuple[int, ...]):
         if idx == len(pairs):
-            results.append(LaceArray(dims, dict(partial)))
+            results.append(LaceArray(dims, entries))
             return
         p, q = pairs[idx]
-        # remaining capacity at each row p..q
-        cap = min(
-            dims.r[i]
-            - sum(v for (a, b), v in partial.items() if a <= i <= b)
-            for i in range(p, q + 1)
-        )
-        # rows that no later interval can reach must be filled exactly
-        for value in range(cap + 1):
-            partial[(p, q)] = value
-            if _rows_completable(dims, pairs, idx, partial):
-                rec(idx + 1, partial)
-        del partial[(p, q)]
+        cap = min(room[p : q + 1])
+        for value in range(cap + 1) if q < dims.n else [cap] if room[p] == cap else []:
+            entries[p, q] = value
+            rec(idx + 1, tuple(x - value if p <= i <= q else x for i, x in enumerate(room)))
 
-    rec(0, {})
+    rec(0, dims.r)
     return results
-
-
-def _rows_completable(dims, pairs, idx, partial) -> bool:
-    remaining_pairs = pairs[idx + 1 :]
-    for i, ri in enumerate(dims.r):
-        have = sum(v for (a, b), v in partial.items() if a <= i <= b)
-        if have > ri:
-            return False
-        if have < ri and not any(a <= i <= b for a, b in remaining_pairs):
-            return False
-    return True
 
 
 def enumerate_rank_arrays(dims: Dims) -> list[RankArray]:

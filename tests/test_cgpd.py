@@ -1,6 +1,7 @@
 """Chained generic pipe dreams: validation, enumeration, and weights."""
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -26,7 +27,7 @@ from qcalc.cgpd import (
     validate,
 )
 from qcalc.engine import check, sweep_dims
-from qcalc.poly import Poly, xvar
+from qcalc.poly import Poly, format_poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array, parse_input
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -166,6 +167,45 @@ def test_enumeration_order_pinned():
     assert (len(ranks), diagrams) == (230, 2795)
     assert digest.hexdigest() == (
         "1f3bdab161b849bf5d5230bfc7ccd2940846c7a2f7e188a0edffba78132aed9b"
+    )
+
+
+def test_router_pinned():
+    """The router's words in routing order, and its verdict on every tiling
+    of small dims, against each orbit: the intervals validate returns or
+    the exception it raises (type, message and cell), and the weight
+    cgpd_weight returns or its exception.  The digests were captured at
+    commit 898ff67, before the router read its tiles from one table."""
+    ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    words = hashlib.sha256()
+    for r in ranks:
+        words.update(repr(orbit_words(r)).encode())
+
+    def outcome(fn):
+        try:
+            out = fn()
+        except InvalidCGPD as exc:
+            return f"{type(exc).__name__}|{exc}|{getattr(exc, 'cell', None)}"
+        return repr(out) if isinstance(out, list) else format_poly(out)
+
+    outcomes = []
+    for dims in map(Dims, [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2)]):
+        orbits = enumerate_rank_arrays(dims)
+        shapes = [(dims.r[i], dims.r[i + 1]) for i in range(dims.n)]
+        for codes in itertools.product(".-|+rjb", repeat=sum(a * b for a, b in shapes)):
+            tiles = iter(codes)
+            grids = tuple(tuple(tuple(next(tiles) for _ in range(b)) for _ in range(a))
+                          for a, b in shapes)
+            delta = CGPD(dims, grids)
+            outcomes += [outcome(lambda: validate(delta, r)) for r in orbits]
+            outcomes.append(outcome(lambda: cgpd_weight(delta)))
+    assert len(outcomes) == 10164
+    assert words.hexdigest() == (
+        "a37214ef3fff5556c5b6f16ea11dae8e614dee85ae09336b3b359e74ecbf7843"
+    )
+    assert hashlib.sha256("".join(text + "\n" for text in outcomes).encode()).hexdigest() == (
+        "e3a39510d39e5ea13d0189cee195ac96e5f817aa640be61878cc7efe69a57ad9"
     )
 
 

@@ -1,6 +1,8 @@
 """Rank/lace conversions, orbit representatives, and exact matrix rank."""
 
+import itertools
 import json
+
 import pytest
 
 from qcalc.blockperm import zelevinsky_permutation
@@ -71,6 +73,28 @@ def test_lace_rank_inversion_exhaustive():
             assert lace_array(rank_array(s)) == s
         for r in enumerate_rank_arrays(dims):
             assert rank_array(lace_array(r)) == r
+
+
+def test_lace_enumeration_is_the_row_sum_filter_in_order():
+    """enumerate_lace_arrays lists, in order, exactly the assignments that
+    itertools.product makes over dims.pairs(), each interval (p, q) taking
+    0..min(r_p..r_q), whose laces through every row add up to its dim."""
+    small = [
+        r for d in range(1, 10) for n in range(3)
+        for r in itertools.product(range(1, d + 1), repeat=n + 1) if sum(r) == d
+    ]
+    for r in small + [(1, 1, 1, 1), (2, 1, 1, 2)]:
+        dims = Dims(r)
+        pairs = dims.pairs()
+        expected = [
+            values
+            for values in itertools.product(*(range(min(r[p : q + 1]) + 1) for p, q in pairs))
+            if all(
+                sum(v for (p, q), v in zip(pairs, values) if p <= i <= q) == ri
+                for i, ri in enumerate(r)
+            )
+        ]
+        assert [tuple(s[pq] for pq in pairs) for s in enumerate_lace_arrays(dims)] == expected
 
 
 def test_hom_rank_array_is_entrywise_maximal():
