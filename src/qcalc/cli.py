@@ -234,12 +234,10 @@ def _cmd_enum(args) -> int:
         diagrams = enumerate_cgpd(r)
         items = [delta.to_json() for delta in diagrams]
         texts = [render_cgpd(delta) for delta in diagrams]
-    elif args.what == "perm":
+    else:  # "perm"; argparse's choices admit nothing else
         perms = perm_set(r)
         items = [{"perm": list(v)} for v in perms]
         texts = [_perm_text(v) for v in perms]
-    else:
-        raise ValueError(f"unknown value for flag --what: {args.what!r}")
     if args.format == "json":
         print(json.dumps(items))
     else:

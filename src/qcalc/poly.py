@@ -13,34 +13,34 @@ a tuple of (variable, exponent) pairs sorted in that order with all
 exponents positive.
 
 Storage is packed (after Monagan and Pearce's packed exponent vectors).
-A process-wide registry gives each variable a slot, the next free one
-the first time the variable is seen, so slot order is first-use order
-and need not follow the variable order.  A monomial is one int holding
-the exponent of the variable in slot s in the 16-bit field at bit 16*s;
-multiplying two monomials is adding their ints.  The top bit of every
-field is a guard bit: stored exponents stay below 2^15, so the sum of
-two fields stays below 2^16 and never carries into the next field, and
-after every monomial product one AND against the guard bits of all
-slots raises OverflowError for an exponent that reached 2^15.  Dividing
-subtracts from the dividend with every guard bit set; a guard bit that
-comes out cleared marks a field that borrowed, so the divisor does not
-divide.
+Every variable has a fixed slot, a function of the variable alone, so
+a packed monomial means the same in every process: h is slot 0, and
+x^a_b is slot k(k+1)/2 + b on the diagonal k = a + b - 1, so the first
+levels and indices take the first slots.  The packed range is level +
+index <= 128; a variable outside it raises ValueError.  A monomial is
+one int holding the exponent of the variable in slot s in the 16-bit
+field at bit 16*s; multiplying two monomials is adding their ints.  The
+top bit of every field is a guard bit: stored exponents stay below
+2^15, so the sum of two fields stays below 2^16 and never carries into
+the next field, and after every monomial product one AND against the
+guard bits of all slots raises OverflowError for an exponent that
+reached 2^15.  Dividing subtracts from the dividend with the guard bits
+of the operands' fields set; a guard bit that comes out cleared marks a
+field that borrowed, so the divisor does not divide.
 
 A polynomial maps packed monomials to nonzero integer coefficients
-(Poly.terms); within one process the form is unique, so equality is
-structural.  Graded-lex order is computed only where it is needed
-(format_poly, leading_term, exact_divide): the key of a monomial is its
-degree followed by its exponents over the polynomial's variables in the
-variable order.  Slot numbers differ between processes (pool workers
-register variables after they fork), so a Poly pickles as (variable,
-exponent) pairs and is packed afresh when loaded.
+(Poly.terms); the form is unique and the same in every process, so
+equality is structural and a Poly pickles as its dict.  Graded-lex order
+is computed only where it is needed (format_poly, leading_term,
+exact_divide): the key of a monomial is its degree followed by its
+exponents over the polynomial's variables in the variable order.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from heapq import heapify, heappop, heappush
+from math import isqrt
 from typing import Iterable, Mapping
 
 Variable = tuple
@@ -51,12 +51,9 @@ HBAR: Variable = ("h",)
 _WIDTH = 16  # bits per exponent field
 _FIELD = (1 << _WIDTH) - 1
 _TOP = 1 << (_WIDTH - 1)  # guard bit of slot 0
-
-# the registry: slot -> variable, variable -> slot, guard bits of all slots
-_slot_vars: list[Variable] = []
-_slots: dict[Variable, int] = {}
-_guard = 0
-_register_lock = threading.Lock()
+_DIAGONALS = 128  # x^a_b is packed when a + b <= _DIAGONALS
+_SLOTS = 1 + _DIAGONALS * (_DIAGONALS + 1) // 2
+_GUARD = _TOP * (((1 << (_WIDTH * _SLOTS)) - 1) // _FIELD)  # guard bits of all slots
 
 
 def xvar(level: int, index: int) -> Variable:
@@ -85,36 +82,33 @@ class ParseError(Exception):
         self.position = position
 
 
+def _slot(v: Variable) -> int:
+    """The fixed slot of v: 0 for h, k(k+1)/2 + b for x^a_b on the
+    diagonal k = a + b - 1."""
+    if v == HBAR:
+        return 0
+    _, a, b = v
+    k = a + b - 1
+    if a < 0 or b < 1 or k >= _DIAGONALS:
+        raise ValueError(
+            f"variable {_var_text(v, 'ascii')} is outside the packed range"
+            f" (level >= 0, index >= 1, level + index <= {_DIAGONALS})"
+        )
+    return k * (k + 1) // 2 + b
+
+
+def _variable(s: int) -> Variable:
+    """The variable in slot s (the inverse of _slot)."""
+    if s == 0:
+        return HBAR
+    k = (isqrt(8 * s - 7) - 1) // 2  # the diagonal: k(k+1)/2 < s <= (k+1)(k+2)/2
+    b = s - k * (k + 1) // 2
+    return xvar(k + 1 - b, b)
+
+
 def _unit(v: Variable) -> int:
-    """The packed monomial v^1, registering v on first use."""
-    s = _slots.get(v)
-    if s is None:
-        s = _register(v)
-    return 1 << (_WIDTH * s)
-
-
-def _register(v: Variable) -> int:
-    """Give v the next free slot.  Two threads must never share a slot,
-    and v is published in _slots last, so a reader that finds it there
-    also finds its guard bit."""
-    global _guard
-    with _register_lock:
-        s = _slots.get(v)
-        if s is None:
-            s = len(_slot_vars)
-            _slot_vars.append(v)
-            _guard |= _TOP << (_WIDTH * s)
-            _slots[v] = s
-    return s
-
-
-def _pack(pairs: Iterable[tuple[Variable, int]]) -> int:
-    m = 0
-    for v, e in pairs:
-        if not 0 <= e < _TOP:
-            raise OverflowError(f"exponent {e} does not fit a {_WIDTH}-bit field")
-        m += e * _unit(v)
-    return m
+    """The packed monomial v^1."""
+    return 1 << (_WIDTH * _slot(v))
 
 
 def _fields(m: int):
@@ -129,29 +123,29 @@ def _fields(m: int):
 
 
 def _unpack(m: int) -> Monomial:
-    pairs = [(_slot_vars[s], e) for s, e in _fields(m)]
+    pairs = [(_variable(s), e) for s, e in _fields(m)]
     pairs.sort(key=lambda p: var_key(p[0]))
     return tuple(pairs)
 
 
 def _check_overflow(monomials: Iterable[int]):
     """Every product is a key of the result, so one AND per key guards all."""
-    g = _guard
     for m in monomials:
-        if m & g:
+        if m & _GUARD:
             raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
 
 
 def _mono_div(a: int, b: int) -> int | None:
-    """a / b, or None when b does not divide a."""
-    g = _guard
+    """a / b, or None when b does not divide a.  The guard covers the
+    operands' fields only, so the subtraction is as long as they are."""
+    g = _GUARD & ((1 << (max(a.bit_length(), b.bit_length()) + _WIDTH)) - 1)
     d = (a | g) - b
     return d ^ g if d & g == g else None
 
 
 def _shifts(variables: Iterable[Variable]) -> list[int]:
     """Bit offsets of the variables' fields, in the variable order."""
-    return [_WIDTH * _slots[v] for v in sorted(variables, key=var_key)]
+    return [_WIDTH * _slot(v) for v in sorted(variables, key=var_key)]
 
 
 def _grlex_key(shifts: list[int]):
@@ -188,13 +182,6 @@ class Poly:
         p = object.__new__(cls)
         p.terms = terms
         return p
-
-    def __reduce__(self):
-        items = [
-            (tuple((_slot_vars[s], e) for s, e in _fields(m)), c)
-            for m, c in self.terms.items()
-        ]
-        return _unpickle, (items,)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -320,19 +307,12 @@ class Poly:
         seen = 0
         for m in self.terms:
             seen |= m
-        return {_slot_vars[s] for s, _ in _fields(seen)}
+        return {_variable(s) for s, _ in _fields(seen)}
 
     def hbar_coefficient(self, k: int) -> "Poly":
-        """The coefficient of h^k, as a polynomial free of h."""
-        unit = _unit(HBAR)
-        shift = _WIDTH * _slots[HBAR]
-        return Poly._wrap(
-            {
-                m - k * unit: c
-                for m, c in self.terms.items()
-                if (m >> shift) & _FIELD == k
-            }
-        )
+        """The coefficient of h^k, as a polynomial free of h (h's field
+        is slot 0, the lowest)."""
+        return Poly._wrap({m - k: c for m, c in self.terms.items() if m & _FIELD == k})
 
     def leading_term(self) -> tuple[Monomial, int]:
         """Graded-lex leading term of a nonzero polynomial."""
@@ -344,10 +324,6 @@ class Poly:
 
 def _coerce(x: "Poly | int") -> Poly:
     return x if isinstance(x, Poly) else Poly.const(x)
-
-
-def _unpickle(items) -> Poly:
-    return Poly._wrap({_pack(pairs): c for pairs, c in items})
 
 
 def exact_divide(num: Poly, den: Poly) -> Poly:

@@ -189,12 +189,20 @@ def lace_array(r: RankArray) -> LaceArray:
 
 
 def rank_array(s: LaceArray) -> RankArray:
-    """The rank array of a lace array: r_ij counts laces covering [i, j]."""
+    """The rank array of a lace array: r_ij counts laces covering [i, j].
+
+    Row i adds the laces starting at i to row i - 1: r_ij = r_{i-1,j} +
+    the sum of s_iq over q >= j, one running sum from q = n down.
+    """
+    n = s.dims.n
     entries = {}
-    for i, j in s.dims.pairs():
-        entries[(i, j)] = sum(
-            v for (p, q), v in s.entries.items() if p <= i and q >= j
-        )
+    ranks = [0] * (n + 1)  # ranks[j] = r_ij for the current row i
+    for i in range(n + 1):
+        run = 0
+        for q in range(n, i - 1, -1):
+            run += s.entries[i, q]
+            ranks[q] += run
+        entries.update(((i, j), ranks[j]) for j in range(i, n + 1))
     return RankArray(s.dims, entries)
 
 

@@ -167,6 +167,8 @@ BAD_INPUT = [
     (("render", "--what", "pipedream", '{"dims":[1,1]}'), 'missing "d"'),
     (("sweep", "-3"), "-3"),
     (("sweep", "0"), "budget"),
+    # a variable outside poly's packed range
+    (("qpoly", "--method", "pd", '{"dims":[129,1],"rank":{"0,1":1}}'), "x0_129"),
 ]
 
 

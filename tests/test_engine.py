@@ -10,7 +10,7 @@ from qcalc.blockperm import perm_set, zelevinsky_permutation
 from qcalc.cgpd import cgpd_infinity, enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
 from qcalc.localization import grid_word
-from qcalc.poly import Poly, parse_poly, xvar
+from qcalc.poly import Poly, format_poly, parse_poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
 from subword_reference import subword_subsets
 
@@ -97,6 +97,24 @@ def test_sweep_small_budget_all_green():
     # deterministic order: dims then orbit enumeration order
     again = sweep(2)
     assert [r.rank for r in reports] == [r.rank for r in again]
+
+
+def test_pooled_sweep_returns_the_serial_polynomials(monkeypatch):
+    """Polynomials that come back from pool workers are the ones check()
+    computes here: equal, printed alike, and alike under arithmetic with
+    polynomials built in this process."""
+    monkeypatch.setenv("QCALC_THREADS", "2")
+    pooled = sweep(3)
+    serial = [check(r) for dims in sweep_dims(3) for r in enumerate_rank_arrays(dims)]
+    assert [report.rank for report in pooled] == [report.rank for report in serial]
+    local = Poly.var(xvar(0, 1)) - Poly.var(xvar(1, 2)) + Poly.hbar()
+    for mine, theirs in zip(pooled, serial):
+        assert mine.polynomials.keys() == theirs.polynomials.keys()
+        for name, p in mine.polynomials.items():
+            q = theirs.polynomials[name]
+            assert p == q and hash(p) == hash(q)
+            assert format_poly(p) == format_poly(q)
+            assert format_poly(p * (p + local)) == format_poly(q * (q + local))
 
 
 def test_sweep_budget_covers_11():

@@ -6,7 +6,6 @@ import random
 import re
 import subprocess
 import sys
-import threading
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -179,10 +178,10 @@ def _grlex_cmp(a, b) -> int:
 
 
 def test_order_matches_grlex_oracle():
-    # registered latest-first, so slot order runs against the variable order
     alphabet = [xvar(level, index) for level in range(10, 14) for index in (1, 2, 3)]
-    for v in reversed(alphabet):
-        Poly.var(v)
+    # the diagonal slots run against the variable order: h, last in that
+    # order, has the lowest slot, and x10_3 a higher one than x11_1
+    assert poly._slot(HBAR) < poly._slot(xvar(11, 1)) < poly._slot(xvar(10, 3))
     variables = alphabet + [HBAR]
     rng = random.Random(1)
     for _ in range(40):
@@ -212,7 +211,8 @@ sys.stdout.buffer.write(pickle.dumps((format_poly(p), p * p - Poly.hbar())))
 
 
 def test_pickle_across_processes():
-    """Slots differ between processes; pickles carry (variable, exponent)."""
+    """A Poly pickles as its packed dict, which means the same in every
+    process, whatever variables the loading process has seen before."""
     p = (a - b) * (c + h) ** 2 + 3 * a * c
     src = str(Path(qcalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -242,35 +242,37 @@ def test_exponent_overflow_raises():
     assert exact_divide(top * b, b) == top
 
 
-def test_registry_threads_never_share_a_slot():
-    fresh = [xvar(40 + t, i) for t in range(8) for i in range(1, 201)]
-    start = threading.Barrier(8, timeout=30)
-
-    def register(vs):
-        start.wait()
-        for v in vs:
+def test_slots_are_a_function_of_the_variable():
+    variables = [HBAR] + [xvar(level, index) for level in range(41) for index in range(1, 41)]
+    assert len({poly._slot(v) for v in variables}) == len(variables)
+    # one monomial holding every variable, each with its own exponent
+    exponents = {v: 1 + i % 7 for i, v in enumerate(variables)}
+    everything = Poly.const(3)
+    for v, e in exponents.items():
+        everything = everything * Poly.var(v) ** e
+    assert everything.variables() == set(variables)
+    assert list(everything.items()) == [(tuple(sorted(exponents.items(), key=lambda p: var_key(p[0]))), 3)]
+    for v in variables[::40]:
+        assert (-Poly.var(v)).variables() == {v}
+        assert list((-Poly.var(v)).items()) == [(((v, 1),), -1)]
+    # the guard covers the far fields too
+    far = Poly.var(xvar(40, 40))
+    top = (far ** 2**7) ** (2**8 - 1) * far ** (2**7 - 1)
+    assert top.degree() == 2**15 - 1
+    with pytest.raises(OverflowError):
+        top * far
+    with pytest.raises(OverflowError):
+        top * (a + far)
+    assert exact_divide(top * a, a) == top
+    # the ends of the packed range, then past it: a ValueError naming the
+    # variable, never a field that wraps
+    assert Poly.var(xvar(0, 128)).variables() == {xvar(0, 128)}
+    assert Poly.var(xvar(127, 1)).variables() == {xvar(127, 1)}
+    for v, name in [(xvar(0, 129), "x0_129"), (xvar(100, 29), "x100_29"), (xvar(-1, 1), "x-1_1"), (xvar(2, 0), "x2_0")]:
+        with pytest.raises(ValueError, match=name):
             Poly.var(v)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # every thread registers every variable, each in its own order
-        threads = [
-            threading.Thread(target=register, args=(random.Random(t).sample(fresh, len(fresh)),))
-            for t in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    # one slot per variable, each slot guarded
-    assert len(set(poly._slot_vars)) == len(poly._slot_vars)
-    assert all(poly._slot_vars[poly._slots[v]] == v for v in fresh)
-    guards = [poly._guard >> (16 * s + 15) & 1 for s in range(len(poly._slot_vars))]
-    assert all(guards)
+        with pytest.raises(ValueError, match=name):
+            Poly.var_diff(xvar(0, 1), v)
 
 
 def test_sum_of_products_matches_sum_of_products_built_one_by_one():
