@@ -88,14 +88,16 @@ def check(r: RankArray) -> ConsistencyReport:
     """Compute all six polynomials of r and verify every cross relation.
 
     The formulas share one Orbit, so the block counts, z(r), the reduced
-    and the CSM subword states and the cgpd tile words (one routing pass,
-    read by both cgpd formulas) are built once; the counts are their
+    and the CSM subword states and the cgpd routing states (one forward
+    pass, read by both cgpd formulas) are built once; the counts are their
     sizes, and no subword, member of perm(r) or CGPD object is listed.
     rp_star, the number of reduced strict dreams of z(r), and p_total,
     the number of strict subwords with product in perm(r) (non-reduced
     strict dreams), are the totals (SubwordStates.total) of the two
     state sets (localization.orbit_reduced_states and orbit_states);
-    perm, the size of perm(r), follows from its block counts
+    cgpd and cgpd_infinity are the path counts of the cgpd states and of
+    their minimal paths (cgpd.orbit_states and minimal_states); perm,
+    the size of perm(r), follows from its block counts
     (blockperm.perm_count).
     """
     orbit = Orbit(r)
@@ -123,8 +125,8 @@ def check(r: RankArray) -> ConsistencyReport:
         "perm": perm_count(orbit),
         "rp_star": localization.orbit_reduced_states(orbit).total,
         "p_total": localization.orbit_states(orbit).total,
-        "cgpd": len(cgpd.orbit_words(orbit)),
-        "cgpd_infinity": len(cgpd.minimal_words(orbit)),
+        "cgpd": cgpd.orbit_states(orbit).total,
+        "cgpd_infinity": cgpd.minimal_states(orbit).total,
     }
     return ConsistencyReport(
         rank=r,

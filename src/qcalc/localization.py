@@ -113,7 +113,7 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
     edges (c, t) of s of weights[k][c] * S(k+1, t) and S = 1 at the last
     level.  levels[k] maps each node at level k to its edges, label c and
     child t at level k + 1: the live subword states (subword_sum) or the
-    trie of the cgpd tile words (cgpd._trie).
+    cgpd routing states (cgpd.orbit_states and minimal_states).
 
     It runs from the last level back, keeping one level of partial sums
     at a time.  A node whose single edge weighs 1 passes its child's sum

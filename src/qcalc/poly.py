@@ -39,6 +39,7 @@ exponents over the polynomial's variables in the variable order.
 from __future__ import annotations
 
 import re
+import sys
 from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import Iterable, Mapping
@@ -111,15 +112,14 @@ def _unit(v: Variable) -> int:
     return 1 << (_WIDTH * _slot(v))
 
 
-def _fields(m: int):
-    """(slot, exponent) for every nonzero field of a packed monomial."""
-    s = 0
-    while m:
-        e = m & _FIELD
-        if e:
-            yield s, e
-        m >>= _WIDTH
-        s += 1
+def _fields(m: int) -> list[tuple[int, int]]:
+    """(slot, exponent) for every nonzero field of a packed monomial, read
+    in one pass as the 16-bit words of its bytes."""
+    count = -(-m.bit_length() // _WIDTH)
+    words = memoryview(m.to_bytes(2 * count, sys.byteorder)).cast("H")  # _WIDTH == 16
+    if sys.byteorder == "big":  # the lowest field is the last word
+        words = words[::-1]
+    return [(s, e) for s, e in enumerate(words) if e]
 
 
 def _unpack(m: int) -> Monomial:

@@ -1,4 +1,7 @@
-"""Chained generic pipe dreams: validation, enumeration, and weights."""
+"""Chained generic pipe dreams: validation, enumeration, and weights.
+
+The routing states (cgpd.orbit_states) are checked against the reference
+router of tests/cgpd_reference.py, which also validates given diagrams."""
 
 import hashlib
 import itertools
@@ -8,23 +11,27 @@ from pathlib import Path
 
 import pytest
 
-from qcalc.cgpd import (
-    CGPD,
+from cgpd_reference import (
     EdgeMismatch,
-    InvalidCGPD,
     LaceCountMismatch,
     NorthLeak,
     SameColorCross,
+    cgpd_weight,
+    minimal_words,
+    router_words,
+    validate,
+)
+from qcalc.cgpd import (
+    CGPD,
+    InvalidCGPD,
     _spell,
     _tile_weights,
     cgpd_infinity,
-    cgpd_weight,
     csm_cgpd,
     enumerate_cgpd,
-    minimal_words,
-    orbit_words,
+    minimal_states,
+    orbit_states,
     quiver_poly_cgpd,
-    validate,
 )
 from qcalc.engine import check, sweep_dims
 from qcalc.poly import Poly, format_poly, xvar
@@ -144,7 +151,7 @@ def test_tile_words():
     """Each diagram's word lists its tiles in laying order (top to bottom,
     east to west); the bump of two pipes of one color is written B."""
     r = hom_rank_array(Dims((2, 2)))
-    words = orbit_words(r)
+    words = list(orbit_states(r).words())
     assert words == ["-rr|", "r.Br"]
     assert [delta.grids for delta in _spell(r.dims, words)] == [
         (((".", "r"), ("r", "b")),),
@@ -171,16 +178,18 @@ def test_enumeration_order_pinned():
 
 
 def test_router_pinned():
-    """The router's words in routing order, and its verdict on every tiling
-    of small dims, against each orbit: the intervals validate returns or
-    the exception it raises (type, message and cell), and the weight
-    cgpd_weight returns or its exception.  The digests were captured at
-    commit 898ff67, before the router read its tiles from one table."""
+    """The reference router's words in routing order, and its verdict on
+    every tiling of small dims, against each orbit: the intervals validate
+    returns or the exception it raises (type, message and cell), and the
+    weight cgpd_weight returns or its exception.  The tilings validate
+    accepts for an orbit are exactly the diagrams enumerate_cgpd lists.
+    The digests were captured at commit 898ff67, before the router read
+    its tiles from one table."""
     ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
     ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
     words = hashlib.sha256()
     for r in ranks:
-        words.update(repr(orbit_words(r)).encode())
+        words.update(repr(router_words(r)).encode())
 
     def outcome(fn):
         try:
@@ -192,14 +201,20 @@ def test_router_pinned():
     outcomes = []
     for dims in map(Dims, [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2)]):
         orbits = enumerate_rank_arrays(dims)
+        accepted = [[] for _ in orbits]
         shapes = [(dims.r[i], dims.r[i + 1]) for i in range(dims.n)]
         for codes in itertools.product(".-|+rjb", repeat=sum(a * b for a, b in shapes)):
             tiles = iter(codes)
             grids = tuple(tuple(tuple(next(tiles) for _ in range(b)) for _ in range(a))
                           for a, b in shapes)
             delta = CGPD(dims, grids)
-            outcomes += [outcome(lambda: validate(delta, r)) for r in orbits]
+            for r, valid in zip(orbits, accepted):
+                outcomes.append(outcome(lambda: validate(delta, r)))
+                if outcomes[-1].startswith("["):  # the intervals, not a fault
+                    valid.append(grids)
             outcomes.append(outcome(lambda: cgpd_weight(delta)))
+        for r, valid in zip(orbits, accepted):
+            assert sorted(valid) == [delta.grids for delta in enumerate_cgpd(r)], r.entries
     assert len(outcomes) == 10164
     assert words.hexdigest() == (
         "a37214ef3fff5556c5b6f16ea11dae8e614dee85ae09336b3b359e74ecbf7843"
@@ -209,10 +224,24 @@ def test_router_pinned():
     )
 
 
+def test_states_spell_the_router_words():
+    """The paths of the routing states spell the reference router's words
+    in its order, and their minimal paths its fewest-straight words; the
+    path counts are the numbers of words."""
+    ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    for r in ranks:
+        words = router_words(r)
+        states, minimal = orbit_states(r), minimal_states(r)
+        assert list(states.words()) == words, r.entries
+        assert list(minimal.words()) == minimal_words(words), r.entries
+        assert (states.total, minimal.total) == (len(words), len(minimal_words(words)))
+
+
 def test_word_sums_match_a_plain_product_sum():
-    """An oracle for both cgpd sums that shares no code with the trie or
-    the state sum: each word's tile weights multiplied out on their own,
-    and the products added up."""
+    """An oracle for both cgpd sums that shares no code with the routing
+    states or the state sum: each reference word's tile weights multiplied
+    out on their own, and the products added up."""
     ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
     ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
 
@@ -223,8 +252,9 @@ def test_word_sums_match_a_plain_product_sum():
         )
 
     for r in ranks:
-        assert csm_cgpd(r) == plain(orbit_words(r), _tile_weights(r.dims, True))
-        assert quiver_poly_cgpd(r) == plain(minimal_words(r), _tile_weights(r.dims, False))
+        words = router_words(r)
+        assert csm_cgpd(r) == plain(words, _tile_weights(r.dims, True))
+        assert quiver_poly_cgpd(r) == plain(minimal_words(words), _tile_weights(r.dims, False))
 
 
 def _straight(delta: CGPD) -> int:
@@ -243,8 +273,8 @@ def test_cgpd_infinity_order_pinned():
 
 
 def test_formulas_build_no_diagram_objects(monkeypatch):
-    """check() and the cgpd formulas read tile words only; CGPD objects
-    are built for enumeration alone."""
+    """check() and the cgpd formulas read routing states only; CGPD
+    objects are built for enumeration alone."""
     built = []
     post_init = CGPD.__post_init__
     monkeypatch.setattr(CGPD, "__post_init__", lambda self: built.append(post_init(self)))
@@ -254,8 +284,8 @@ def test_formulas_build_no_diagram_objects(monkeypatch):
         check(r)
         csm_cgpd(r)
         quiver_poly_cgpd(r)
-        orbit_words(r)
-        minimal_words(r)
+        orbit_states(r)
+        minimal_states(r)
     assert built == []
     assert len(enumerate_cgpd(ranks[0])) == len(built) > 0
 

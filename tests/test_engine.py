@@ -7,11 +7,11 @@ import pytest
 
 from qcalc import blockperm, cgpd
 from qcalc.blockperm import perm_set, zelevinsky_permutation
-from qcalc.cgpd import cgpd_infinity, enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
 from qcalc.localization import grid_word
 from qcalc.poly import Poly, format_poly, parse_poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
+from cgpd_reference import minimal_words, router_words
 from subword_reference import subword_subsets
 
 MODULES = ("poly", "quiver", "blockperm", "pipedream", "cgpd", "localization", "engine", "cli")
@@ -185,7 +185,7 @@ SHARED = (
     blockperm.subword_states,
     blockperm.target_states,
     cgpd.enumerate_cgpd,
-    cgpd._route,
+    cgpd._states,
 )
 
 
@@ -201,8 +201,8 @@ def test_check_builds_each_shared_object_once(monkeypatch):
         "perm_set": 0,
         "subword_states": 1,
         "target_states": 1,
-        "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one routing
-        "_route": 1,
+        "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one state set
+        "_states": 1,
     }
 
 
@@ -221,22 +221,24 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
         "subword_states": 4,
         "target_states": 4,
         "enumerate_cgpd": 0,
-        "_route": 4,
+        "_states": 4,
     }
 
 
 def _count_pass(r):
-    """The enumeration sizes, each recomputed from scratch."""
+    """The enumeration sizes, each recomputed from scratch by the reference
+    subword search and router."""
     dims = r.dims
     z = zelevinsky_permutation(r)
     targets = frozenset(perm_set(r))
     letters = grid_word(dims).letters
+    words = router_words(r)
     return {
         "perm": len(targets),
         "rp_star": sum(1 for _ in subword_subsets(letters, dims.d, frozenset([z]), True)),
         "p_total": sum(1 for _ in subword_subsets(letters, dims.d, targets, False)),
-        "cgpd": len(enumerate_cgpd(r)),
-        "cgpd_infinity": len(cgpd_infinity(r)),
+        "cgpd": len(words),
+        "cgpd_infinity": len(minimal_words(words)),
     }
 
 

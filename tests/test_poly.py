@@ -268,6 +268,12 @@ def test_slots_are_a_function_of_the_variable():
     # variable, never a field that wraps
     assert Poly.var(xvar(0, 128)).variables() == {xvar(0, 128)}
     assert Poly.var(xvar(127, 1)).variables() == {xvar(127, 1)}
+    # fields on the last diagonal are read back whole, next to slot 0
+    last = Poly.var(xvar(0, 128)) ** 3 * Poly.var(xvar(127, 1)) * Poly.hbar() - Poly.var(xvar(127, 1))
+    assert last.degree() == 5
+    assert last.variables() == {xvar(0, 128), xvar(127, 1), HBAR}
+    assert format_poly(last) == "x0_128^3*x127_1*h - x127_1"
+    assert parse_poly(format_poly(last)) == last
     for v, name in [(xvar(0, 129), "x0_129"), (xvar(100, 29), "x100_29"), (xvar(-1, 1), "x-1_1"), (xvar(2, 0), "x2_0")]:
         with pytest.raises(ValueError, match=name):
             Poly.var(v)
