@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from math import factorial, prod
 
 from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
@@ -197,7 +198,7 @@ def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
     superantidiagonal block carries r_{i,i+1}, and everything above it
     is empty.
     """
-    s, blocks = lace_array(r), range(r.dims.n + 1)
+    s, blocks = shared(r, "laces", lace_array), range(r.dims.n + 1)
     return {
         (i, j): s[j, i] if j <= i else r[i, i + 1] if j == i + 1 else 0
         for i in blocks
@@ -295,11 +296,6 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
 
 # -- subword sums over states (shared by pipe dreams and localization) ------
 
-def _swap(s: tuple, t: int) -> tuple:
-    """s_t acting on a label vector: swap the labels of values t and t+1."""
-    return s[: t - 1] + (s[t], s[t - 1]) + s[t + 1 :]
-
-
 @dataclass(frozen=True)
 class SubwordStates:
     """The live states of subword_states or target_states, level by level.
@@ -308,10 +304,12 @@ class SubwordStates:
     accepted completion exists to its edges (c, t), skip first: label c
     is 0 for skipping letter k and 1 for taking it, and t is the live
     state s reaches at k + 1.  The accepted states after the last letter
-    have no edges.  total is the number of accepted subsets, and skipped
-    has bit j set when some accepted subset skips position j; a position
-    outside it is taken by every accepted subset.  A skipped letter
-    weighs 1 in reduced mode and h otherwise.
+    have no edges.  A state is an int that its builder packs (see
+    subword_states and target_states); the walks only hash it.  total is
+    the number of accepted subsets, and skipped has bit j set when some
+    accepted subset skips position j; a position outside it is taken by
+    every accepted subset.  A skipped letter weighs 1 in reduced mode
+    and h otherwise.
     """
 
     levels: tuple[dict, ...]
@@ -328,7 +326,7 @@ class SubwordStates:
         levels = self.levels
         L = len(levels) - 1
 
-        def rec(k: int, s: tuple, J: tuple):
+        def rec(k: int, s: int, J: tuple):
             if k == L:
                 yield J
                 return
@@ -340,14 +338,15 @@ class SubwordStates:
 
 
 def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
-    """The backward pass of both builders.  children[k] maps each state
-    a forward pass kept at letter k to its (skip, take) children at
-    k + 1, None for a pruned branch; accepted holds the accepted states
-    after the last letter.  N(L, s) is 1 for an accepted s and N(k, s)
-    is N(k+1, skip) + N(k+1, take); the states with N > 0 are kept with
-    the edges to their live children.  N and the mask of positions some
-    accepted completion skips are kept one level at a time, and only
-    their values at the start become total and skipped."""
+    """The counting pass of both builders.  children[k] maps each state
+    kept at letter k to its (skip, take) children at k + 1, None for a
+    pruned branch; accepted holds the accepted states after the last
+    letter.  N(L, s) is 1 for an accepted s and N(k, s) is
+    N(k+1, skip) + N(k+1, take); the states with N > 0 are kept with the
+    edges to their children with N > 0.  N and the mask of positions
+    some accepted completion skips are kept one level at a time, and
+    their values at letter 0 become total and skipped, so letter 0 must
+    hold the start alone (so must accepted, for an empty word)."""
     level = dict.fromkeys(accepted, ())
     counts = dict.fromkeys(accepted, (1, 0))  # s -> (N, skip mask) below letter k
     levels = [level]  # from the last letter back
@@ -374,6 +373,21 @@ def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
     return SubwordStates(tuple(reversed(levels)), total, skipped, reduced)
 
 
+def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list[int]:
+    """Every distinct way to give the values owed[i] copies of each label
+    i, packed as in subword_states."""
+    if not values:
+        return [0]
+    x, rest = values[0], values[1:]
+    out = []
+    for i, c in owed.items():
+        if c:
+            owed[i] = c - 1
+            out += [s | 1 << (i * d + x) for s in _arrangements(owed, rest, d)]
+            owed[i] = c
+    return out
+
+
 def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     """The subsets of the word whose ordered product lies in perm(r),
     counted over states instead of listed.
@@ -396,80 +410,91 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     d!/(r_0! ... r_n!) states per letter; start is the identity's label
     vector (the row block of each value).
 
-    The flow bound.  Let b end a column block (the column blocks of b
-    and b+1 differ).  An accepted label vector holds, among the values
-    1..b, exactly need_b(i) = sum of m(i, j) over the column blocks j
-    inside 1..b labels i.  Only letter b moves a label across b, and
-    each copy exchanges one label for another, so the deficit
-    sum_i max(0, need_b(i) - #{x <= b : label i}) falls by at most one
-    per copy of letter b.  A state whose deficit at b exceeds the copies
-    of letter b left cannot be accepted.  A step at letter k changes
-    only the deficit at boundary t_k and only the copies of letter t_k
-    left, so each child is tested at that one boundary.  The bound only
-    prunes; acceptance is still tested after the last letter.
+    The encoding.  A label vector is one int holding, for each label i,
+    the mask of the values labelled i at bit offset i*d: value x with
+    label i is bit i*d + x - 1.  The labels of t and t+1 differ where
+    bit t-1 and bit t of some label's mask differ, and swapping them
+    flips both bits in those masks, one XOR.
 
-    The counts.  A forward pass lists the states that survive the bound,
-    each with its two children; the backward pass (_live) computes over
-    integers N(k, s), the number of accepted completions from (k, s),
-    and keeps the states with N > 0 and their edges (SubwordStates).
-    Its total, N(0, start), is the number of subsets whose ordered
-    product lies in perm(r), one per path that SubwordStates.subsets
-    walks.  The number of accepted subsets that skip a position of a set
-    D is positive exactly when the skipped mask meets D; csm_pd reads it
-    so for the D_Hom cells.
+    The accepted vectors.  A label vector is accepted when each column
+    block j, a run of consecutive values, holds m(i, j) labels i for
+    every i.  The pass starts from every accepted vector: each column
+    block's labels in every distinct arrangement (_arrangements),
+    combined over the blocks.
+
+    The mirrored bound.  Let b end a row block, say row block c.  The
+    start gives the values 1..b exactly the labels 0..c, so the deficit
+    of a state at b, the number of values x <= b whose label is later
+    than c, is 0 at the start.  Only letter b moves a label across b: a
+    copy swaps the labels of b and b+1, so it changes the deficit by at
+    most one.  A state at letter k that the start reaches along
+    letters[:k] therefore has a deficit at b of at most the copies of
+    letter b among letters[:k].  The deficit is one AND and one
+    int.bit_count(), against the mask of the labels after c on the
+    values 1..b.  A step at letter k changes only the deficit at
+    boundary t_k and only the copies of letter t_k before it, so each
+    predecessor is tested at that one boundary.
+
+    The passes.  A backward pass from the accepted vectors lists, at
+    each letter k, the predecessors of the states kept at k + 1 that
+    pass the bound: a state is its own skip predecessor and its swap's
+    take predecessor.  Each kept state has an accepted completion by
+    construction, and the bound drops only states the start cannot
+    reach, so every state on a path from the start to an accepted
+    vector is kept.  A forward walk from the start then keeps the kept
+    states it reaches, which are exactly the states both reachable and
+    completable: the live states of the forward builder, with the same
+    edges.  _live counts over them integers N(k, s), the number of
+    accepted completions from (k, s); N(0, start), the total, is the
+    number of subsets whose ordered product lies in perm(r), one per
+    path that SubwordStates.subsets walks.  The number of accepted
+    subsets that skip a position of a set D is positive exactly when the
+    skipped mask meets D; csm_pd reads it so for the D_Hom cells.
     """
     dims = r.dims
+    d, labels = dims.d, range(dims.n + 1)
     bs = BlockStructure(dims)
-    d = dims.d
     m = orbit_block_counts(r)
+    row = [bs.row_block(x) for x in range(1, d + 1)]
     col = [bs.col_block(x) for x in range(1, d + 1)]
-    want = {}  # boundary b -> (label i, need_b(i)) for the labels needed
-    for b in range(1, d):
-        if col[b - 1] != col[b]:
-            blocks = set(col[:b])
-            want[b] = tuple(
-                (i, need)
-                for i in range(dims.n + 1)
-                if (need := sum(m[(i, j)] for j in blocks))
-            )
-    segments = list(zip((0, *want), (*want, d)))
-    accepted = [
-        tuple(sorted(i for i in range(dims.n + 1) for _ in range(m[(i, col[a])])))
-        for a, _ in segments
-    ]
+    start = sum(1 << (i * d + x) for x, i in enumerate(row))
+    ones = sum(1 << (i * d) for i in labels)  # bit 0 of every label's mask
 
-    live = {tuple(bs.row_block(x) for x in range(1, d + 1))}
-    children = []
-    for k, t in enumerate(letters):
-        copies = letters[k + 1 :].count(t)
-        # no deficit at b exceeds min(b, d - b), so many copies left need no test
-        need = want.get(t) if copies < min(t, d - t) else None
+    accepted = [0]
+    for j, values in groupby(range(d), key=col.__getitem__):
+        placed = _arrangements({i: m[(i, j)] for i in labels}, tuple(values), d)
+        accepted = [s | p for s in accepted for p in placed]
 
-        def fits(c: tuple) -> bool:
-            if not need:
-                return True
-            left = c[:t]
-            deficit = 0
-            for i, owed in need:
-                have = left.count(i)
-                if have < owed:
-                    deficit += owed - have
-            return deficit <= copies
+    late = {  # row-block boundary b -> the labels after b's row block, on the values 1..b
+        b: sum(((1 << b) - 1) << (i * d) for i in range(row[b - 1] + 1, dims.n + 1))
+        for b in range(1, d)
+        if row[b - 1] != row[b]
+    }
 
+    children = []  # from the last letter back
+    kept = accepted
+    for k in range(len(letters) - 1, -1, -1):
+        t = letters[k]
+        copies = letters[:k].count(t)
+        pair = ones << (t - 1)
+        # no deficit at t exceeds min(t, d - t), so many copies need no test
+        cut = late.get(t) if copies < min(t, d - t) else None
         kids = {}
-        for s in live:
-            skip = s if fits(s) else None
-            if s[t - 1] == s[t]:
-                take = skip
-            else:
-                take = _swap(s, t)
-                take = take if fits(take) else None
-            kids[s] = (skip, take)
+        for s in kept:
+            diff = (s ^ s >> 1) & pair
+            w = s ^ (diff | diff << 1)
+            for p, q in ((s, w), (w, s)):
+                if p not in kids and not (cut and (p & cut).bit_count() > copies):
+                    kids[p] = (p, q)
         children.append(kids)
-        live = {c for pair in kids.values() for c in pair if c is not None}
+        kept = kids
+    children.reverse()
 
-    final = {s for s in live if [tuple(sorted(s[a:b])) for a, b in segments] == accepted}
-    return _live(children, final, reduced=False)
+    reach = {start}
+    for k, kids in enumerate(children):
+        children[k] = kids = {s: kids[s] for s in reach if s in kids}
+        reach = {c for pair in kids.values() for c in pair}
+    return _live(children, reach.intersection(accepted), reduced=False)
 
 
 def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> SubwordStates:
@@ -479,9 +504,11 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> Su
 
     The state of a partial product u is u^-1, the position of each
     value: the label vector of subword_states with every position its
-    own row block.  So taking letter t swaps the entries of t and t+1
-    (_swap), and the backward pass, SubwordStates and subword_sum are
-    shared.  The state v^-1 is accepted.
+    own row block.  It is packed as one int of fixed-width fields, the
+    field of value x at bit (x-1)*w holding the position u^-1(x) - 1,
+    with w the bit length of d.  So taking letter t swaps the fields of
+    t and t+1, one XOR, and _live, SubwordStates and subword_sum are
+    shared.  The state of v^-1 is accepted.
 
     The distance.  Each state carries d(u, v) = l(v u^-1).  The
     permutation v u^-1 sends u(a) to v(a), so its inversions are the
@@ -510,23 +537,26 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> Su
     that lowers length (p > q) would raise the distance, so every take
     allowed raises length, and each accepted J is a reduced word for v.
     """
-    L = len(letters)
+    L, d = len(letters), len(v)
+    w = d.bit_length()
+    field = (1 << w) - 1
     lv = length(v)
-    dist = {identity(len(v)): lv} if lv <= L else {}
+    dist = {sum(x << (x * w) for x in range(d)): lv} if lv <= L else {}
     children = []
     for k, t in enumerate(letters):
         left = L - k - 1
+        lo = (t - 1) * w
         kids, nxt = {}, {}
         for s, e in dist.items():
-            p, q = s[t - 1], s[t]
+            p, q = s >> lo & field, s >> lo + w & field
             skip = s if e <= left else None
-            if v[p - 1] > v[q - 1]:
+            if v[p] > v[q]:
                 f = e - 1
             elif not reduced and e < left:
                 f = e + 1
             else:
                 f = None
-            take = None if f is None else _swap(s, t)
+            take = None if f is None else s ^ (p ^ q) * (1 << lo | 1 << lo + w)
             kids[s] = (skip, take)
             if skip is not None:
                 nxt[s] = e
@@ -534,4 +564,5 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> Su
                 nxt[take] = f
         children.append(kids)
         dist = nxt
-    return _live(children, {inverse(v)} & dist.keys(), reduced)
+    accepted = sum(p << ((x - 1) * w) for p, x in enumerate(v))
+    return _live(children, {accepted} & dist.keys(), reduced)

@@ -246,7 +246,7 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> CGPDStates:
 def orbit_states(r: RankArray) -> CGPDStates:
     """The routing states of the diagrams realizing the laces of r, built
     once per quiver.Orbit."""
-    return shared(r, "cgpd", lambda r: _states(r.dims, lace_array(r).entries))
+    return shared(r, "cgpd", lambda r: _states(r.dims, shared(r, "laces", lace_array).entries))
 
 
 def minimal_states(r: RankArray) -> CGPDStates:

@@ -175,12 +175,21 @@ def worker_count() -> int:
 
 def sweep(budget: int) -> list[ConsistencyReport]:
     """check() on every orbit of every dims within budget, in the order
-    of sweep_dims then enumerate_rank_arrays; parallel over orbits."""
+    of sweep_dims then enumerate_rank_arrays; parallel over orbits.
+
+    The pool takes the orbits in contiguous chunks, about eight per
+    worker: the pool's cost per task (a pickled call and a round trip)
+    is paid per chunk, not per orbit, and a chunk mostly holds one
+    dims, whose per-dims caches its worker fills once.  Eight chunks a
+    worker are small enough that the heaviest dims, last in sweep_dims,
+    still spread over every worker.  Reports keep the input order.
+    """
     ranks = [
         r for dims in sweep_dims(budget) for r in enumerate_rank_arrays(dims)
     ]
     workers = worker_count()
     if workers <= 1 or len(ranks) <= 1:
         return [check(r) for r in ranks]
+    chunk = max(1, len(ranks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(check, ranks, chunksize=1))
+        return list(pool.map(check, ranks, chunksize=chunk))

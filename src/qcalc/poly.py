@@ -42,6 +42,7 @@ import re
 import sys
 from heapq import heapify, heappop, heappush
 from math import isqrt
+from struct import Struct
 from typing import Iterable, Mapping
 
 Variable = tuple
@@ -143,21 +144,32 @@ def _mono_div(a: int, b: int) -> int | None:
     return d ^ g if d & g == g else None
 
 
-def _shifts(variables: Iterable[Variable]) -> list[int]:
-    """Bit offsets of the variables' fields, in the variable order."""
-    return [_WIDTH * _slot(v) for v in sorted(variables, key=var_key)]
+def _slots(variables: Iterable[Variable]) -> list[int]:
+    """The variables' slots, in the variable order."""
+    return [_slot(v) for v in sorted(variables, key=var_key)]
 
 
-def _grlex_key(shifts: list[int]):
-    """Graded-lex key over the fields at shifts, as one int: the degree,
-    then each exponent in the variable order, in 16-bit digits."""
+def _reader(slots: list[int]):
+    """m -> every field of a packed monomial up to the last of slots, slot
+    0 first, as one tuple: one to_bytes and one unpack, so reading is
+    linear in the monomial's size.  m must have no field past slots."""
+    count = max(slots, default=-1) + 1
+    unpack = Struct(f"<{count}H").unpack  # _WIDTH == 16
+    return lambda m: unpack(m.to_bytes(2 * count, "little"))
+
+
+def _grlex_key(slots: list[int]):
+    """Graded-lex key over the fields at slots, which hold every variable
+    of the monomials keyed, as one int: the degree, then each exponent
+    in the variable order, in 16-bit digits.  Each monomial is read once
+    (_reader), not shifted once per variable."""
+    read = _reader(slots)
+    digits = Struct(f">{len(slots)}H").pack  # the first variable is the most significant
+    top = _WIDTH * len(slots)
 
     def key(m: int) -> int:
-        exps = [(m >> s) & _FIELD for s in shifts]
-        k = sum(exps)
-        for e in exps:
-            k = (k << _WIDTH) | e
-        return k
+        fields = read(m)
+        return sum(fields) << top | int.from_bytes(digits(*[fields[s] for s in slots]), "big")
 
     return key
 
@@ -318,7 +330,7 @@ class Poly:
         """Graded-lex leading term of a nonzero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_grlex_key(_shifts(self.variables())))
+        m = max(self.terms, key=_grlex_key(_slots(self.variables())))
         return _unpack(m), self.terms[m]
 
 
@@ -337,7 +349,7 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    key = _grlex_key(_shifts(num.variables() | den.variables()))
+    key = _grlex_key(_slots(num.variables() | den.variables()))
     den_lm = max(den.terms, key=key)
     den_lc = den.terms[den_lm]
     den_rest = [(m, c) for m, c in den.terms.items() if m != den_lm]
@@ -415,14 +427,16 @@ def format_poly(
         return "0"
     variables = sorted(p.variables(), key=var_key)
     names = [_var_text(v, style, sizes) for v in variables]
-    shifts = _shifts(variables)
+    slots = _slots(variables)
+    read = _reader(slots)
     sep = " " if style == "latex" else "*"
     pieces: list[str] = []
-    for m in sorted(p.terms, key=_grlex_key(shifts), reverse=True):
+    for m in sorted(p.terms, key=_grlex_key(slots), reverse=True):
         c = p.terms[m]
         factors = []
-        for name, s in zip(names, shifts):
-            e = (m >> s) & _FIELD
+        fields = read(m)
+        for name, s in zip(names, slots):
+            e = fields[s]
             if e == 0:
                 continue
             if e == 1:

@@ -1,11 +1,24 @@
-"""The reference subword search the tests check the subword states against.
+"""The references the tests check the subword states against.
 
-It lists subsets one by one over partial products, with its own pruning,
-and shares no code with blockperm.subword_states, target_states or
-SubwordStates.subsets.
+subword_subsets lists subsets one by one over partial products, with its
+own pruning, and shares no code with blockperm.subword_states,
+target_states or SubwordStates.subsets.  forward_subword_states builds
+the coset states of blockperm.subword_states from the other end: a
+forward pass from the start under the flow bound, then a backward count
+(_live).  It returns a blockperm.SubwordStates whose states are label
+vectors (tuples).
 """
 
-from qcalc.blockperm import Permutation, identity, left_mul_s, length
+from qcalc.blockperm import (
+    BlockStructure,
+    Permutation,
+    SubwordStates,
+    identity,
+    left_mul_s,
+    length,
+    orbit_block_counts,
+)
+from qcalc.quiver import RankArray
 
 
 def subword_subsets(letters: tuple[int, ...], d: int, targets: frozenset, reduced: bool):
@@ -58,3 +71,141 @@ def subword_subsets(letters: tuple[int, ...], d: int, targets: frozenset, reduce
     reach = [(t, lt) for t in targets if (lt := length(t)) <= L]
     if reach:
         yield from rec(0, identity(d), reach)
+
+
+def _swap(s: tuple, t: int) -> tuple:
+    """s_t acting on a label vector: swap the labels of values t and t+1."""
+    return s[: t - 1] + (s[t], s[t - 1]) + s[t + 1 :]
+
+
+def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
+    """The backward pass of forward_subword_states.  children[k] maps each state
+    a forward pass kept at letter k to its (skip, take) children at
+    k + 1, None for a pruned branch; accepted holds the accepted states
+    after the last letter.  N(L, s) is 1 for an accepted s and N(k, s)
+    is N(k+1, skip) + N(k+1, take); the states with N > 0 are kept with
+    the edges to their live children.  N and the mask of positions some
+    accepted completion skips are kept one level at a time, and only
+    their values at the start become total and skipped."""
+    level = dict.fromkeys(accepted, ())
+    counts = dict.fromkeys(accepted, (1, 0))  # s -> (N, skip mask) below letter k
+    levels = [level]  # from the last letter back
+    for k in range(len(children) - 1, -1, -1):
+        bit = 1 << k
+        below = counts
+        level, counts = {}, {}
+        for s, (skip, take) in children[k].items():
+            a, b = below.get(skip), below.get(take)
+            if a and b:
+                level[s] = ((0, skip), (1, take))
+                counts[s] = (a[0] + b[0], a[1] | b[1] | bit)
+            elif a:
+                level[s] = ((0, skip),)
+                counts[s] = (a[0], a[1] | bit)
+            elif b:
+                level[s] = ((1, take),)
+                counts[s] = b
+        levels.append(level)
+    total = skipped = 0
+    for n, mask in counts.values():
+        total += n
+        skipped |= mask
+    return SubwordStates(tuple(reversed(levels)), total, skipped, reduced)
+
+
+def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
+    """The subsets of the word whose ordered product lies in perm(r),
+    counted over states instead of listed.
+
+    The state.  Write a permutation u as its label vector: the label of
+    a value x is the row block of the position u^-1(x) that holds it.  A
+    permutation v lies in perm(r) when its block 1-counts, the pairs
+    (row block of q, column block of v(q)) over the positions q, equal
+    block_counts(r).  Indexed by the value x = v(q), those pairs are
+    (label of x, column block of x), so acceptance reads only the label
+    vector.  Two permutations have the same label vector exactly when
+    they differ by a permutation of positions within row blocks, that is
+    when they lie in one left coset u W_rows of the row-block Young
+    subgroup.  Taking letter t replaces u by s_t u, whose label vector
+    is u's with the labels of t and t+1 swapped; s_t (u W_rows) is
+    (s_t u) W_rows, so the step is well defined on cosets.  Hence a sum
+    over the accepted subsets J of a product of per-position weights,
+    h for a skipped position k and w_k for a taken one, is S(0, start)
+    with S(k, s) = h S(k+1, s) + w_k S(k+1, s_{t_k} s), over at most
+    d!/(r_0! ... r_n!) states per letter; start is the identity's label
+    vector (the row block of each value).
+
+    The flow bound.  Let b end a column block (the column blocks of b
+    and b+1 differ).  An accepted label vector holds, among the values
+    1..b, exactly need_b(i) = sum of m(i, j) over the column blocks j
+    inside 1..b labels i.  Only letter b moves a label across b, and
+    each copy exchanges one label for another, so the deficit
+    sum_i max(0, need_b(i) - #{x <= b : label i}) falls by at most one
+    per copy of letter b.  A state whose deficit at b exceeds the copies
+    of letter b left cannot be accepted.  A step at letter k changes
+    only the deficit at boundary t_k and only the copies of letter t_k
+    left, so each child is tested at that one boundary.  The bound only
+    prunes; acceptance is still tested after the last letter.
+
+    The counts.  A forward pass lists the states that survive the bound,
+    each with its two children; the backward pass (_live) computes over
+    integers N(k, s), the number of accepted completions from (k, s),
+    and keeps the states with N > 0 and their edges (SubwordStates).
+    Its total, N(0, start), is the number of subsets whose ordered
+    product lies in perm(r), one per path that SubwordStates.subsets
+    walks.  The number of accepted subsets that skip a position of a set
+    D is positive exactly when the skipped mask meets D; csm_pd reads it
+    so for the D_Hom cells.
+    """
+    dims = r.dims
+    bs = BlockStructure(dims)
+    d = dims.d
+    m = orbit_block_counts(r)
+    col = [bs.col_block(x) for x in range(1, d + 1)]
+    want = {}  # boundary b -> (label i, need_b(i)) for the labels needed
+    for b in range(1, d):
+        if col[b - 1] != col[b]:
+            blocks = set(col[:b])
+            want[b] = tuple(
+                (i, need)
+                for i in range(dims.n + 1)
+                if (need := sum(m[(i, j)] for j in blocks))
+            )
+    segments = list(zip((0, *want), (*want, d)))
+    accepted = [
+        tuple(sorted(i for i in range(dims.n + 1) for _ in range(m[(i, col[a])])))
+        for a, _ in segments
+    ]
+
+    live = {tuple(bs.row_block(x) for x in range(1, d + 1))}
+    children = []
+    for k, t in enumerate(letters):
+        copies = letters[k + 1 :].count(t)
+        # no deficit at b exceeds min(b, d - b), so many copies left need no test
+        need = want.get(t) if copies < min(t, d - t) else None
+
+        def fits(c: tuple) -> bool:
+            if not need:
+                return True
+            left = c[:t]
+            deficit = 0
+            for i, owed in need:
+                have = left.count(i)
+                if have < owed:
+                    deficit += owed - have
+            return deficit <= copies
+
+        kids = {}
+        for s in live:
+            skip = s if fits(s) else None
+            if s[t - 1] == s[t]:
+                take = skip
+            else:
+                take = _swap(s, t)
+                take = take if fits(take) else None
+            kids[s] = (skip, take)
+        children.append(kids)
+        live = {c for pair in kids.values() for c in pair if c is not None}
+
+    final = {s for s in live if [tuple(sorted(s[a:b])) for a, b in segments] == accepted}
+    return _live(children, final, reduced=False)

@@ -27,8 +27,10 @@ from qcalc.blockperm import (
     zelevinsky_hom,
     zelevinsky_permutation,
 )
+from qcalc.engine import sweep_dims
+from qcalc.localization import grid_word
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
-from subword_reference import subword_subsets
+from subword_reference import forward_subword_states, subword_subsets
 
 
 def test_group_axioms_s4():
@@ -210,3 +212,38 @@ def test_subsets_walk_against_brute_force():
                 assert got == ref, (r, letters)
                 brute = brute_force_subsets(letters, dims.d, targets, False)
                 assert sorted(got) == sorted(J for J, _ in brute)
+
+
+def _label_vector(s: int, dims: Dims) -> tuple:
+    """The label vector that a subword_states state packs: value x has
+    label i when bit i*d + x - 1 is set."""
+    d = dims.d
+    return tuple(next(i for i in range(dims.n + 1) if s >> (i * d + x) & 1) for x in range(d))
+
+
+def test_subword_states_match_the_forward_builder():
+    """subword_states, built backward from the accepted vectors, keeps
+    the live states, edges, total, skipped mask and subsets order of the
+    forward builder (flow bound, then counting) on the grid word of every
+    orbit of sweep_dims(6), of the three-vertex dims (2,3,3), (3,3,2) and
+    (3,3,3), of (1^8), and of (2,4,2), whose column blocks mix labels."""
+    extra = [(2, 3, 3), (3, 3, 2), (3, 3, 3), (1,) * 8, (2, 4, 2)]
+    mixed = False
+    for dims in sweep_dims(6) + [Dims(r) for r in extra]:
+        letters = grid_word(dims).letters
+        for r in enumerate_rank_arrays(dims):
+            got, ref = subword_states(letters, r), forward_subword_states(letters, r)
+            assert (got.total, got.skipped, got.reduced) == (ref.total, ref.skipped, ref.reduced), r
+            decoded = [
+                {
+                    _label_vector(s, dims): tuple((c, _label_vector(t, dims)) for c, t in edges)
+                    for s, edges in level.items()
+                }
+                for level in got.levels
+            ]
+            assert decoded == list(ref.levels), r
+            assert list(got.subsets()) == list(ref.subsets()), r
+            if dims.r == (2, 4, 2):
+                m = block_counts(r)
+                mixed |= any(sum(m[(i, j)] > 0 for i in range(3)) > 1 for j in range(3))
+    assert mixed

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qcalc import blockperm, cgpd
+from qcalc import blockperm, cgpd, quiver
 from qcalc.blockperm import perm_set, zelevinsky_permutation
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
 from qcalc.localization import grid_word
@@ -186,6 +186,7 @@ SHARED = (
     blockperm.target_states,
     cgpd.enumerate_cgpd,
     cgpd._states,
+    quiver.lace_array,
 )
 
 
@@ -203,6 +204,7 @@ def test_check_builds_each_shared_object_once(monkeypatch):
         "target_states": 1,
         "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one state set
         "_states": 1,
+        "lace_array": 1,  # the block counts and the cgpd states read the one lace array
     }
 
 
@@ -222,6 +224,7 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
         "target_states": 4,
         "enumerate_cgpd": 0,
         "_states": 4,
+        "lace_array": 12,  # a plain rank array memoizes nothing
     }
 
 
