@@ -14,13 +14,12 @@ from .quiver import (
     Rep,
     enumerate_lace_arrays,
     enumerate_rank_arrays,
-    generic_representative,
     hom_rank_array,
     lace_array,
     rank_array,
     representative,
 )
-from .blockperm import perm_set, rothe_diagram, zelevinsky_permutation
+from .blockperm import perm_set, zelevinsky_permutation
 from .pipedream import PipeDream, enumerate_pipe_dreams, quiver_poly_pd, csm_pd
 from .cgpd import CGPD, cgpd_infinity, csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
 from .localization import ajs_billey, csm_ratio, csm_restriction, quiver_poly_ratio
@@ -39,13 +38,11 @@ __all__ = [
     "Rep",
     "enumerate_lace_arrays",
     "enumerate_rank_arrays",
-    "generic_representative",
     "hom_rank_array",
     "lace_array",
     "rank_array",
     "representative",
     "perm_set",
-    "rothe_diagram",
     "zelevinsky_permutation",
     "PipeDream",
     "enumerate_pipe_dreams",

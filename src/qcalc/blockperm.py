@@ -20,26 +20,8 @@ from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
 Permutation = tuple  # one-line notation, values 1..d
 
 
-class SizeMismatch(Exception):
-    pass
-
-
 def identity(d: int) -> Permutation:
     return tuple(range(1, d + 1))
-
-
-def compose(v: Permutation, w: Permutation) -> Permutation:
-    """(v o w)(k) = v(w(k))."""
-    if len(v) != len(w):
-        raise SizeMismatch(f"{len(v)} vs {len(w)}")
-    return tuple(v[wk - 1] for wk in w)
-
-
-def inverse(v: Permutation) -> Permutation:
-    out = [0] * len(v)
-    for k, vk in enumerate(v, start=1):
-        out[vk - 1] = k
-    return tuple(out)
 
 
 def length(v: Permutation) -> int:
@@ -59,70 +41,12 @@ def left_mul_s(t: int, v: Permutation) -> Permutation:
     )
 
 
-def simple(t: int, d: int) -> Permutation:
-    v = list(range(1, d + 1))
-    v[t - 1], v[t] = v[t], v[t - 1]
-    return tuple(v)
-
-
-def w0(d: int) -> Permutation:
-    return tuple(range(d, 0, -1))
-
-
-def block_w0(dims: Dims) -> Permutation:
-    """Antidiagonal permutation in each diagonal block of sizes r_0..r_n."""
-    out = []
-    offset = 0
-    for size in dims.r:
-        out.extend(range(offset + size, offset, -1))
-        offset += size
-    return tuple(out)
-
-
 def composite(word: tuple[int, ...], d: int) -> Permutation:
     """Value of a word, first-applied-first."""
     v = identity(d)
     for t in word:
         v = left_mul_s(t, v)
     return v
-
-
-def is_reduced_word(word: tuple[int, ...], d: int) -> bool:
-    v = identity(d)
-    for t in word:
-        sv = left_mul_s(t, v)
-        if length(sv) <= length(v):
-            return False
-        v = sv
-    return True
-
-
-def all_reduced_words(v: Permutation) -> list[tuple[int, ...]]:
-    """Every reduced word for v, in lexicographic order.
-
-    Words are built back to front: the last letter of a reduced word for
-    v is any descent t of v (a position with v values t+1 before t).
-    """
-    if v == identity(len(v)):
-        return [()]
-    out = []
-    for t in range(1, len(v)):
-        sv = left_mul_s(t, v)
-        if length(sv) < length(v):
-            out.extend(word + (t,) for word in all_reduced_words(sv))
-    return sorted(out)
-
-
-def rothe_diagram(v: Permutation) -> set[tuple[int, int]]:
-    """Cells (q, p) with v(q) > p and v^{-1}(p) > q."""
-    vinv = inverse(v)
-    d = len(v)
-    return {
-        (q, p)
-        for q in range(1, d + 1)
-        for p in range(1, d + 1)
-        if v[q - 1] > p and vinv[p - 1] > q
-    }
 
 
 @dataclass(frozen=True)
@@ -275,19 +199,6 @@ def orbit_block_counts(r: RankArray) -> dict[tuple[int, int], int]:
 def orbit_zperm(r: RankArray) -> Permutation:
     """z(r), computed once per quiver.Orbit."""
     return shared(r, "z", zelevinsky_permutation)
-
-
-def counts_of(v: Permutation, dims: Dims) -> dict[tuple[int, int], int]:
-    """Block 1-counts of an arbitrary permutation (filter-semantics oracle)."""
-    bs = BlockStructure(dims)
-    m: dict[tuple[int, int], int] = {}
-    for q, p in enumerate(v, start=1):
-        key = (bs.row_block(q), bs.col_block(p))
-        m[key] = m.get(key, 0) + 1
-    for i in range(dims.n + 1):
-        for j in range(dims.n + 1):
-            m.setdefault((i, j), 0)
-    return m
 
 
 def zelevinsky_hom(dims: Dims) -> Permutation:

@@ -29,10 +29,6 @@ from .quiver import (
 )
 
 
-class UnknownObject(Exception):
-    """render was asked for an object kind it does not know."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems on the input-error exit code."""
 
@@ -179,10 +175,8 @@ def _render(args) -> str:
         return render_pipedream(d, crosses, dims)
     if what == "cgpd":
         return render_cgpd(CGPD.from_json(parse_dims(_field(obj, "dims")), obj))
-    if what == "zmatrix":
-        r = parse_input(obj)
-        return render_zmatrix(representative(lace_array(r)))
-    raise UnknownObject(f"unknown render object {what!r}")
+    # "zmatrix"; argparse's choices admit nothing else
+    return render_zmatrix(representative(lace_array(parse_input(obj))))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -323,9 +317,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_sweep)
     p = add("render", _cmd_render)
-    p.add_argument("--what", required=True)
+    p.add_argument("--what", choices=("lacing", "pipedream", "cgpd", "zmatrix"), required=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already printed
+        return exc.code
     try:
         return args.fn(args)
     except (
@@ -337,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         quiver.BadRowSums,
         cgpd.InvalidCGPD,
         pipedream.RegionViolation,
-        UnknownObject,
     ) as exc:
         print(f"qcalc: error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,7 @@ from .blockperm import (
     subword_states,
     target_states,
 )
-from .poly import Poly, Variable, exact_divide, xvar
+from .poly import Poly, Variable, exact_divide
 from .quiver import Dims, RankArray, shared
 
 
@@ -48,11 +48,6 @@ class Word:
 
     def value(self) -> tuple:
         return composite(self.letters, self.d)
-
-
-def generic_word(letters: tuple[int, ...], d: int) -> Word:
-    """A word over the flat alphabet z_q = x^0_q, for convention tests."""
-    return Word(tuple(letters), tuple(xvar(0, q) for q in range(1, d + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -5,12 +5,12 @@ and columns left to right, with every cross strictly above the main
 antidiagonal (q + p <= d); all other cells are bumps.  A cross carries
 the {N-S, E-W} strands and a bump the {W-N, S-E} arcs, so the pipe
 entering at the west edge of row q flows northeast and exits the top
-edge at column trace(q).
+edge at some column v(q); v is the dream's permutation.
 
 Crosses read rows bottom to top, west to east within a row, spell a
 word in simple transpositions (letter s_{q+p-1} at cell (q, p)) whose
-ordered product equals the trace; the pipe dreams of a given
-permutation are therefore the paths of the region word's subword states
+ordered product is v; the pipe dreams of a given permutation are
+therefore the paths of the region word's subword states
 (blockperm.target_states).
 """
 
@@ -48,34 +48,9 @@ class PipeDream:
         return {"d": self.dims.d, "crosses": sorted(map(list, self.crosses))}
 
 
-def trace(dream: PipeDream) -> tuple:
-    """Exit column on the top edge for the pipe entering each row."""
-    d = dream.dims.d
-    crosses = dream.crosses
-    out = []
-    for q in range(1, d + 1):
-        row, col, side = q, 1, "W"
-        while row >= 1:
-            cross = (row, col) in crosses
-            if side == "W":
-                if cross:
-                    col += 1  # straight through, still heading east
-                else:
-                    row -= 1
-                    side = "S"
-            else:  # entering from the south
-                if cross:
-                    row -= 1
-                else:
-                    col += 1
-                    side = "W"
-        out.append(col)
-    return tuple(out)
-
-
 def region_cells(dims: Dims, region: str) -> list[tuple[int, int]]:
     """Cells of the region in reading order (rows bottom to top, then west
-    to east), the order in which crosses spell the trace word."""
+    to east), the order in which crosses spell the dream's word."""
     if region == "strict":
         return list(grid_word(dims).cells)
     if region != "full":
@@ -84,8 +59,8 @@ def region_cells(dims: Dims, region: str) -> list[tuple[int, int]]:
 
 
 def enumerate_pipe_dreams(dims: Dims, v: tuple, region: str = "full") -> list[PipeDream]:
-    """All reduced pipe dreams with crosses in the region whose trace is
-    v, in the order SubwordStates.subsets walks them."""
+    """All reduced pipe dreams with crosses in the region whose
+    permutation is v, in the order SubwordStates.subsets walks them."""
     cells = region_cells(dims, region)
     states = target_states(tuple(q + p - 1 for q, p in cells), tuple(v), True)
     return [PipeDream(dims, frozenset(cells[k] for k in J)) for J in states.subsets()]

@@ -74,10 +74,6 @@ class NotDivisible(Exception):
     """No exact quotient exists; usually signals a convention bug upstream."""
 
 
-class MissingAssignment(Exception):
-    """substitute() was handed an assignment missing an occurring variable."""
-
-
 class ParseError(Exception):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -379,20 +375,6 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
             else:
                 del rem[m]
     return Poly._wrap(quot)
-
-
-def substitute(p: Poly, assignment: Mapping[Variable, "Poly | int"]) -> Poly:
-    """Evaluate p under a total assignment of its variables."""
-
-    def term(mono: Monomial, c: int) -> Poly:
-        out = Poly.const(c)
-        for v, e in mono:
-            if v not in assignment:
-                raise MissingAssignment(f"no value for variable {_var_text(v, 'ascii')}")
-            out = out * (_coerce(assignment[v]) ** e)
-        return out
-
-    return Poly.sum(term(mono, c) for mono, c in p.items())
 
 
 # -- formatting and parsing ----------------------------------------------

@@ -5,14 +5,13 @@ Hom(V_{n-1},V_n) is indexed equivalently by a rank array r (the ranks
 r_ij of all composite maps V_i -> V_j) or by a lace array s (s_pq counts
 indecomposable summands supported on the interval [p, q]).  This module
 converts between the two, builds the canonical block 0/1 representative
-of an orbit, measures ranks exactly over the integers, and forms the
-big d x d Zelevinsky matrix of a representation.
+of an orbit, forms the big d x d Zelevinsky matrix of a representation,
+and parses the JSON input.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import re
 from dataclasses import dataclass
 
@@ -273,107 +272,6 @@ def representative(s: LaceArray) -> Rep:
     return Rep(dims, tuple(phi))
 
 
-def generic_representative(s: LaceArray, seed: int = 0) -> Rep:
-    """A point of the orbit of s in general position, with integer entries.
-
-    The 0/1 representative is moved by pseudorandom unimodular changes of
-    basis at every level, so composite ranks are untouched.  General
-    position matters for the Zelevinsky matrix: the direct-sum point can
-    sit in a deeper Bruhat stratum than the orbit's dense one (and for
-    some orbits every 0/1 point does), while a generic point realizes
-    the northwest rank profile of the Zelevinsky permutation.
-    """
-    rng = random.Random(f"{seed}:{s.dims.r}:{sorted(s.entries.items())}")
-    base = representative(s)
-    g, g_inv = [], []
-    for size in s.dims.r:
-        lower = _unit_triangular(size, rng, below=True)
-        upper = _unit_triangular(size, rng, below=False)
-        g.append(_mat_mul(lower, upper))
-        g_inv.append(_mat_mul(_unit_triangular_inverse(upper), _unit_triangular_inverse(lower)))
-    phi = []
-    for k in range(1, s.dims.n + 1):
-        mat = _mat_mul(g[k], _mat_mul([list(row) for row in base.phi[k - 1]], g_inv[k - 1]))
-        phi.append(tuple(tuple(row) for row in mat))
-    return Rep(s.dims, tuple(phi))
-
-
-def _unit_triangular(n: int, rng, below: bool) -> list[list[int]]:
-    m = _identity(n)
-    for i in range(n):
-        for j in range(n):
-            if (j < i) if below else (j > i):
-                m[i][j] = rng.randint(1, 97)
-    return m
-
-
-def _unit_triangular_inverse(m: list[list[int]]) -> list[list[int]]:
-    """Integer inverse of a unit triangular matrix, by substitution."""
-    n = len(m)
-    lower = all(m[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    rows = range(n) if lower else range(n - 1, -1, -1)
-    inv = [[0] * n for _ in range(n)]
-    for col in range(n):
-        for i in rows:
-            acc = 1 if i == col else 0
-            for k in range(n):
-                if k != i and m[i][k] != 0:
-                    acc -= m[i][k] * inv[k][col]
-            inv[i][col] = acc
-    return inv
-
-
-def integer_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    m = [list(row) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for i in range(row + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (pivot * m[i][j] - m[i][col] * m[row][j]) // prev_pivot
-            m[i][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def rank_array_of(rep: Rep) -> RankArray:
-    """Exact ranks of all composite maps of a representation."""
-    dims = rep.dims
-    entries = {}
-    for i in range(dims.n + 1):
-        comp = _identity(dims.r[i])
-        entries[(i, i)] = dims.r[i]
-        for j in range(i + 1, dims.n + 1):
-            comp = _mat_mul([list(row) for row in rep.phi[j - 1]], comp)
-            entries[(i, j)] = integer_rank(comp)
-    return RankArray(dims, entries)
-
-
 def zelevinsky_matrix(rep: Rep) -> list[list[int]]:
     """The d x d matrix with identity blocks on the block antidiagonal
     and the maps (as row-vector-action matrices) on the superantidiagonal.
@@ -398,16 +296,6 @@ def zelevinsky_matrix(rep: Rep) -> list[list[int]]:
     return z
 
 
-def nw_rank_profile(matrix: list[list[int]]) -> dict[tuple[int, int], int]:
-    """Ranks of all top-q x left-p corners (1-based q, p)."""
-    d = len(matrix)
-    return {
-        (q, p): integer_rank([row[:p] for row in matrix[:q]])
-        for q in range(1, d + 1)
-        for p in range(1, d + 1)
-    }
-
-
 # -- JSON input ------------------------------------------------------------
 
 def is_int(value) -> bool:
@@ -426,7 +314,8 @@ def parse_input(obj: dict | str) -> RankArray:
     """Parse {"dims": [...], "rank": {"i,j": v}} or {"dims": [...], "lace": ...}.
 
     Diagonal rank entries are optional and default to the dims.  Every
-    malformed entry raises ValueError naming it.
+    malformed entry raises ValueError naming it; so do two keys naming
+    one entry (such as "0,1" and " 0,1"), and both objects at once.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -438,7 +327,7 @@ def parse_input(obj: dict | str) -> RankArray:
         raw = obj[name]
         if not isinstance(raw, dict):
             raise ValueError(f'"{name}" must be an object with "i,j" keys, got {json.dumps(raw)}')
-        out = {}
+        out, keys = {}, {}
         for key, value in raw.items():
             match = isinstance(key, str) and re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", key)
             if not match:
@@ -452,9 +341,15 @@ def parse_input(obj: dict | str) -> RankArray:
                 raise ValueError(
                     f"{name} key {json.dumps(key)} is out of range: need 0 <= i <= j <= {dims.n}"
                 )
+            if (i, j) in keys:
+                first = json.dumps(keys[i, j])
+                raise ValueError(f"{name} keys {first} and {json.dumps(key)} both name entry ({i},{j})")
+            keys[i, j] = key
             out[(i, j)] = value
         return out
 
+    if "rank" in obj and "lace" in obj:
+        raise ValueError('input carries both a "rank" and a "lace" object; give one')
     if "rank" in obj:
         entries = read_entries("rank")
         for i, j in dims.pairs():

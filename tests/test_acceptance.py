@@ -7,15 +7,7 @@ failure for that test.
 
 from itertools import combinations, permutations
 
-from qcalc.blockperm import (
-    all_reduced_words,
-    composite,
-    length,
-    perm_set,
-    regions,
-    rothe_diagram,
-    zelevinsky_permutation,
-)
+from qcalc.blockperm import composite, length, perm_set, regions, zelevinsky_permutation
 from qcalc.cgpd import cgpd_infinity, csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
 from qcalc.engine import check, sweep
 from qcalc.localization import Word, ajs_billey, csm_restriction, grid_word, roots
@@ -24,7 +16,6 @@ from qcalc.pipedream import (
     csm_pd,
     enumerate_pipe_dreams,
     quiver_poly_pd,
-    trace,
 )
 from qcalc.localization import csm_ratio, quiver_poly_ratio
 from qcalc.poly import Poly, xvar
@@ -33,13 +24,14 @@ from qcalc.quiver import (
     LaceArray,
     RankArray,
     enumerate_rank_arrays,
-    generic_representative,
     hom_rank_array,
     lace_array,
-    nw_rank_profile,
     rank_array,
     zelevinsky_matrix,
 )
+from blockperm_reference import all_reduced_words, rothe_diagram
+from pipedream_reference import trace
+from quiver_reference import generic_representative, nw_rank_profile
 from subword_reference import subword_subsets
 
 

@@ -5,32 +5,54 @@ from itertools import permutations
 
 from qcalc.blockperm import (
     BlockStructure,
-    all_reduced_words,
+    Permutation,
     block_counts,
-    block_w0,
-    compose,
     composite,
-    counts_of,
     identity,
-    inverse,
-    is_reduced_word,
     left_mul_s,
     length,
     perm_count,
     perm_set,
     regions,
-    rothe_diagram,
-    simple,
     subword_states,
     target_states,
-    w0,
     zelevinsky_hom,
     zelevinsky_permutation,
 )
 from qcalc.engine import sweep_dims
 from qcalc.localization import grid_word
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
+from blockperm_reference import all_reduced_words, block_w0, compose, inverse, rothe_diagram, w0
 from subword_reference import forward_subword_states, subword_subsets
+
+
+def simple(t: int, d: int) -> Permutation:
+    v = list(range(1, d + 1))
+    v[t - 1], v[t] = v[t], v[t - 1]
+    return tuple(v)
+
+
+def is_reduced_word(word: tuple[int, ...], d: int) -> bool:
+    v = identity(d)
+    for t in word:
+        sv = left_mul_s(t, v)
+        if length(sv) <= length(v):
+            return False
+        v = sv
+    return True
+
+
+def counts_of(v: Permutation, dims: Dims) -> dict[tuple[int, int], int]:
+    """Block 1-counts of an arbitrary permutation (filter-semantics oracle)."""
+    bs = BlockStructure(dims)
+    m: dict[tuple[int, int], int] = {}
+    for q, p in enumerate(v, start=1):
+        key = (bs.row_block(q), bs.col_block(p))
+        m[key] = m.get(key, 0) + 1
+    for i in range(dims.n + 1):
+        for j in range(dims.n + 1):
+            m.setdefault((i, j), 0)
+    return m
 
 
 def test_group_axioms_s4():

