@@ -205,50 +205,54 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
     return zelevinsky_permutation(hom_rank_array(dims))
 
 
-# -- subword sums over states (shared by pipe dreams and localization) ------
+# -- levelled state DAGs: the subword states, and cgpd's routing states ----
 
 @dataclass(frozen=True)
-class SubwordStates:
-    """The live states of subword_states or target_states, level by level.
+class States:
+    """The live states of a levelled DAG, level by level.
 
-    levels[k] maps each state s reachable at letter k from which some
-    accepted completion exists to its edges (c, t), skip first: label c
-    is 0 for skipping letter k and 1 for taking it, and t is the live
-    state s reaches at k + 1.  The accepted states after the last letter
-    have no edges.  A state is an int that its builder packs (see
-    subword_states and target_states); the walks only hash it.  total is
-    the number of accepted subsets, and skipped has bit j set when some
-    accepted subset skips position j; a position outside it is taken by
-    every accepted subset.  A skipped letter weighs 1 in reduced mode
-    and h otherwise.
+    levels[k] maps each state at level k that some path to the last
+    level passes through to its edges (c, t) in order: label c, and t
+    the state reached at level k + 1.  The last level's states have no
+    edges.  total is the number of paths.  Of the builders,
+    subword_states and target_states label the skip of letter k 0 and
+    its take 1, skip first, over packed int states; a path is one
+    accepted subset.  skipped has bit j set when some accepted subset
+    skips position j (a position outside it is taken by all), and a
+    skipped letter weighs 1 when reduced and h otherwise.
+    cgpd.orbit_states and minimal_states label the p-th cell in laying
+    order with the tile laid there, over states numbered within each
+    level; a path is one diagram, and skipped and reduced keep their
+    defaults.
     """
 
     levels: tuple[dict, ...]
     total: int
-    skipped: int
-    reduced: bool
+    skipped: int = 0
+    reduced: bool = False
 
-    def subsets(self):
-        """Each accepted subset J, the tuple of its taken positions, depth
-        first, each letter skipped before it is taken.  A path from a start
-        state to an accepted state is one accepted subset, and every live
-        state has an accepted completion, so the walk enters no branch
-        that accepts nothing."""
+    def paths(self):
+        """The labels of each path, a tuple, depth first along each
+        state's edges in order.  Every state is live, so the walk enters
+        no branch that reaches nothing."""
         levels = self.levels
-        L = len(levels) - 1
+        m = len(levels) - 1
+        labels: list = []
 
-        def rec(k: int, s: int, J: tuple):
-            if k == L:
-                yield J
+        def rec(k: int, s):
+            if k == m:
+                yield tuple(labels)
                 return
             for c, t in levels[k][s]:
-                yield from rec(k + 1, t, J + (k,) if c else J)
+                labels.append(c)
+                yield from rec(k + 1, t)
+                labels.pop()
 
         for s in levels[0]:
-            yield from rec(0, s, ())
+            yield from rec(0, s)
 
 
-def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
+def _live(children: list, accepted: set, reduced: bool) -> States:
     """The counting pass of both builders.  children[k] maps each state
     kept at letter k to its (skip, take) children at k + 1, None for a
     pruned branch; accepted holds the accepted states after the last
@@ -281,7 +285,7 @@ def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
     for n, mask in counts.values():
         total += n
         skipped |= mask
-    return SubwordStates(tuple(reversed(levels)), total, skipped, reduced)
+    return States(tuple(reversed(levels)), total, skipped, reduced)
 
 
 def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list[int]:
@@ -299,7 +303,7 @@ def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list
     return out
 
 
-def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
+def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     """The subsets of the word whose ordered product lies in perm(r),
     counted over states instead of listed.
 
@@ -358,7 +362,7 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     edges.  _live counts over them integers N(k, s), the number of
     accepted completions from (k, s); N(0, start), the total, is the
     number of subsets whose ordered product lies in perm(r), one per
-    path that SubwordStates.subsets walks.  The number of accepted
+    path that States.paths walks.  The number of accepted
     subsets that skip a position of a set D is positive exactly when the
     skipped mask meets D; csm_pd reads it so for the D_Hom cells.
     """
@@ -408,7 +412,7 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
     return _live(children, reach.intersection(accepted), reduced=False)
 
 
-def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> SubwordStates:
+def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> States:
     """The subsets of the word whose ordered product is v, only the
     reduced subwords for v in reduced mode, counted over states instead
     of listed.
@@ -418,8 +422,8 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> Su
     own row block.  It is packed as one int of fixed-width fields, the
     field of value x at bit (x-1)*w holding the position u^-1(x) - 1,
     with w the bit length of d.  So taking letter t swaps the fields of
-    t and t+1, one XOR, and _live, SubwordStates and subword_sum are
-    shared.  The state of v^-1 is accepted.
+    t and t+1, one XOR, and _live, States and subword_sum are shared.
+    The state of v^-1 is accepted.
 
     The distance.  Each state carries d(u, v) = l(v u^-1).  The
     permutation v u^-1 sends u(a) to v(a), so its inversions are the

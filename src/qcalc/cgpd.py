@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
+from .blockperm import States
 from .localization import state_sum
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
@@ -101,47 +102,10 @@ def _cells(dims: Dims) -> tuple[tuple[int, int, int], ...]:
                  for k in range(dims.r[i + 1], 0, -1))
 
 
-@dataclass(frozen=True)
-class CGPDStates:
-    """The live routing states of an orbit's diagrams, level by level.
-
-    levels[p] maps each state before the p-th cell in laying order
-    (_cells) from which some diagram completes, by its number within
-    the level, to its edges (code, t) in routing order: code is the tile
-    laid at that cell, B for the bump of two pipes of one color, and t
-    is the state before the next cell.  The last level holds the one end
-    state, which has no edges.  A path from the root is one diagram and
-    spells its tile word; total is the number of paths.
-    """
-
-    levels: tuple[dict, ...]
-    total: int
-
-    def words(self):
-        """The tile word of each path, depth first along each state's
-        edges in order.  Every state is live, so the walk enters no
-        branch that completes nothing."""
-        levels = self.levels
-        m = len(levels) - 1
-        word: list[str] = []
-
-        def rec(p: int, s: int):
-            if p == m:
-                yield "".join(word)
-                return
-            for code, t in levels[p][s]:
-                word.append(code)
-                yield from rec(p + 1, t)
-                word.pop()
-
-        for s in levels[0]:
-            yield from rec(0, s)
-
-
 _END = ()  # the state after the last cell of a completed diagram
 
 
-def _live(children: list[dict], ends) -> CGPDStates:
+def _live(children: list[dict], ends) -> States:
     """The backward pass: children[p] maps each state a forward pass
     reached before cell p to its edges, and ends holds the number of the
     end state if it was reached.  N is 1 at the end and N(s) is the sum of N over the
@@ -157,10 +121,10 @@ def _live(children: list[dict], ends) -> CGPDStates:
                 level[s] = live
                 counts[s] = sum([below[t] for _, t in live])
         levels.append(level)
-    return CGPDStates(tuple(reversed(levels)), sum(counts.values()))
+    return States(tuple(reversed(levels)), sum(counts.values()))
 
 
-def _states(dims: Dims, want: dict[tuple[int, int], int]) -> CGPDStates:
+def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
     """The routing states of the diagrams realizing the laces want (lace
     counts by interval): one forward pass, then _live.
 
@@ -243,20 +207,20 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> CGPDStates:
     return _live(children, level.values())
 
 
-def orbit_states(r: RankArray) -> CGPDStates:
+def orbit_states(r: RankArray) -> States:
     """The routing states of the diagrams realizing the laces of r, built
     once per quiver.Orbit."""
     return shared(r, "cgpd", lambda r: _states(r.dims, shared(r, "laces", lace_array).entries))
 
 
-def minimal_states(r: RankArray) -> CGPDStates:
+def minimal_states(r: RankArray) -> States:
     """The paths of orbit_states with the fewest straight-strand tiles
     (+ - |).  A min-plus pass from the end gives the fewest each state's
     completions have; a pass from the root keeps the edges that attain
     it and counts the paths into each state it reaches.  Built once per
     quiver.Orbit."""
 
-    def build(r: RankArray) -> CGPDStates:
+    def build(r: RankArray) -> States:
         levels = orbit_states(r).levels
         fewest = [dict.fromkeys(levels[-1], 0)]
         for level in reversed(levels[:-1]):
@@ -275,7 +239,7 @@ def minimal_states(r: RankArray) -> CGPDStates:
             kept.append(kids)
             paths = reach
         kept.append(dict.fromkeys(paths, ()))
-        return CGPDStates(tuple(kept), sum(paths.values()))
+        return States(tuple(kept), sum(paths.values()))
 
     return shared(r, "cgpd_minimal", build)
 
@@ -295,7 +259,7 @@ def _spell(dims: Dims, words) -> list[CGPD]:
 
 def enumerate_cgpd(r: RankArray) -> list[CGPD]:
     """All valid diagrams realizing the laces of r, in tile-code order."""
-    return _spell(r.dims, orbit_states(r).words())
+    return _spell(r.dims, map("".join, orbit_states(r).paths()))
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +284,7 @@ def csm_cgpd(r: RankArray) -> Poly:
 
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
     """The diagrams with the fewest straight-strand tiles, in tile-code order."""
-    return _spell(r.dims, minimal_states(r).words())
+    return _spell(r.dims, map("".join, minimal_states(r).paths()))
 
 
 def quiver_poly_cgpd(r: RankArray) -> Poly:

@@ -4,13 +4,15 @@ Subcommands: lace, zperm, qpoly, csm, enum, check, sweep, render.
 Inputs are JSON, given as a file path or inline; see quiver.parse_input
 for the rank/lace schema.  Exit codes: 0 success, 1 input error (the
 message names the offending entry or flag), 2 a consistency check or
-sweep found a disagreement.
+sweep found a disagreement, 141 (silently) the reader of stdout closed
+it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cgpd, engine, pipedream, quiver
@@ -37,10 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(text: str) -> dict:
+    """Inline JSON or a file's; a key repeated in one object is an error."""
     if text.lstrip()[:1] in ("{", "["):
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=quiver.unique_keys)
     with open(text, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=quiver.unique_keys)
 
 
 def _perm_text(v: tuple) -> str:
@@ -324,7 +327,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, or a usage error already printed
         return exc.code
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (qcalc ... | head): end quietly, as
+        # a SIGPIPE death would, with the rest of the output sent nowhere
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
     except (
         ValueError,
         KeyError,

@@ -84,7 +84,7 @@ def _require_reduced(word: Word):
         raise NotReducedWord(f"word {word.letters} is not reduced")
 
 
-def orbit_states(r: RankArray) -> blockperm.SubwordStates:
+def orbit_states(r: RankArray) -> blockperm.States:
     """The grid word's subsets with product in perm(r), as live states
     (blockperm.subword_states).  Built once per quiver.Orbit; the pipe
     dream and ratio CSM classes both walk it, each with its own
@@ -92,7 +92,7 @@ def orbit_states(r: RankArray) -> blockperm.SubwordStates:
     return shared(r, "subword_states", lambda r: subword_states(grid_word(r.dims).letters, r))
 
 
-def orbit_reduced_states(r: RankArray) -> blockperm.SubwordStates:
+def orbit_reduced_states(r: RankArray) -> blockperm.States:
     """The grid word's reduced subwords for z(r), as live states
     (blockperm.target_states).  Built once per quiver.Orbit; the pipe
     dream and ratio quiver polynomials both walk it."""
@@ -132,7 +132,7 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
     return root
 
 
-def subword_sum(states: blockperm.SubwordStates, weights: list | tuple) -> Poly:
+def subword_sum(states: blockperm.States, weights: list | tuple) -> Poly:
     """The sum over the accepted subsets J of the product of weights[j]
     over j in J times the skip weight to the power L - |J|: h, or 1 in
     reduced mode.  It is state_sum over the live states, a skip weighing
@@ -161,7 +161,7 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _restriction(v, word, reduced=False)
 
 
-def _forced_sum(states: blockperm.SubwordStates, betas) -> tuple[tuple[int, ...], Poly]:
+def _forced_sum(states: blockperm.States, betas) -> tuple[tuple[int, ...], Poly]:
     """(common, rest): the positions every accepted subset takes, and the
     state sum of the roots with those positions weighing 1.  The full
     sum is rest times the roots at common; keeping that forced block

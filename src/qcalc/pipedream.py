@@ -60,10 +60,12 @@ def region_cells(dims: Dims, region: str) -> list[tuple[int, int]]:
 
 def enumerate_pipe_dreams(dims: Dims, v: tuple, region: str = "full") -> list[PipeDream]:
     """All reduced pipe dreams with crosses in the region whose
-    permutation is v, in the order SubwordStates.subsets walks them."""
+    permutation is v, in the order States.paths walks them: a dream
+    crosses the cells whose letter its path takes."""
     cells = region_cells(dims, region)
     states = target_states(tuple(q + p - 1 for q, p in cells), tuple(v), True)
-    return [PipeDream(dims, frozenset(cells[k] for k in J)) for J in states.subsets()]
+    return [PipeDream(dims, frozenset(c for c, take in zip(cells, path) if take))
+            for path in states.paths()]
 
 
 @lru_cache(maxsize=None)

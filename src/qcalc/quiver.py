@@ -303,6 +303,17 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: the object, or a ValueError naming a key
+    given twice, which json.loads would resolve to its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {json.dumps(key)} in a JSON object")
+        out[key] = value
+    return out
+
+
 def parse_dims(raw) -> Dims:
     """The "dims" entry of a JSON input: a non-empty array of integers."""
     if not (isinstance(raw, list) and raw and all(map(is_int, raw))):
@@ -316,9 +327,11 @@ def parse_input(obj: dict | str) -> RankArray:
     Diagonal rank entries are optional and default to the dims.  Every
     malformed entry raises ValueError naming it; so do two keys naming
     one entry (such as "0,1" and " 0,1"), and both objects at once.
+    A str is read as JSON, and a key repeated in one of its objects
+    raises ValueError too.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, object_pairs_hook=unique_keys)
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ValueError('input must be a JSON object carrying a "dims" array')
     dims = parse_dims(obj["dims"])

@@ -2,17 +2,17 @@
 
 subword_subsets lists subsets one by one over partial products, with its
 own pruning, and shares no code with blockperm.subword_states,
-target_states or SubwordStates.subsets.  forward_subword_states builds
-the coset states of blockperm.subword_states from the other end: a
-forward pass from the start under the flow bound, then a backward count
-(_live).  It returns a blockperm.SubwordStates whose states are label
-vectors (tuples).
+target_states or States.paths.  forward_subword_states builds the coset
+states of blockperm.subword_states from the other end: a forward pass
+from the start under the flow bound, then a backward count (_live).  It
+returns a blockperm.States whose states are label vectors (tuples).
+taken reads the paths of subword states as subsets.
 """
 
 from qcalc.blockperm import (
     BlockStructure,
     Permutation,
-    SubwordStates,
+    States,
     identity,
     left_mul_s,
     length,
@@ -73,12 +73,19 @@ def subword_subsets(letters: tuple[int, ...], d: int, targets: frozenset, reduce
         yield from rec(0, identity(d), reach)
 
 
+def taken(states: States):
+    """The taken positions of each path of subword states, a tuple, in
+    States.paths order."""
+    for path in states.paths():
+        yield tuple(k for k, c in enumerate(path) if c)
+
+
 def _swap(s: tuple, t: int) -> tuple:
     """s_t acting on a label vector: swap the labels of values t and t+1."""
     return s[: t - 1] + (s[t], s[t - 1]) + s[t + 1 :]
 
 
-def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
+def _live(children: list, accepted: set, reduced: bool) -> States:
     """The backward pass of forward_subword_states.  children[k] maps each state
     a forward pass kept at letter k to its (skip, take) children at
     k + 1, None for a pruned branch; accepted holds the accepted states
@@ -110,10 +117,10 @@ def _live(children: list, accepted: set, reduced: bool) -> SubwordStates:
     for n, mask in counts.values():
         total += n
         skipped |= mask
-    return SubwordStates(tuple(reversed(levels)), total, skipped, reduced)
+    return States(tuple(reversed(levels)), total, skipped, reduced)
 
 
-def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordStates:
+def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     """The subsets of the word whose ordered product lies in perm(r),
     counted over states instead of listed.
 
@@ -150,12 +157,12 @@ def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> SubwordSta
     The counts.  A forward pass lists the states that survive the bound,
     each with its two children; the backward pass (_live) computes over
     integers N(k, s), the number of accepted completions from (k, s),
-    and keeps the states with N > 0 and their edges (SubwordStates).
-    Its total, N(0, start), is the number of subsets whose ordered
-    product lies in perm(r), one per path that SubwordStates.subsets
-    walks.  The number of accepted subsets that skip a position of a set
-    D is positive exactly when the skipped mask meets D; csm_pd reads it
-    so for the D_Hom cells.
+    and keeps the states with N > 0 and their edges (States).  Its
+    total, N(0, start), is the number of subsets whose ordered product
+    lies in perm(r), one per path that States.paths walks.  The number
+    of accepted subsets that skip a position of a set D is positive
+    exactly when the skipped mask meets D; csm_pd reads it so for the
+    D_Hom cells.
     """
     dims = r.dims
     bs = BlockStructure(dims)

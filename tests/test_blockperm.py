@@ -23,7 +23,7 @@ from qcalc.engine import sweep_dims
 from qcalc.localization import grid_word
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
 from blockperm_reference import all_reduced_words, block_w0, compose, inverse, rothe_diagram, w0
-from subword_reference import forward_subword_states, subword_subsets
+from subword_reference import forward_subword_states, subword_subsets, taken
 
 
 def simple(t: int, d: int) -> Permutation:
@@ -206,11 +206,21 @@ def test_subword_subsets_multi_target():
     assert sorted(pairs) == sorted(singles)
 
 
+def _skipped(subsets, L: int) -> int:
+    """The OR, over the subsets, of the mask of the positions each skips."""
+    mask = 0
+    for J in subsets:
+        mask |= ((1 << L) - 1) ^ sum(1 << k for k in J)
+    return mask
+
+
 def test_subsets_walk_against_brute_force():
-    """SubwordStates.subsets lists the accepted subsets that a brute-force
-    filter finds, in the reference search's order: target_states toward
-    each permutation, reduced and all subsets, and subword_states toward
-    perm(r) for every orbit of a few dims, on seeded random words."""
+    """The paths of the subword states are the accepted subsets that a
+    brute-force filter finds, in the reference search's order, and the
+    skipped mask is the OR of the positions they skip: target_states
+    toward each permutation, reduced and all subsets, and subword_states
+    toward perm(r) for every orbit of a few dims, on seeded random
+    words."""
     rng = random.Random(11)
     for d in range(2, 5):
         perms = list(permutations(range(1, d + 1)))
@@ -218,22 +228,25 @@ def test_subsets_walk_against_brute_force():
             letters = tuple(rng.randint(1, d - 1) for _ in range(rng.randint(0, 9)))
             for v in perms:
                 for reduced in (True, False):
-                    got = list(target_states(letters, v, reduced).subsets())
+                    states = target_states(letters, v, reduced)
+                    got = list(taken(states))
                     ref = [J for J, _ in subword_subsets(letters, d, frozenset([v]), reduced)]
                     assert got == ref, (letters, v, reduced)
-                    assert sorted(got) == [
-                        J for J, _ in brute_force_subsets(letters, d, {v}, reduced)
-                    ]
+                    brute = [J for J, _ in brute_force_subsets(letters, d, {v}, reduced)]
+                    assert sorted(got) == brute
+                    assert states.skipped == _skipped(brute, len(letters)), (letters, v, reduced)
     for dims in (Dims((1, 2, 1)), Dims((2, 2)), Dims((2, 1, 1)), Dims((1, 1, 1, 1))):
         for r in enumerate_rank_arrays(dims):
             targets = frozenset(perm_set(r))
             for _ in range(4):
                 letters = tuple(rng.randint(1, dims.d - 1) for _ in range(rng.randint(0, 10)))
-                got = list(subword_states(letters, r).subsets())
+                states = subword_states(letters, r)
+                got = list(taken(states))
                 ref = [J for J, _ in subword_subsets(letters, dims.d, targets, False)]
                 assert got == ref, (r, letters)
-                brute = brute_force_subsets(letters, dims.d, targets, False)
-                assert sorted(got) == sorted(J for J, _ in brute)
+                brute = [J for J, _ in brute_force_subsets(letters, dims.d, targets, False)]
+                assert sorted(got) == sorted(brute)
+                assert states.skipped == _skipped(brute, len(letters)), (r, letters)
 
 
 def _label_vector(s: int, dims: Dims) -> tuple:
@@ -245,7 +258,7 @@ def _label_vector(s: int, dims: Dims) -> tuple:
 
 def test_subword_states_match_the_forward_builder():
     """subword_states, built backward from the accepted vectors, keeps
-    the live states, edges, total, skipped mask and subsets order of the
+    the live states, edges, total, skipped mask and path order of the
     forward builder (flow bound, then counting) on the grid word of every
     orbit of sweep_dims(6), of the three-vertex dims (2,3,3), (3,3,2) and
     (3,3,3), of (1^8), and of (2,4,2), whose column blocks mix labels."""
@@ -264,7 +277,7 @@ def test_subword_states_match_the_forward_builder():
                 for level in got.levels
             ]
             assert decoded == list(ref.levels), r
-            assert list(got.subsets()) == list(ref.subsets()), r
+            assert list(got.paths()) == list(ref.paths()), r
             if dims.r == (2, 4, 2):
                 m = block_counts(r)
                 mixed |= any(sum(m[(i, j)] > 0 for i in range(3)) > 1 for j in range(3))

@@ -151,7 +151,7 @@ def test_tile_words():
     """Each diagram's word lists its tiles in laying order (top to bottom,
     east to west); the bump of two pipes of one color is written B."""
     r = hom_rank_array(Dims((2, 2)))
-    words = list(orbit_states(r).words())
+    words = ["".join(path) for path in orbit_states(r).paths()]
     assert words == ["-rr|", "r.Br"]
     assert [delta.grids for delta in _spell(r.dims, words)] == [
         (((".", "r"), ("r", "b")),),
@@ -233,8 +233,8 @@ def test_states_spell_the_router_words():
     for r in ranks:
         words = router_words(r)
         states, minimal = orbit_states(r), minimal_states(r)
-        assert list(states.words()) == words, r.entries
-        assert list(minimal.words()) == minimal_words(words), r.entries
+        assert ["".join(path) for path in states.paths()] == words, r.entries
+        assert ["".join(path) for path in minimal.paths()] == minimal_words(words), r.entries
         assert (states.total, minimal.total) == (len(words), len(minimal_words(words)))
 
 

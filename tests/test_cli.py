@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,8 @@ BAD_INPUT = [
     # two keys that name one entry, and both input objects at once
     (("lace", '{"dims":[1,1],"rank":{"0,1":1,"0,1 ":0}}'), '"0,1" and "0,1 "'),
     (("lace", '{"dims":[1,1],"rank":{"0,1":1},"lace":{"0,0":1,"1,1":1}}'), '"rank" and a "lace"'),
+    # one key twice in one object, which json.loads would resolve to its last value
+    (("lace", '{"dims":[1,1],"rank":{"0,1":1,"0,1":0}}'), 'repeated key "0,1"'),
 ]
 
 
@@ -184,6 +189,28 @@ def test_bad_input_exits_one(capsys, argv, named):
     assert out == ""
     assert err.startswith("qcalc: error:") and named in err
     assert "Traceback" not in err and "No such file" not in err
+
+
+def test_closed_stdout_is_not_an_input_error():
+    """A reader that closes stdout after the first line (qcalc ... | head -1)
+    gets no message on stderr, and the exit code is not the input error's
+    1.  The 834 dreams fill far more than a pipe's buffer, so the command
+    is still writing when the pipe closes."""
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["enum", "--what", "pd", "--region", "full", str(FIXTURES / "ex_lace.json")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"count: 834\n"
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode in (0, 141)
 
 
 def test_bad_flag_exits_one(capsys):

@@ -42,7 +42,7 @@ from qcalc.quiver import (
     parse_input,
 )
 from blockperm_reference import all_reduced_words, block_w0, compose, w0
-from subword_reference import subword_subsets
+from subword_reference import subword_subsets, taken
 
 
 def generic_word(letters: tuple[int, ...], d: int) -> Word:
@@ -158,7 +158,7 @@ def test_csm_restriction_h_grading():
 
 
 def test_orbit_subwords_order_pinned():
-    """SubwordStates.subsets walks the strict subwords in a fixed order,
+    """States.paths walks the strict subwords in a fixed order,
     which `qcalc enum --what pd` prints; polynomial checks cannot see
     it.  The digest was captured at commit a8098bf from the subword
     search that subword_reference keeps, which lists the same (J, v)
@@ -172,10 +172,10 @@ def test_orbit_subwords_order_pinned():
     for r in ranks:
         letters = grid_word(r.dims).letters
         z = zelevinsky_permutation(r)
-        reduced = [(J, z) for J in target_states(letters, z, True).subsets()]
+        reduced = [(J, z) for J in taken(target_states(letters, z, True))]
         every = [
             (J, composite(tuple(letters[k] for k in J), r.dims.d))
-            for J in subword_states(letters, r).subsets()
+            for J in taken(subword_states(letters, r))
         ]
         for found in (reduced, every):
             pairs += len(found)

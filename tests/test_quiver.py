@@ -185,6 +185,8 @@ def test_parse_input_errors_name_the_entry():
         ({"dims": [1, 1], "rank": {"0,5": 1}}, '"0,5"'),
         ({"dims": [1, 1], "lace": {"0,5": 1}}, '"0,5"'),
         ({"dims": [1, 1], "lace": {"0,1": 1, "3,4": 2}}, '"3,4"'),
+        # JSON text with one key twice in an object
+        ('{"dims":[1,1],"rank":{"0,1":1,"0,1":0}}', 'repeated key "0,1"'),
     ],
 )
 def test_parse_input_rejects_malformed_entries(obj, named):
