@@ -34,6 +34,14 @@ def length(v: Permutation) -> int:
     )
 
 
+def require_permutation(v, d: int) -> Permutation:
+    """v as a tuple, or ValueError when it is not a permutation of 1..d."""
+    v = tuple(v)
+    if sorted(v) != list(range(1, d + 1)):
+        raise ValueError(f"v = {v} is not a permutation of 1..d, d = {d}")
+    return v
+
+
 def left_mul_s(t: int, v: Permutation) -> Permutation:
     """s_t o v: swap the values t and t+1 in the one-line notation."""
     return tuple(
@@ -417,67 +425,101 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
     reduced subwords for v in reduced mode, counted over states instead
     of listed.
 
-    The state of a partial product u is u^-1, the position of each
-    value: the label vector of subword_states with every position its
-    own row block.  It is packed as one int of fixed-width fields, the
-    field of value x at bit (x-1)*w holding the position u^-1(x) - 1,
-    with w the bit length of d.  So taking letter t swaps the fields of
-    t and t+1, one XOR, and _live, States and subword_sum are shared.
-    The state of v^-1 is accepted.
+    The state.  With u the product of the letters taken so far, the
+    letters still to be taken must spell x = v u^-1.  Taking letter t
+    turns u into s_t u and x into x s_t, which swaps x(t) and x(t+1).
+    The state is x, packed as its prefix-count rows: row i holds, in
+    field j for j = 1..d-1, C_i(j) = #{a <= i : x(a) > j}.  Row i sits
+    at bit i*(d-1)*(w+1), field j at bit (j-1)*(w+1) within it, with w
+    the bit length of d.  Rows 0 (all 0) and d (d - j, for every x) are
+    stored too, so that the rows on both sides of any letter's row can
+    be read.  A count is at most d - 1 < 2^w, so bit w of each field,
+    its guard bit, is 0.  Row i less row i-1 is the field vector
+    [x(i) > j], whose value as an int grows with x(i), so x(t) > x(t+1)
+    exactly when C_t - C_(t-1) > C_(t+1) - C_t as ints.  Taking t
+    changes row t alone, to C_(t-1) + C_(t+1) - C_t.  The start is v's
+    rows, at u = id.
 
-    The distance.  Each state carries d(u, v) = l(v u^-1).  The
-    permutation v u^-1 sends u(a) to v(a), so its inversions are the
-    position pairs a < b that u and v order differently (l counts
-    inversions: Bjorner and Brenti, Combinatorics of Coxeter Groups,
-    ch. 1).  Hence d(id, v) = l(v), d(u, v) = 0 exactly when u = v, and
-    d(u, v) >= l(v) - l(u) since l(v) <= l(v u^-1) + l(u).  Taking t
-    swaps the values t and t+1 of u, which sit at positions p and q.
-    Every other value lies below both or above both, so only the pair
-    {p, q} changes order, and d(u, v) moves by exactly one: down when
-    s_t u, which has t+1 at p, agrees with v there, that is
-    v(p) > v(q), and up otherwise.  Skipping a letter moves nothing.
+    Bruhat order.  x <= y exactly when each field of each row of x is at
+    most y's (Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    Thm. 2.1.5).  The Demazure product of a word Q, in the composition
+    order of composite, is delta() = id and delta((t,) + Q) =
+    delta(Q) s_t when delta(Q)(t) < delta(Q)(t+1), that is when s_t
+    raises length, else delta(Q).  The subword property (Knutson and
+    Miller, Subword complexes in Coxeter groups, Adv. Math. 2004, sec. 3;
+    Bjorner and Brenti, ch. 2): x <= delta(Q) exactly when some reduced
+    subword of Q spells x, and every subword of Q spells some
+    x <= delta(Q).  Since l(x) <= l(delta(Q)) <= |Q|, a state with x <=
+    delta(letters[k:]) is never farther from v than the letters left.
 
-    Rule 1.  A child whose distance exceeds the letters left is pruned.
-    It could never come back in reach: the distance falls by at most
-    one per letter, and the letters left fall by exactly one.  So after
-    the last letter only distance 0 remains, and u = v.
+    The test.  A state x at letter k is kept only when x <=
+    delta_k = delta(letters[k:]), so only x = id, that is u = v, is kept
+    after the last letter, where delta is id.  In reduced mode a take is
+    allowed only when x(t) > x(t+1), so it lowers l(x) by one.  Then
+    l(x) + l(u) = l(v) holds from u = id on: l(v) <= l(x s_t) + l(s_t u)
+    <= l(x) - 1 + l(u) + 1, so each take raises l(u) by one, and each
+    accepted subset is a reduced word for v.  Conversely a reduced
+    subword of letters[k:] spelling x takes only letters that lower
+    l(x), so it is a completion.  So in reduced mode the test is exact:
+    a state is kept exactly when some accepted subset passes through
+    it, and the forward pass builds only live states.  In all-subsets
+    mode every take is allowed, and the test is only necessary, since a
+    completion spells x; _live drops the states that reach nothing.
 
-    Rule 2, reduced mode.  If the letters still to be taken spell x with
-    v = x u and l(x) letters, then l(v) = l(x) + l(u), so u lies below v
-    in the left weak order (ch. 3) and d(u, v) = l(v) - l(u).  That
-    holds at u = id.  A taken letter raises l(u) by one, so it must
-    lower d(u, v), and a take is allowed only when the distance falls.
-    Had it raised it, the gap d(u, v) - l(v) + l(u) would be 2, and each
-    later reduced step changes it by 0 or 2, so it never closes.  A take
-    that lowers length (p > q) would raise the distance, so every take
-    allowed raises length, and each accepted J is a reduced word for v.
+    Row t only.  delta_k is delta_(k+1) s_t or delta_(k+1), so the two
+    differ in row t at most, as a child differs from its parent.  The
+    start is tested on every row against delta_0; by induction a state
+    kept at letter k has every row at most delta_k's, so a child at
+    k + 1 need only have row t at most delta_(k+1)'s.  With bound that
+    row with every guard bit set, bound - c keeps every guard bit
+    exactly when each field of c is at most bound's: each field of the
+    difference lies in 1..2^(w+1) - 1, so none borrows from the next,
+    and one subtraction tests the row.  The rows of delta_(k+1) are
+    built once per word, from the end, with the same row-t step.
     """
-    L, d = len(letters), len(v)
+    d = len(v)
     w = d.bit_length()
-    field = (1 << w) - 1
-    lv = length(v)
-    dist = {sum(x << (x * w) for x in range(d)): lv} if lv <= L else {}
+    unit = sum(1 << j * (w + 1) for j in range(d - 1))  # 1 in every field
+    guard = unit << w
+    span = (d - 1) * (w + 1)  # the bits of one row
+    row = (1 << span) - 1
+
+    def rows(y) -> list[int]:
+        """Rows 0..d of y's prefix counts: row i adds [y(i) > j] to row i-1."""
+        out = [0]
+        for a in y:
+            out.append(out[-1] + (unit & (1 << (a - 1) * (w + 1)) - 1))
+        return out
+
+    delta = rows(range(1, d + 1))
+    bounds = []  # bounds[k]: row t_k of delta_(k+1), guard bits set; built from the end
+    for t in reversed(letters):
+        lo, mid, hi = delta[t - 1 : t + 2]
+        bounds.append(mid | guard)
+        if mid - lo < hi - mid:
+            delta[t] = lo + hi - mid
+    bounds.reverse()
+
+    start = rows(v)
+    fits = all((b | guard) - c & guard == guard for b, c in zip(delta, start))
+    level = [sum(c << i * span for i, c in enumerate(start))] if fits else []
     children = []
-    for k, t in enumerate(letters):
-        left = L - k - 1
-        lo = (t - 1) * w
+    for t, bound in zip(letters, bounds):
+        at = (t - 1) * span
         kids, nxt = {}, {}
-        for s, e in dist.items():
-            p, q = s >> lo & field, s >> lo + w & field
-            skip = s if e <= left else None
-            if v[p] > v[q]:
-                f = e - 1
-            elif not reduced and e < left:
-                f = e + 1
-            else:
-                f = None
-            take = None if f is None else s ^ (p ^ q) * (1 << lo | 1 << lo + w)
+        for s in level:
+            lo, mid, hi = s >> at & row, s >> at + span & row, s >> at + 2 * span & row
+            skip = s if bound - mid & guard == guard else None
+            take = None
+            if not reduced or mid - lo > hi - mid:
+                c = lo + hi - mid
+                if bound - c & guard == guard:
+                    take = s + (c - mid << at + span)
             kids[s] = (skip, take)
             if skip is not None:
-                nxt[s] = e
+                nxt[s] = None
             if take is not None:
-                nxt[take] = f
+                nxt[take] = None
         children.append(kids)
-        dist = nxt
-    accepted = sum(p << ((x - 1) * w) for p, x in enumerate(v))
-    return _live(children, {accepted} & dist.keys(), reduced)
+        level = nxt
+    return _live(children, set(level), reduced)

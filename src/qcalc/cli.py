@@ -18,7 +18,7 @@ import sys
 from . import cgpd, engine, pipedream, quiver
 from .blockperm import perm_set, zelevinsky_permutation
 from .cgpd import CGPD, enumerate_cgpd
-from .pipedream import enumerate_pipe_dreams
+from .pipedream import PipeDream, enumerate_pipe_dreams
 from .poly import Poly, format_poly
 from .quiver import (
     Dims,
@@ -221,26 +221,23 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    """Lists the objects once and converts each only to the format
+    printed: the JSON items as one list, the texts one at a time."""
     r = parse_input(_load_json(args.input))
     if args.what == "pd":
-        z = zelevinsky_permutation(r)
-        dreams = enumerate_pipe_dreams(r.dims, z, args.region)
-        items = [dream.to_json() for dream in dreams]
-        texts = [render_pipedream(r.dims.d, dream.crosses, r.dims) for dream in dreams]
+        found = enumerate_pipe_dreams(r.dims, zelevinsky_permutation(r), args.region)
+        as_json = PipeDream.to_json
+        as_text = lambda dream: render_pipedream(r.dims.d, dream.crosses, r.dims)
     elif args.what == "cgpd":
-        diagrams = enumerate_cgpd(r)
-        items = [delta.to_json() for delta in diagrams]
-        texts = [render_cgpd(delta) for delta in diagrams]
+        found, as_json, as_text = enumerate_cgpd(r), CGPD.to_json, render_cgpd
     else:  # "perm"; argparse's choices admit nothing else
-        perms = perm_set(r)
-        items = [{"perm": list(v)} for v in perms]
-        texts = [_perm_text(v) for v in perms]
+        found, as_json, as_text = perm_set(r), lambda v: {"perm": list(v)}, _perm_text
     if args.format == "json":
-        print(json.dumps(items))
+        print(json.dumps([as_json(x) for x in found]))
     else:
-        print(f"count: {len(items)}")
-        for text in texts:
-            print(text)
+        print(f"count: {len(found)}")
+        for x in found:
+            print(as_text(x))
             print()
     return 0
 

@@ -23,6 +23,7 @@ from .blockperm import (
     length,
     orbit_zperm,
     regions,
+    require_permutation,
     subword_states,
     target_states,
 )
@@ -143,9 +144,7 @@ def subword_sum(states: blockperm.States, weights: list | tuple) -> Poly:
 
 def _restriction(v: tuple, word: Word, reduced: bool) -> Poly:
     _require_reduced(word)
-    v = tuple(v)
-    if sorted(v) != list(range(1, word.d + 1)):
-        raise ValueError(f"v = {v} is not a permutation of 1..d, d = {word.d}")
+    v = require_permutation(v, word.d)
     return subword_sum(target_states(word.letters, v, reduced), roots(word))
 
 

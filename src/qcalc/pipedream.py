@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blockperm import BlockStructure, regions, target_states
+from .blockperm import BlockStructure, regions, require_permutation, target_states
 from .localization import grid_word, orbit_reduced_states, orbit_states, subword_sum
 from .poly import Poly
 from .quiver import Dims, RankArray
@@ -61,9 +61,11 @@ def region_cells(dims: Dims, region: str) -> list[tuple[int, int]]:
 def enumerate_pipe_dreams(dims: Dims, v: tuple, region: str = "full") -> list[PipeDream]:
     """All reduced pipe dreams with crosses in the region whose
     permutation is v, in the order States.paths walks them: a dream
-    crosses the cells whose letter its path takes."""
+    crosses the cells whose letter its path takes.  ValueError when v is
+    not a permutation of 1..d."""
+    v = require_permutation(v, dims.d)
     cells = region_cells(dims, region)
-    states = target_states(tuple(q + p - 1 for q, p in cells), tuple(v), True)
+    states = target_states(tuple(q + p - 1 for q, p in cells), v, True)
     return [PipeDream(dims, frozenset(c for c, take in zip(cells, path) if take))
             for path in states.paths()]
 

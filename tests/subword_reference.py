@@ -29,12 +29,37 @@ def subword_subsets(letters: tuple[int, ...], d: int, targets: frozenset, reduce
 
     Along with the partial product u of the letters taken so far, the
     search carries each target t still in reach and its distance
-    d(u, t) = l(t u^-1), and drops t by rules 1 and 2 of
-    blockperm.target_states (their proofs are there): once d(u, t)
-    exceeds the letters left, and in reduced mode once a taken letter
-    raises d(u, t).  A letter with p > q lowers length and is refused
-    in reduced mode.  The targets in reach at letter k are thus fixed by
-    (k, u), so a state found to lead nowhere is never entered again.
+    d(u, t) = l(t u^-1), and drops t by rules 1 and 2 below: once
+    d(u, t) exceeds the letters left, and in reduced mode once a taken
+    letter raises d(u, t).  A letter with p > q lowers length and is
+    refused in reduced mode.  The targets in reach at letter k are thus
+    fixed by (k, u), so a state found to lead nowhere is never entered
+    again.
+
+    The distance.  The permutation t u^-1 sends u(a) to t(a), so its
+    inversions are the position pairs a < b that u and t order
+    differently (l counts inversions: Bjorner and Brenti, Combinatorics
+    of Coxeter Groups, ch. 1).  Hence d(id, t) = l(t), d(u, t) = 0
+    exactly when u = t, and d(u, t) >= l(t) - l(u) since
+    l(t) <= l(t u^-1) + l(u).  Taking letter i swaps the values i and
+    i+1 of u, which sit at positions p and q.  Every other value lies
+    below both or above both, so only the pair {p, q} changes order, and
+    d(u, t) moves by exactly one: down when s_i u, which has i+1 at p,
+    agrees with t there, that is t(p) > t(q), and up otherwise.  Skipping
+    a letter moves nothing.
+
+    Rule 1.  A target whose distance exceeds the letters left is
+    dropped.  It could never come back in reach: the distance falls by
+    at most one per letter, and the letters left fall by exactly one.
+    So after the last letter only distance 0 remains, and u = t.
+
+    Rule 2, reduced mode.  If the letters still to be taken spell x with
+    t = x u and l(x) letters, then l(t) = l(x) + l(u), so u lies below t
+    in the left weak order (ch. 3) and d(u, t) = l(t) - l(u).  That
+    holds at u = id.  A taken letter raises l(u) by one, so it must
+    lower d(u, t), and a take keeps t only when the distance falls.  Had
+    it raised it, the gap d(u, t) - l(t) + l(u) would be 2, and each
+    later reduced step changes it by 0 or 2, so it never closes.
     """
     L = len(letters)
     dead: set[tuple[int, Permutation]] = set()

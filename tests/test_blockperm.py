@@ -1,7 +1,10 @@
 """Permutations, reduced words, block structure, and subword states."""
 
+import hashlib
 import random
-from itertools import permutations
+from itertools import permutations, product
+
+from qcalc import blockperm
 
 from qcalc.blockperm import (
     BlockStructure,
@@ -247,6 +250,133 @@ def test_subsets_walk_against_brute_force():
                 brute = [J for J, _ in brute_force_subsets(letters, dims.d, targets, False)]
                 assert sorted(got) == sorted(brute)
                 assert states.skipped == _skipped(brute, len(letters)), (r, letters)
+
+
+def demazure(word: tuple[int, ...], d: int) -> Permutation:
+    """The Demazure product of a word: its value (composite), each letter
+    applied only when it raises length."""
+    v = identity(d)
+    for t in word:
+        sv = left_mul_s(t, v)
+        if length(sv) > length(v):
+            v = sv
+    return v
+
+
+def bruhat_below(d: int) -> dict:
+    """y -> the set of x <= y in Bruhat order on S_d, by its definition:
+    the order generated by x < x t for the transpositions t with
+    l(x) < l(x t)."""
+    below = {}
+    for y in sorted(permutations(range(1, d + 1)), key=length):
+        down = {y}
+        for a in range(d):
+            for b in range(a + 1, d):
+                if y[a] > y[b]:  # y t_ab is shorter, so it is already done
+                    yt = list(y)
+                    yt[a], yt[b] = y[b], y[a]
+                    down |= below[tuple(yt)]
+        below[y] = down
+    return below
+
+
+def rows_below(x: Permutation, y: Permutation) -> bool:
+    """Each prefix count #{a <= i : x(a) > j} of x is at most y's: the
+    rows target_states packs and compares."""
+    d = len(x)
+    return all(
+        sum(a > j for a in x[:i]) <= sum(b > j for b in y[:i])
+        for i in range(1, d + 1)
+        for j in range(1, d + 1)
+    )
+
+
+def test_subword_property_of_the_demazure_product():
+    """The lemma target_states rests on, by brute force over every word
+    of length <= 6 on d <= 4 and every x: x <= delta(Q) in Bruhat order
+    exactly when some reduced subword of Q spells x, and every subword of
+    Q spells some x <= delta(Q).  Bruhat order is also the comparison of
+    the prefix-count rows."""
+    for d in range(1, 5):
+        below = bruhat_below(d)
+        for y, down in below.items():
+            assert down == {x for x in below if rows_below(x, y)}, y
+        for L in range(7):
+            for word in product(range(1, d), repeat=L):
+                reduced, spelled = set(), set()
+                for mask in range(1 << L):
+                    sub = tuple(t for k, t in enumerate(word) if mask >> k & 1)
+                    x = composite(sub, d)
+                    spelled.add(x)
+                    if length(x) == len(sub):
+                        reduced.add(x)
+                down = below[demazure(word, d)]
+                assert reduced == down, word
+                assert spelled <= down, word
+
+
+def test_target_states_against_the_reference_on_larger_d(monkeypatch):
+    """target_states against subword_subsets on seeded words for d = 5..8
+    (at d = 8 the packed field widens from 4 to 5 bits), toward products
+    of random subwords and random permutations, in both modes.  In
+    reduced mode the forward pass expands only live states."""
+    expanded = []
+    live = blockperm._live
+
+    def spy(children, accepted, reduced):
+        expanded.append([list(kids) for kids in children])
+        return live(children, accepted, reduced)
+
+    monkeypatch.setattr(blockperm, "_live", spy)
+    rng = random.Random(23)
+    for d in range(5, 9):
+        for _ in range(6):
+            letters = tuple(rng.randint(1, d - 1) for _ in range(rng.randint(8, 16)))
+            targets = [composite(tuple(t for t in letters if rng.random() < 0.5), d) for _ in range(3)]
+            targets.append(tuple(rng.sample(range(1, d + 1), d)))
+            for v in targets:
+                for reduced in (True, False):
+                    states = target_states(letters, v, reduced)
+                    ref = [J for J, _ in subword_subsets(letters, d, frozenset([v]), reduced)]
+                    assert list(taken(states)) == ref, (letters, v, reduced)
+                    assert states.total == len(ref)
+                    assert states.skipped == _skipped(ref, len(letters)), (letters, v, reduced)
+                    if reduced:
+                        assert expanded[-1] == [list(level) for level in states.levels[:-1]]
+
+
+# the dims of the benchmark's qpoly_large workload, d = 8 to 12
+QPOLY_LARGE = [(3, 3, 2), (2, 3, 3), (3, 3, 3), (2, 3, 3, 2), (2, 2, 2, 2, 2), (1, 2, 3, 2, 1)]
+
+
+def _target_figures(dims_list) -> str:
+    """SHA-256 over target_states on each dims' grid word toward z(Hom)
+    and each z(r), reduced then all subsets: total, skipped, the live
+    states per level, and in reduced mode every path."""
+    h = hashlib.sha256()
+    for dims in dims_list:
+        letters = grid_word(dims).letters
+        targets = [zelevinsky_hom(dims)] + [zelevinsky_permutation(r) for r in enumerate_rank_arrays(dims)]
+        for v in targets:
+            for reduced in (True, False):
+                states = target_states(letters, v, reduced)
+                h.update(repr((states.total, states.skipped, [len(l) for l in states.levels])).encode())
+                if reduced:
+                    for path in states.paths():
+                        h.update(bytes(path))
+    return h.hexdigest()
+
+
+def test_target_states_figures_pinned():
+    """The figures of target_states on the grid words of sweep_dims(7) and
+    of the qpoly_large dims, as the distance-pruned builder gave them
+    (rules 1 and 2 of subword_reference.subword_subsets)."""
+    assert _target_figures(sweep_dims(7)) == (
+        "ad039e0f30eebb6cc21da3c2e96841bd4b168e6037d2c6b1bcbe27ec33591777"
+    )
+    assert _target_figures([Dims(r) for r in QPOLY_LARGE]) == (
+        "16130f33a2772ae845b67d20d4da77e7cf6822a0b9158eaf8039580b9d8a5e03"
+    )
 
 
 def _label_vector(s: int, dims: Dims) -> tuple:

@@ -71,6 +71,16 @@ def test_enumeration_oldpd_counts():
     assert len(enumerate_pipe_dreams(dims, z, "strict")) == 9
 
 
+def test_enumeration_rejects_a_v_that_is_not_a_permutation():
+    """v must be a permutation of 1..d; a short, a padded or an
+    out-of-range v is named in a ValueError, not enumerated."""
+    for v in [(2, 1), (0, 1, 2), (1, 2, 4), (1, 1, 2), (1, 2, 3, 4)]:
+        for region in ("strict", "full"):
+            with pytest.raises(ValueError, match=r"v = .* d = 3"):
+                enumerate_pipe_dreams(Dims((1, 2)), v, region)
+    assert len(enumerate_pipe_dreams(Dims((1, 2)), [1, 3, 2], "full")) == 2
+
+
 def test_enumeration_traces_match():
     dims = Dims((2, 2, 1))
     r = RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 1})
