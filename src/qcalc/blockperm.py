@@ -16,6 +16,7 @@ from itertools import groupby
 from math import factorial, prod
 
 from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
+from .states import States, live
 
 Permutation = tuple  # one-line notation, values 1..d
 
@@ -213,88 +214,7 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
     return zelevinsky_permutation(hom_rank_array(dims))
 
 
-# -- levelled state DAGs: the subword states, and cgpd's routing states ----
-
-@dataclass(frozen=True)
-class States:
-    """The live states of a levelled DAG, level by level.
-
-    levels[k] maps each state at level k that some path to the last
-    level passes through to its edges (c, t) in order: label c, and t
-    the state reached at level k + 1.  The last level's states have no
-    edges.  total is the number of paths.  Of the builders,
-    subword_states and target_states label the skip of letter k 0 and
-    its take 1, skip first, over packed int states; a path is one
-    accepted subset.  skipped has bit j set when some accepted subset
-    skips position j (a position outside it is taken by all), and a
-    skipped letter weighs 1 when reduced and h otherwise.
-    cgpd.orbit_states and minimal_states label the p-th cell in laying
-    order with the tile laid there, over states numbered within each
-    level; a path is one diagram, and skipped and reduced keep their
-    defaults.
-    """
-
-    levels: tuple[dict, ...]
-    total: int
-    skipped: int = 0
-    reduced: bool = False
-
-    def paths(self):
-        """The labels of each path, a tuple, depth first along each
-        state's edges in order.  Every state is live, so the walk enters
-        no branch that reaches nothing."""
-        levels = self.levels
-        m = len(levels) - 1
-        labels: list = []
-
-        def rec(k: int, s):
-            if k == m:
-                yield tuple(labels)
-                return
-            for c, t in levels[k][s]:
-                labels.append(c)
-                yield from rec(k + 1, t)
-                labels.pop()
-
-        for s in levels[0]:
-            yield from rec(0, s)
-
-
-def _live(children: list, accepted: set, reduced: bool) -> States:
-    """The counting pass of both builders.  children[k] maps each state
-    kept at letter k to its (skip, take) children at k + 1, None for a
-    pruned branch; accepted holds the accepted states after the last
-    letter.  N(L, s) is 1 for an accepted s and N(k, s) is
-    N(k+1, skip) + N(k+1, take); the states with N > 0 are kept with the
-    edges to their children with N > 0.  N and the mask of positions
-    some accepted completion skips are kept one level at a time, and
-    their values at letter 0 become total and skipped, so letter 0 must
-    hold the start alone (so must accepted, for an empty word)."""
-    level = dict.fromkeys(accepted, ())
-    counts = dict.fromkeys(accepted, (1, 0))  # s -> (N, skip mask) below letter k
-    levels = [level]  # from the last letter back
-    for k in range(len(children) - 1, -1, -1):
-        bit = 1 << k
-        below = counts
-        level, counts = {}, {}
-        for s, (skip, take) in children[k].items():
-            a, b = below.get(skip), below.get(take)
-            if a and b:
-                level[s] = ((0, skip), (1, take))
-                counts[s] = (a[0] + b[0], a[1] | b[1] | bit)
-            elif a:
-                level[s] = ((0, skip),)
-                counts[s] = (a[0], a[1] | bit)
-            elif b:
-                level[s] = ((1, take),)
-                counts[s] = b
-        levels.append(level)
-    total = skipped = 0
-    for n, mask in counts.values():
-        total += n
-        skipped |= mask
-    return States(tuple(reversed(levels)), total, skipped, reduced)
-
+# -- the subword states, two builders of states.States ---------------------
 
 def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list[int]:
     """Every distinct way to give the values owed[i] copies of each label
@@ -365,14 +285,16 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     construction, and the bound drops only states the start cannot
     reach, so every state on a path from the start to an accepted
     vector is kept.  A forward walk from the start then keeps the kept
-    states it reaches, which are exactly the states both reachable and
+    states it reaches, each with its skip edge and its take edge;
+    states.live drops the edges into states not kept and counts over
+    the rest integers N(k, s), the number of accepted completions from
+    (k, s).  The states left are exactly those both reachable and
     completable: the live states of the forward builder, with the same
-    edges.  _live counts over them integers N(k, s), the number of
-    accepted completions from (k, s); N(0, start), the total, is the
-    number of subsets whose ordered product lies in perm(r), one per
-    path that States.paths walks.  The number of accepted
-    subsets that skip a position of a set D is positive exactly when the
-    skipped mask meets D; csm_pd reads it so for the D_Hom cells.
+    edges.  N(0, start), the total, is the number of subsets whose
+    ordered product lies in perm(r), one per path that States.paths
+    walks.  The number of accepted subsets that skip a position of a set
+    D is positive exactly when the skipped mask meets D; csm_pd reads it
+    so for the D_Hom cells.
     """
     dims = r.dims
     d, labels = dims.d, range(dims.n + 1)
@@ -402,22 +324,22 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
         pair = ones << (t - 1)
         # no deficit at t exceeds min(t, d - t), so many copies need no test
         cut = late.get(t) if copies < min(t, d - t) else None
-        kids = {}
+        kids = {}  # each predecessor -> its take child
         for s in kept:
             diff = (s ^ s >> 1) & pair
             w = s ^ (diff | diff << 1)
             for p, q in ((s, w), (w, s)):
                 if p not in kids and not (cut and (p & cut).bit_count() > copies):
-                    kids[p] = (p, q)
+                    kids[p] = q
         children.append(kids)
         kept = kids
     children.reverse()
 
     reach = {start}
-    for k, kids in enumerate(children):
-        children[k] = kids = {s: kids[s] for s in reach if s in kids}
-        reach = {c for pair in kids.values() for c in pair}
-    return _live(children, reach.intersection(accepted), reduced=False)
+    for k, take in enumerate(children):
+        children[k] = kids = {s: ((0, s), (1, take[s])) for s in reach if s in take}
+        reach = {t for s in kids for t in (s, take[s])}
+    return live(children, reach.intersection(accepted))
 
 
 def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> States:
@@ -464,7 +386,8 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
     a state is kept exactly when some accepted subset passes through
     it, and the forward pass builds only live states.  In all-subsets
     mode every take is allowed, and the test is only necessary, since a
-    completion spells x; _live drops the states that reach nothing.
+    completion spells x; states.live drops the states that reach
+    nothing.
 
     Row t only.  delta_k is delta_(k+1) s_t or delta_(k+1), so the two
     differ in row t at most, as a child differs from its parent.  The
@@ -509,17 +432,17 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
         kids, nxt = {}, {}
         for s in level:
             lo, mid, hi = s >> at & row, s >> at + span & row, s >> at + 2 * span & row
-            skip = s if bound - mid & guard == guard else None
-            take = None
+            edges = ()
+            if bound - mid & guard == guard:
+                edges = ((0, s),)
+                nxt[s] = None
             if not reduced or mid - lo > hi - mid:
                 c = lo + hi - mid
                 if bound - c & guard == guard:
                     take = s + (c - mid << at + span)
-            kids[s] = (skip, take)
-            if skip is not None:
-                nxt[s] = None
-            if take is not None:
-                nxt[take] = None
+                    edges += ((1, take),)
+                    nxt[take] = None
+            kids[s] = edges
         children.append(kids)
         level = nxt
-    return _live(children, set(level), reduced)
+    return live(children, level, reduced)

@@ -23,8 +23,8 @@ The color of a pipe is the last rectangle it appears in; two pipes of
 equal color may never cross.
 
 The formulas list no diagram: the routing states of an orbit form one
-levelled DAG (orbit_states), which localization.state_sum sums and
-whose paths enumeration spells.
+levelled DAG (orbit_states), which states.state_sum sums and whose
+paths enumeration spells.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .blockperm import States
-from .localization import state_sum
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, shared
+from .states import States, live, state_sum
 
 # The tiles that take exactly the strands arriving from (east, north), in
 # trying order, each with the arriving strand ("E" or "N") it sends west
@@ -105,28 +104,9 @@ def _cells(dims: Dims) -> tuple[tuple[int, int, int], ...]:
 _END = ()  # the state after the last cell of a completed diagram
 
 
-def _live(children: list[dict], ends) -> States:
-    """The backward pass: children[p] maps each state a forward pass
-    reached before cell p to its edges, and ends holds the number of the
-    end state if it was reached.  N is 1 at the end and N(s) is the sum of N over the
-    edges of s; the states with N > 0 are kept with their edges into
-    live states."""
-    counts = dict.fromkeys(ends, 1)
-    levels = [dict.fromkeys(ends, ())]
-    for kids in reversed(children):
-        below, counts, level = counts, {}, {}
-        for s, edges in kids.items():
-            live = [(code, t) for code, t in edges if t in below]
-            if live:
-                level[s] = live
-                counts[s] = sum([below[t] for _, t in live])
-        levels.append(level)
-    return States(tuple(reversed(levels)), sum(counts.values()))
-
-
 def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
     """The routing states of the diagrams realizing the laces want (lace
-    counts by interval): one forward pass, then _live.
+    counts by interval): one forward pass, then states.live.
 
     Cells are laid in _cells order, so the strands arriving at a cell
     from the east and the north are known when it is reached.  The state
@@ -204,7 +184,7 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
                         edges.append(("B" if one else code, reached.setdefault(t, len(reached))))
         children.append(kids)
         level = reached
-    return _live(children, level.values())
+    return live(children, level.values())
 
 
 def orbit_states(r: RankArray) -> States:

@@ -93,7 +93,7 @@ def check(r: RankArray) -> ConsistencyReport:
     sizes, and no subword, member of perm(r) or CGPD object is listed.
     rp_star, the number of reduced strict dreams of z(r), and p_total,
     the number of strict subwords with product in perm(r) (non-reduced
-    strict dreams), are the totals (blockperm.States.total) of the two
+    strict dreams), are the totals (states.States.total) of the two
     state sets (localization.orbit_reduced_states and orbit_states);
     cgpd and cgpd_infinity are the totals of the cgpd states and of
     their minimal paths (cgpd.orbit_states and minimal_states); perm,

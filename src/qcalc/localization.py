@@ -29,6 +29,7 @@ from .blockperm import (
 )
 from .poly import Poly, Variable, exact_divide
 from .quiver import Dims, RankArray, shared
+from .states import States, state_sum
 
 
 class NotReducedWord(Exception):
@@ -85,7 +86,7 @@ def _require_reduced(word: Word):
         raise NotReducedWord(f"word {word.letters} is not reduced")
 
 
-def orbit_states(r: RankArray) -> blockperm.States:
+def orbit_states(r: RankArray) -> States:
     """The grid word's subsets with product in perm(r), as live states
     (blockperm.subword_states).  Built once per quiver.Orbit; the pipe
     dream and ratio CSM classes both walk it, each with its own
@@ -93,7 +94,7 @@ def orbit_states(r: RankArray) -> blockperm.States:
     return shared(r, "subword_states", lambda r: subword_states(grid_word(r.dims).letters, r))
 
 
-def orbit_reduced_states(r: RankArray) -> blockperm.States:
+def orbit_reduced_states(r: RankArray) -> States:
     """The grid word's reduced subwords for z(r), as live states
     (blockperm.target_states).  Built once per quiver.Orbit; the pipe
     dream and ratio quiver polynomials both walk it."""
@@ -104,36 +105,7 @@ def orbit_reduced_states(r: RankArray) -> blockperm.States:
     )
 
 
-def state_sum(levels: tuple[dict, ...], weights) -> Poly:
-    """The levelled path sum S(0, root), with S(k, s) the sum over the
-    edges (c, t) of s of weights[k][c] * S(k+1, t) and S = 1 at the last
-    level.  levels[k] maps each node at level k to its edges, label c and
-    child t at level k + 1: the live subword states (subword_sum) or the
-    cgpd routing states (cgpd.orbit_states and minimal_states).
-
-    It runs from the last level back, keeping one level of partial sums
-    at a time.  A node whose single edge weighs 1 passes its child's sum
-    through.  Level 0 holds the root, or nothing when nothing is
-    accepted, and then the sum is 0.
-    """
-    one = Poly.one()
-    below = dict.fromkeys(levels[-1], one)
-    for k in range(len(levels) - 2, -1, -1):
-        w = weights[k]
-        level = {}
-        for s, edges in levels[k].items():
-            if len(edges) == 1 and w[edges[0][0]] == one:
-                level[s] = below[edges[0][1]]
-            else:
-                level[s] = Poly.sum_of_products([(w[c], below[t]) for c, t in edges])
-        below = level
-    if not below:
-        return Poly.zero()
-    (root,) = below.values()
-    return root
-
-
-def subword_sum(states: blockperm.States, weights: list | tuple) -> Poly:
+def subword_sum(states: States, weights: list | tuple) -> Poly:
     """The sum over the accepted subsets J of the product of weights[j]
     over j in J times the skip weight to the power L - |J|: h, or 1 in
     reduced mode.  It is state_sum over the live states, a skip weighing
@@ -160,7 +132,7 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _restriction(v, word, reduced=False)
 
 
-def _forced_sum(states: blockperm.States, betas) -> tuple[tuple[int, ...], Poly]:
+def _forced_sum(states: States, betas) -> tuple[tuple[int, ...], Poly]:
     """(common, rest): the positions every accepted subset takes, and the
     state sum of the roots with those positions weighing 1.  The full
     sum is rest times the roots at common; keeping that forced block

@@ -1,0 +1,120 @@
+"""Levelled state DAGs: the record every state builder returns (States),
+the one counting pass that keeps their live states (live), and the one
+path sum that every formula walks with its own weights (state_sum)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .poly import Poly
+
+
+@dataclass(frozen=True)
+class States:
+    """The live states of a levelled DAG, level by level.
+
+    levels[k] maps each state at level k that some path to the last
+    level passes through to its edges (c, t) in order: label c, and t
+    the state reached at level k + 1.  The last level's states have no
+    edges.  total is the number of paths.  Of the builders,
+    subword_states and target_states label the skip of letter k 0 and
+    its take 1, skip first, over packed int states; a path is one
+    accepted subset.  skipped has bit j set when some accepted subset
+    skips position j (a position outside it is taken by all), and a
+    skipped letter weighs 1 when reduced and h otherwise.
+    cgpd.orbit_states and minimal_states label the p-th cell in laying
+    order with the tile laid there, over states numbered within each
+    level; a path is one diagram, and skipped and reduced keep their
+    defaults.
+    """
+
+    levels: tuple[dict, ...]
+    total: int
+    skipped: int = 0
+    reduced: bool = False
+
+    def paths(self):
+        """The labels of each path, a tuple, depth first along each
+        state's edges in order.  Every state is live, so the walk enters
+        no branch that reaches nothing."""
+        levels = self.levels
+        m = len(levels) - 1
+        labels: list = []
+
+        def rec(k: int, s):
+            if k == m:
+                yield tuple(labels)
+                return
+            for c, t in levels[k][s]:
+                labels.append(c)
+                yield from rec(k + 1, t)
+                labels.pop()
+
+        for s in levels[0]:
+            yield from rec(0, s)
+
+
+def live(children: list[dict], ends, reduced: bool = False) -> States:
+    """The counting pass of every builder.  children[k] maps each state a
+    forward pass reached at level k to its edges (c, t), pruned branches
+    left out; ends holds the states reached at the last level, which
+    all end a path.  N is 1 at an end and N(s) is the sum of N over the
+    edges of s; the states with N > 0 are kept with their edges into
+    live states, and total is the sum of N at level 0, so level 0 must
+    hold the start alone (so must ends, when children is empty).
+
+    Bit k of skipped is set when the first kept edge of a kept state at
+    level k is labelled 0, the skip of a subword builder, which orders
+    skip before take.  A kept state is reached from the start and
+    reaches an end, so that is when some path skips position k.  No
+    routing tile is labelled 0, so the cgpd states keep skipped 0.
+    """
+    counts = dict.fromkeys(ends, 1)
+    levels = [dict.fromkeys(ends, ())]
+    skipped = 0
+    for k in range(len(children) - 1, -1, -1):
+        below, counts, level = counts, {}, {}
+        for s, edges in children[k].items():
+            n, kept = 0, []
+            for e in edges:
+                m = below.get(e[1])
+                if m:
+                    n += m
+                    kept.append(e)
+            if n:
+                level[s] = kept
+                counts[s] = n
+                if kept[0][0] == 0:
+                    skipped |= 1 << k
+        levels.append(level)
+    return States(tuple(reversed(levels)), sum(counts.values()), skipped, reduced)
+
+
+def state_sum(levels: tuple[dict, ...], weights) -> Poly:
+    """The levelled path sum S(0, root), with S(k, s) the sum over the
+    edges (c, t) of s of weights[k][c] * S(k+1, t) and S = 1 at the last
+    level.  levels[k] maps each node at level k to its edges, label c and
+    child t at level k + 1: the live subword states
+    (localization.subword_sum) or the cgpd routing states
+    (cgpd.orbit_states and minimal_states).
+
+    It runs from the last level back, keeping one level of partial sums
+    at a time.  A node whose single edge weighs 1 passes its child's sum
+    through.  Level 0 holds the root, or nothing when nothing is
+    accepted, and then the sum is 0.
+    """
+    one = Poly.one()
+    below = dict.fromkeys(levels[-1], one)
+    for k in range(len(levels) - 2, -1, -1):
+        w = weights[k]
+        level = {}
+        for s, edges in levels[k].items():
+            if len(edges) == 1 and w[edges[0][0]] == one:
+                level[s] = below[edges[0][1]]
+            else:
+                level[s] = Poly.sum_of_products([(w[c], below[t]) for c, t in edges])
+        below = level
+    if not below:
+        return Poly.zero()
+    (root,) = below.values()
+    return root

@@ -2,7 +2,7 @@
 
 It lays tiles and routes colored pipes depth first, one diagram at a
 time, and shares no code with cgpd._states, cgpd.minimal_states or
-localization.state_sum; only the tile table (_TILES), the laying order
+states.state_sum; only the tile table (_TILES), the laying order
 (_cells) and the tile weights come from the package.  In held mode it
 validates a given diagram, naming its first fault.
 """

@@ -4,21 +4,23 @@ subword_subsets lists subsets one by one over partial products, with its
 own pruning, and shares no code with blockperm.subword_states,
 target_states or States.paths.  forward_subword_states builds the coset
 states of blockperm.subword_states from the other end: a forward pass
-from the start under the flow bound, then a backward count (_live).  It
-returns a blockperm.States whose states are label vectors (tuples).
+from the start under the flow bound, then its own backward count
+(_live), which tracks the skipped mask per state, apart from the
+package's states.live.  It returns a States whose states are label
+vectors (tuples).
 taken reads the paths of subword states as subsets.
 """
 
 from qcalc.blockperm import (
     BlockStructure,
     Permutation,
-    States,
     identity,
     left_mul_s,
     length,
     orbit_block_counts,
 )
 from qcalc.quiver import RankArray
+from qcalc.states import States
 
 
 def subword_subsets(letters: tuple[int, ...], d: int, targets: frozenset, reduced: bool):

@@ -321,13 +321,13 @@ def test_target_states_against_the_reference_on_larger_d(monkeypatch):
     of random subwords and random permutations, in both modes.  In
     reduced mode the forward pass expands only live states."""
     expanded = []
-    live = blockperm._live
+    live = blockperm.live
 
-    def spy(children, accepted, reduced):
+    def spy(children, ends, reduced=False):
         expanded.append([list(kids) for kids in children])
-        return live(children, accepted, reduced)
+        return live(children, ends, reduced)
 
-    monkeypatch.setattr(blockperm, "_live", spy)
+    monkeypatch.setattr(blockperm, "live", spy)
     rng = random.Random(23)
     for d in range(5, 9):
         for _ in range(6):

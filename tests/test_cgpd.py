@@ -238,6 +238,28 @@ def test_states_spell_the_router_words():
         assert (states.total, minimal.total) == (len(words), len(minimal_words(words)))
 
 
+def _cgpd_figures(ranks) -> str:
+    """SHA-256 over orbit_states and minimal_states of each orbit: total,
+    skipped and the live states per level."""
+    h = hashlib.sha256()
+    for r in ranks:
+        for states in (orbit_states(r), minimal_states(r)):
+            h.update(repr((states.total, states.skipped, [len(l) for l in states.levels])).encode())
+    return h.hexdigest()
+
+
+def test_cgpd_states_figures_pinned():
+    """The figures of both cgpd state sets on every orbit of sweep_dims(6),
+    of (2,3,3) and of the lace example, as the builder gave them before
+    the subword and cgpd builders shared one counting pass."""
+    ranks = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    ranks.append(parse_input(json.loads((FIXTURES / "ex_lace.json").read_text())))
+    assert _cgpd_figures(ranks) == (
+        "b94369b164fce514d1419e2f315803a3e666c3bfb72d59eba0ec4e1a1be985a1"
+    )
+
+
 def test_word_sums_match_a_plain_product_sum():
     """An oracle for both cgpd sums that shares no code with the routing
     states or the state sum: each reference word's tile weights multiplied

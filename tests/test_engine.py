@@ -7,8 +7,10 @@ import pytest
 
 from qcalc import blockperm, cgpd, quiver
 from qcalc.blockperm import perm_set, zelevinsky_permutation
+from qcalc.cgpd import enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
 from qcalc.localization import grid_word
+from qcalc.pipedream import enumerate_pipe_dreams
 from qcalc.poly import Poly, format_poly, parse_poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
 from cgpd_reference import minimal_words, router_words
@@ -135,12 +137,13 @@ def _hom_csm(dims: Dims, sign: int) -> Poly:
     return out
 
 
-# small dims of two to five vertices; (2,2,2,2) also holds but takes
-# longer than all of these together
+# small dims of one to five vertices (on one, Hom is a point and every
+# class is 1); (2,2,2,2) also holds but takes longer than all of these
+# together
 ADDITIVITY_DIMS = [
-    (1, 1), (1, 2), (2, 1), (2, 2), (1, 2, 1), (2, 2, 1), (1, 2, 2), (2, 3),
-    (2, 2, 2), (1, 2, 1, 1), (2, 3, 2), (3, 3), (1, 3, 2), (1, 2, 2, 1),
-    (3, 2, 3), (1, 1, 1, 1, 1),
+    (1,), (3,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 2, 1), (2, 2, 1),
+    (1, 2, 2), (2, 3), (2, 2, 2), (1, 2, 1, 1), (2, 3, 2), (3, 3), (1, 3, 2),
+    (1, 2, 2, 1), (3, 2, 3), (1, 1, 1, 1, 1),
 ]
 
 
@@ -245,8 +248,25 @@ def _count_pass(r):
     }
 
 
+SINGLE_VERTEX = (Dims((1,)), Dims((3,)))  # n = 0: an empty grid word and no cgpd cell
+
+
 def test_counts_match_a_separate_count_pass():
     reports = sweep(3)
     assert len(reports) > 20
+    reports += [check(r) for dims in SINGLE_VERTEX for r in enumerate_rank_arrays(dims)]
     for report in reports:
         assert report.counts == _count_pass(report.rank), report.rank
+
+
+def test_single_vertex_dims():
+    """On one vertex the grid word is empty (L = 0) and there is no cgpd
+    cell, so each state DAG is its start alone: every polynomial is 1,
+    and each enumeration gives one diagram."""
+    for dims in SINGLE_VERTEX:
+        (r,) = enumerate_rank_arrays(dims)
+        report = check(r)
+        assert report.ok
+        assert [format_poly(p) for p in report.polynomials.values()] == ["1"] * 6
+        assert len(enumerate_pipe_dreams(dims, zelevinsky_permutation(r), "strict")) == 1
+        assert len(enumerate_cgpd(r)) == 1
