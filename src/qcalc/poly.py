@@ -22,11 +22,11 @@ one int holding the exponent of the variable in slot s in the 16-bit
 field at bit 16*s; multiplying two monomials is adding their ints.  The
 top bit of every field is a guard bit: stored exponents stay below
 2^15, so the sum of two fields stays below 2^16 and never carries into
-the next field, and after every monomial product one AND against the
-guard bits of all slots raises OverflowError for an exponent that
-reached 2^15.  Dividing subtracts from the dividend with the guard bits
-of the operands' fields set; a guard bit that comes out cleared marks a
-field that borrowed, so the divisor does not divide.
+the next field.  One OR over the keys of a product's result, then one
+AND against the guard bits of all slots, raises OverflowError for an
+exponent that reached 2^15.  Dividing subtracts from the dividend with
+the guard bits of the operands' fields set; a guard bit that comes out
+cleared marks a field that borrowed, so the divisor does not divide.
 
 A polynomial maps packed monomials to nonzero integer coefficients
 (Poly.terms); the form is unique and the same in every process, so
@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import isqrt
+from operator import or_
 from struct import Struct
 from typing import Iterable, Mapping
 
@@ -123,13 +125,6 @@ def _unpack(m: int) -> Monomial:
     pairs = [(_variable(s), e) for s, e in _fields(m)]
     pairs.sort(key=lambda p: var_key(p[0]))
     return tuple(pairs)
-
-
-def _check_overflow(monomials: Iterable[int]):
-    """Every product is a key of the result, so one AND per key guards all."""
-    for m in monomials:
-        if m & _GUARD:
-            raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
 
 
 def _mono_div(a: int, b: int) -> int | None:
@@ -243,14 +238,18 @@ class Poly:
             right = b.terms.items()
             for m1, c1 in a.terms.items():
                 if not out:  # the first term's products cannot collide
-                    out = {m1 + m2: c1 * c2 for m2, c2 in right}
+                    if m1 == 0 and c1 == 1:  # a factor 1: a copy, as the loop writes into out
+                        out = b.terms.copy()
+                    else:
+                        out = {m1 + m2: c1 * c2 for m2, c2 in right}
                     get = out.get
                     continue
                 for m2, c2 in right:
                     m = m1 + m2
                     out[m] = get(m, 0) + c1 * c2
-        _check_overflow(out)
-        return cls._wrap({m: c for m, c in out.items() if c})
+        if reduce(or_, out, 0) & _GUARD:  # cancelled products are keys too
+            raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
+        return cls._wrap({m: c for m, c in out.items() if c} if 0 in out.values() else out)
 
     # -- ring arithmetic -------------------------------------------------
     def __add__(self, other: "Poly | int") -> "Poly":
@@ -364,7 +363,8 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
         c = lc // den_lc
         quot[mq] = c
         products = [m + mq for m, _ in den_rest]
-        _check_overflow(products)
+        if reduce(or_, products, 0) & _GUARD:
+            raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
         for m, (_, dc) in zip(products, den_rest):
             old = rem.get(m, 0)
             new = old - c * dc

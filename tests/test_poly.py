@@ -255,6 +255,9 @@ def test_exponent_overflow_raises():
     # the neighbouring fields are untouched by a product that fits
     assert (top * b).leading_term() == (((xvar(0, 1), 2**15 - 1), (xvar(1, 1), 1)), 1)
     assert exact_divide(top * b, b) == top
+    # an overflowing product whose coefficient cancels is still caught
+    with pytest.raises(OverflowError):
+        Poly.sum_of_products([(top, a), (-top, a)])
 
 
 def test_slots_are_a_function_of_the_variable():
@@ -299,16 +302,35 @@ def test_slots_are_a_function_of_the_variable():
 def test_sum_of_products_matches_sum_of_products_built_one_by_one():
     a, b, c = (Poly.var(xvar(0, q)) for q in (1, 2, 3))
     h = Poly.hbar()
+    cancelling = [(a - b, a + b), (b, b), (-a, a)]
     cases = [
         [],
         [(a - b, Poly.zero())],
         [(Poly.zero(), a), (h, a + b)],
         [(h, a - b), (a - b, b - c)],
-        [(a - b, a + b), (b, b), (-a, a)],  # everything cancels
+        cancelling,
+        [(Poly.one(), a - b), (Poly.one(), b - a)],  # everything cancels
+        [(a - b, a + c), (b, a)],  # a*b cancels
         [(a + h, (a - c) ** 2), (Poly.const(3), c), (a - b, h)],
     ]
     for pairs in cases:
-        assert Poly.sum_of_products(pairs) == Poly.sum(x * y for x, y in pairs), pairs
+        q = Poly.sum_of_products(pairs)
+        assert q == Poly.sum(x * y for x, y in pairs), pairs
+        assert 0 not in q.terms.values(), pairs
+    assert Poly.sum_of_products(cancelling).terms == {}
+
+
+def test_sum_of_products_copies_a_partner_of_one():
+    """A first factor 1 starts the sum from a copy of its partner's terms,
+    which the later products write into."""
+    a, b = Poly.var(xvar(0, 1)), Poly.var(xvar(0, 2))
+    p = a - b
+    before = dict(p.terms)
+    q = Poly.sum_of_products([(Poly.one(), p), (a, b)])
+    assert p.terms == before and q.terms is not p.terms
+    assert q == a - b + a * b
+    q = Poly.sum_of_products([(p, Poly.one()), (Poly.one(), b)])
+    assert p.terms == before and q == a
 
 
 def _schoolbook(p, q) -> dict:
