@@ -139,39 +139,45 @@ def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
     }
 
 
-def _block_perms(r: RankArray, first: bool) -> list[Permutation]:
+def _block_perms(r: RankArray):
     """The permutations with the block 1-counts of r, in lexicographic
-    order; only the first one if first.
+    order, one at a time.
 
     Rows are filled top to bottom, each with any free column whose block
     still owes the row's block a one.  A block owed a one always has a
-    free column, so the search never dead-ends.
+    free column, so the search never dead-ends, and the first
+    permutation is the greedy fill.  The search keeps one generator of
+    choices per filled row, not a recursion, so d may be large.
     """
     dims = r.dims
-    owed = dict(orbit_block_counts(r))  # rec decrements it, and a first find skips the restore
+    owed = dict(orbit_block_counts(r))  # the search decrements it
     bs = BlockStructure(dims)
     cols = [(p, bs.col_block(p)) for p in range(1, dims.d + 1)]
-    out, v, used = [], [], set()
+    v: list[int] = []
+    used: set[int] = set()
 
-    def rec(q: int) -> bool:
-        if q > dims.d:
-            out.append(tuple(v))
-            return first
+    def choices(q: int):
         i = bs.row_block(q)
-        for p, j in cols:
-            if owed[(i, j)] and p not in used:
-                owed[(i, j)] -= 1
-                used.add(p)
-                v.append(p)
-                if rec(q + 1):
-                    return True
-                owed[(i, j)] += 1
-                used.discard(p)
-                v.pop()
-        return False
+        return (p for p, j in cols if owed[i, j] and p not in used)
 
-    rec(1)
-    return out
+    stack = [choices(1)]  # Dims holds d >= 1
+    while stack:
+        q = len(stack)
+        if len(v) == q:  # row q's last choice, undone before its next
+            p = v.pop()
+            used.discard(p)
+            owed[bs.row_block(q), bs.col_block(p)] += 1
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
+            continue
+        v.append(p)
+        used.add(p)
+        owed[bs.row_block(q), bs.col_block(p)] -= 1
+        if q == dims.d:
+            yield tuple(v)
+        else:
+            stack.append(choices(q + 1))
 
 
 def zelevinsky_permutation(r: RankArray) -> Permutation:
@@ -182,12 +188,12 @@ def zelevinsky_permutation(r: RankArray) -> Permutation:
     within each column block the receiving columns are ordered by row
     index, so it has no inversion inside a block row or block column.
     """
-    return _block_perms(r, first=True)[0]
+    return next(_block_perms(r))
 
 
 def perm_set(r: RankArray) -> list[Permutation]:
     """All permutations whose block 1-counts equal those of z(r), sorted."""
-    return _block_perms(r, first=False)
+    return list(_block_perms(r))
 
 
 def perm_count(r: RankArray) -> int:

@@ -22,18 +22,22 @@ one int holding the exponent of the variable in slot s in the 16-bit
 field at bit 16*s; multiplying two monomials is adding their ints.  The
 top bit of every field is a guard bit: stored exponents stay below
 2^15, so the sum of two fields stays below 2^16 and never carries into
-the next field.  One OR over the keys of a product's result, then one
-AND against the guard bits of all slots, raises OverflowError for an
-exponent that reached 2^15.  Dividing subtracts from the dividend with
-the guard bits of the operands' fields set; a guard bit that comes out
-cleared marks a field that borrowed, so the divisor does not divide.
+the next field.  A field is at most its monomial's total degree, so a
+product whose factors' degree bounds add up to less than 2^15 cannot
+overflow; only a larger one takes one OR over the keys of its result,
+then one AND against the guard bits of all slots, and raises
+OverflowError for an exponent that reached 2^15.  Dividing subtracts
+from the dividend with the guard bits of the operands' fields set; a
+guard bit that comes out cleared marks a field that borrowed, so the
+divisor does not divide.
 
 A polynomial maps packed monomials to nonzero integer coefficients
 (Poly.terms); the form is unique and the same in every process, so
-equality is structural and a Poly pickles as its dict.  Graded-lex order
-is computed only where it is needed (format_poly, leading_term,
-exact_divide): the key of a monomial is its degree followed by its
-exponents over the polynomial's variables in the variable order.
+equality is structural and a Poly pickles as its dict alone.
+Graded-lex order is computed only where it is needed (format_poly,
+leading_term, exact_divide): the key of a monomial is its degree
+followed by its exponents over the polynomial's variables in the
+variable order.
 """
 
 from __future__ import annotations
@@ -165,26 +169,57 @@ def _grlex_key(slots: list[int]):
     return key
 
 
+def _drop_zeros(out: dict[int, int]) -> dict[int, int]:
+    """out without its zero coefficients, deleted in place."""
+    if 0 in out.values():
+        for m in [m for m, c in out.items() if not c]:
+            del out[m]
+    return out
+
+
 class Poly:
     """Immutable sparse polynomial; all operations return new values.
 
     Poly.sum accumulates many polynomials into one dict in a single pass,
     where repeated + would copy the running total every time.
+
+    _bound is an upper bound on the total degree of every key, h
+    included.  The constant and variable constructors set it, a product
+    carries the largest sum of its factors' bounds, so the kernel's
+    overflow guard need not read its own result, and a negation keeps
+    its operand's.  Any other Poly holds None until the kernel first
+    needs it, and it is then read once as the sum of the fields of the
+    OR of the keys.  The bound is not pickled.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_bound")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         self.terms: dict[int, int] = {
             m: c for m, c in (terms or {}).items() if c != 0
         }
+        self._bound: int | None = None
 
     @classmethod
-    def _wrap(cls, terms: dict[int, int]) -> "Poly":
+    def _wrap(cls, terms: dict[int, int], bound: int | None = None) -> "Poly":
         """Adopt terms (no zero coefficients) without copying."""
         p = object.__new__(cls)
         p.terms = terms
+        p._bound = bound
         return p
+
+    def __getstate__(self) -> dict[int, int]:
+        return self.terms
+
+    def __setstate__(self, terms: dict[int, int]) -> None:
+        self.terms = terms
+        self._bound = None
+
+    def _degree_bound(self) -> int:
+        """_bound, read from the keys the first time."""
+        if self._bound is None:
+            self._bound = sum(e for _, e in _fields(reduce(or_, self.terms, 0)))
+        return self._bound
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -193,7 +228,7 @@ class Poly:
 
     @classmethod
     def const(cls, c: int) -> "Poly":
-        return cls._wrap({0: c} if c else {})
+        return cls._wrap({0: c} if c else {}, 0)
 
     @classmethod
     def one(cls) -> "Poly":
@@ -201,14 +236,14 @@ class Poly:
 
     @classmethod
     def var(cls, v: Variable) -> "Poly":
-        return cls._wrap({_unit(v): 1})
+        return cls._wrap({_unit(v): 1}, 1)
 
     @classmethod
     def var_diff(cls, a: Variable, b: Variable) -> "Poly":
         """The linear form a - b (a row label minus a column label)."""
         if a == b:
-            return cls._wrap({})
-        return cls._wrap({_unit(a): 1, _unit(b): -1})
+            return cls._wrap({}, 0)
+        return cls._wrap({_unit(a): 1, _unit(b): -1}, 1)
 
     @classmethod
     def hbar(cls) -> "Poly":
@@ -223,18 +258,23 @@ class Poly:
         for p in polys:
             for m, c in _coerce(p).terms.items():
                 out[m] = get(m, 0) + c
-        return cls._wrap({m: c for m, c in out.items() if c})
+        return cls._wrap(_drop_zeros(out))
 
     @classmethod
     def sum_of_products(cls, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
         """The sum of a * b over the pairs (a, b), accumulated in one dict;
         no product is built on its own.  The factor with fewer terms runs
-        the outer loop.  This is the only product loop of the module."""
+        the outer loop.  This is the only product loop of the module.
+        Cancelled terms are deleted from that dict in place."""
         out: dict[int, int] = {}
         get = out.get
+        top = 0  # the result's degree bound
         for a, b in pairs:
             if len(a.terms) > len(b.terms):
                 a, b = b, a
+            t = a._degree_bound() + b._degree_bound()
+            if t > top:
+                top = t
             right = b.terms.items()
             for m1, c1 in a.terms.items():
                 if not out:  # the first term's products cannot collide
@@ -247,9 +287,10 @@ class Poly:
                 for m2, c2 in right:
                     m = m1 + m2
                     out[m] = get(m, 0) + c1 * c2
-        if reduce(or_, out, 0) & _GUARD:  # cancelled products are keys too
+        # no field exceeds its key's degree; cancelled products are keys too
+        if top >= _TOP and reduce(or_, out, 0) & _GUARD:
             raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
-        return cls._wrap({m: c for m, c in out.items() if c} if 0 in out.values() else out)
+        return cls._wrap(_drop_zeros(out), top)
 
     # -- ring arithmetic -------------------------------------------------
     def __add__(self, other: "Poly | int") -> "Poly":
@@ -258,7 +299,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._wrap({m: -c for m, c in self.terms.items()})
+        return Poly._wrap({m: -c for m, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         return self + (-_coerce(other))

@@ -36,22 +36,30 @@ class States:
     def paths(self):
         """The labels of each path, a tuple, depth first along each
         state's edges in order.  Every state is live, so the walk enters
-        no branch that reaches nothing."""
+        no branch that reaches nothing.  It keeps a stack of the edges
+        left at each state of the current path, not a recursion, so a
+        path may be as long as any word."""
         levels = self.levels
         m = len(levels) - 1
-        labels: list = []
-
-        def rec(k: int, s):
-            if k == m:
-                yield tuple(labels)
-                return
-            for c, t in levels[k][s]:
-                labels.append(c)
-                yield from rec(k + 1, t)
-                labels.pop()
-
         for s in levels[0]:
-            yield from rec(0, s)
+            if not m:
+                yield ()
+                continue
+            labels: list = []  # the labels down to the state on top of stack
+            stack = [iter(levels[0][s])]
+            while stack:
+                edge = next(stack[-1], None)
+                if edge is None:
+                    stack.pop()
+                    if labels:
+                        labels.pop()
+                    continue
+                c, t = edge
+                if len(stack) == m:
+                    yield (*labels, c)
+                else:
+                    labels.append(c)
+                    stack.append(iter(levels[len(stack)][t]))
 
 
 def live(children: list[dict], ends, reduced: bool = False) -> States:

@@ -160,6 +160,13 @@ def test_perm_set_counts_and_minimum():
             assert perm_count(r) == len(members)
 
 
+def test_zelevinsky_permutation_heads_the_perm_set():
+    """z(r) is the greedy fill that heads perm(r) in lexicographic order."""
+    for dims in sweep_dims(6):
+        for r in enumerate_rank_arrays(dims):
+            assert zelevinsky_permutation(r) == perm_set(r)[0]
+
+
 def brute_force_subsets(letters, d, targets, reduced):
     """Every (J, v) with v a target, by filtering all 2^L index subsets."""
     out = []

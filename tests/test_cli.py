@@ -29,6 +29,14 @@ def test_zperm_oldpd(capsys):
     assert out.strip() == "52361487"
 
 
+def test_zperm_of_a_large_vertex(capsys):
+    """The search for z(r) is a loop, so d is not limited by the depth
+    of Python's recursion."""
+    code, out, _ = run(capsys, "zperm", '{"dims":[1200],"rank":{}}')
+    assert code == 0
+    assert out.strip() == ",".join(map(str, range(1, 1201)))
+
+
 def test_qpoly_letters_final(capsys):
     code, out, _ = run(
         capsys, "qpoly", "--method", "pd", "--letters", str(FIXTURES / "ex_final.json")
@@ -108,6 +116,15 @@ def test_enum_pd_counts(capsys):
         capsys, "enum", "--what", "pd", "--format", "json", str(FIXTURES / "ex_oldpd.json")
     )
     assert len(json.loads(out)) == 9
+
+
+def test_enum_pd_of_a_long_word(capsys):
+    """The path walk is a loop, so a word of 1,081 letters, longer than
+    Python's recursion limit, lists its one dream."""
+    dims = [1] * 47
+    code, out, _ = run(capsys, "enum", "--what", "pd", json.dumps({"dims": dims, "lace": {"0,46": 1}}))
+    assert code == 0
+    assert out.splitlines()[0] == "count: 1"
 
 
 def test_enum_pd_order_pinned(capsys):

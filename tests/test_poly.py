@@ -220,29 +220,46 @@ import pickle, sys
 from qcalc.poly import HBAR, Poly, format_poly, xvar
 for v in [xvar(7, 3), HBAR, xvar(1, 2), xvar(1, 1), xvar(0, 1)]:
     Poly.var(v)
-p = pickle.loads(sys.stdin.buffer.read())
-sys.stdout.buffer.write(pickle.dumps((format_poly(p), p * p - Poly.hbar())))
+p, top = pickle.loads(sys.stdin.buffer.read())
+unbounded = p._bound is None and top._bound is None
+try:
+    top * Poly.var(xvar(0, 1))
+    guarded = False
+except OverflowError:
+    guarded = True
+fits = format_poly(top * Poly.var(xvar(1, 1)))
+sys.stdout.buffer.write(pickle.dumps((format_poly(p), p * p - Poly.hbar(), unbounded, guarded, fits)))
 """
 
 
 def test_pickle_across_processes():
     """A Poly pickles as its packed dict, which means the same in every
-    process, whatever variables the loading process has seen before."""
+    process, whatever variables the loading process has seen before.
+    The degree bound stays behind, and the loading process reads its own
+    before a product's overflow guard needs it."""
     p = (a - b) * (c + h) ** 2 + 3 * a * c
+    top = a ** (2**15 - 1)
+    assert top._bound == 2**15 - 1
+    for q in (p, top, Poly.zero(), Poly.one()):
+        assert q.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2] is q.terms
+        copy = pickle.loads(pickle.dumps(q))
+        assert copy == q and copy._bound is None
     src = str(Path(qcalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", _CHILD],
-        input=pickle.dumps(p),
+        input=pickle.dumps((p, top)),
         capture_output=True,
         env=env,
         timeout=60,
         check=True,
     )
-    seen, answer = pickle.loads(done.stdout)
+    seen, answer, unbounded, guarded, fits = pickle.loads(done.stdout)
     assert seen == format_poly(p)
     assert format_poly(answer) == format_poly(p * p - h)
     assert answer == p * p - h
+    assert unbounded and guarded
+    assert fits == format_poly(top * b)
 
 
 def test_exponent_overflow_raises():
@@ -258,6 +275,47 @@ def test_exponent_overflow_raises():
     # an overflowing product whose coefficient cancels is still caught
     with pytest.raises(OverflowError):
         Poly.sum_of_products([(top, a), (-top, a)])
+
+
+def test_a_large_degree_with_small_exponents_is_no_overflow():
+    """The degree bounds only spare the exact guard: a product whose
+    degree bound reaches 2^15 is tested field by field, and returned
+    when every exponent fits."""
+    left, right = a ** (2**14), b ** (2**14)
+    product = left * right
+    assert product._bound >= 2**15
+    assert product.degree() == 2**15
+    assert list(product.items()) == [(((xvar(0, 1), 2**14), (xvar(1, 1), 2**14)), 1)]
+    assert Poly.sum_of_products([(left, right), (-left, right)]) == 0
+
+
+def test_the_degree_bound_covers_the_degree():
+    """Every product, constant and variable carries a bound, and no key
+    of any result, a product's, a sum's, a negation's, an
+    h-coefficient's or a parsed one's, has a degree above it."""
+    variables = [xvar(level, index) for level in range(3) for index in (1, 2)] + [HBAR]
+    rng = random.Random(11)
+
+    def random_poly() -> Poly:
+        out = Poly.zero()
+        for _ in range(rng.randint(0, 6)):
+            term = Poly.const(rng.choice([-2, -1, 1, 3]))
+            for v in rng.sample(variables, rng.randint(0, 3)):
+                term = term * Poly.var(v) ** rng.randint(1, 3)
+            out = out + term
+        return out
+
+    for _ in range(60):
+        p, q, s = random_poly(), random_poly(), random_poly()
+        u, v = rng.sample(variables, 2)
+        products = [p * q, Poly.sum_of_products([(p, q), (-p, q), (s, p)]), p * (q - q)]
+        products += [Poly.const(rng.randint(-2, 2)), Poly.var(u), Poly.var_diff(u, v), Poly.var_diff(u, u)]
+        others = [p + q, p - p, -(p * q), -p, (p * h).hbar_coefficient(1), parse_poly(format_poly(p * s))]
+        for r in products:
+            assert r._bound is not None and r._bound >= r.degree()
+        for r in others:
+            assert r._degree_bound() >= r.degree()
+        assert (p * q)._bound <= p._degree_bound() + q._degree_bound()
 
 
 def test_slots_are_a_function_of_the_variable():
