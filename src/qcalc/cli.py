@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import cgpd, engine, pipedream, quiver
-from .blockperm import perm_set, zelevinsky_permutation
+from .blockperm import _block_perms, perm_count, zelevinsky_permutation
 from .cgpd import CGPD, enumerate_cgpd
 from .pipedream import PipeDream, enumerate_pipe_dreams
 from .poly import Poly, format_poly
@@ -88,12 +88,10 @@ def render_lacing(s: LaceArray) -> str:
     return "\n".join(lines)
 
 
-def render_pipedream(d: int, crosses: frozenset, dims: Dims | None = None) -> str:
-    """The d x d grid, '+' at crosses and '.' elsewhere, with block rules
-    drawn when the block structure is known."""
+def render_pipedream(d: int, crosses: frozenset, dims: Dims) -> str:
+    """The d x d grid, '+' at crosses and '.' elsewhere, with rules
+    between the blocks of dims (a single block draws none)."""
     cell = [["+" if (q, p) in crosses else "." for p in range(1, d + 1)] for q in range(1, d + 1)]
-    if dims is None:
-        return "\n".join("".join(row) for row in cell)
     row_cuts = set()
     acc = 0
     for size in dims.r[:-1]:
@@ -166,16 +164,11 @@ def _render(args) -> str:
             isinstance(c, list) and len(c) == 2 and all(map(quiver.is_int, c)) for c in pairs
         )):
             raise ValueError(f'"crosses" must be an array of [q, p] pairs, got {json.dumps(pairs)}')
-        crosses = frozenset(map(tuple, pairs))
-        for q, p in crosses:
-            if not (1 <= q and 1 <= p and q + p <= d):
-                raise pipedream.RegionViolation(
-                    f"cross at ({q},{p}) is outside the grid"
-                )
-        dims = parse_dims(obj["dims"]) if "dims" in obj else None
-        if dims is not None and dims.d != d:
+        dims = parse_dims(obj["dims"]) if "dims" in obj else Dims((d,))
+        if dims.d != d:
             raise ValueError(f'"dims" {list(dims.r)} add up to {dims.d}, not "d" = {d}')
-        return render_pipedream(d, crosses, dims)
+        dream = PipeDream(dims, frozenset(map(tuple, pairs)))  # checks the region
+        return render_pipedream(d, dream.crosses, dims)
     if what == "cgpd":
         return render_cgpd(CGPD.from_json(parse_dims(_field(obj, "dims")), obj))
     # "zmatrix"; argparse's choices admit nothing else
@@ -221,8 +214,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    """Lists the objects once and converts each only to the format
-    printed: the JSON items as one list, the texts one at a time."""
+    """Prints the objects one at a time, each converted only to the format
+    printed; the JSON items make the bytes json.dumps gives for their
+    list.  perm(r) is counted without listing it and streamed from its
+    search, so a large one starts printing at once."""
     r = parse_input(_load_json(args.input))
     if args.what == "pd":
         found = enumerate_pipe_dreams(r.dims, zelevinsky_permutation(r), args.region)
@@ -231,11 +226,14 @@ def _cmd_enum(args) -> int:
     elif args.what == "cgpd":
         found, as_json, as_text = enumerate_cgpd(r), CGPD.to_json, render_cgpd
     else:  # "perm"; argparse's choices admit nothing else
-        found, as_json, as_text = perm_set(r), lambda v: {"perm": list(v)}, _perm_text
+        found, as_json, as_text = _block_perms(r), lambda v: {"perm": list(v)}, _perm_text
     if args.format == "json":
-        print(json.dumps([as_json(x) for x in found]))
+        sys.stdout.write("[")
+        for i, x in enumerate(found):
+            sys.stdout.write(f"{', ' if i else ''}{json.dumps(as_json(x))}")
+        print("]")
     else:
-        print(f"count: {len(found)}")
+        print(f"count: {perm_count(r) if args.what == 'perm' else len(found)}")
         for x in found:
             print(as_text(x))
             print()
@@ -294,19 +292,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="qcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *, method=False):
+    def add(name, fn, methods=None):
         p = sub.add_parser(name)
         p.add_argument("input", help="path to a JSON file, or inline JSON")
-        if method:
-            p.add_argument("--method", choices=("pd", "cgpd", "ratio"), default="pd")
+        if methods:
+            p.add_argument("--method", choices=tuple(methods), default="pd")
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         p.set_defaults(fn=fn)
         return p
 
     add("lace", _cmd_lace)
     add("zperm", _cmd_zperm)
-    for target in ("qpoly", "csm"):
-        p = add(target, _cmd_poly, method=True)
+    for target, methods in (("qpoly", engine.QPOLY_METHODS), ("csm", engine.CSM_METHODS)):
+        p = add(target, _cmd_poly, methods)
         p.add_argument("--letters", action="store_true")
     p = add("enum", _cmd_enum)
     p.add_argument("--what", choices=("pd", "cgpd", "perm"), default="pd")

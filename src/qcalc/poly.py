@@ -33,23 +33,25 @@ divisor does not divide.
 
 A polynomial maps packed monomials to nonzero integer coefficients
 (Poly.terms); the form is unique and the same in every process, so
-equality is structural and a Poly pickles as its dict alone.
-Graded-lex order is computed only where it is needed (format_poly,
-leading_term, exact_divide): the key of a monomial is its degree
-followed by its exponents over the polynomial's variables in the
-variable order.
+equality is structural and a Poly pickles as its dict alone.  Every sum
+and product runs through the module's one accumulation loop,
+Poly.sum_of_products, and every exponent is read through one reader per
+polynomial, built from the OR of its keys (_reader).  Graded-lex order
+is computed only where it is needed (format_poly, leading_term,
+exact_divide): the key of a monomial is its degree followed by its
+exponents over the polynomial's variables in the variable order.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import isqrt
 from operator import or_
 from struct import Struct
-from typing import Iterable, Mapping
+from typing import Iterable
 
 Variable = tuple
 Monomial = tuple  # tuple[tuple[Variable, int], ...], sorted, exponents > 0
@@ -115,22 +117,6 @@ def _unit(v: Variable) -> int:
     return 1 << (_WIDTH * _slot(v))
 
 
-def _fields(m: int) -> list[tuple[int, int]]:
-    """(slot, exponent) for every nonzero field of a packed monomial, read
-    in one pass as the 16-bit words of its bytes."""
-    count = -(-m.bit_length() // _WIDTH)
-    words = memoryview(m.to_bytes(2 * count, sys.byteorder)).cast("H")  # _WIDTH == 16
-    if sys.byteorder == "big":  # the lowest field is the last word
-        words = words[::-1]
-    return [(s, e) for s, e in enumerate(words) if e]
-
-
-def _unpack(m: int) -> Monomial:
-    pairs = [(_variable(s), e) for s, e in _fields(m)]
-    pairs.sort(key=lambda p: var_key(p[0]))
-    return tuple(pairs)
-
-
 def _mono_div(a: int, b: int) -> int | None:
     """a / b, or None when b does not divide a.  The guard covers the
     operands' fields only, so the subtraction is as long as they are."""
@@ -139,26 +125,31 @@ def _mono_div(a: int, b: int) -> int | None:
     return d ^ g if d & g == g else None
 
 
-def _slots(variables: Iterable[Variable]) -> list[int]:
-    """The variables' slots, in the variable order."""
-    return [_slot(v) for v in sorted(variables, key=var_key)]
-
-
-def _reader(slots: list[int]):
-    """m -> every field of a packed monomial up to the last of slots, slot
-    0 first, as one tuple: one to_bytes and one unpack, so reading is
-    linear in the monomial's size.  m must have no field past slots."""
-    count = max(slots, default=-1) + 1
+def _reader(keys: Iterable[int]):
+    """(read, seen) for a set of packed monomials, built once from the OR
+    of keys.  read maps any monomial over the variables of keys to its
+    fields up to the last slot they use, slot 0 first, as one tuple: one
+    to_bytes and one little-endian unpack, so reading is linear in the
+    monomial's size.  seen is read of that OR: a field of seen is nonzero
+    exactly where some key uses its variable, and at least every key's
+    exponent there."""
+    top = reduce(or_, keys, 0)
+    count = -(-top.bit_length() // _WIDTH)
     unpack = Struct(f"<{count}H").unpack  # _WIDTH == 16
-    return lambda m: unpack(m.to_bytes(2 * count, "little"))
+    read = lambda m: unpack(m.to_bytes(2 * count, "little"))
+    return read, read(top)
 
 
-def _grlex_key(slots: list[int]):
+def _slots(seen: tuple[int, ...]) -> list[int]:
+    """The slots of the nonzero fields of seen, in the variable order."""
+    return sorted((s for s, e in enumerate(seen) if e), key=lambda s: var_key(_variable(s)))
+
+
+def _grlex_key(read, slots: list[int]):
     """Graded-lex key over the fields at slots, which hold every variable
     of the monomials keyed, as one int: the degree, then each exponent
     in the variable order, in 16-bit digits.  Each monomial is read once
-    (_reader), not shifted once per variable."""
-    read = _reader(slots)
+    (read, from _reader), not shifted once per variable."""
     digits = Struct(f">{len(slots)}H").pack  # the first variable is the most significant
     top = _WIDTH * len(slots)
 
@@ -169,44 +160,29 @@ def _grlex_key(slots: list[int]):
     return key
 
 
-def _drop_zeros(out: dict[int, int]) -> dict[int, int]:
-    """out without its zero coefficients, deleted in place."""
-    if 0 in out.values():
-        for m in [m for m, c in out.items() if not c]:
-            del out[m]
-    return out
-
-
 class Poly:
     """Immutable sparse polynomial; all operations return new values.
 
-    Poly.sum accumulates many polynomials into one dict in a single pass,
-    where repeated + would copy the running total every time.
+    Poly(terms, bound) adopts terms, which holds no zero coefficient,
+    without copying it.  Every sum, product and sum of products runs
+    through the one loop of sum_of_products, which accumulates into one
+    dict, where repeated + would copy the running total every time.
 
     _bound is an upper bound on the total degree of every key, h
-    included.  The constant and variable constructors set it, a product
-    carries the largest sum of its factors' bounds, so the kernel's
-    overflow guard need not read its own result, and a negation keeps
-    its operand's.  Any other Poly holds None until the kernel first
-    needs it, and it is then read once as the sum of the fields of the
-    OR of the keys.  The bound is not pickled.
+    included.  The constant and variable constructors set it, a sum of
+    products carries the largest sum of its factors' bounds (a sum, the
+    largest bound of its summands), so the kernel's overflow guard need
+    not read its own result, and a negation keeps its operand's.  Any
+    other Poly holds None until the kernel first needs it, and it is
+    then read once as the sum of the fields of the OR of the keys.  The
+    bound is not pickled.
     """
 
     __slots__ = ("terms", "_bound")
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        self.terms: dict[int, int] = {
-            m: c for m, c in (terms or {}).items() if c != 0
-        }
-        self._bound: int | None = None
-
-    @classmethod
-    def _wrap(cls, terms: dict[int, int], bound: int | None = None) -> "Poly":
-        """Adopt terms (no zero coefficients) without copying."""
-        p = object.__new__(cls)
-        p.terms = terms
-        p._bound = bound
-        return p
+    def __init__(self, terms: dict[int, int], bound: int | None = None):
+        self.terms = terms
+        self._bound = bound
 
     def __getstate__(self) -> dict[int, int]:
         return self.terms
@@ -218,17 +194,17 @@ class Poly:
     def _degree_bound(self) -> int:
         """_bound, read from the keys the first time."""
         if self._bound is None:
-            self._bound = sum(e for _, e in _fields(reduce(or_, self.terms, 0)))
+            self._bound = sum(_reader(self.terms)[1])
         return self._bound
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls) -> "Poly":
-        return cls._wrap({})
+        return cls({}, 0)
 
     @classmethod
     def const(cls, c: int) -> "Poly":
-        return cls._wrap({0: c} if c else {}, 0)
+        return cls({0: c} if c else {}, 0)
 
     @classmethod
     def one(cls) -> "Poly":
@@ -236,14 +212,14 @@ class Poly:
 
     @classmethod
     def var(cls, v: Variable) -> "Poly":
-        return cls._wrap({_unit(v): 1}, 1)
+        return cls({_unit(v): 1}, 1)
 
     @classmethod
     def var_diff(cls, a: Variable, b: Variable) -> "Poly":
         """The linear form a - b (a row label minus a column label)."""
         if a == b:
-            return cls._wrap({}, 0)
-        return cls._wrap({_unit(a): 1, _unit(b): -1}, 1)
+            return cls({}, 0)
+        return cls({_unit(a): 1, _unit(b): -1}, 1)
 
     @classmethod
     def hbar(cls) -> "Poly":
@@ -251,21 +227,20 @@ class Poly:
 
     @classmethod
     def sum(cls, polys: Iterable["Poly | int"]) -> "Poly":
-        """The sum of polys, accumulated in place in one dict; + is this
-        sum of one pair."""
-        out: dict[int, int] = {}
-        get = out.get
-        for p in polys:
-            for m, c in _coerce(p).terms.items():
-                out[m] = get(m, 0) + c
-        return cls._wrap(_drop_zeros(out))
+        """The sum of polys: the sum of the products 1 * p; + is this sum
+        of one pair."""
+        one = cls.one()
+        return cls.sum_of_products((one, _coerce(p)) for p in polys)
 
     @classmethod
     def sum_of_products(cls, pairs: Iterable[tuple["Poly", "Poly"]]) -> "Poly":
         """The sum of a * b over the pairs (a, b), accumulated in one dict;
         no product is built on its own.  The factor with fewer terms runs
-        the outer loop.  This is the only product loop of the module.
-        Cancelled terms are deleted from that dict in place."""
+        the outer loop.  This is the only accumulation loop of the module:
+        sums and products alike run through it.  A factor 1 in the first
+        pair starts the dict as a copy of its partner's terms, so no
+        operand is shared or written to.  Cancelled terms are deleted
+        from the dict in place."""
         out: dict[int, int] = {}
         get = out.get
         top = 0  # the result's degree bound
@@ -290,7 +265,10 @@ class Poly:
         # no field exceeds its key's degree; cancelled products are keys too
         if top >= _TOP and reduce(or_, out, 0) & _GUARD:
             raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
-        return cls._wrap(_drop_zeros(out), top)
+        if 0 in out.values():
+            for m in [m for m, c in out.items() if not c]:
+                del out[m]
+        return cls(out, top)
 
     # -- ring arithmetic -------------------------------------------------
     def __add__(self, other: "Poly | int") -> "Poly":
@@ -299,7 +277,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._wrap({m: -c for m, c in self.terms.items()}, self._bound)
+        return Poly({m: -c for m, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         return self + (-_coerce(other))
@@ -342,32 +320,35 @@ class Poly:
     def items(self):
         """(monomial, coefficient) pairs, monomials in the public
         tuple-of-pairs form."""
+        read, seen = _reader(self.terms)
+        named = [(_variable(s), s) for s in _slots(seen)]
         for m, c in self.terms.items():
-            yield _unpack(m), c
+            fields = read(m)
+            yield tuple((v, fields[s]) for v, s in named if fields[s]), c
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e for _, e in _fields(m)) for m in self.terms)
+        return max(map(sum, map(_reader(self.terms)[0], self.terms)))
 
     def variables(self) -> set[Variable]:
-        seen = 0
-        for m in self.terms:
-            seen |= m
-        return {_variable(s) for s, _ in _fields(seen)}
+        return {_variable(s) for s, e in enumerate(_reader(self.terms)[1]) if e}
 
     def hbar_coefficient(self, k: int) -> "Poly":
         """The coefficient of h^k, as a polynomial free of h (h's field
         is slot 0, the lowest)."""
-        return Poly._wrap({m - k: c for m, c in self.terms.items() if m & _FIELD == k})
+        return Poly({m - k: c for m, c in self.terms.items() if m & _FIELD == k})
 
     def leading_term(self) -> tuple[Monomial, int]:
         """Graded-lex leading term of a nonzero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_grlex_key(_slots(self.variables())))
-        return _unpack(m), self.terms[m]
+        read, seen = _reader(self.terms)
+        slots = _slots(seen)
+        m = max(self.terms, key=_grlex_key(read, slots))
+        fields = read(m)
+        return tuple((_variable(s), fields[s]) for s in slots if fields[s]), self.terms[m]
 
 
 def _coerce(x: "Poly | int") -> Poly:
@@ -385,7 +366,8 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    key = _grlex_key(_slots(num.variables() | den.variables()))
+    read, seen = _reader(chain(num.terms, den.terms))
+    key = _grlex_key(read, _slots(seen))
     den_lm = max(den.terms, key=key)
     den_lc = den.terms[den_lm]
     den_rest = [(m, c) for m, c in den.terms.items() if m != den_lm]
@@ -415,7 +397,7 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
                     heappush(heap, (-key(m), m))
             else:
                 del rem[m]
-    return Poly._wrap(quot)
+    return Poly(quot)
 
 
 # -- formatting and parsing ----------------------------------------------
@@ -448,13 +430,12 @@ def format_poly(
     """
     if not p.terms:
         return "0"
-    variables = sorted(p.variables(), key=var_key)
-    names = [_var_text(v, style, sizes) for v in variables]
-    slots = _slots(variables)
-    read = _reader(slots)
+    read, seen = _reader(p.terms)
+    slots = _slots(seen)
+    names = [_var_text(_variable(s), style, sizes) for s in slots]
     sep = " " if style == "latex" else "*"
     pieces: list[str] = []
-    for m in sorted(p.terms, key=_grlex_key(slots), reverse=True):
+    for m in sorted(p.terms, key=_grlex_key(read, slots), reverse=True):
         c = p.terms[m]
         factors = []
         fields = read(m)
@@ -508,18 +489,16 @@ def parse_poly(text: str) -> Poly:
         idx += 1
         return tok
 
-    def parse_factor() -> tuple[Poly, bool]:
-        """One factor; the bool flags a bare integer (a coefficient)."""
+    def parse_factor() -> Poly:
         tok, at = take()
         if tok.isdigit():
-            base: Poly | None = None
-            value = int(tok)
+            base: Poly | int = int(tok)
         elif tok == "h":
-            base, value = Poly.hbar(), 0
+            base = Poly.hbar()
         elif tok.startswith("x"):
             m = _TOKEN.match(tok)
             assert m is not None
-            base, value = Poly.var(xvar(int(m.group(2)), int(m.group(3)))), 0
+            base = Poly.var(xvar(int(m.group(2)), int(m.group(3))))
         else:
             raise ParseError(f"expected factor, got {tok!r}", at)
         if peek() == "^":
@@ -527,39 +506,31 @@ def parse_poly(text: str) -> Poly:
             tok, at = take() if idx < len(tokens) else (None, len(text))
             if tok is None or not tok.isdigit():
                 raise ParseError("expected exponent", at)
-            e = int(tok)
-            if base is None:
-                return Poly.const(value**e), True
-            return base**e, False
-        if base is None:
-            return Poly.const(value), True
-        return base, False
+            base = base ** int(tok)
+        return _coerce(base)
 
     def parse_term() -> Poly:
-        p, _ = parse_factor()
+        p = parse_factor()
         while peek() == "*":
             take()
             if peek() is None:
                 raise ParseError("dangling '*'", len(text))
-            q, _ = parse_factor()
-            p = p * q
+            p = p * parse_factor()
         return p
 
     if not tokens:
         raise ParseError("empty input", 0)
-    sign = 1
-    if peek() in ("+", "-"):
-        tok, _ = take()
-        sign = -1 if tok == "-" else 1
+    sign = take()[0] if peek() in ("+", "-") else "+"
     if peek() is None:
         raise ParseError("expected term", len(text))
-    total = sign * parse_term()
-    while peek() is not None:
-        tok, at = take()
-        if tok not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-', got {tok!r}", at)
+    terms: list[Poly] = []  # summed once, as repeated + would copy the total each time
+    while True:
+        term = parse_term()
+        terms.append(term if sign == "+" else -term)
+        if peek() is None:
+            return Poly.sum(terms)
+        sign, at = take()
+        if sign not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {sign!r}", at)
         if peek() is None:
             raise ParseError("dangling sign", len(text))
-        term = parse_term()
-        total = total + term if tok == "+" else total - term
-    return total

@@ -230,6 +230,27 @@ def test_closed_stdout_is_not_an_input_error():
     assert proc.returncode in (0, 141)
 
 
+def test_enum_perm_streams_its_members():
+    """enum --what perm prints the count from perm_count and then the
+    members as its search finds them: the 12! members of (12) are never
+    listed, and a reader that closes stdout after two lines ends it."""
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcalc.cli", "enum", "--what", "perm", '{"dims":[12],"rank":{}}'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"count: 479001600\n"
+    assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10,11,12\n"
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode in (0, 141)
+
+
 def test_bad_flag_exits_one(capsys):
     try:
         code = main(["qpoly", "--method", "sorcery", str(FIXTURES / "ex_a3.json")])

@@ -275,6 +275,10 @@ def test_exponent_overflow_raises():
     # an overflowing product whose coefficient cancels is still caught
     with pytest.raises(OverflowError):
         Poly.sum_of_products([(top, a), (-top, a)])
+    # parsed text overflows in the same kernel
+    for text in ("x0_1^32768", "x0_1^20000*x0_1^20000"):
+        with pytest.raises(OverflowError):
+            parse_poly(text)
 
 
 def test_a_large_degree_with_small_exponents_is_no_overflow():
@@ -290,8 +294,8 @@ def test_a_large_degree_with_small_exponents_is_no_overflow():
 
 
 def test_the_degree_bound_covers_the_degree():
-    """Every product, constant and variable carries a bound, and no key
-    of any result, a product's, a sum's, a negation's, an
+    """Every product, sum, constant and variable carries a bound, and no
+    key of any result, a product's, a sum's, a negation's, an
     h-coefficient's or a parsed one's, has a degree above it."""
     variables = [xvar(level, index) for level in range(3) for index in (1, 2)] + [HBAR]
     rng = random.Random(11)
@@ -308,9 +312,9 @@ def test_the_degree_bound_covers_the_degree():
     for _ in range(60):
         p, q, s = random_poly(), random_poly(), random_poly()
         u, v = rng.sample(variables, 2)
-        products = [p * q, Poly.sum_of_products([(p, q), (-p, q), (s, p)]), p * (q - q)]
+        products = [p * q, Poly.sum_of_products([(p, q), (-p, q), (s, p)]), p * (q - q), p + q, p - p]
         products += [Poly.const(rng.randint(-2, 2)), Poly.var(u), Poly.var_diff(u, v), Poly.var_diff(u, u)]
-        others = [p + q, p - p, -(p * q), -p, (p * h).hbar_coefficient(1), parse_poly(format_poly(p * s))]
+        others = [-(p * q), -p, (p * h).hbar_coefficient(1), parse_poly(format_poly(p * s))]
         for r in products:
             assert r._bound is not None and r._bound >= r.degree()
         for r in others:
@@ -389,6 +393,10 @@ def test_sum_of_products_copies_a_partner_of_one():
     assert q == a - b + a * b
     q = Poly.sum_of_products([(p, Poly.one()), (Poly.one(), b)])
     assert p.terms == before and q == a
+    # a sum is the sum of the products 1 * p, so its first summand is copied too
+    q = Poly.sum([p, b])
+    assert p.terms == before and q.terms is not p.terms
+    assert q == a
 
 
 def _schoolbook(p, q) -> dict:
