@@ -133,11 +133,11 @@ def _reader(keys: Iterable[int]):
     monomial's size.  seen is read of that OR: a field of seen is nonzero
     exactly where some key uses its variable, and at least every key's
     exponent there."""
-    top = reduce(or_, keys, 0)
-    count = -(-top.bit_length() // _WIDTH)
+    union = reduce(or_, keys, 0)
+    count = -(-union.bit_length() // _WIDTH)
     unpack = Struct(f"<{count}H").unpack  # _WIDTH == 16
     read = lambda m: unpack(m.to_bytes(2 * count, "little"))
-    return read, read(top)
+    return read, read(union)
 
 
 def _slots(seen: tuple[int, ...]) -> list[int]:
