@@ -1,8 +1,7 @@
 """Permutations of {1..d} with the block structure of a dimension vector.
 
-Rows of the d x d grid are grouped into blocks of sizes r_0..r_n top to
-bottom.  Column blocks are labeled right to left: the rightmost block
-has index 0 and size r_0, so block column j has size r_j.  Composition
+The row and column blocks of the d x d grid are those of quiver.Dims.rows
+and quiver.Dims.cols (column blocks labelled right to left).  Composition
 is fixed once and for all as (v o w)(k) = v(w(k)); a word of simple
 transpositions (t_1, ..., t_L) composes first-applied-first, i.e. its
 value is s_{t_L} o ... o s_{t_1}.
@@ -11,7 +10,7 @@ value is s_{t_L} o ... o s_{t_1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 from math import factorial, prod
 
@@ -59,44 +58,6 @@ def composite(word: tuple[int, ...], d: int) -> Permutation:
 
 
 @dataclass(frozen=True)
-class BlockStructure:
-    """Row/column block bookkeeping and the cell label alphabets."""
-
-    dims: Dims
-
-    @cached_property
-    def _row_blocks(self) -> tuple[tuple[int, int], ...]:
-        # (block index, offset within block) for each row 1..d
-        out = []
-        for i, size in enumerate(self.dims.r):
-            out.extend((i, a) for a in range(1, size + 1))
-        return tuple(out)
-
-    @cached_property
-    def _col_blocks(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for j in range(self.dims.n, -1, -1):
-            out.extend((j, b) for b in range(1, self.dims.r[j] + 1))
-        return tuple(out)
-
-    def row_block(self, q: int) -> int:
-        return self._row_blocks[q - 1][0]
-
-    def col_block(self, p: int) -> int:
-        return self._col_blocks[p - 1][0]
-
-    def row_var(self, q: int) -> tuple:
-        """The alphabet variable labeling row q."""
-        i, a = self._row_blocks[q - 1]
-        return ("x", i, a)
-
-    def col_var(self, p: int) -> tuple:
-        """The alphabet variable labeling column p (block cols right to left)."""
-        j, b = self._col_blocks[p - 1]
-        return ("x", j, b)
-
-
-@dataclass(frozen=True)
 class Regions:
     strict_cells: frozenset
     dhom_cells: frozenset
@@ -109,14 +70,9 @@ class Regions:
 @lru_cache(maxsize=None)
 def regions(dims: Dims) -> Regions:
     """Cells strictly above the block antidiagonal and superantidiagonal."""
-    bs = BlockStructure(dims)
-    row_blocks = bs._row_blocks
-    col_blocks = bs._col_blocks
     strict, dhom = set(), set()
-    for q in range(1, dims.d + 1):
-        for p in range(1, dims.d + 1):
-            i = row_blocks[q - 1][0]
-            j = col_blocks[p - 1][0]
+    for q, (i, _) in enumerate(dims.rows, start=1):
+        for p, (j, _) in enumerate(dims.cols, start=1):
             if j >= i + 1:
                 strict.add((q, p))
             if j >= i + 2:
@@ -151,14 +107,14 @@ def _block_perms(r: RankArray):
     """
     dims = r.dims
     owed = dict(orbit_block_counts(r))  # the search decrements it
-    bs = BlockStructure(dims)
-    cols = [(p, bs.col_block(p)) for p in range(1, dims.d + 1)]
+    row = [i for i, _ in dims.rows]
+    col = [j for j, _ in dims.cols]
     v: list[int] = []
     used: set[int] = set()
 
     def choices(q: int):
-        i = bs.row_block(q)
-        return (p for p, j in cols if owed[i, j] and p not in used)
+        i = row[q - 1]
+        return (p for p, j in enumerate(col, start=1) if owed[i, j] and p not in used)
 
     stack = [choices(1)]  # Dims holds d >= 1
     while stack:
@@ -166,14 +122,14 @@ def _block_perms(r: RankArray):
         if len(v) == q:  # row q's last choice, undone before its next
             p = v.pop()
             used.discard(p)
-            owed[bs.row_block(q), bs.col_block(p)] += 1
+            owed[row[q - 1], col[p - 1]] += 1
         p = next(stack[-1], None)
         if p is None:
             stack.pop()
             continue
         v.append(p)
         used.add(p)
-        owed[bs.row_block(q), bs.col_block(p)] -= 1
+        owed[row[q - 1], col[p - 1]] -= 1
         if q == dims.d:
             yield tuple(v)
         else:
@@ -224,17 +180,19 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
 
 def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list[int]:
     """Every distinct way to give the values owed[i] copies of each label
-    i, packed as in subword_states."""
-    if not values:
-        return [0]
-    x, rest = values[0], values[1:]
-    out = []
-    for i, c in owed.items():
-        if c:
-            owed[i] = c - 1
-            out += [s | 1 << (i * d + x) for s in _arrangements(owed, rest, d)]
-            owed[i] = c
-    return out
+    i, packed as in subword_states, in lexicographic order of the labels
+    the values take (labels in owed's order).  The arrangements are
+    extended one value at a time, each carrying the copies it still
+    owes, not by a recursion, so a block may hold any number of values."""
+    out = [(0, owed)]
+    for x in values:
+        out = [
+            (s | 1 << (i * d + x), {**left, i: c - 1})
+            for s, left in out
+            for i, c in left.items()
+            if c
+        ]
+    return [s for s, _ in out]
 
 
 def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
@@ -304,10 +262,9 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     """
     dims = r.dims
     d, labels = dims.d, range(dims.n + 1)
-    bs = BlockStructure(dims)
     m = orbit_block_counts(r)
-    row = [bs.row_block(x) for x in range(1, d + 1)]
-    col = [bs.col_block(x) for x in range(1, d + 1)]
+    row = [i for i, _ in dims.rows]
+    col = [j for j, _ in dims.cols]
     start = sum(1 << (i * d + x) for x, i in enumerate(row))
     ones = sum(1 << (i * d) for i in labels)  # bit 0 of every label's mask
 

@@ -91,51 +91,28 @@ def render_lacing(s: LaceArray) -> str:
 def render_pipedream(d: int, crosses: frozenset, dims: Dims) -> str:
     """The d x d grid, '+' at crosses and '.' elsewhere, with rules
     between the blocks of dims (a single block draws none)."""
-    cell = [["+" if (q, p) in crosses else "." for p in range(1, d + 1)] for q in range(1, d + 1)]
-    row_cuts = set()
-    acc = 0
-    for size in dims.r[:-1]:
-        acc += size
-        row_cuts.add(acc)
-    col_cuts = set()
-    acc = 0
-    for size in reversed(dims.r[1:]):
-        acc += size
-        col_cuts.add(acc)
+    cut = [p < d and dims.cols[p - 1][0] != dims.cols[p][0] for p in range(1, d + 1)]
     lines = []
     for q in range(1, d + 1):
-        line = []
-        for p in range(1, d + 1):
-            line.append(cell[q - 1][p - 1])
-            if p in col_cuts and p < d:
-                line.append("|")
-        lines.append("".join(line))
-        if q in row_cuts and q < d:
-            rule = []
-            for p in range(1, d + 1):
-                rule.append("-")
-                if p in col_cuts and p < d:
-                    rule.append("+")
-            lines.append("".join(rule))
+        lines.append("".join(
+            ("+" if (q, p) in crosses else ".") + ("|" if after else "")
+            for p, after in enumerate(cut, start=1)
+        ))
+        if q < d and dims.rows[q - 1][0] != dims.rows[q][0]:
+            lines.append("".join("-+" if after else "-" for after in cut))
     return "\n".join(lines)
 
 
 def render_cgpd(delta: CGPD) -> str:
-    """The chain of rectangles laid out northeast to southwest."""
+    """The chain of rectangles laid out northeast to southwest: rectangle
+    i fills block (i, i + 1) of the d x d grid, whose rows of block n
+    and columns of block 0 hold no rectangle and are left out."""
     dims = delta.dims
-    width = sum(dims.r[1:])
-    height = sum(dims.r[:-1])
-    canvas = [[" "] * width for _ in range(height)]
-    row_off = 0
-    col_end = width  # one past the east edge of the current rectangle
-    for i in range(dims.n):
-        cols = dims.r[i + 1]
-        for j, row in enumerate(delta.grids[i]):
-            for k, code in enumerate(row):
-                canvas[row_off + j][col_end - cols + k] = code
-        row_off += dims.r[i]
-        col_end -= cols
-    return "\n".join("".join(row).rstrip() for row in canvas)
+    return "\n".join(
+        "".join(delta.grids[i][a - 1][b - 1] if j == i + 1 else " " for j, b in dims.cols).rstrip()
+        for i, a in dims.rows
+        if i < dims.n
+    )
 
 
 def render_zmatrix(rep) -> str:

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from . import blockperm
 from .blockperm import (
-    BlockStructure,
     composite,
     identity,
     length,
@@ -27,7 +26,7 @@ from .blockperm import (
     subword_states,
     target_states,
 )
-from .poly import Poly, Variable, exact_divide
+from .poly import Poly, Variable, exact_divide, xvar
 from .quiver import Dims, RankArray, shared
 from .states import States, state_sum
 
@@ -55,10 +54,9 @@ class Word:
 @lru_cache(maxsize=None)
 def grid_word(dims: Dims) -> Word:
     """The strict-region word; its value is w0 * block-w0."""
-    bs = BlockStructure(dims)
     cells = sorted(regions(dims).strict_cells, key=lambda c: (-c[0], c[1]))
     letters = tuple(q + p - 1 for q, p in cells)
-    zvars = tuple(bs.row_var(q) for q in range(1, dims.d + 1))
+    zvars = tuple(xvar(i, a) for i, a in dims.rows)
     return Word(letters, zvars, tuple(cells))
 
 

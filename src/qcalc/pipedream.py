@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blockperm import BlockStructure, regions, require_permutation, target_states
+from .blockperm import regions, require_permutation, target_states
 from .localization import grid_word, orbit_reduced_states, orbit_states, subword_sum
-from .poly import Poly
+from .poly import Poly, xvar
 from .quiver import Dims, RankArray
 
 
@@ -74,10 +74,9 @@ def enumerate_pipe_dreams(dims: Dims, v: tuple, region: str = "full") -> list[Pi
 def _cell_weights(dims: Dims) -> tuple[Poly, ...]:
     """The weight of a cross at each grid word position: its cell label
     (row label - column label), or 1 on a D_Hom cell."""
-    bs = BlockStructure(dims)
-    dhom = regions(dims).dhom_cells
+    dhom, rows, cols = regions(dims).dhom_cells, dims.rows, dims.cols
     return tuple(
-        Poly.one() if (q, p) in dhom else Poly.var_diff(bs.row_var(q), bs.col_var(p))
+        Poly.one() if (q, p) in dhom else Poly.var_diff(xvar(*rows[q - 1]), xvar(*cols[p - 1]))
         for q, p in grid_word(dims).cells
     )
 

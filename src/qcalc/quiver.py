@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NotRealizable(Exception):
@@ -46,6 +47,27 @@ class Dims:
     @property
     def d(self) -> int:
         return sum(self.r)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        """The (block i, index a) of each row q of the d x d grid, at q - 1.
+
+        Row blocks of sizes r_0..r_n run top to bottom, and a counts
+        1..r_i within block i.  Row q is labelled by the alphabet variable
+        poly.xvar(*rows[q - 1]).
+        """
+        return tuple((i, a) for i, size in enumerate(self.r) for a in range(1, size + 1))
+
+    @cached_property
+    def cols(self) -> tuple[tuple[int, int], ...]:
+        """The (block j, index b) of each column p of the d x d grid, at p - 1.
+
+        Column blocks are labelled right to left: the rightmost block has
+        index 0 and size r_0, so block j has size r_j and starts
+        r_n + ... + r_{j+1} columns from the left; b counts 1..r_j left
+        to right within it.  Column p is labelled by poly.xvar(*cols[p - 1]).
+        """
+        return tuple((j, b) for j in range(self.n, -1, -1) for b in range(1, self.r[j] + 1))
 
     def pairs(self) -> list[tuple[int, int]]:
         """All index pairs (i, j) with 0 <= i <= j <= n."""
@@ -276,24 +298,19 @@ def zelevinsky_matrix(rep: Rep) -> list[list[int]]:
     """The d x d matrix with identity blocks on the block antidiagonal
     and the maps (as row-vector-action matrices) on the superantidiagonal.
 
-    Block rows have sizes r_0..r_n top to bottom; block columns are
-    labeled right to left, so block column j starts at offset
-    r_n + ... + r_{j+1} from the left.
+    Rows and columns follow the block layout of Dims.rows and Dims.cols:
+    cell (row (i, a), column (i, b)) is 1 when a = b, cell (row (i, a),
+    column (i + 1, b)) is entry (b, a) of phi_{i+1}, and every other cell
+    is 0.
     """
-    dims = rep.dims
-    d = dims.d
-    row_off = [sum(dims.r[:i]) for i in range(dims.n + 1)]
-    col_off = [sum(dims.r[j + 1 :]) for j in range(dims.n + 1)]
-    z = [[0] * d for _ in range(d)]
-    for i in range(dims.n + 1):
-        for a in range(dims.r[i]):
-            z[row_off[i] + a][col_off[i] + a] = 1
-    for i in range(dims.n):
-        phi = rep.phi[i]  # r_{i+1} x r_i
-        for a in range(dims.r[i]):
-            for b in range(dims.r[i + 1]):
-                z[row_off[i] + a][col_off[i + 1] + b] = phi[b][a]
-    return z
+    dims, phi = rep.dims, rep.phi  # phi[i] is r_{i+1} x r_i
+    return [
+        [
+            int(a == b) if j == i else phi[i][b - 1][a - 1] if j == i + 1 else 0
+            for j, b in dims.cols
+        ]
+        for i, a in dims.rows
+    ]
 
 
 # -- JSON input ------------------------------------------------------------

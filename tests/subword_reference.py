@@ -12,7 +12,6 @@ taken reads the paths of subword states as subsets.
 """
 
 from qcalc.blockperm import (
-    BlockStructure,
     Permutation,
     identity,
     left_mul_s,
@@ -192,10 +191,9 @@ def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     D_Hom cells.
     """
     dims = r.dims
-    bs = BlockStructure(dims)
     d = dims.d
     m = orbit_block_counts(r)
-    col = [bs.col_block(x) for x in range(1, d + 1)]
+    col = [j for j, _ in dims.cols]
     want = {}  # boundary b -> (label i, need_b(i)) for the labels needed
     for b in range(1, d):
         if col[b - 1] != col[b]:
@@ -211,7 +209,7 @@ def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> States:
         for a, _ in segments
     ]
 
-    live = {tuple(bs.row_block(x) for x in range(1, d + 1))}
+    live = {tuple(i for i, _ in dims.rows)}
     children = []
     for k, t in enumerate(letters):
         copies = letters[k + 1 :].count(t)

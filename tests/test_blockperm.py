@@ -7,7 +7,6 @@ from itertools import permutations, product
 from qcalc import blockperm
 
 from qcalc.blockperm import (
-    BlockStructure,
     Permutation,
     block_counts,
     composite,
@@ -47,10 +46,9 @@ def is_reduced_word(word: tuple[int, ...], d: int) -> bool:
 
 def counts_of(v: Permutation, dims: Dims) -> dict[tuple[int, int], int]:
     """Block 1-counts of an arbitrary permutation (filter-semantics oracle)."""
-    bs = BlockStructure(dims)
     m: dict[tuple[int, int], int] = {}
     for q, p in enumerate(v, start=1):
-        key = (bs.row_block(q), bs.col_block(p))
+        key = (dims.rows[q - 1][0], dims.cols[p - 1][0])
         m[key] = m.get(key, 0) + 1
     for i in range(dims.n + 1):
         for j in range(dims.n + 1):
@@ -103,16 +101,6 @@ def test_rothe_diagram():
     # |rothe| = length, exhaustively in S_4
     for v in permutations(range(1, 5)):
         assert len(rothe_diagram(tuple(v))) == length(tuple(v))
-
-
-def test_block_structure_labels():
-    bs = BlockStructure(Dims((1, 2, 1)))
-    assert [bs.row_block(q) for q in (1, 2, 3, 4)] == [0, 1, 1, 2]
-    # columns are labeled right to left
-    assert [bs.col_block(p) for p in (1, 2, 3, 4)] == [2, 1, 1, 0]
-    assert bs.row_var(2) == ("x", 1, 1)
-    assert bs.col_var(2) == ("x", 1, 1)
-    assert bs.col_var(4) == ("x", 0, 1)
 
 
 def test_regions_332():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,11 +31,27 @@ def test_zperm_oldpd(capsys):
 
 
 def test_zperm_of_a_large_vertex(capsys):
-    """The search for z(r) is a loop, so d is not limited by the depth
-    of Python's recursion."""
-    code, out, _ = run(capsys, "zperm", '{"dims":[1200],"rank":{}}')
-    assert code == 0
-    assert out.strip() == ",".join(map(str, range(1, 1201)))
+    """The search for z(r), the accepted subword states and the path walk
+    are loops, so d is not limited by the depth of Python's recursion."""
+    report = [f"{kind}_{m}: 1" for kind in ("csm", "qpoly") for m in ("cgpd", "pd", "ratio")]
+    report += [
+        f"{kind}:{pair}: ok"
+        for kind in ("csm", "qpoly")
+        for pair in ("cgpd=ratio", "pd=cgpd", "pd=ratio")
+    ]
+    report += ["degree law: ok", "leading term law: ok"]
+    report += [f"count {name}: 1" for name in ("cgpd", "cgpd_infinity", "p_total")]
+    report += [f"count perm: {math.factorial(1200)}", "count rp_star: 1", "result: ok"]
+    for argv, expected in [
+        (("zperm",), ",".join(map(str, range(1, 1201)))),
+        (("csm", "--method", "pd"), "1"),
+        (("csm", "--method", "cgpd"), "1"),
+        (("csm", "--method", "ratio"), "1"),
+        (("check",), "\n".join(report)),
+    ]:
+        code, out, _ = run(capsys, *argv, '{"dims":[1200],"rank":{}}')
+        assert code == 0, argv
+        assert out.strip() == expected, argv
 
 
 def test_qpoly_letters_final(capsys):
@@ -274,6 +291,18 @@ def test_render_pipedream_with_blocks():
         ".|..|.",
         "-+--+-",
         ".|..|.",
+    ]
+    # rules after rows 2 and 5 and after columns 1 and 4 (blocks right to left)
+    text = render_pipedream(6, frozenset([(1, 1), (2, 4)]), Dims((2, 3, 1)))
+    assert text.splitlines() == [
+        "+|...|..",
+        ".|..+|..",
+        "-+---+--",
+        ".|...|..",
+        ".|...|..",
+        ".|...|..",
+        "-+---+--",
+        ".|...|..",
     ]
 
 

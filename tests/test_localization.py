@@ -7,7 +7,6 @@ from itertools import groupby, permutations
 import pytest
 
 from qcalc.blockperm import (
-    BlockStructure,
     composite,
     length,
     perm_set,
@@ -60,15 +59,12 @@ def test_grid_word_value():
 def test_grid_roots_are_cell_labels():
     """The root at each grid word position is that cell's row label minus
     its column label."""
-    from qcalc.blockperm import BlockStructure
-
     for dims in [Dims((1, 2, 1)), Dims((2, 2)), Dims((1, 1, 2)), Dims((2, 2, 1))]:
         word = grid_word(dims)
-        bs = BlockStructure(dims)
         betas = roots(word)
         assert word.cells is not None
         for (q, p), beta in zip(word.cells, betas):
-            assert beta == Poly.var(bs.row_var(q)) - Poly.var(bs.col_var(p))
+            assert beta == Poly.var(xvar(*dims.rows[q - 1])) - Poly.var(xvar(*dims.cols[p - 1]))
 
 
 def test_restrictions_reject_non_reduced_words():
@@ -225,8 +221,9 @@ def test_state_sum_matches_subset_sum():
         word = grid_word(dims)
         L = len(word.letters)
         dhom = regions(dims).dhom_cells
-        bs = BlockStructure(dims)
-        labels = [Poly.var_diff(bs.row_var(q), bs.col_var(p)) for q, p in word.cells]
+        labels = [
+            Poly.var_diff(xvar(*dims.rows[q - 1]), xvar(*dims.cols[p - 1])) for q, p in word.cells
+        ]
         assert labels == roots(word)
         report = check(r) if n < small else None
         for reduced, skip in ((False, Poly.hbar()), (True, Poly.one())):

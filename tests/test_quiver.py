@@ -6,6 +6,7 @@ import json
 import pytest
 
 from qcalc.blockperm import zelevinsky_permutation
+from qcalc.poly import xvar
 from qcalc.quiver import (
     BadRowSums,
     Dims,
@@ -35,6 +36,23 @@ def test_dims_validation():
     for bad in (("a",), (1, 1.5), (True, 1)):
         with pytest.raises(ValueError):
             Dims(bad)
+
+
+def test_block_layout_labels():
+    dims = Dims((1, 2, 1))
+    assert [i for i, _ in dims.rows] == [0, 1, 1, 2]
+    # columns are labeled right to left
+    assert [j for j, _ in dims.cols] == [2, 1, 1, 0]
+    assert xvar(*dims.rows[1]) == ("x", 1, 1)
+    assert xvar(*dims.cols[1]) == ("x", 1, 1)
+    assert xvar(*dims.cols[3]) == ("x", 0, 1)
+    # (1,2,1) read backwards is itself, so its row blocks are its column
+    # blocks; (2,3,1) is not, and shows a column-order error
+    dims = Dims((2, 3, 1))
+    assert dims.rows == ((0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 1))
+    assert dims.cols == ((2, 1), (1, 1), (1, 2), (1, 3), (0, 1), (0, 2))
+    assert [i for i, _ in dims.rows] == [0, 0, 1, 1, 1, 2]
+    assert [j for j, _ in dims.cols] == [2, 1, 1, 1, 0, 0]
 
 
 def test_rank_array_validation():
