@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice, zip_longest
 from math import factorial, prod
 
 from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
@@ -139,12 +139,25 @@ def _block_perms(r: RankArray):
 def zelevinsky_permutation(r: RankArray) -> Permutation:
     """The minimal-length permutation with the block counts of r.
 
-    It is the lexicographically first one: within each block row, read
-    top to bottom, the ones go to column blocks left to right, and
-    within each column block the receiving columns are ordered by row
-    index, so it has no inversion inside a block row or block column.
+    Within each block row, read top to bottom, the ones go to column
+    blocks left to right, and within each column block the receiving
+    columns are ordered by row index, so it has no inversion inside a
+    block row or block column: each row block, top to bottom, takes its
+    next m(i, j) free columns from each column block, left to right.
+    It is the lexicographically first member of perm(r), the first that
+    _block_perms yields.
     """
-    return next(_block_perms(r))
+    m = orbit_block_counts(r)
+    free: dict[int, list[int]] = {}  # column block -> its columns, left to right
+    for p, (j, _) in enumerate(r.dims.cols, start=1):
+        free.setdefault(j, []).append(p)
+    columns = {j: iter(ps) for j, ps in free.items()}
+    return tuple(
+        p
+        for i in range(r.dims.n + 1)
+        for j, left in columns.items()
+        for p in islice(left, m[i, j])
+    )
 
 
 def perm_set(r: RankArray) -> list[Permutation]:
@@ -388,7 +401,14 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
 
     start = rows(v)
     fits = all((b | guard) - c & guard == guard for b, c in zip(delta, start))
-    level = [sum(c << i * span for i, c in enumerate(start))] if fits else []
+    # row i goes to bit i*span.  Neighbours merge pairwise, so each of
+    # the log2(d) rounds copies every bit once, where a running sum of
+    # the shifted rows would copy the growing int once per row.
+    level, width = start, span
+    while len(level) > 1:
+        level = [lo | hi << width for lo, hi in zip_longest(level[::2], level[1::2], fillvalue=0)]
+        width *= 2
+    level = level if fits else []
     children = []
     for t, bound in zip(letters, bounds):
         at = (t - 1) * span

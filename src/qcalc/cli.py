@@ -219,8 +219,8 @@ def _cmd_enum(args) -> int:
 
 def _report_text(report: engine.ConsistencyReport) -> str:
     lines = []
-    for name, p in sorted(report.polynomials.items()):
-        lines.append(f"{name}: {format_poly(p)}")
+    for name, text in sorted(report.texts().items()):
+        lines.append(f"{name}: {text}")
     for name, flag in sorted(report.equal.items()):
         lines.append(f"{name}: {'ok' if flag else 'FAIL'}")
     lines.append(f"degree law: {'ok' if report.degree_ok else 'FAIL'}")
@@ -242,22 +242,26 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Prints each report as the sweep yields it, so no report outlives
+    its line; the JSON items make the bytes json.dumps gives for their
+    list."""
     if args.budget < 1:
         raise ValueError(f"sweep budget must be at least 1, got {args.budget}")
-    reports = engine.sweep(args.budget)
-    if args.format == "json":
-        print(json.dumps([report.to_json() for report in reports]))
-    else:
-        for report in reports:
+    checked = failed = 0
+    for report in engine.sweep_reports(args.budget):
+        if args.format == "json":
+            sys.stdout.write(f"{', ' if checked else '['}{json.dumps(report.to_json())}")
+        else:
             r = report.rank
             ranks = " ".join(
                 f"{i}{j}:{r[i, j]}" for i, j in r.dims.pairs() if i != j
             )
             status = "ok" if report.ok else "FAIL"
             print(f"dims {r.dims.r} ranks {ranks or '-'} {status}")
-        bad = sum(1 for report in reports if not report.ok)
-        print(f"checked {len(reports)} orbits, {bad} failures")
-    return 0 if all(report.ok for report in reports) else 2
+        checked += 1
+        failed += not report.ok
+    print("]" if args.format == "json" else f"checked {checked} orbits, {failed} failures")
+    return 2 if failed else 0
 
 
 def _cmd_render(args) -> int:

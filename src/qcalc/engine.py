@@ -8,8 +8,9 @@ polynomial has degree l(z(r)) - |D_Hom|, and it is the coefficient of
 h^(L - l(z(r))) in the CSM class.  A disagreement is recorded in the
 report (ok is False).  A formula that raises (exact_divide's
 NotDivisible, csm_pd's DHomViolation, any bug) is not caught: the
-exception leaves check(), and sweep() re-raises it, so the reports of
-every other orbit are lost.
+exception leaves check() and ends sweep_reports(), so only the reports
+of the orbits before it survive, as the lines the CLI has already
+printed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import cgpd, localization, pipedream
 from .blockperm import length, orbit_zperm, perm_count, regions
@@ -53,6 +55,11 @@ class ConsistencyReport:
 
     equal maps pair names like "qpoly:pd=cgpd" to booleans; counts holds
     the enumeration sizes; timings_ms the per-method wall times.
+    polynomials holds one object per distinct class: a formula whose
+    polynomial equals an earlier one of its target names that earlier
+    object, so a passing orbit holds two.  A pickle then carries each
+    class once, and texts() formats it once.  A Poly is immutable:
+    never write to its .terms, which another name may share.
     """
 
     rank: RankArray
@@ -69,12 +76,16 @@ class ConsistencyReport:
             all(self.equal.values()) and self.degree_ok and self.leading_ok
         )
 
+    def texts(self) -> dict[str, str]:
+        """format_poly of each polynomial, each distinct object once."""
+        distinct = {id(p): p for p in self.polynomials.values()}
+        text = {key: format_poly(p) for key, p in distinct.items()}
+        return {name: text[id(p)] for name, p in self.polynomials.items()}
+
     def to_json(self) -> dict:
         return {
             "input": to_json(self.rank),
-            "polynomials": {
-                name: format_poly(p) for name, p in self.polynomials.items()
-            },
+            "polynomials": self.texts(),
             "equal": dict(self.equal),
             "degree_ok": self.degree_ok,
             "leading_ok": self.leading_ok,
@@ -98,7 +109,9 @@ def check(r: RankArray) -> ConsistencyReport:
     cgpd and cgpd_infinity are the totals of the cgpd states and of
     their minimal paths (cgpd.orbit_states and minimal_states); perm,
     the size of perm(r), follows from its block counts
-    (blockperm.perm_count).
+    (blockperm.perm_count).  Once every flag of equal is computed,
+    each polynomial equal to an earlier one of its target is replaced by
+    that earlier object (see ConsistencyReport).
     """
     orbit = Orbit(r)
     polys: dict[str, Poly] = {}
@@ -109,12 +122,19 @@ def check(r: RankArray) -> ConsistencyReport:
             polys[f"{target}_{method}"] = fn(orbit)
             timings[f"{target}_{method}"] = (time.perf_counter() - start) * 1000.0
 
-    equal = {}
-    for target in ("qpoly", "csm"):
-        for left, right in (("pd", "cgpd"), ("pd", "ratio"), ("cgpd", "ratio")):
-            equal[f"{target}:{left}={right}"] = (
-                polys[f"{target}_{left}"] == polys[f"{target}_{right}"]
-            )
+    pairs = [
+        (target, left, right)
+        for target in ("qpoly", "csm")
+        for left, right in (("pd", "cgpd"), ("pd", "ratio"), ("cgpd", "ratio"))
+    ]
+    equal = {
+        f"{t}:{left}={right}": polys[f"{t}_{left}"] == polys[f"{t}_{right}"]
+        for t, left, right in pairs
+    }
+    # pd=cgpd, pd=ratio, cgpd=ratio: polys[left] already names its first equal
+    for t, left, right in pairs:
+        if equal[f"{t}:{left}={right}"]:
+            polys[f"{t}_{right}"] = polys[f"{t}_{left}"]
 
     reg = regions(r.dims)
     lz = length(orbit_zperm(orbit))
@@ -173,23 +193,32 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def sweep(budget: int) -> list[ConsistencyReport]:
-    """check() on every orbit of every dims within budget, in the order
-    of sweep_dims then enumerate_rank_arrays; parallel over orbits.
+def sweep_reports(budget: int) -> Iterator[ConsistencyReport]:
+    """check() on every orbit of every dims within budget, yielded in the
+    order of sweep_dims then enumerate_rank_arrays; parallel over orbits.
 
     The pool takes the orbits in contiguous chunks, about eight per
     worker: the pool's cost per task (a pickled call and a round trip)
     is paid per chunk, not per orbit, and a chunk mostly holds one
     dims, whose per-dims caches its worker fills once.  Eight chunks a
     worker are small enough that the heaviest dims, last in sweep_dims,
-    still spread over every worker.  Reports keep the input order.
+    still spread over every worker.  A report is yielded as soon as it
+    and every report before it are done, so a consumer that drops each
+    one holds one at a time, not the whole sweep.  check is looked up
+    when the sweep starts, so a replacement of engine.check is used.
     """
     ranks = [
         r for dims in sweep_dims(budget) for r in enumerate_rank_arrays(dims)
     ]
     workers = worker_count()
     if workers <= 1 or len(ranks) <= 1:
-        return [check(r) for r in ranks]
+        yield from map(check, ranks)
+        return
     chunk = max(1, len(ranks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(check, ranks, chunksize=chunk))
+        yield from pool.map(check, ranks, chunksize=chunk)
+
+
+def sweep(budget: int) -> list[ConsistencyReport]:
+    """Every report of sweep_reports(budget), as a list."""
+    return list(sweep_reports(budget))

@@ -299,6 +299,8 @@ class Poly:
         return out
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # a shared class, without comparing every term
+            return True
         if isinstance(other, int):
             other = Poly.const(other)
         if not isinstance(other, Poly):

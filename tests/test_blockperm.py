@@ -149,10 +149,17 @@ def test_perm_set_counts_and_minimum():
 
 
 def test_zelevinsky_permutation_heads_the_perm_set():
-    """z(r) is the greedy fill that heads perm(r) in lexicographic order."""
+    """z(r), built from the block counts, is the greedy fill that heads
+    perm(r) in lexicographic order: the whole sorted set on sweep_dims(6),
+    and the first permutation of its search on sweep_dims(8) and five
+    larger dims."""
     for dims in sweep_dims(6):
         for r in enumerate_rank_arrays(dims):
             assert zelevinsky_permutation(r) == perm_set(r)[0]
+    larger = [(3, 3, 3), (2, 3, 3, 2), (2, 2, 2, 2, 2), (1, 2, 3, 2, 1), (4, 3, 3, 2)]
+    for dims in sweep_dims(8) + [Dims(r) for r in larger]:
+        for r in enumerate_rank_arrays(dims):
+            assert zelevinsky_permutation(r) == next(blockperm._block_perms(r))
 
 
 def brute_force_subsets(letters, d, targets, reduced):

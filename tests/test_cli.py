@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qcalc import engine
 from qcalc.cgpd import CGPD, enumerate_cgpd
 from qcalc.cli import main, render_lacing, render_pipedream
 from qcalc.poly import parse_poly
@@ -111,6 +112,53 @@ def test_sweep_small(capsys):
     code, out, _ = run(capsys, "sweep", "1")
     assert code == 0
     assert "0 failures" in out
+
+
+def _sweep_line(report) -> str:
+    r = report.rank
+    ranks = " ".join(f"{i}{j}:{r[i, j]}" for i, j in r.dims.pairs() if i != j)
+    return f"dims {r.dims.r} ranks {ranks or '-'} {'ok' if report.ok else 'FAIL'}"
+
+
+def _untimed(reports: list[dict]) -> list[dict]:
+    return [{k: v for k, v in report.items() if k != "timings_ms"} for report in reports]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_streams_the_reports_of_the_list(capsys, monkeypatch, threads):
+    """sweep prints each report as it arrives: the text printed from the
+    whole list, and the bytes json.dumps gives for the list, equal to the
+    list's reports once timings_ms is removed, serially and pooled."""
+    monkeypatch.setenv("QCALC_THREADS", threads)
+    reports = engine.sweep(3)
+    code, out, _ = run(capsys, "sweep", "3")
+    assert code == 0
+    assert out.splitlines() == [_sweep_line(report) for report in reports] + [
+        f"checked {len(reports)} orbits, 0 failures"
+    ]
+    code, out, _ = run(capsys, "sweep", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"
+    assert _untimed(payload) == _untimed([report.to_json() for report in reports])
+
+
+def test_sweep_prints_each_orbit_before_the_next(capsys, monkeypatch):
+    """When check() raises on the last orbit, the lines of every earlier
+    orbit are already on stdout as the exception leaves."""
+    monkeypatch.setenv("QCALC_THREADS", "1")
+    reports = engine.sweep(3)
+    last, check = reports[-1].rank, engine.check
+
+    def failing(r):
+        if r == last:
+            raise RuntimeError("a formula failed")
+        return check(r)
+
+    monkeypatch.setattr(engine, "check", failing)
+    with pytest.raises(RuntimeError):
+        main(["sweep", "3"])
+    assert capsys.readouterr().out.splitlines() == [_sweep_line(report) for report in reports[:-1]]
 
 
 def test_enum_perm(capsys):

@@ -2,10 +2,12 @@
 
 import importlib
 import json
+import pickle
+from itertools import product
 
 import pytest
 
-from qcalc import blockperm, cgpd, quiver
+from qcalc import blockperm, cgpd, engine, quiver
 from qcalc.blockperm import perm_set, zelevinsky_permutation
 from qcalc.cgpd import enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
@@ -117,6 +119,48 @@ def test_pooled_sweep_returns_the_serial_polynomials(monkeypatch):
             assert p == q and hash(p) == hash(q)
             assert format_poly(p) == format_poly(q)
             assert format_poly(p * (p + local)) == format_poly(q * (q + local))
+
+
+def _distinct(report: ConsistencyReport) -> list[list[str]]:
+    """The report's polynomial names grouped by object, after checking
+    that two of one target are one object exactly when their terms are
+    equal (compared as dicts, so identity proves nothing)."""
+    polys = report.polynomials
+    for a, b in product(polys, repeat=2):
+        if a.split("_")[0] == b.split("_")[0]:
+            assert (polys[a] is polys[b]) == (polys[a].terms == polys[b].terms)
+    groups: dict[int, list[str]] = {}
+    for name, p in polys.items():
+        groups.setdefault(id(p), []).append(name)
+    return list(groups.values())
+
+
+def test_equal_classes_are_one_object(monkeypatch):
+    """A passing orbit holds one object per target; a pickle round trip
+    and the reports of a pooled sweep keep that, so the pool sends each
+    class once and the parent keeps it once."""
+    both = [["qpoly_pd", "qpoly_cgpd", "qpoly_ratio"], ["csm_pd", "csm_cgpd", "csm_ratio"]]
+    report = check(RankArray(Dims((2, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1}))
+    assert _distinct(report) == both
+    assert _distinct(pickle.loads(pickle.dumps(report))) == both
+    monkeypatch.setenv("QCALC_THREADS", "2")
+    pooled = sweep(3)
+    assert len(pooled) > 1 and all(_distinct(report) == both for report in pooled)
+
+
+def test_unequal_classes_stay_apart(monkeypatch):
+    """A formula off by one keeps its own object, and every flag is
+    still the outcome of comparing terms."""
+    off = engine.QPOLY_METHODS["cgpd"]
+    monkeypatch.setitem(engine.QPOLY_METHODS, "cgpd", lambda r: off(r) + 1)
+    report = check(RankArray(Dims((2, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1}))
+    assert _distinct(report) == [
+        ["qpoly_pd", "qpoly_ratio"], ["qpoly_cgpd"], ["csm_pd", "csm_cgpd", "csm_ratio"]
+    ]
+    assert [name for name, flag in report.equal.items() if not flag] == [
+        "qpoly:pd=cgpd", "qpoly:cgpd=ratio"
+    ]
+    assert not report.ok
 
 
 def test_sweep_budget_covers_11():
