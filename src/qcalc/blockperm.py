@@ -69,14 +69,18 @@ class Regions:
 
 @lru_cache(maxsize=None)
 def regions(dims: Dims) -> Regions:
-    """Cells strictly above the block antidiagonal and superantidiagonal."""
-    strict, dhom = set(), set()
+    """Cells strictly above the block antidiagonal and superantidiagonal.
+
+    Row block i meets the column blocks j >= i + 1 (strict) and j >= i +
+    2 (D_Hom), which are the leftmost r_n + ... + r_{i+1} and r_n + ... +
+    r_{i+2} columns (Dims.cols), so each row lists its cells directly.
+    """
+    r = dims.r
+    left = [sum(r[j:]) for j in range(len(r) + 2)]  # columns of the blocks j and after
+    strict, dhom = [], []
     for q, (i, _) in enumerate(dims.rows, start=1):
-        for p, (j, _) in enumerate(dims.cols, start=1):
-            if j >= i + 1:
-                strict.add((q, p))
-            if j >= i + 2:
-                dhom.add((q, p))
+        strict.extend((q, p) for p in range(1, left[i + 1] + 1))
+        dhom.extend((q, p) for p in range(1, left[i + 2] + 1))
     return Regions(frozenset(strict), frozenset(dhom))
 
 
@@ -208,6 +212,36 @@ def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list
     return [s for s, _ in out]
 
 
+@lru_cache(maxsize=None)
+def _subword_plan(letters: tuple[int, ...], dims: Dims):
+    """What subword_states reads of the word and the dims alone, built
+    once per word and dims: the start vector, the values of each column
+    block (label j, values left to right), and for each letter, from the
+    last back, its pair mask, its deficit cut and the copies of it
+    before it.  The cut is None where no test is needed: off a
+    row-block boundary, or once the copies reach min(t, d - t), which
+    no deficit at t exceeds."""
+    d, n = dims.d, dims.n
+    row = [i for i, _ in dims.rows]
+    col = [j for j, _ in dims.cols]
+    start = sum(1 << (i * d + x) for x, i in enumerate(row))
+    ones = sum(1 << (i * d) for i in range(n + 1))  # bit 0 of every label's mask
+    blocks = tuple((j, tuple(values)) for j, values in groupby(range(d), key=col.__getitem__))
+    late = {  # row-block boundary b -> the labels after b's row block, on the values 1..b
+        b: sum(((1 << b) - 1) << (i * d) for i in range(row[b - 1] + 1, n + 1))
+        for b in range(1, d)
+        if row[b - 1] != row[b]
+    }
+    seen: dict[int, int] = {}
+    steps = []
+    for t in letters:
+        copies = seen.get(t, 0)
+        seen[t] = copies + 1
+        steps.append((ones << (t - 1), late.get(t) if copies < min(t, d - t) else None, copies))
+    steps.reverse()
+    return start, blocks, tuple(steps)
+
+
 def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     """The subsets of the word whose ordered product lies in perm(r),
     counted over states instead of listed.
@@ -272,34 +306,25 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     walks.  The number of accepted subsets that skip a position of a set
     D is positive exactly when the skipped mask meets D; csm_pd reads it
     so for the D_Hom cells.
+
+    Per word and per orbit.  The start vector, the column blocks, and
+    each letter's pair mask, deficit cut and copies depend on the word
+    and the dims alone, and _subword_plan builds them once per word and
+    dims.  Each orbit builds only its own: the accepted vectors, the
+    backward and forward walks, and states.live.
     """
-    dims = r.dims
-    d, labels = dims.d, range(dims.n + 1)
+    d, labels = r.dims.d, range(r.dims.n + 1)
+    start, blocks, steps = _subword_plan(letters, r.dims)
     m = orbit_block_counts(r)
-    row = [i for i, _ in dims.rows]
-    col = [j for j, _ in dims.cols]
-    start = sum(1 << (i * d + x) for x, i in enumerate(row))
-    ones = sum(1 << (i * d) for i in labels)  # bit 0 of every label's mask
 
     accepted = [0]
-    for j, values in groupby(range(d), key=col.__getitem__):
-        placed = _arrangements({i: m[(i, j)] for i in labels}, tuple(values), d)
+    for j, values in blocks:
+        placed = _arrangements({i: m[(i, j)] for i in labels}, values, d)
         accepted = [s | p for s in accepted for p in placed]
-
-    late = {  # row-block boundary b -> the labels after b's row block, on the values 1..b
-        b: sum(((1 << b) - 1) << (i * d) for i in range(row[b - 1] + 1, dims.n + 1))
-        for b in range(1, d)
-        if row[b - 1] != row[b]
-    }
 
     children = []  # from the last letter back
     kept = accepted
-    for k in range(len(letters) - 1, -1, -1):
-        t = letters[k]
-        copies = letters[:k].count(t)
-        pair = ones << (t - 1)
-        # no deficit at t exceeds min(t, d - t), so many copies need no test
-        cut = late.get(t) if copies < min(t, d - t) else None
+    for pair, cut, copies in steps:
         kids = {}  # each predecessor -> its take child
         for s in kept:
             diff = (s ^ s >> 1) & pair
@@ -316,6 +341,38 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
         children[k] = kids = {s: ((0, s), (1, take[s])) for s in reach if s in take}
         reach = {t for s in kids for t in (s, take[s])}
     return live(children, reach.intersection(accepted))
+
+
+def _prefix_rows(y, unit: int, w: int) -> list[int]:
+    """Rows 0..d of y's prefix counts, packed as in target_states: row i
+    adds [y(i) > j] to row i-1."""
+    out = [0]
+    for a in y:
+        out.append(out[-1] + (unit & (1 << (a - 1) * (w + 1)) - 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _target_plan(letters: tuple[int, ...], d: int):
+    """What target_states reads of the word and d alone, built once per
+    word and d: unit, a 1 in every field; w, the field width less its
+    guard bit; guard, every guard bit of a row; span, the bits of a row;
+    the rows of delta_0, the Demazure product of the whole word; and for
+    each letter, first to last, the bit offset of its row t and that row
+    of delta_(k+1) with every guard bit set."""
+    w = d.bit_length()
+    unit = sum(1 << j * (w + 1) for j in range(d - 1))
+    guard = unit << w
+    span = (d - 1) * (w + 1)
+    delta = _prefix_rows(range(1, d + 1), unit, w)  # the identity's, then delta_k's from the end
+    steps = []
+    for t in reversed(letters):
+        lo, mid, hi = delta[t - 1 : t + 2]
+        steps.append(((t - 1) * span, mid | guard))
+        if mid - lo < hi - mid:
+            delta[t] = lo + hi - mid
+    steps.reverse()
+    return unit, w, guard, span, tuple(delta), tuple(steps)
 
 
 def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> States:
@@ -374,32 +431,18 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
     exactly when each field of c is at most bound's: each field of the
     difference lies in 1..2^(w+1) - 1, so none borrows from the next,
     and one subtraction tests the row.  The rows of delta_(k+1) are
-    built once per word, from the end, with the same row-t step.
+    built from the end, with the same row-t step.
+
+    Per word and per orbit.  The field layout, the rows of delta_0 and
+    each letter's row offset and bound depend on the word and d alone,
+    and _target_plan builds them once per word and d.  Each target
+    builds only its own: v's rows, the start test, the forward walk and
+    states.live.
     """
-    d = len(v)
-    w = d.bit_length()
-    unit = sum(1 << j * (w + 1) for j in range(d - 1))  # 1 in every field
-    guard = unit << w
-    span = (d - 1) * (w + 1)  # the bits of one row
+    unit, w, guard, span, delta, steps = _target_plan(letters, len(v))
     row = (1 << span) - 1
 
-    def rows(y) -> list[int]:
-        """Rows 0..d of y's prefix counts: row i adds [y(i) > j] to row i-1."""
-        out = [0]
-        for a in y:
-            out.append(out[-1] + (unit & (1 << (a - 1) * (w + 1)) - 1))
-        return out
-
-    delta = rows(range(1, d + 1))
-    bounds = []  # bounds[k]: row t_k of delta_(k+1), guard bits set; built from the end
-    for t in reversed(letters):
-        lo, mid, hi = delta[t - 1 : t + 2]
-        bounds.append(mid | guard)
-        if mid - lo < hi - mid:
-            delta[t] = lo + hi - mid
-    bounds.reverse()
-
-    start = rows(v)
+    start = _prefix_rows(v, unit, w)
     fits = all((b | guard) - c & guard == guard for b, c in zip(delta, start))
     # row i goes to bit i*span.  Neighbours merge pairwise, so each of
     # the log2(d) rounds copies every bit once, where a running sum of
@@ -410,8 +453,7 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
         width *= 2
     level = level if fits else []
     children = []
-    for t, bound in zip(letters, bounds):
-        at = (t - 1) * span
+    for at, bound in steps:
         kids, nxt = {}, {}
         for s in level:
             lo, mid, hi = s >> at & row, s >> at + span & row, s >> at + 2 * span & row

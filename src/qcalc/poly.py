@@ -208,7 +208,11 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls.const(1)
+        """The constant 1: one shared object, so that states.state_sum
+        can tell a weight 1 by identity.  Every weight 1 of the package
+        is this object (an unpickled 1 is a copy that equals it).  Never
+        write to its terms."""
+        return _ONE
 
     @classmethod
     def var(cls, v: Variable) -> "Poly":
@@ -351,6 +355,9 @@ class Poly:
         m = max(self.terms, key=_grlex_key(read, slots))
         fields = read(m)
         return tuple((_variable(s), fields[s]) for s in slots if fields[s]), self.terms[m]
+
+
+_ONE = Poly({0: 1}, 0)
 
 
 def _coerce(x: "Poly | int") -> Poly:

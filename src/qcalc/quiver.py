@@ -117,13 +117,18 @@ class Orbit(RankArray):
     """A rank array carrying a memo of the objects its formulas share.
 
     engine.check builds one per orbit and hands it to all six formulas;
-    it compares and hashes as the plain rank array it wraps.
+    it compares and hashes as the plain rank array it wraps.  It takes
+    that array's dims, entries and key as they are, without validating
+    them again: a RankArray is validated when it is built and, being
+    hashed, is never changed.  The memo is the orbit's own and starts
+    empty; what depends on the word or the dims alone is cached per word
+    or per dims, not here.
     """
 
     __slots__ = ("memo",)
 
     def __init__(self, r: RankArray):
-        super().__init__(r.dims, r.entries)
+        self.dims, self.entries, self._key = r.dims, r.entries, r._key
         self.memo: dict[str, object] = {}
 
 
@@ -139,7 +144,13 @@ def shared(r: RankArray, name: str, fn):
 
 
 class LaceArray:
-    """Multiplicities s_pq of the interval summands of an orbit."""
+    """Multiplicities s_pq of the interval summands of an orbit.
+
+    The row sums are checked in one pass over the intervals: each adds
+    its count at row p and takes it off after row q (a difference
+    array), and a running sum over the rows gives the laces through
+    each.  BadRowSums names the first row that is off.
+    """
 
     __slots__ = ("dims", "entries", "_key")
 
@@ -147,15 +158,20 @@ class LaceArray:
         full = {pq: entries.get(pq, 0) for pq in dims.pairs()}
         if any(v < 0 for v in full.values()):
             raise ValueError("negative lace entry")
+        step = [0] * (dims.n + 2)
+        for (p, q), v in full.items():
+            step[p] += v
+            step[q + 1] -= v
+        total = 0
         for i, ri in enumerate(dims.r):
-            total = sum(v for (p, q), v in full.items() if p <= i <= q)
+            total += step[i]
             if total != ri:
                 raise BadRowSums(
                     f"laces through row {i} total {total}, expected {ri}"
                 )
         self.dims = dims
         self.entries = full
-        self._key = (dims, tuple(sorted(full.items())))
+        self._key = (dims, tuple(full.items()))  # dims.pairs() is sorted
 
     def __getitem__(self, pq: tuple[int, int]) -> int:
         return self.entries.get(pq, 0)

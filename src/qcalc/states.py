@@ -108,8 +108,11 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
 
     It runs from the last level back, keeping one level of partial sums
     at a time.  A node whose single edge weighs 1 passes its child's sum
-    through.  Level 0 holds the root, or nothing when nothing is
-    accepted, and then the sum is 0.
+    through; a weight 1 is told by identity with the shared Poly.one(),
+    from which every weight 1 of the package comes, so no weight is
+    compared term by term.  The weights are built once per dims or per
+    word, the sums once per orbit.  Level 0 holds the root, or nothing
+    when nothing is accepted, and then the sum is 0.
     """
     one = Poly.one()
     below = dict.fromkeys(levels[-1], one)
@@ -117,7 +120,7 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
         w = weights[k]
         level = {}
         for s, edges in levels[k].items():
-            if len(edges) == 1 and w[edges[0][0]] == one:
+            if len(edges) == 1 and w[edges[0][0]] is one:
                 level[s] = below[edges[0][1]]
             else:
                 level[s] = Poly.sum_of_products([(w[c], below[t]) for c, t in edges])

@@ -5,10 +5,12 @@ compose and inverse apply the convention the blockperm docstring fixes,
 (v o w)(k) = v(w(k)); w0 and block_w0 are the longest elements of S_d
 and of the block subgroup; all_reduced_words lists reduced words back
 to front by descents; rothe_diagram reads a permutation's inversions as
-cells.  From blockperm they use only identity, left_mul_s and length.
+cells; regions_by_cells visits all d^2 cells of the grid for the strict
+and D_Hom regions.  From blockperm they use only identity, left_mul_s,
+length and the Regions record.
 """
 
-from qcalc.blockperm import Permutation, identity, left_mul_s, length
+from qcalc.blockperm import Permutation, Regions, identity, left_mul_s, length
 from qcalc.quiver import Dims
 
 
@@ -70,3 +72,17 @@ def rothe_diagram(v: Permutation) -> set[tuple[int, int]]:
         for p in range(1, d + 1)
         if v[q - 1] > p and vinv[p - 1] > q
     }
+
+
+def regions_by_cells(dims: Dims) -> Regions:
+    """The cells (q, p) whose column block j lies past row q's block i:
+    j >= i + 1 strictly above the block antidiagonal, j >= i + 2 in
+    D_Hom, tested on every cell."""
+    strict, dhom = set(), set()
+    for q, (i, _) in enumerate(dims.rows, start=1):
+        for p, (j, _) in enumerate(dims.cols, start=1):
+            if j >= i + 1:
+                strict.add((q, p))
+            if j >= i + 2:
+                dhom.add((q, p))
+    return Regions(frozenset(strict), frozenset(dhom))

@@ -23,8 +23,17 @@ from qcalc.blockperm import (
 )
 from qcalc.engine import sweep_dims
 from qcalc.localization import grid_word
+from qcalc.pipedream import region_cells
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
-from blockperm_reference import all_reduced_words, block_w0, compose, inverse, rothe_diagram, w0
+from blockperm_reference import (
+    all_reduced_words,
+    block_w0,
+    compose,
+    inverse,
+    regions_by_cells,
+    rothe_diagram,
+    w0,
+)
 from subword_reference import forward_subword_states, subword_subsets, taken
 
 
@@ -108,6 +117,13 @@ def test_regions_332():
     assert reg.L == len(reg.strict_cells)
     assert reg.dhom_cells < reg.strict_cells
     assert len(reg.dhom_cells) == 6
+
+
+def test_regions_match_the_cell_loop():
+    """regions, which lists each row block's cells against the column
+    blocks it meets, against the loop over all d^2 cells."""
+    for dims in sweep_dims(7) + [Dims((2, 3, 3, 2)), Dims((1200,))]:
+        assert regions(dims) == regions_by_cells(dims), dims
 
 
 def test_zelevinsky_permutation_examples():
@@ -330,6 +346,18 @@ def test_target_states_against_the_reference_on_larger_d(monkeypatch):
         return live(children, ends, reduced)
 
     monkeypatch.setattr(blockperm, "live", spy)
+
+    def against_the_reference(letters, v):
+        d = len(v)
+        for reduced in (True, False):
+            states = target_states(letters, v, reduced)
+            ref = [J for J, _ in subword_subsets(letters, d, frozenset([v]), reduced)]
+            assert list(taken(states)) == ref, (letters, v, reduced)
+            assert states.total == len(ref)
+            assert states.skipped == _skipped(ref, len(letters)), (letters, v, reduced)
+            if reduced:
+                assert expanded[-1] == [list(level) for level in states.levels[:-1]]
+
     rng = random.Random(23)
     for d in range(5, 9):
         for _ in range(6):
@@ -337,14 +365,14 @@ def test_target_states_against_the_reference_on_larger_d(monkeypatch):
             targets = [composite(tuple(t for t in letters if rng.random() < 0.5), d) for _ in range(3)]
             targets.append(tuple(rng.sample(range(1, d + 1), d)))
             for v in targets:
-                for reduced in (True, False):
-                    states = target_states(letters, v, reduced)
-                    ref = [J for J, _ in subword_subsets(letters, d, frozenset([v]), reduced)]
-                    assert list(taken(states)) == ref, (letters, v, reduced)
-                    assert states.total == len(ref)
-                    assert states.skipped == _skipped(ref, len(letters)), (letters, v, reduced)
-                    if reduced:
-                        assert expanded[-1] == [list(level) for level in states.levels[:-1]]
+                against_the_reference(letters, v)
+    # the grid word and the full-region word of one d, alternately, toward
+    # each z(r): the per-word plans are keyed by the letters as well as by d
+    for dims in (Dims((2, 3)), Dims((2, 2, 2))):
+        full = tuple(q + p - 1 for q, p in region_cells(dims, "full"))
+        for r in enumerate_rank_arrays(dims):
+            for letters in (grid_word(dims).letters, full):
+                against_the_reference(letters, zelevinsky_permutation(r))
 
 
 # the dims of the benchmark's qpoly_large workload, d = 8 to 12

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -12,6 +13,7 @@ from qcalc.quiver import (
     Dims,
     LaceArray,
     NotRealizable,
+    Orbit,
     RankArray,
     enumerate_lace_arrays,
     enumerate_rank_arrays,
@@ -66,10 +68,26 @@ def test_rank_array_validation():
     assert r[-1, 0] == 0 and r[0, 2] == 0  # out of range reads as zero
 
 
+def test_orbit_wraps_an_unpickled_rank_array():
+    """An Orbit of a rank array that crossed a pickle, as a pool worker
+    receives it, compares and hashes as that array, reads its entries,
+    and starts with an empty memo of its own."""
+    r = pickle.loads(pickle.dumps(RankArray(Dims((1, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1})))
+    orbit, other = Orbit(r), Orbit(r)
+    assert orbit == r and r == orbit and hash(orbit) == hash(r)
+    assert [orbit[ij] for ij in r.dims.pairs()] == [1, 1, 0, 2, 1, 1]
+    assert orbit.memo == {}
+    orbit.memo["z"] = None
+    assert other.memo == {}
+
+
 def test_lace_array_row_sums():
     dims = Dims((1, 2, 1))
-    with pytest.raises(BadRowSums):
+    # two bad rows each, 0 and 2, then 1 and 2: the first is named
+    with pytest.raises(BadRowSums, match=r"^laces through row 0 total 2, expected 1$"):
         LaceArray(dims, {(0, 2): 2})
+    with pytest.raises(BadRowSums, match=r"^laces through row 1 total 1, expected 2$"):
+        LaceArray(dims, {(0, 0): 1, (1, 1): 1})
     s = LaceArray(dims, {(0, 2): 1, (1, 1): 1})
     assert s.laces() == [(0, 2), (1, 1)]
 
