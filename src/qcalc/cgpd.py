@@ -245,20 +245,34 @@ def enumerate_cgpd(r: RankArray) -> list[CGPD]:
 @lru_cache(maxsize=None)
 def _tile_weights(dims: Dims, hbar: bool) -> tuple[dict[str, Poly], ...]:
     """The weight of each tile code at each laying-order position.
-    Straight strands (+ - |) weigh the cell label x^i_j - x^{i+1}_k.
-    With hbar (the CSM weights) turns and two-color bumps weigh h, blanks
-    and one-color bumps (B) the label plus h; without it (the h ->
-    infinity limit) every other tile weighs 1."""
+    Without hbar (the h -> infinity limit) straight strands (+ - |) weigh
+    the cell label x^i_j - x^{i+1}_k and every other tile 1.
+
+    With hbar, the CSM weights divided by h (states.state_sum): turns and
+    two-color bumps weigh h / h = 1, straight strands the label over h,
+    blanks and one-color bumps (B) the label over h plus 1; and the last
+    cell's weights are multiplied by h^N, N the number of cells.  So the
+    product of one weight per cell is still the diagram's CSM weight,
+    and every node's sum of the walk is a polynomial of degree N."""
+    one = Poly.one()
     out = []
     for i, j, k in _cells(dims):
         label = Poly.var_diff(xvar(i, j), xvar(i + 1, k))
-        turn, blank = (Poly.hbar(), label + Poly.hbar()) if hbar else (Poly.one(),) * 2
-        out.append(dict(zip("+-|rjb.B", [label] * 3 + [turn] * 3 + [blank] * 2)))
-    return tuple(out)
+        turn = blank = one
+        if hbar:
+            label = label.times_hbar(-1)
+            blank = Poly({**label.terms, 0: 1}, 0)  # every key of label holds an x
+        out.append((label, turn, blank))
+    if hbar and out:
+        out[-1] = tuple(w.times_hbar(len(out)) for w in out[-1])
+    return tuple(dict(zip("+-|rjb.B", [label] * 3 + [turn] * 3 + [blank] * 2))
+                 for label, turn, blank in out)
 
 
 def csm_cgpd(r: RankArray) -> Poly:
-    """CSM class of the open locus: the weights of all valid diagrams."""
+    """CSM class of the open locus: the weights of all valid diagrams,
+    walked divided by h (_tile_weights), so a turn weighs 1 and every
+    node's sum is a polynomial of degree N, the number of cells."""
     return state_sum(orbit_states(r).levels, _tile_weights(r.dims, True))
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import is_not
 
 from . import blockperm
 from .blockperm import (
@@ -29,6 +31,9 @@ from .blockperm import (
 from .poly import Poly, Variable, exact_divide, xvar
 from .quiver import Dims, RankArray, shared
 from .states import States, state_sum
+
+
+_HBAR = Poly.hbar()  # the skip weight of an undivided letter (csm_pairs)
 
 
 class NotReducedWord(Exception):
@@ -79,6 +84,14 @@ def _grid_roots(dims: Dims) -> tuple[Poly, ...]:
     return tuple(roots(grid_word(dims)))
 
 
+@lru_cache(maxsize=None)
+def _grid_pairs(dims: Dims, divided: bool) -> tuple[tuple[Poly, Poly], ...]:
+    """The (skip, take) weights of each grid word position in a ratio
+    walk: (1, root), or (1, root over h) in a CSM walk (csm_pairs)."""
+    one = Poly.one()
+    return tuple((one, b.times_hbar(-1) if divided else b) for b in _grid_roots(dims))
+
+
 def _require_reduced(word: Word):
     if length(word.value()) != len(word.letters):
         raise NotReducedWord(f"word {word.letters} is not reduced")
@@ -104,18 +117,47 @@ def orbit_reduced_states(r: RankArray) -> States:
 
 
 def subword_sum(states: States, weights: list | tuple) -> Poly:
-    """The sum over the accepted subsets J of the product of weights[j]
-    over j in J times the skip weight to the power L - |J|: h, or 1 in
-    reduced mode.  It is state_sum over the live states, a skip weighing
-    the skip weight and a take at letter k weighing weights[k]."""
-    skip = Poly.one() if states.reduced else Poly.hbar()
-    return state_sum(states.levels, [(skip, w) for w in weights])
+    """The sum over the accepted subsets J of the product of the take
+    weights over J times the skip weight to the power L - |J|: 1 in
+    reduced mode, h otherwise.  It is state_sum over the live states:
+    in reduced mode a skip weighs 1 and a take at letter k weighs
+    weights[k]; otherwise the walk is divided by h, with weights[k] the
+    take weight over h (csm_pairs)."""
+    if states.reduced:
+        one = Poly.one()
+        return state_sum(states.levels, [(one, w) for w in weights])
+    return state_sum(states.levels, csm_pairs(weights))
+
+
+def csm_pairs(weights: list | tuple) -> list[tuple[Poly, Poly]]:
+    """The (skip, take) weights of each letter of a CSM subword walk,
+    divided by h (states.state_sum).  weights[k] is the take weight over
+    h, and a skip weighs 1, except where weights[k] is Poly.one(): a take
+    weight 1 left undivided, where a skip weighs h (the callers put it
+    where every subset takes).  h^D, D the number of divided letters,
+    is folded into the last letter's weights (_fold_hbar)."""
+    one = Poly.one()
+    pairs = [(_HBAR, w) if w is one else (one, w) for w in weights]
+    _fold_hbar(pairs, sum(map(is_not, weights, repeat(one))))
+    return pairs
+
+
+def _fold_hbar(pairs: list, D: int) -> None:
+    """Multiply the last letter's (skip, take) weights of a CSM walk by
+    h^D, in place, D the number of letters whose weights are divided by
+    h.  The walk multiplies the last letter first, so every node's sum
+    is a polynomial of degree D."""
+    if pairs:
+        pairs[-1] = tuple(w.times_hbar(D) for w in pairs[-1])
 
 
 def _restriction(v: tuple, word: Word, reduced: bool) -> Poly:
     _require_reduced(word)
     v = require_permutation(v, word.d)
-    return subword_sum(target_states(word.letters, v, reduced), roots(word))
+    betas = roots(word)
+    if not reduced:  # the CSM walk takes its weights divided by h (csm_pairs)
+        betas = [b.times_hbar(-1) for b in betas]
+    return subword_sum(target_states(word.letters, v, reduced), betas)
 
 
 def ajs_billey(v: tuple, word: Word) -> Poly:
@@ -130,15 +172,23 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _restriction(v, word, reduced=False)
 
 
-def _forced_sum(states: States, betas) -> tuple[tuple[int, ...], Poly]:
+def _forced_sum(states: States, pairs) -> tuple[tuple[int, ...], Poly]:
     """(common, rest): the positions every accepted subset takes, and the
-    state sum of the roots with those positions weighing 1.  The full
-    sum is rest times the roots at common; keeping that forced block
-    factored lets the ratio formulas cancel it without expanding it."""
+    state sum of the roots with those positions weighing 1, walked with
+    the (skip, take) weights of _grid_pairs elsewhere.  The full sum is
+    rest times the roots at common; keeping that forced block factored
+    lets the ratio formulas cancel it without expanding it.  In a CSM
+    walk a forced position's weights stay undivided, (h, 1), as in
+    csm_pairs, so _fold_hbar folds in h^D, D the number of positions
+    some subset skips."""
     skipped = states.skipped
-    common = tuple(j for j in range(len(betas)) if not skipped >> j & 1)
-    weights = [b if skipped >> j & 1 else Poly.one() for j, b in enumerate(betas)]
-    return common, subword_sum(states, weights)
+    one = Poly.one()
+    common = tuple(j for j in range(len(pairs)) if not skipped >> j & 1)
+    forced = (one, one) if states.reduced else (_HBAR, one)
+    walk = [p if skipped >> j & 1 else forced for j, p in enumerate(pairs)]
+    if not states.reduced:
+        _fold_hbar(walk, skipped.bit_count())
+    return common, state_sum(states.levels, walk)
 
 
 def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
@@ -170,15 +220,15 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), _grid_roots(r.dims)))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), _grid_pairs(r.dims, False)))
 
 
 def csm_ratio(r: RankArray) -> Poly:
     """Sum of cell restrictions over perm(r), divided by the Hom class."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_roots(r.dims)))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_pairs(r.dims, True)))
 
 
 @lru_cache(maxsize=None)
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
     states = target_states(grid_word(dims).letters, blockperm.zelevinsky_hom(dims), True)
-    return _forced_sum(states, _grid_roots(dims))
+    return _forced_sum(states, _grid_pairs(dims, False))

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .blockperm import regions, require_permutation, target_states
-from .localization import grid_word, orbit_reduced_states, orbit_states, subword_sum
+from .localization import csm_pairs, grid_word, orbit_reduced_states, orbit_states, subword_sum
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray
+from .states import state_sum
 
 
 class RegionViolation(Exception):
@@ -81,6 +82,16 @@ def _cell_weights(dims: Dims) -> tuple[Poly, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _csm_cell_pairs(dims: Dims) -> tuple[tuple[Poly, Poly], ...]:
+    """The (skip, take) weights of the CSM walk at each grid word
+    position, divided by h (localization.csm_pairs): a cross weighs its
+    cell label over h and a missing cross 1, and a D_Hom cell, which
+    every dream crosses, keeps its weights (h, 1)."""
+    one = Poly.one()
+    return tuple(csm_pairs([w if w is one else w.times_hbar(-1) for w in _cell_weights(dims)]))
+
+
 def quiver_poly_pd(r: RankArray) -> Poly:
     """Sum of cross weights over the reduced strict dreams of z(r), walked
     over the orbit's reduced states (localization.subword_sum)."""
@@ -91,10 +102,12 @@ def csm_pd(r: RankArray) -> Poly:
     """CSM class of the open locus as a sum over non-reduced strict dreams
     of every permutation with the block counts of z(r).
 
-    The sum runs over the orbit's shared states (localization.subword_sum):
-    a cross weighs its cell label, a D_Hom cell weighs 1, a missing cross
+    The sum runs over the orbit's shared states (states.state_sum): a
+    cross weighs its cell label, a D_Hom cell weighs 1, a missing cross
     weighs h, and every dream must cross every D_Hom cell, else
-    DHomViolation.
+    DHomViolation.  The walk is divided by h (_csm_cell_pairs): a missing
+    cross weighs 1, and every node's sum is a polynomial of degree
+    D = dim Hom, the number of cells outside D_Hom.
     """
     states = orbit_states(r)
     cells = grid_word(r.dims).cells
@@ -102,4 +115,4 @@ def csm_pd(r: RankArray) -> Poly:
     skipped = states.skipped
     if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in dhom]:
         raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
-    return subword_sum(states, _cell_weights(r.dims))
+    return state_sum(states.levels, _csm_cell_pairs(r.dims))

@@ -40,12 +40,22 @@ polynomial, built from the OR of its keys (_reader).  Graded-lex order
 is computed only where it is needed (format_poly, leading_term,
 exact_divide): the key of a monomial is its degree followed by its
 exponents over the polynomial's variables in the variable order.
+
+Multiplying by h^k is a shift of every key by k (Poly.times_hbar).  The
+CSM walks divide their weights by h that way (states.state_sum), so a
+weight may be a Laurent polynomial: the key of x * h^-1 is the x unit
+minus 1, which borrows from the fields above h's.  Keys still multiply
+by adding, exactly, while h's exponent stays within 2^15 either way, but
+such a key reads as nothing else; so only sum_of_products takes one.  A
+divided weight carries bound 0, and the walks multiply h^D back into the
+weights of the level they multiply first, D the number of levels they
+divide, so every sum they build is a polynomial of degree D.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import isqrt
@@ -112,8 +122,10 @@ def _variable(s: int) -> Variable:
     return xvar(k + 1 - b, b)
 
 
+@lru_cache(maxsize=None)
 def _unit(v: Variable) -> int:
-    """The packed monomial v^1."""
+    """The packed monomial v^1, cached: the per-dims weight tables build
+    one linear form per cell, two units each."""
     return 1 << (_WIDTH * _slot(v))
 
 
@@ -340,6 +352,14 @@ class Poly:
 
     def variables(self) -> set[Variable]:
         return {_variable(s) for s, e in enumerate(_reader(self.terms)[1]) if e}
+
+    def times_hbar(self, k: int) -> "Poly":
+        """self * h^k, each key shifted by k (h's field is slot 0, the
+        lowest), with no product.  A negative k may leave a Laurent
+        polynomial: a key whose h field is negative, which only
+        sum_of_products may take, since keys multiply by adding (see
+        the module docstring).  The bound is self's plus k, or 0."""
+        return Poly({m + k: c for m, c in self.terms.items()}, max(self._degree_bound() + k, 0))
 
     def hbar_coefficient(self, k: int) -> "Poly":
         """The coefficient of h^k, as a polynomial free of h (h's field

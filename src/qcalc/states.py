@@ -106,13 +106,23 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
     (localization.subword_sum) or the cgpd routing states
     (cgpd.orbit_states and minimal_states).
 
+    The CSM classes are h-weighted path sums in which every level gives
+    each path one factor of degree 1, or a weight 1 that every path
+    takes.  Their callers pass the weights divided by h, with h^D folded
+    into the last level's, D the number of levels divided (a level every
+    path takes with weight 1 stays undivided).  The sum is the same, a
+    skip or a turn weighs 1, and every node's sum is a polynomial of
+    degree D, since the last level is multiplied first (Poly.times_hbar).
+
     It runs from the last level back, keeping one level of partial sums
     at a time.  A node whose single edge weighs 1 passes its child's sum
-    through; a weight 1 is told by identity with the shared Poly.one(),
-    from which every weight 1 of the package comes, so no weight is
-    compared term by term.  The weights are built once per dims or per
-    word, the sums once per orbit.  Level 0 holds the root, or nothing
-    when nothing is accepted, and then the sum is 0.
+    through, and a node with an edge of weight 1 puts it first, so the
+    kernel starts the node's sum as a copy of that child's.  A weight 1
+    is told by identity with the shared Poly.one(), from which every
+    weight 1 of the package comes, so no weight is compared term by
+    term.  The weights are built once per dims or per word, the sums
+    once per orbit.  Level 0 holds the root, or nothing when nothing is
+    accepted, and then the sum is 0.
     """
     one = Poly.one()
     below = dict.fromkeys(levels[-1], one)
@@ -122,8 +132,14 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
         for s, edges in levels[k].items():
             if len(edges) == 1 and w[edges[0][0]] is one:
                 level[s] = below[edges[0][1]]
-            else:
-                level[s] = Poly.sum_of_products([(w[c], below[t]) for c, t in edges])
+                continue
+            pairs = [(w[c], below[t]) for c, t in edges]
+            if len(pairs) > 1 and pairs[0][0] is not one:
+                for i, pair in enumerate(pairs):
+                    if pair[0] is one:
+                        pairs[0], pairs[i] = pair, pairs[0]
+                        break
+            level[s] = Poly.sum_of_products(pairs)
         below = level
     if not below:
         return Poly.zero()

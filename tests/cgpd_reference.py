@@ -181,6 +181,8 @@ def minimal_words(words: list[str]) -> list[str]:
 
 def cgpd_weight(delta: CGPD) -> Poly:
     """The weight of one given diagram, each pipe colored by its routing:
-    the product of its tiles' CSM weights."""
+    the product of its tiles' CSM weights.  The table is divided by h
+    with h^N in the last cell's weights, N the number of cells, so one
+    weight per cell multiplies out to the same product."""
     weights = _tile_weights(delta.dims, True)
     return math.prod((weights[p][c] for p, c in enumerate(_routed(delta)[1])), start=Poly.one())

@@ -25,6 +25,7 @@ from qcalc import localization, pipedream, states
 from qcalc.poly import Poly
 
 _CELL_WEIGHTS = pipedream._cell_weights.__wrapped__
+_FOLD_HBAR = localization._fold_hbar
 
 
 @contextmanager
@@ -67,6 +68,21 @@ def _state_sum_passing_any_single_edge(levels, weights):
     return root
 
 
+def _fold_one_power_short(pairs, D):
+    """localization._fold_hbar folding h^(D - 1) into the last letter's
+    weights of a CSM subword walk, where h^D belongs."""
+    _FOLD_HBAR(pairs, D - 1)
+
+
+def _fold_after_an_equal_one_skip(pairs, D):
+    """localization._fold_hbar after each skip weight of the CSM subword
+    walk that is the shared Poly.one() became Poly.const(1): equal to 1,
+    but not the shared one, so state_sum multiplies by it."""
+    one = Poly.one()
+    pairs[:] = [(Poly.const(1) if skip is one else skip, take) for skip, take in pairs]
+    _FOLD_HBAR(pairs, D)
+
+
 def _cell_weights_with_an_equal_one(dims):
     """pipedream._cell_weights with each D_Hom weight Poly.const(1): equal
     to 1, but not the shared Poly.one(), so state_sum multiplies by it."""
@@ -97,13 +113,32 @@ MUTANTS = [
             "csm:pd=ratio": 177,
             "csm:cgpd=ratio": 209,
             "degree_ok": 177,
-            "leading_ok": 143,
+            "leading_ok": 163,
         },
+    ),
+    Mutant(
+        "csm_subword_walks_fold_one_power_of_h_short",
+        lambda: patched(
+            localization, "_fold_hbar", _fold_one_power_short, [pipedream._csm_cell_pairs]
+        ),
+        failed=214,
+        flags={"csm:pd=cgpd": 214, "csm:cgpd=ratio": 214, "leading_ok": 214},
+    ),
+    Mutant(
+        "control_csm_skip_weighs_an_equal_one",
+        lambda: patched(
+            localization, "_fold_hbar", _fold_after_an_equal_one_skip, [pipedream._csm_cell_pairs]
+        ),
+        failed=0,
+        control=True,
     ),
     Mutant(
         "control_dhom_weighs_an_equal_one",
         lambda: patched(
-            pipedream, "_cell_weights", _cell_weights_with_an_equal_one, [pipedream._cell_weights]
+            pipedream,
+            "_cell_weights",
+            _cell_weights_with_an_equal_one,
+            [pipedream._cell_weights, pipedream._csm_cell_pairs],
         ),
         failed=0,
         control=True,

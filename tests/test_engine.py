@@ -3,17 +3,19 @@
 import importlib
 import json
 import pickle
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
-from qcalc import blockperm, cgpd, engine, quiver
+from qcalc import blockperm, cgpd, engine, pipedream, quiver
 from qcalc.blockperm import perm_set, zelevinsky_permutation
 from qcalc.cgpd import enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
 from qcalc.localization import grid_word
 from qcalc.pipedream import enumerate_pipe_dreams
-from qcalc.poly import Poly, format_poly, parse_poly, xvar
+from qcalc.poly import _GUARD, Poly, _reader, format_poly, parse_poly, xvar
 from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array
 from cgpd_reference import minimal_words, router_words
 from subword_reference import subword_subsets
@@ -206,6 +208,25 @@ def test_csm_classes_add_up_to_hom():
     assert total != _hom_csm(dims, -1)
 
 
+def test_csm_classes_are_homogeneous_of_degree_dim_hom():
+    """The CSM walks divide their weights by h and fold h^D back in at
+    the last level, so a fold one power off, or a key whose h field went
+    negative, would show here: every CSM class of sweep(5), by every
+    method, is homogeneous of degree dim Hom (one factor of degree 1 per
+    coordinate of Hom), and no key has a guard bit set."""
+    count = 0
+    for dims in sweep_dims(5):
+        dim_hom = sum(a * b for a, b in zip(dims.r, dims.r[1:]))
+        for r in enumerate_rank_arrays(dims):
+            for method in ("pd", "cgpd", "ratio"):
+                p = compute(r, "csm", method)
+                read = _reader(p.terms)[0]
+                assert {sum(read(m)) for m in p.terms} == {dim_hom}, (r, method)
+                assert not reduce(or_, p.terms, 0) & _GUARD, (r, method)
+                count += 1
+    assert count == 642
+
+
 def _count_calls(monkeypatch, *functions):
     """Point every qcalc module's reference to each function at a
     wrapper that counts its calls; returns name -> calls."""
@@ -306,11 +327,15 @@ def test_counts_match_a_separate_count_pass():
 def test_single_vertex_dims():
     """On one vertex the grid word is empty (L = 0) and there is no cgpd
     cell, so each state DAG is its start alone: every polynomial is 1,
-    and each enumeration gives one diagram."""
+    and each enumeration gives one diagram.  The CSM walks divide no
+    level by h, so they fold h^0 into no weight and give 1 as well."""
     for dims in SINGLE_VERTEX:
         (r,) = enumerate_rank_arrays(dims)
         report = check(r)
         assert report.ok
         assert [format_poly(p) for p in report.polynomials.values()] == ["1"] * 6
+        assert cgpd._tile_weights(dims, True) == () == pipedream._csm_cell_pairs(dims)
+        for method in ("pd", "cgpd", "ratio"):
+            assert compute(r, "csm", method).terms == {0: 1}
         assert len(enumerate_pipe_dreams(dims, zelevinsky_permutation(r), "strict")) == 1
         assert len(enumerate_cgpd(r)) == 1

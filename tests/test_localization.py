@@ -29,6 +29,7 @@ from qcalc.localization import (
     orbit_states,
     quiver_poly_ratio,
     roots,
+    subword_sum,
 )
 from qcalc.pipedream import csm_pd, quiver_poly_pd
 from qcalc.poly import NotDivisible, Poly, format_poly, xvar
@@ -212,7 +213,13 @@ def test_state_sum_matches_subset_sum():
     multiplied in afterwards, for pd as cell labels, for ratio by the
     Hom cancellation; pd weighs a D_Hom cell by 1 throughout.  The cell
     labels are the roots, so one sum serves both.  Every orbit of
-    sweep(6) and of dims (2,3,3)."""
+    sweep(6) and of dims (2,3,3).
+
+    The CSM walk takes its weights divided by h, a take weight 1 left
+    undivided (subword_sum).  It is exact there too where some subset
+    skips the letter: on sweep(6), subword_sum with the common positions
+    and the first skipped one weighing Poly.one() and every other the
+    label over h is the subset sum with those takes weighing 1."""
     ranks = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
     small = len(ranks)
     ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
@@ -239,6 +246,15 @@ def test_state_sum_matches_subset_sum():
                 if word.cells[j] not in dhom:
                     pd_ref = pd_ref * labels[j]
             ratio_ref = _cancel_hom(dims, tuple(sorted(common)), rest)
+            if not reduced and n < small and len(common) < L:
+                ones = common | {min(set(range(L)) - common)}
+                divided = [
+                    Poly.one() if j in ones else w.times_hbar(-1) for j, w in enumerate(labels)
+                ]
+                weights = [1 if j in ones else w for j, w in enumerate(labels)]
+                assert subword_sum(orbit_states(Orbit(r)), divided) == _subset_sum(
+                    subsets, weights, L, skip
+                ), r
             pd, ratio = (quiver_poly_pd, quiver_poly_ratio) if reduced else (csm_pd, csm_ratio)
             assert format_poly(pd(r)) == format_poly(pd_ref), (r, reduced)
             assert format_poly(ratio(r)) == format_poly(ratio_ref), (r, reduced)
