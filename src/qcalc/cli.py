@@ -217,27 +217,13 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-def _report_text(report: engine.ConsistencyReport) -> str:
-    lines = []
-    for name, text in sorted(report.texts().items()):
-        lines.append(f"{name}: {text}")
-    for name, flag in sorted(report.equal.items()):
-        lines.append(f"{name}: {'ok' if flag else 'FAIL'}")
-    lines.append(f"degree law: {'ok' if report.degree_ok else 'FAIL'}")
-    lines.append(f"leading term law: {'ok' if report.leading_ok else 'FAIL'}")
-    for name, value in sorted(report.counts.items()):
-        lines.append(f"count {name}: {value}")
-    lines.append(f"result: {'ok' if report.ok else 'FAIL'}")
-    return "\n".join(lines)
-
-
 def _cmd_check(args) -> int:
     r = parse_input(_load_json(args.input))
     report = engine.check(r)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
-        print(_report_text(report))
+        print(report.to_text())
     return 0 if report.ok else 2
 
 
@@ -252,12 +238,7 @@ def _cmd_sweep(args) -> int:
         if args.format == "json":
             sys.stdout.write(f"{', ' if checked else '['}{json.dumps(report.to_json())}")
         else:
-            r = report.rank
-            ranks = " ".join(
-                f"{i}{j}:{r[i, j]}" for i, j in r.dims.pairs() if i != j
-            )
-            status = "ok" if report.ok else "FAIL"
-            print(f"dims {r.dims.r} ranks {ranks or '-'} {status}")
+            print(report.to_line())
         checked += 1
         failed += not report.ok
     print("]" if args.format == "json" else f"checked {checked} orbits, {failed} failures")

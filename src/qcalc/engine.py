@@ -5,7 +5,9 @@ chained generic pipe dreams, and a ratio of fixed-point restrictions),
 for both the quiver polynomial and the CSM class of the open locus.
 check() runs all six and also tests the two derived laws: the quiver
 polynomial has degree l(z(r)) - |D_Hom|, and it is the coefficient of
-h^(L - l(z(r))) in the CSM class.  A disagreement is recorded in the
+h^(L - l(z(r))) in the CSM class.  A report holds two verdicts, equal
+(each pair of formulas of one target) and laws (each law by name), and
+every reader iterates them; a disagreement in either is recorded in the
 report (ok is False).  A formula that raises (exact_divide's
 NotDivisible, csm_pd's DHomViolation, any bug) is not caught: the
 exception leaves check() and ends sweep_reports(), so only the reports
@@ -53,8 +55,10 @@ def compute(r: RankArray, target: str, method: str) -> Poly:
 class ConsistencyReport:
     """All six polynomials of one orbit with their agreement flags.
 
-    equal maps pair names like "qpoly:pd=cgpd" to booleans; counts holds
-    the enumeration sizes; timings_ms the per-method wall times.
+    equal maps pair names like "qpoly:pd=cgpd" to booleans; laws maps
+    each law's name ("degree", "leading term") to whether it holds, so a
+    new law is one entry; counts holds the enumeration sizes; timings_ms
+    the per-method wall times.
     polynomials holds one object per distinct class: a formula whose
     polynomial equals an earlier one of its target names that earlier
     object, so a passing orbit holds two.  A pickle then carries each
@@ -65,16 +69,13 @@ class ConsistencyReport:
     rank: RankArray
     polynomials: dict[str, Poly]
     equal: dict[str, bool]
-    degree_ok: bool
-    leading_ok: bool
+    laws: dict[str, bool]
     counts: dict[str, int]
     timings_ms: dict[str, float]
 
     @property
     def ok(self) -> bool:
-        return (
-            all(self.equal.values()) and self.degree_ok and self.leading_ok
-        )
+        return all(self.equal.values()) and all(self.laws.values())
 
     def texts(self) -> dict[str, str]:
         """format_poly of each polynomial, each distinct object once."""
@@ -87,12 +88,28 @@ class ConsistencyReport:
             "input": to_json(self.rank),
             "polynomials": self.texts(),
             "equal": dict(self.equal),
-            "degree_ok": self.degree_ok,
-            "leading_ok": self.leading_ok,
+            "laws": dict(self.laws),
             "counts": dict(self.counts),
             "timings_ms": dict(self.timings_ms),
             "ok": self.ok,
         }
+
+    def to_text(self) -> str:
+        """The report as qcalc check prints it: each polynomial, each
+        flag of equal, each law, each count, then the result."""
+        verdict = lambda flag: "ok" if flag else "FAIL"
+        lines = [f"{name}: {text}" for name, text in sorted(self.texts().items())]
+        lines += [f"{name}: {verdict(flag)}" for name, flag in sorted(self.equal.items())]
+        lines += [f"{name} law: {verdict(flag)}" for name, flag in self.laws.items()]
+        lines += [f"count {name}: {value}" for name, value in sorted(self.counts.items())]
+        lines.append(f"result: {verdict(self.ok)}")
+        return "\n".join(lines)
+
+    def to_line(self) -> str:
+        """The report as qcalc sweep prints it: the orbit and the result."""
+        r = self.rank
+        ranks = " ".join(f"{i}{j}:{r[i, j]}" for i, j in r.dims.pairs() if i != j)
+        return f"dims {r.dims.r} ranks {ranks or '-'} {'ok' if self.ok else 'FAIL'}"
 
 
 def check(r: RankArray) -> ConsistencyReport:
@@ -138,8 +155,10 @@ def check(r: RankArray) -> ConsistencyReport:
 
     reg = regions(r.dims)
     lz = length(orbit_zperm(orbit))
-    degree_ok = polys["qpoly_pd"].degree() == lz - len(reg.dhom_cells)
-    leading_ok = polys["csm_pd"].hbar_coefficient(reg.L - lz) == polys["qpoly_pd"]
+    laws = {
+        "degree": polys["qpoly_pd"].degree() == lz - len(reg.dhom_cells),
+        "leading term": polys["csm_pd"].hbar_coefficient(reg.L - lz) == polys["qpoly_pd"],
+    }
 
     counts = {
         "perm": perm_count(orbit),
@@ -152,8 +171,7 @@ def check(r: RankArray) -> ConsistencyReport:
         rank=r,
         polynomials=polys,
         equal=equal,
-        degree_ok=degree_ok,
-        leading_ok=leading_ok,
+        laws=laws,
         counts=counts,
         timings_ms=timings,
     )

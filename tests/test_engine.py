@@ -47,7 +47,7 @@ def test_check_121_hom():
     assert report.counts["cgpd"] == 3
     assert len(report.polynomials) == 6
     assert all(report.equal.values())
-    assert report.degree_ok and report.leading_ok
+    assert report.laws == {"degree": True, "leading term": True}
 
 
 def test_check_final_example():
@@ -73,8 +73,7 @@ def test_report_json_schema():
         "input",
         "polynomials",
         "equal",
-        "degree_ok",
-        "leading_ok",
+        "laws",
         "counts",
         "timings_ms",
         "ok",
@@ -82,6 +81,8 @@ def test_report_json_schema():
     for text in payload["polynomials"].values():
         parse_poly(text)  # canonical strings re-parse
     assert all(isinstance(v, bool) for v in payload["equal"].values())
+    assert list(payload["laws"]) == ["degree", "leading term"]
+    assert all(isinstance(v, bool) for v in payload["laws"].values())
     assert all(isinstance(v, int) for v in payload["counts"].values())
     assert all(isinstance(v, float) for v in payload["timings_ms"].values())
 
