@@ -9,6 +9,7 @@ value is s_{t_L} o ... o s_{t_1}.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice, zip_longest
@@ -106,38 +107,40 @@ def _block_perms(r: RankArray):
     Rows are filled top to bottom, each with any free column whose block
     still owes the row's block a one.  A block owed a one always has a
     free column, so the search never dead-ends, and the first
-    permutation is the greedy fill.  The search keeps one generator of
-    choices per filled row, not a recursion, so d may be large.
+    permutation is the greedy fill.  A row reads the sorted free columns
+    of each column block that owes it a one, left to right, copied as
+    it reaches the block, so it never scans a taken column.  The search
+    keeps one generator of choices per filled row, not a recursion, so
+    d may be large.
     """
     dims = r.dims
     owed = dict(orbit_block_counts(r))  # the search decrements it
     row = [i for i, _ in dims.rows]
     col = [j for j, _ in dims.cols]
+    free = {j: [p for p, c in enumerate(col, 1) if c == j] for j in dict.fromkeys(col)}
     v: list[int] = []
-    used: set[int] = set()
 
-    def choices(q: int):
-        i = row[q - 1]
-        return (p for p, j in enumerate(col, start=1) if owed[i, j] and p not in used)
+    def choices(i: int):
+        return (p for j, columns in free.items() if owed[i, j] for p in columns.copy())
 
-    stack = [choices(1)]  # Dims holds d >= 1
+    stack = [choices(row[0])]  # Dims holds d >= 1
     while stack:
         q = len(stack)
         if len(v) == q:  # row q's last choice, undone before its next
             p = v.pop()
-            used.discard(p)
+            insort(free[col[p - 1]], p)
             owed[row[q - 1], col[p - 1]] += 1
         p = next(stack[-1], None)
         if p is None:
             stack.pop()
             continue
+        free[col[p - 1]].remove(p)
         v.append(p)
-        used.add(p)
         owed[row[q - 1], col[p - 1]] -= 1
         if q == dims.d:
             yield tuple(v)
         else:
-            stack.append(choices(q + 1))
+            stack.append(choices(row[q]))
 
 
 def zelevinsky_permutation(r: RankArray) -> Permutation:

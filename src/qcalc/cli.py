@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
 
     add("lace", _cmd_lace)
     add("zperm", _cmd_zperm)
-    for target, methods in (("qpoly", engine.QPOLY_METHODS), ("csm", engine.CSM_METHODS)):
+    for target, methods in engine.METHODS.items():
         p = add(target, _cmd_poly, methods)
         p.add_argument("--letters", action="store_true")
     p = add("enum", _cmd_enum)

@@ -38,11 +38,12 @@ CSM_METHODS = {
     "cgpd": cgpd.csm_cgpd,
     "ratio": localization.csm_ratio,
 }
+METHODS = {"qpoly": QPOLY_METHODS, "csm": CSM_METHODS}  # target -> its formulas
 
 
 def compute(r: RankArray, target: str, method: str) -> Poly:
     """One polynomial of the orbit of r, by the named formula."""
-    table = {"qpoly": QPOLY_METHODS, "csm": CSM_METHODS}.get(target)
+    table = METHODS.get(target)
     if table is None:
         raise ValueError(f"unknown target {target!r}")
     fn = table.get(method)
@@ -133,7 +134,7 @@ def check(r: RankArray) -> ConsistencyReport:
     orbit = Orbit(r)
     polys: dict[str, Poly] = {}
     timings: dict[str, float] = {}
-    for target, table in (("qpoly", QPOLY_METHODS), ("csm", CSM_METHODS)):
+    for target, table in METHODS.items():
         for method, fn in table.items():
             start = time.perf_counter()
             polys[f"{target}_{method}"] = fn(orbit)
@@ -141,7 +142,7 @@ def check(r: RankArray) -> ConsistencyReport:
 
     pairs = [
         (target, left, right)
-        for target in ("qpoly", "csm")
+        for target in METHODS
         for left, right in (("pd", "cgpd"), ("pd", "ratio"), ("cgpd", "ratio"))
     ]
     equal = {

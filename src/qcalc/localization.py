@@ -33,7 +33,7 @@ from .quiver import Dims, RankArray, shared
 from .states import States, state_sum
 
 
-_HBAR = Poly.hbar()  # the skip weight of an undivided letter (csm_pairs)
+_HBAR = Poly.hbar()  # the skip weight of an undivided letter (subword_pairs)
 
 
 class NotReducedWord(Exception):
@@ -80,16 +80,10 @@ def roots(word: Word) -> list[Poly]:
 
 
 @lru_cache(maxsize=None)
-def _grid_roots(dims: Dims) -> tuple[Poly, ...]:
-    return tuple(roots(grid_word(dims)))
-
-
-@lru_cache(maxsize=None)
-def _grid_pairs(dims: Dims, divided: bool) -> tuple[tuple[Poly, Poly], ...]:
-    """The (skip, take) weights of each grid word position in a ratio
-    walk: (1, root), or (1, root over h) in a CSM walk (csm_pairs)."""
-    one = Poly.one()
-    return tuple((one, b.times_hbar(-1) if divided else b) for b in _grid_roots(dims))
+def _grid_takes(dims: Dims, divided: bool) -> tuple[Poly, ...]:
+    """The take weight of each grid word position in a ratio walk: its
+    root, or its root over h in a CSM walk (subword_pairs)."""
+    return tuple(b.times_hbar(-1) if divided else b for b in roots(grid_word(dims)))
 
 
 def _require_reduced(word: Word):
@@ -116,29 +110,20 @@ def orbit_reduced_states(r: RankArray) -> States:
     )
 
 
-def subword_sum(states: States, weights: list | tuple) -> Poly:
-    """The sum over the accepted subsets J of the product of the take
-    weights over J times the skip weight to the power L - |J|: 1 in
-    reduced mode, h otherwise.  It is state_sum over the live states:
-    in reduced mode a skip weighs 1 and a take at letter k weighs
-    weights[k]; otherwise the walk is divided by h, with weights[k] the
-    take weight over h (csm_pairs)."""
-    if states.reduced:
-        one = Poly.one()
-        return state_sum(states.levels, [(one, w) for w in weights])
-    return state_sum(states.levels, csm_pairs(weights))
-
-
-def csm_pairs(weights: list | tuple) -> list[tuple[Poly, Poly]]:
-    """The (skip, take) weights of each letter of a CSM subword walk,
-    divided by h (states.state_sum).  weights[k] is the take weight over
-    h, and a skip weighs 1, except where weights[k] is Poly.one(): a take
-    weight 1 left undivided, where a skip weighs h (the callers put it
-    where every subset takes).  h^D, D the number of divided letters,
-    is folded into the last letter's weights (_fold_hbar)."""
+def subword_pairs(takes, reduced: bool) -> list[tuple[Poly, Poly]]:
+    """The (skip, take) weights of each letter of a subword walk
+    (states.state_sum), takes[k] the take weight of letter k: the one
+    place that builds them.  In reduced mode a skip weighs 1.  Otherwise
+    the walk is divided by h: takes[k] is the take weight over h and a
+    skip weighs 1, except where takes[k] is Poly.one(), a take weight 1
+    left undivided, where a skip weighs h (the callers put it where
+    every subset takes); and h^D, D the number of divided letters, is
+    folded into the last letter's weights (_fold_hbar)."""
     one = Poly.one()
-    pairs = [(_HBAR, w) if w is one else (one, w) for w in weights]
-    _fold_hbar(pairs, sum(map(is_not, weights, repeat(one))))
+    if reduced:
+        return [(one, w) for w in takes]
+    pairs = [(_HBAR, w) if w is one else (one, w) for w in takes]
+    _fold_hbar(pairs, sum(map(is_not, takes, repeat(one))))
     return pairs
 
 
@@ -155,9 +140,9 @@ def _restriction(v: tuple, word: Word, reduced: bool) -> Poly:
     _require_reduced(word)
     v = require_permutation(v, word.d)
     betas = roots(word)
-    if not reduced:  # the CSM walk takes its weights divided by h (csm_pairs)
+    if not reduced:  # the CSM walk takes its weights divided by h (subword_pairs)
         betas = [b.times_hbar(-1) for b in betas]
-    return subword_sum(target_states(word.letters, v, reduced), betas)
+    return state_sum(target_states(word.letters, v, reduced).levels, subword_pairs(betas, reduced))
 
 
 def ajs_billey(v: tuple, word: Word) -> Poly:
@@ -172,23 +157,17 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _restriction(v, word, reduced=False)
 
 
-def _forced_sum(states: States, pairs) -> tuple[tuple[int, ...], Poly]:
+def _forced_sum(states: States, takes) -> tuple[tuple[int, ...], Poly]:
     """(common, rest): the positions every accepted subset takes, and the
-    state sum of the roots with those positions weighing 1, walked with
-    the (skip, take) weights of _grid_pairs elsewhere.  The full sum is
-    rest times the roots at common; keeping that forced block factored
-    lets the ratio formulas cancel it without expanding it.  In a CSM
-    walk a forced position's weights stay undivided, (h, 1), as in
-    csm_pairs, so _fold_hbar folds in h^D, D the number of positions
-    some subset skips."""
-    skipped = states.skipped
-    one = Poly.one()
-    common = tuple(j for j in range(len(pairs)) if not skipped >> j & 1)
-    forced = (one, one) if states.reduced else (_HBAR, one)
-    walk = [p if skipped >> j & 1 else forced for j, p in enumerate(pairs)]
-    if not states.reduced:
-        _fold_hbar(walk, skipped.bit_count())
-    return common, state_sum(states.levels, walk)
+    state sum walked with the take weights of _grid_takes, those
+    positions' set to Poly.one(), which a CSM walk leaves undivided
+    (subword_pairs).  The full sum is rest times the roots at common;
+    keeping that forced block factored lets the ratio formulas cancel it
+    without expanding it."""
+    skipped, one = states.skipped, Poly.one()
+    common = tuple(j for j in range(len(takes)) if not skipped >> j & 1)
+    walk = [w if skipped >> j & 1 else one for j, w in enumerate(takes)]
+    return common, state_sum(states.levels, subword_pairs(walk, states.reduced))
 
 
 def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
@@ -204,7 +183,7 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
     ratio is then the orbit's sum with the D_Hom roots left out.
     """
     den_common, den_rest = _hom_factored(dims)
-    betas = _grid_roots(dims)
+    betas = _grid_takes(dims, False)
     den_set = frozenset(den_common)
     for j in num_common:
         if j not in den_set:
@@ -220,15 +199,15 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), _grid_pairs(r.dims, False)))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), _grid_takes(r.dims, False)))
 
 
 def csm_ratio(r: RankArray) -> Poly:
     """Sum of cell restrictions over perm(r), divided by the Hom class."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_pairs(r.dims, True)))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_takes(r.dims, True)))
 
 
 @lru_cache(maxsize=None)
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
     states = target_states(grid_word(dims).letters, blockperm.zelevinsky_hom(dims), True)
-    return _forced_sum(states, _grid_pairs(dims, False))
+    return _forced_sum(states, _grid_takes(dims, False))

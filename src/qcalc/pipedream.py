@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .blockperm import regions, require_permutation, target_states
-from .localization import csm_pairs, grid_word, orbit_reduced_states, orbit_states, subword_sum
+from .localization import grid_word, orbit_reduced_states, orbit_states, subword_pairs
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray
 from .states import state_sum
@@ -83,19 +83,22 @@ def _cell_weights(dims: Dims) -> tuple[Poly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _csm_cell_pairs(dims: Dims) -> tuple[tuple[Poly, Poly], ...]:
-    """The (skip, take) weights of the CSM walk at each grid word
-    position, divided by h (localization.csm_pairs): a cross weighs its
-    cell label over h and a missing cross 1, and a D_Hom cell, which
-    every dream crosses, keeps its weights (h, 1)."""
-    one = Poly.one()
-    return tuple(csm_pairs([w if w is one else w.times_hbar(-1) for w in _cell_weights(dims)]))
+def _cell_pairs(dims: Dims, reduced: bool) -> tuple[tuple[Poly, Poly], ...]:
+    """The (skip, take) weights of each grid word position, from
+    localization.subword_pairs, built once per dims, not per orbit.  A
+    cross weighs its cell label, or 1 on a D_Hom cell.  The CSM walk
+    takes each label over h, and a D_Hom cell, which every dream
+    crosses, keeps its take weight 1 undivided."""
+    one, takes = Poly.one(), _cell_weights(dims)
+    if not reduced:
+        takes = [w if w is one else w.times_hbar(-1) for w in takes]
+    return tuple(subword_pairs(takes, reduced))
 
 
 def quiver_poly_pd(r: RankArray) -> Poly:
     """Sum of cross weights over the reduced strict dreams of z(r), walked
-    over the orbit's reduced states (localization.subword_sum)."""
-    return subword_sum(orbit_reduced_states(r), _cell_weights(r.dims))
+    over the orbit's reduced states (_cell_pairs)."""
+    return state_sum(orbit_reduced_states(r).levels, _cell_pairs(r.dims, True))
 
 
 def csm_pd(r: RankArray) -> Poly:
@@ -105,9 +108,9 @@ def csm_pd(r: RankArray) -> Poly:
     The sum runs over the orbit's shared states (states.state_sum): a
     cross weighs its cell label, a D_Hom cell weighs 1, a missing cross
     weighs h, and every dream must cross every D_Hom cell, else
-    DHomViolation.  The walk is divided by h (_csm_cell_pairs): a missing
-    cross weighs 1, and every node's sum is a polynomial of degree
-    D = dim Hom, the number of cells outside D_Hom.
+    DHomViolation.  The walk is divided by h (_cell_pairs, cached per
+    dims): a missing cross weighs 1, and every node's sum is a
+    polynomial of degree D = dim Hom, the number of cells outside D_Hom.
     """
     states = orbit_states(r)
     cells = grid_word(r.dims).cells
@@ -115,4 +118,4 @@ def csm_pd(r: RankArray) -> Poly:
     skipped = states.skipped
     if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in dhom]:
         raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
-    return state_sum(states.levels, _csm_cell_pairs(r.dims))
+    return state_sum(states.levels, _cell_pairs(r.dims, False))

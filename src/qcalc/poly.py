@@ -42,14 +42,15 @@ exact_divide): the key of a monomial is its degree followed by its
 exponents over the polynomial's variables in the variable order.
 
 Multiplying by h^k is a shift of every key by k (Poly.times_hbar).  The
-CSM walks divide their weights by h that way (states.state_sum), so a
-weight may be a Laurent polynomial: the key of x * h^-1 is the x unit
-minus 1, which borrows from the fields above h's.  Keys still multiply
-by adding, exactly, while h's exponent stays within 2^15 either way, but
-such a key reads as nothing else; so only sum_of_products takes one.  A
-divided weight carries bound 0, and the walks multiply h^D back into the
-weights of the level they multiply first, D the number of levels they
-divide, so every sum they build is a polynomial of degree D.
+CSM walks divide their weights by h that way (localization.subword_pairs
+and cgpd._tile_weights), so a weight may be a Laurent polynomial: the
+key of x * h^-1 is the x unit minus 1, which borrows from the fields
+above h's.  Keys still multiply by adding, exactly, while h's exponent
+stays within 2^15 either way, but such a key reads as nothing else; so
+only sum_of_products takes one.  A divided weight carries bound 0, and
+the walks multiply h^D back into the weights of the level they multiply
+first, D the number of levels they divide, so every sum they build is a
+polynomial of degree D.
 """
 
 from __future__ import annotations

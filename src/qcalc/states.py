@@ -102,17 +102,18 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
     """The levelled path sum S(0, root), with S(k, s) the sum over the
     edges (c, t) of s of weights[k][c] * S(k+1, t) and S = 1 at the last
     level.  levels[k] maps each node at level k to its edges, label c and
-    child t at level k + 1: the live subword states
-    (localization.subword_sum) or the cgpd routing states
-    (cgpd.orbit_states and minimal_states).
+    child t at level k + 1: the live subword states or the cgpd routing
+    states (cgpd.orbit_states and minimal_states).  Two places build
+    weights: localization.subword_pairs those of every subword walk, and
+    cgpd._tile_weights those of the routing states.
 
     The CSM classes are h-weighted path sums in which every level gives
     each path one factor of degree 1, or a weight 1 that every path
-    takes.  Their callers pass the weights divided by h, with h^D folded
-    into the last level's, D the number of levels divided (a level every
-    path takes with weight 1 stays undivided).  The sum is the same, a
-    skip or a turn weighs 1, and every node's sum is a polynomial of
-    degree D, since the last level is multiplied first (Poly.times_hbar).
+    takes.  Both builders divide the weights by h and fold h^D into the
+    last level's, D the number of levels divided (a level every path
+    takes with weight 1 stays undivided).  The sum is the same, a skip
+    or a turn weighs 1, and every node's sum is a polynomial of degree
+    D, since the last level is multiplied first (Poly.times_hbar).
 
     It runs from the last level back, keeping one level of partial sums
     at a time.  A node whose single edge weighs 1 passes its child's sum
@@ -120,9 +121,9 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
     kernel starts the node's sum as a copy of that child's.  A weight 1
     is told by identity with the shared Poly.one(), from which every
     weight 1 of the package comes, so no weight is compared term by
-    term.  The weights are built once per dims or per word, the sums
-    once per orbit.  Level 0 holds the root, or nothing when nothing is
-    accepted, and then the sum is 0.
+    term.  The take weights are built once per dims or per word, the
+    sums once per orbit.  Level 0 holds the root, or nothing when
+    nothing is accepted, and then the sum is 0.
     """
     one = Poly.one()
     below = dict.fromkeys(levels[-1], one)

@@ -1,18 +1,18 @@
 """A table of named mutants of the package, and what check() makes of them.
 
-Each row patches one package function, wherever a package module binds
-it (a from-import binds it again), one method of a package class, or
-one entry of a package dict, and clears every functools cache of the
-package on the way in and out, so no result of the mutant outlives it
-and none of the original leaks into it.  Its figures are those of
-engine.check over every orbit of sweep(5), 214 orbits: how many reports
-are not ok, how many orbits each verdict of a report flags (an entry
-of equal or of laws read False), and on how many orbits the six
-polynomials differ from the unpatched ones, so a patch that stops
-biting fails.  A control changes nothing: every report stays ok, with
-the polynomials of the unpatched package.  A missed row is a mutant
-that changes polynomials but that check() does not flag; it names the
-ROADMAP item expected to catch it.
+Each row patches one package function or constant, wherever a package
+module binds it (a from-import binds it again), one method of a package
+class, or one entry of a package dict, and clears every functools cache
+of the package on the way in and out, so no result of the mutant
+outlives it and none of the original leaks into it.  Its figures are
+those of engine.check over every orbit of sweep(5), 214 orbits: how many
+reports are not ok, how many orbits each verdict of a report flags (an
+entry of equal or of laws read False), and on how many orbits the six
+polynomials differ from the unpatched ones, so a patch that stops biting
+fails.  A control changes nothing: every report stays ok, with the
+polynomials of the unpatched package.  A missed row is a mutant that
+changes polynomials but that check() does not flag; it names the ROADMAP
+item expected to catch it.
 
 Rows only tighten: a change to the package that makes check() miss a
 row's mutant, or that flags a control, fails test_mutants.
@@ -32,6 +32,7 @@ from qcalc.poly import Poly, xvar
 _CELL_WEIGHTS = pipedream._cell_weights.__wrapped__
 _FOLD_HBAR = localization._fold_hbar
 _VAR_DIFF = Poly.var_diff
+_HBAR_COEFFICIENT = Poly.hbar_coefficient
 
 
 def _package_modules():
@@ -120,11 +121,16 @@ def _var_diff_reversed(cls, a, b):
     return _VAR_DIFF(b, a)
 
 
+def _hbar_coefficient_one_power_up(self, k):
+    """Poly.hbar_coefficient reading the coefficient of h^(k + 1)."""
+    return _HBAR_COEFFICIENT(self, k + 1)
+
+
 def _off_by_one(target: str, method: str):
     """A patch of the target's formula by method (an entry of
-    engine.QPOLY_METHODS or CSM_METHODS) whose output is one term off:
-    the formula's output plus 1."""
-    table = {"qpoly": engine.QPOLY_METHODS, "csm": engine.CSM_METHODS}[target]
+    engine.METHODS[target]) whose output is one term off: the formula's
+    output plus 1."""
+    table = engine.METHODS[target]
     fn = table[method]
     return patched(table, method, lambda r: fn(r) + Poly.const(1))
 
@@ -174,6 +180,19 @@ MUTANTS = [
         lambda: patched(pipedream, "_cell_weights", _cell_weights_with_an_equal_one),
         failed=0,
         changed=0,
+    ),
+    Mutant(
+        "control_undivided_skip_weighs_one",
+        lambda: patched(localization, "_HBAR", Poly.one()),
+        failed=0,
+        changed=0,
+    ),
+    Mutant(
+        "hbar_coefficient_reads_one_power_up",
+        lambda: patched(Poly, "hbar_coefficient", _hbar_coefficient_one_power_up),
+        failed=214,
+        changed=0,
+        flags={"leading term": 214},
     ),
     Mutant(
         "missed_var_diff_swaps_its_operands_at_x12",

@@ -335,7 +335,7 @@ def test_single_vertex_dims():
         report = check(r)
         assert report.ok
         assert [format_poly(p) for p in report.polynomials.values()] == ["1"] * 6
-        assert cgpd._tile_weights(dims, True) == () == pipedream._csm_cell_pairs(dims)
+        assert cgpd._tile_weights(dims, True) == () == pipedream._cell_pairs(dims, False)
         for method in ("pd", "cgpd", "ratio"):
             assert compute(r, "csm", method).terms == {0: 1}
         assert len(enumerate_pipe_dreams(dims, zelevinsky_permutation(r), "strict")) == 1

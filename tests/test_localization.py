@@ -29,7 +29,7 @@ from qcalc.localization import (
     orbit_states,
     quiver_poly_ratio,
     roots,
-    subword_sum,
+    subword_pairs,
 )
 from qcalc.pipedream import csm_pd, quiver_poly_pd
 from qcalc.poly import NotDivisible, Poly, format_poly, xvar
@@ -41,6 +41,7 @@ from qcalc.quiver import (
     hom_rank_array,
     parse_input,
 )
+from qcalc.states import state_sum
 from blockperm_reference import all_reduced_words, block_w0, compose, w0
 from subword_reference import subword_subsets, taken
 
@@ -216,8 +217,8 @@ def test_state_sum_matches_subset_sum():
     sweep(6) and of dims (2,3,3).
 
     The CSM walk takes its weights divided by h, a take weight 1 left
-    undivided (subword_sum).  It is exact there too where some subset
-    skips the letter: on sweep(6), subword_sum with the common positions
+    undivided (subword_pairs).  It is exact there too where some subset
+    skips the letter: on sweep(6), the walk with the common positions
     and the first skipped one weighing Poly.one() and every other the
     label over h is the subset sum with those takes weighing 1."""
     ranks = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
@@ -252,7 +253,8 @@ def test_state_sum_matches_subset_sum():
                     Poly.one() if j in ones else w.times_hbar(-1) for j, w in enumerate(labels)
                 ]
                 weights = [1 if j in ones else w for j, w in enumerate(labels)]
-                assert subword_sum(orbit_states(Orbit(r)), divided) == _subset_sum(
+                pairs = subword_pairs(divided, False)
+                assert state_sum(orbit_states(Orbit(r)).levels, pairs) == _subset_sum(
                     subsets, weights, L, skip
                 ), r
             pd, ratio = (quiver_poly_pd, quiver_poly_ratio) if reduced else (csm_pd, csm_ratio)
