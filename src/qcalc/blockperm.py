@@ -92,9 +92,10 @@ def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
     superantidiagonal block carries r_{i,i+1}, and everything above it
     is empty.
     """
-    s, blocks = shared(r, "laces", lace_array), range(r.dims.n + 1)
+    s, ranks = shared(r, "laces", lace_array).entries, r.entries
+    blocks = range(r.dims.n + 1)
     return {
-        (i, j): s[j, i] if j <= i else r[i, i + 1] if j == i + 1 else 0
+        (i, j): s[j, i] if j <= i else ranks[i, j] if j == i + 1 else 0
         for i in blocks
         for j in blocks
     }

@@ -60,7 +60,7 @@ from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import isqrt
-from operator import or_
+from operator import getitem, itemgetter, or_
 from struct import Struct
 from typing import Iterable
 
@@ -148,8 +148,8 @@ def _reader(keys: Iterable[int]):
     exponent there."""
     union = reduce(or_, keys, 0)
     count = -(-union.bit_length() // _WIDTH)
-    unpack = Struct(f"<{count}H").unpack  # _WIDTH == 16
-    read = lambda m: unpack(m.to_bytes(2 * count, "little"))
+    unpack, size = Struct(f"<{count}H").unpack, 2 * count  # _WIDTH == 16
+    read = lambda m: unpack(m.to_bytes(size, "little"))
     return read, read(union)
 
 
@@ -158,17 +158,26 @@ def _slots(seen: tuple[int, ...]) -> list[int]:
     return sorted((s for s, e in enumerate(seen) if e), key=lambda s: var_key(_variable(s)))
 
 
+def _picker(slots: list[int]):
+    """The fields at slots, in that order, as a tuple, by one itemgetter
+    (one of a slice where a single index would return a bare field)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
+
+
 def _grlex_key(read, slots: list[int]):
     """Graded-lex key over the fields at slots, which hold every variable
     of the monomials keyed, as one int: the degree, then each exponent
     in the variable order, in 16-bit digits.  Each monomial is read once
     (read, from _reader), not shifted once per variable."""
+    pick = _picker(slots)
     digits = Struct(f">{len(slots)}H").pack  # the first variable is the most significant
     top = _WIDTH * len(slots)
 
     def key(m: int) -> int:
-        fields = read(m)
-        return sum(fields) << top | int.from_bytes(digits(*[fields[s] for s in slots]), "big")
+        exps = pick(read(m))
+        return sum(exps) << top | int.from_bytes(digits(*exps), "big")
 
     return key
 
@@ -450,6 +459,27 @@ def _var_text(v: Variable, style: str, sizes: tuple[int, ...] | None = None) -> 
     return f"x{level}_{index}"
 
 
+class _Powers(dict):
+    """The factor texts of one variable by exponent: "" for 0, the name
+    for 1, and each higher power made on its first lookup, so only the
+    exponents that occur are ever printed.  In latex a power of x^a_b
+    braces its base, {x^{a}_{b}}^{e}, which is not a double superscript."""
+
+    __slots__ = ("head", "tail")
+
+    def __init__(self, v: Variable, style: str, sizes: tuple[int, ...] | None):
+        name = _var_text(v, style, sizes)
+        dict.__init__(self, {0: "", 1: name})
+        if style != "latex":
+            self.head, self.tail = f"{name}^", ""
+        else:
+            self.head, self.tail = (f"{name}^{{" if v == HBAR else f"{{{name}}}^{{"), "}"
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.head}{e}{self.tail}"
+        return text
+
+
 def format_poly(
     p: Poly, style: str = "ascii", sizes: tuple[int, ...] | None = None
 ) -> str:
@@ -457,38 +487,35 @@ def format_poly(
 
     In letters style the optional block sizes suppress the subscript of
     any level with a single variable (a1 prints as a).
+
+    The terms are sorted by graded-lex key (_grlex_key).  Each term is
+    then read again, its exponents picked in the variable order by one
+    itemgetter, and its factor texts looked up in one table per
+    variable (_Powers) and joined at C level, exponent 0's empty text
+    filtered out.  Only the sorted monomials and the output's pieces
+    are held per term: keeping each term's exponents from the sort
+    would save the second read but raise the peak memory.
     """
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
-    read, seen = _reader(p.terms)
+    read, seen = _reader(terms)
     slots = _slots(seen)
-    names = [_var_text(_variable(s), style, sizes) for s in slots]
+    pick = _picker(slots)
+    tables = [_Powers(_variable(s), style, sizes) for s in slots]
     sep = " " if style == "latex" else "*"
+    join = sep.join
     pieces: list[str] = []
-    for m in sorted(p.terms, key=_grlex_key(read, slots), reverse=True):
-        c = p.terms[m]
-        factors = []
-        fields = read(m)
-        for name, s in zip(names, slots):
-            e = fields[s]
-            if e == 0:
-                continue
-            if e == 1:
-                factors.append(name)
-            elif style == "latex":
-                factors.append(f"{name}^{{{e}}}")
-            else:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = sep.join(factors)
-        else:
-            body = sep.join([str(abs(c))] + factors)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    append = pieces.append
+    for m in sorted(terms, key=_grlex_key(read, slots), reverse=True):
+        c = terms[m]
+        sign = "+ "
+        if c < 0:
+            sign, c = "- ", -c
+        body = join(filter(None, map(getitem, tables, pick(read(m)))))
+        append(f"{sign}{c}{sep}{body}" if c != 1 and body else f"{sign}{body or c}")
+    first = pieces[0]  # the leading sign has no space, and + none at all
+    pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
     return " ".join(pieces)
 
 

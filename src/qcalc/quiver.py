@@ -216,9 +216,11 @@ def lace_array(r: RankArray) -> LaceArray:
     entries read as zero.  A negative entry means no representation has
     these composite ranks.
     """
+    ranks = r.entries  # every pair of r.dims, and nothing out of range
+    get = ranks.get
     entries = {}
     for p, q in r.dims.pairs():
-        s = r[p, q] - r[p - 1, q] - r[p, q + 1] + r[p - 1, q + 1]
+        s = ranks[p, q] - get((p - 1, q), 0) - get((p, q + 1), 0) + get((p - 1, q + 1), 0)
         if s < 0:
             raise NotRealizable(p, q, s)
         entries[(p, q)] = s

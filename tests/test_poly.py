@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import poly_reference
 import qcalc
+from poly_reference import unbrace
 from qcalc import poly
+from qcalc.engine import sweep
 
 from qcalc.poly import (
     HBAR,
@@ -143,9 +146,44 @@ def test_format_canonical_order():
 
 def test_format_styles():
     p = a * b**2 - 2 * h
-    assert format_poly(p, "latex") == r"x^{0}_{1} x^{1}_{1}^{2} - 2 \hbar"
+    assert format_poly(p, "latex") == r"x^{0}_{1} {x^{1}_{1}}^{2} - 2 \hbar"
+    assert format_poly(h**2 - b**12, "latex") == r"-{x^{1}_{1}}^{12} + \hbar^{2}"
     assert format_poly(p, "letters") == "a1*b1^2 - 2*h"
     assert format_poly(p, "letters", (1, 2)) == "a*b1^2 - 2*h"
+
+
+def test_format_matches_the_reference_printer():
+    """format_poly against the printer of tests/poly_reference.py, byte
+    for byte, in every style: both pd classes of every orbit of sweep(5),
+    then the printer's edge cases.  Latex powers are compared unbraced."""
+    classes = [
+        (p, report.rank.dims.r)
+        for report in sweep(5)
+        for p in (report.polynomials["qpoly_pd"], report.polynomials["csm_pd"])
+    ]
+    top = Poly.var(xvar(0, 128))  # the last packed slot
+    edge = [
+        Poly.zero(),
+        Poly.const(1),
+        Poly.const(-1),
+        Poly.const(12),
+        Poly.const(-12),
+        h,
+        -h,
+        -(a**2) * c + b - 1,  # a negative leading term
+        a * b - c * h + h - 1,  # coefficients +-1
+        5 * a - 7 * b * c + 2,
+        a**10 * c**12 - 11 * b**10 * h**23 + h**100,
+        a ** (2**15 - 1),
+        -3 * top**2 + top * h - a,
+    ]
+    assert len(classes) == 428
+    for p, sizes in classes + [(p, (1, 2)) for p in edge]:
+        for style, blocks in (("ascii", None), ("letters", None), ("letters", sizes)):
+            assert format_poly(p, style, blocks) == poly_reference.format_poly(p, style, blocks)
+        assert unbrace(format_poly(p, "latex")) == poly_reference.format_poly(p, "latex")
+    with pytest.raises(ValueError):  # letters name levels 0..25 only
+        format_poly(Poly.var(xvar(26, 1)), "letters")
 
 
 def test_parse_roundtrip():
