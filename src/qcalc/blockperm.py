@@ -219,31 +219,54 @@ def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list
 @lru_cache(maxsize=None)
 def _subword_plan(letters: tuple[int, ...], dims: Dims):
     """What subword_states reads of the word and the dims alone, built
-    once per word and dims: the start vector, the values of each column
-    block (label j, values left to right), and for each letter, from the
-    last back, its pair mask, its deficit cut and the copies of it
-    before it.  The cut is None where no test is needed: off a
-    row-block boundary, or once the copies reach min(t, d - t), which
-    no deficit at t exceeds."""
+    once per word and dims: the values of each column block (label j,
+    values left to right), the tests of the accepted vectors, and for
+    each letter, from the last back, its pair mask and the tests of its
+    skip and its take predecessors.  A test (mask, bound) is the mask of
+    the labels after c on the values 1..j and D(c, j) of delta_k, the
+    Demazure product of the letters before, packed as a label vector:
+    the identity's, with letter t taken when label(t) < label(t+1).
+
+    Every label vector meets a bound of at least min(j, the values
+    labelled after c), so the tests at j are those of the labels c from
+    the least label on the values 1..j up to, not including, the
+    greatest on the values after j.  Taking t raises D(c, t) for
+    label(t) <= c < label(t+1) alone: the tests of a skip predecessor."""
     d, n = dims.d, dims.n
-    row = [i for i, _ in dims.rows]
+    label = [i for i, _ in dims.rows]  # the Demazure product's labels
     col = [j for j, _ in dims.cols]
-    start = sum(1 << (i * d + x) for x, i in enumerate(row))
+    delta = sum(1 << (i * d + x) for x, i in enumerate(label))
     ones = sum(1 << (i * d) for i in range(n + 1))  # bit 0 of every label's mask
     blocks = tuple((j, tuple(values)) for j, values in groupby(range(d), key=col.__getitem__))
-    late = {  # row-block boundary b -> the labels after b's row block, on the values 1..b
-        b: sum(((1 << b) - 1) << (i * d) for i in range(row[b - 1] + 1, n + 1))
-        for b in range(1, d)
-        if row[b - 1] != row[b]
-    }
-    seen: dict[int, int] = {}
+    late = [sum(1 << (i * d) for i in range(c + 1, n + 1)) for c in range(n)]
+
+    def tests(j: int) -> tuple:
+        low = (1 << j) - 1
+        masks = [m * low for m in late[min(label[:j]) : max(label[j:])]]
+        return tuple(zip(masks, [(delta & mask).bit_count() for mask in masks]))
+
     steps = []
     for t in letters:
-        copies = seen.get(t, 0)
-        seen[t] = copies + 1
-        steps.append((ones << (t - 1), late.get(t) if copies < min(t, d - t) else None, copies))
+        pair, take, skip = ones << (t - 1), tests(t), ()
+        a, b = label[t - 1], label[t]
+        if a < b:
+            lo = min(label[:t])
+            skip = take[a - lo : b - lo]
+            label[t - 1], label[t] = b, a
+            diff = (delta ^ delta >> 1) & pair
+            delta ^= diff | diff << 1
+        steps.append((pair, skip, take))
     steps.reverse()
-    return start, blocks, tuple(steps)
+    final = tuple(test for j in range(1, d) for test in tests(j))
+    return blocks, final, tuple(steps)
+
+
+def _within(s: int, tests: tuple) -> bool:
+    """Whether the label vector s meets every (mask, bound) of tests."""
+    for mask, bound in tests:
+        if (s & mask).bit_count() > bound:
+            return False
+    return True
 
 
 def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
@@ -280,45 +303,53 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     block's labels in every distinct arrangement (_arrangements),
     combined over the blocks.
 
-    The mirrored bound.  Let b end a row block, say row block c.  The
-    start gives the values 1..b exactly the labels 0..c, so the deficit
-    of a state at b, the number of values x <= b whose label is later
-    than c, is 0 at the start.  Only letter b moves a label across b: a
-    copy swaps the labels of b and b+1, so it changes the deficit by at
-    most one.  A state at letter k that the start reaches along
-    letters[:k] therefore has a deficit at b of at most the copies of
-    letter b among letters[:k].  The deficit is one AND and one
-    int.bit_count(), against the mask of the labels after c on the
-    values 1..b.  A step at letter k changes only the deficit at
-    boundary t_k and only the copies of letter t_k before it, so each
-    predecessor is tested at that one boundary.
+    The Demazure bound.  Write D_p(c, j) for the number of values x <= j
+    whose label in p is later than c, one AND and one int.bit_count()
+    against the mask of the labels after c on the values 1..j.  It is
+    constant on a coset, and one coset lies below another in Bruhat
+    order exactly when each of its counts is at most the other's: the
+    tableau criterion (Bjorner and Brenti, Combinatorics of Coxeter
+    Groups, Thm. 2.1.5) read at the ends of the row blocks.  The
+    products of the subwords of letters[:k] are the permutations below
+    delta_k, the Demazure product of letters[:k] (the subword property
+    that target_states cites).  So a label vector at letter k is reached
+    from the start exactly when D_p <= D_delta_k everywhere, and only the
+    start meets the bound at letter 0, where delta_0 is the identity.
 
-    The passes.  A backward pass from the accepted vectors lists, at
-    each letter k, the predecessors of the states kept at k + 1 that
-    pass the bound: a state is its own skip predecessor and its swap's
-    take predecessor.  Each kept state has an accepted completion by
-    construction, and the bound drops only states the start cannot
-    reach, so every state on a path from the start to an accepted
-    vector is kept.  A forward walk from the start then keeps the kept
-    states it reaches, each with its skip edge and its take edge;
-    states.live drops the edges into states not kept and counts over
-    the rest integers N(k, s), the number of accepted completions from
-    (k, s).  The states left are exactly those both reachable and
-    completable: the live states of the forward builder, with the same
-    edges.  N(0, start), the total, is the number of subsets whose
-    ordered product lies in perm(r), one per path that States.paths
-    walks.  The number of accepted subsets that skip a position of a set
-    D is positive exactly when the skipped mask meets D; csm_pd reads it
-    so for the D_Hom cells.
+    Row t only.  Going back from letter k + 1 to k, a take predecessor
+    differs from its child, and delta_k from delta_(k+1), at j = t_k
+    alone.  The accepted vectors are tested on every count against the
+    whole word's delta; by induction a state kept at letter k + 1 meets
+    the bound there, so each predecessor is tested at j = t_k alone.  A
+    skip predecessor is its child, so it is tested only for the labels
+    c at which delta_k's count at t_k is below delta_(k+1)'s.
 
-    Per word and per orbit.  The start vector, the column blocks, and
-    each letter's pair mask, deficit cut and copies depend on the word
-    and the dims alone, and _subword_plan builds them once per word and
-    dims.  Each orbit builds only its own: the accepted vectors, the
-    backward and forward walks, and states.live.
+    The pass.  One backward pass from the accepted vectors that meet
+    the bound keeps, at each letter k, the predecessors of the states
+    kept at k + 1 that meet the bound at k: a state is its own skip
+    predecessor and its swap's take predecessor.  A kept state reaches
+    an accepted vector by construction and is reached from the start by
+    the bound, so the kept states are exactly the live states, and level
+    0 holds the start alone, or nothing.  Each kept state gets its
+    edges, the skip (0, s) before the take (1, s_t s), each only into a
+    kept state, and the number N(k, s) of accepted completions from (k,
+    s): 1 at an accepted vector, else the sum of N over its edges.
+    N(0, start), the total, is the number of subsets whose ordered
+    product lies in perm(r), one per path that States.paths walks.  A
+    state keeps its skip edge exactly when it was kept at k + 1 too, and
+    bit k of skipped is set when some state at level k does so.  The
+    number of accepted subsets that skip a position of a set D is
+    positive exactly when the skipped mask meets D; csm_pd reads it so
+    for the D_Hom cells.
+
+    Per word and per orbit.  The column blocks, the tests of the
+    accepted vectors, and each letter's pair mask and tests depend on
+    the word and the dims alone, and _subword_plan builds them once per
+    word and dims.  Each orbit builds only its own: the accepted vectors
+    and the backward pass.
     """
     d, labels = r.dims.d, range(r.dims.n + 1)
-    start, blocks, steps = _subword_plan(letters, r.dims)
+    blocks, final, steps = _subword_plan(letters, r.dims)
     m = orbit_block_counts(r)
 
     accepted = [0]
@@ -326,25 +357,25 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
         placed = _arrangements({i: m[(i, j)] for i in labels}, values, d)
         accepted = [s | p for s in accepted for p in placed]
 
-    children = []  # from the last letter back
-    kept = accepted
-    for pair, cut, copies in steps:
-        kids = {}  # each predecessor -> its take child
-        for s in kept:
+    counts = dict.fromkeys((s for s in accepted if _within(s, final)), 1)
+    levels = [dict.fromkeys(counts, ())]  # from the last letter back
+    skipped = 0
+    for k, (pair, skip, take) in zip(range(len(steps) - 1, -1, -1), steps):
+        below, counts, level = counts, {}, {}
+        for s, n in below.items():
             diff = (s ^ s >> 1) & pair
             w = s ^ (diff | diff << 1)
-            for p, q in ((s, w), (w, s)):
-                if p not in kids and not (cut and (p & cut).bit_count() > copies):
-                    kids[p] = q
-        children.append(kids)
-        kept = kids
-    children.reverse()
-
-    reach = {start}
-    for k, take in enumerate(children):
-        children[k] = kids = {s: ((0, s), (1, take[s])) for s in reach if s in take}
-        reach = {t for s in kids for t in (s, take[s])}
-    return live(children, reach.intersection(accepted))
+            nw = below.get(w)
+            if nw is None and _within(w, take):  # w's one kept child is s, its take
+                level[w] = ((1, s),)
+                counts[w] = n
+            if _within(s, skip):
+                level[s] = ((0, s),) if nw is None else ((0, s), (1, w))
+                counts[s] = n if nw is None else n + nw
+        if not level.keys().isdisjoint(below):
+            skipped |= 1 << k
+        levels.append(level)
+    return States(tuple(reversed(levels)), sum(counts.values()), skipped)
 
 
 def _prefix_rows(y, unit: int, w: int) -> list[int]:

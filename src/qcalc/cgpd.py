@@ -250,10 +250,12 @@ def _tile_weights(dims: Dims, hbar: bool) -> tuple[dict[str, Poly], ...]:
 
     With hbar, the CSM weights divided by h (states.state_sum): turns and
     two-color bumps weigh h / h = 1, straight strands the label over h,
-    blanks and one-color bumps (B) the label over h plus 1; and the last
-    cell's weights are multiplied by h^N, N the number of cells.  So the
-    product of one weight per cell is still the diagram's CSM weight,
-    and every node's sum of the walk is a polynomial of degree N."""
+    blanks and one-color bumps (B) the label over h plus 1, the constant
+    first, so the kernel starts a blank node's sum as a copy of its
+    child's (Poly.sum_of_products); and the last cell's weights are
+    multiplied by h^N, N the number of cells.  So the product of one
+    weight per cell is still the diagram's CSM weight, and every node's
+    sum of the walk is a polynomial of degree N."""
     one = Poly.one()
     out = []
     for i, j, k in _cells(dims):
@@ -261,7 +263,7 @@ def _tile_weights(dims: Dims, hbar: bool) -> tuple[dict[str, Poly], ...]:
         turn = blank = one
         if hbar:
             label = label.times_hbar(-1)
-            blank = Poly({**label.terms, 0: 1}, 0)  # every key of label holds an x
+            blank = Poly({0: 1, **label.terms}, 0)  # every key of label holds an x
         out.append((label, turn, blank))
     if hbar and out:
         out[-1] = tuple(w.times_hbar(len(out)) for w in out[-1])

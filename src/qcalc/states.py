@@ -1,6 +1,7 @@
 """Levelled state DAGs: the record every state builder returns (States),
-the one counting pass that keeps their live states (live), and the one
-path sum that every formula walks with its own weights (state_sum)."""
+the counting pass that keeps the live states of a forward builder
+(live), and the one path sum that every formula walks with its own
+weights (state_sum)."""
 
 from __future__ import annotations
 
@@ -63,19 +64,21 @@ class States:
 
 
 def live(children: list[dict], ends, reduced: bool = False) -> States:
-    """The counting pass of every builder.  children[k] maps each state a
-    forward pass reached at level k to its edges (c, t), pruned branches
-    left out; ends holds the states reached at the last level, which
-    all end a path.  N is 1 at an end and N(s) is the sum of N over the
-    edges of s; the states with N > 0 are kept with their edges into
-    live states, and total is the sum of N at level 0, so level 0 must
-    hold the start alone (so must ends, when children is empty).
+    """The counting pass of the forward builders, target_states and
+    cgpd._states (blockperm.subword_states counts in its own backward
+    pass).  children[k] maps each state a forward pass reached at level
+    k to its edges (c, t), pruned branches left out; ends holds the
+    states reached at the last level, which all end a path.  N is 1 at
+    an end and N(s) is the sum of N over the edges of s; the states with
+    N > 0 are kept with their edges into live states, and total is the
+    sum of N at level 0, so level 0 must hold the start alone (so must
+    ends, when children is empty).
 
     Bit k of skipped is set when the first kept edge of a kept state at
-    level k is labelled 0, the skip of a subword builder, which orders
-    skip before take.  A kept state is reached from the start and
-    reaches an end, so that is when some path skips position k.  No
-    routing tile is labelled 0, so the cgpd states keep skipped 0.
+    level k is labelled 0, the skip of target_states, which orders skip
+    before take.  A kept state is reached from the start and reaches an
+    end, so that is when some path skips position k.  No routing tile is
+    labelled 0, so the cgpd states keep skipped 0.
     """
     counts = dict.fromkeys(ends, 1)
     levels = [dict.fromkeys(ends, ())]

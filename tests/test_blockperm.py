@@ -421,8 +421,10 @@ def test_subword_states_match_the_forward_builder():
     the live states, edges, total, skipped mask and path order of the
     forward builder (flow bound, then counting) on the grid word of every
     orbit of sweep_dims(6), of the three-vertex dims (2,3,3), (3,3,2) and
-    (3,3,3), of (1^8), and of (2,4,2), whose column blocks mix labels."""
+    (3,3,3), of (1^8), of (2,4,2), whose column blocks mix labels, and of
+    the eight dims of the benchmark's CSM workload (109 orbits)."""
     extra = [(2, 3, 3), (3, 3, 2), (3, 3, 3), (1,) * 8, (2, 4, 2)]
+    extra += [(2, 2, 2, 1), (1, 2, 2, 2), (3, 2, 2), (2, 3, 1), (1, 3, 2), (2, 3, 2), (3, 3, 1), (1, 3, 3)]
     mixed = False
     for dims in sweep_dims(6) + [Dims(r) for r in extra]:
         letters = grid_word(dims).letters

@@ -431,6 +431,19 @@ def test_sum_of_products_copies_a_partner_of_one():
     assert q == a - b + a * b
     q = Poly.sum_of_products([(p, Poly.one()), (Poly.one(), b)])
     assert p.terms == before and q == a
+    # a first factor whose first key is the constant 1, then more terms, as
+    # a cgpd blank weight is built; it has fewer terms than its partner, so
+    # it runs the outer loop: the partner is copied, then written into
+    blank = Poly({0: 1, **p.terms})
+    partner = (a + b + Poly.one()) ** 2
+    assert len(blank.terms) < len(partner.terms)
+    kept = dict(partner.terms)
+    q = Poly.sum_of_products([(blank, partner), (a, b)])
+    assert partner.terms == kept and q.terms is not partner.terms
+    expected = _schoolbook(blank, partner)
+    for m, c in _schoolbook(a, b).items():
+        expected[m] = expected.get(m, 0) + c
+    assert dict(q.items()) == {m: c for m, c in expected.items() if c}
     # a sum is the sum of the products 1 * p, so its first summand is copied too
     q = Poly.sum([p, b])
     assert p.terms == before and q.terms is not p.terms
