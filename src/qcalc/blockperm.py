@@ -12,11 +12,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, islice, zip_longest
+from itertools import islice, zip_longest
 from math import factorial, prod
 
 from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
-from .states import States, live
+from .states import States
 
 Permutation = tuple  # one-line notation, values 1..d
 
@@ -197,18 +197,20 @@ def zelevinsky_hom(dims: Dims) -> Permutation:
     return zelevinsky_permutation(hom_rank_array(dims))
 
 
-# -- the subword states, two builders of states.States ---------------------
+# -- the subword states, one builder of states.States ----------------------
 
-def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list[int]:
+def _arrangements(owed: dict[int, int], values: range, diffs: list[int], span: int) -> list[int]:
     """Every distinct way to give the values owed[i] copies of each label
-    i, packed as in subword_states, in lexicographic order of the labels
-    the values take (labels in owed's order).  The arrangements are
-    extended one value at a time, each carrying the copies it still
-    owes, not by a recursion, so a block may hold any number of values."""
+    i, in lexicographic order of the labels the values take (labels in
+    owed's order), each as an int of rows of span bits: row x is
+    diffs[label(x)] for each of the values x, and 0 for every other x.
+    The arrangements are extended one value at a time, each carrying the
+    copies it still owes, not by a recursion, so a block may hold any
+    number of values."""
     out = [(0, owed)]
     for x in values:
         out = [
-            (s | 1 << (i * d + x), {**left, i: c - 1})
+            (s + (diffs[i] << x * span), {**left, i: c - 1})
             for s, left in out
             for i, c in left.items()
             if c
@@ -216,57 +218,105 @@ def _arrangements(owed: dict[int, int], values: tuple[int, ...], d: int) -> list
     return [s for s, _ in out]
 
 
+def _prefix_rows(labels, unit: int, w: int) -> list[int]:
+    """Rows 0..d of the label vector that gives value x the x-th label,
+    packed as in subword_states: row x adds to row x-1 a 1 in each field
+    c < label(x)."""
+    out = [0]
+    for i in labels:
+        out.append(out[-1] + (unit & (1 << i * (w + 1)) - 1))
+    return out
+
+
+def _pack(rows: list[int], span: int) -> int:
+    """The rows as one int, row x at bit x*span.  Neighbours merge
+    pairwise, so each of the log2(d) rounds copies every bit once, where
+    a running sum of the shifted rows would copy the growing int once
+    per row."""
+    while len(rows) > 1:
+        rows = [lo | hi << span for lo, hi in zip_longest(rows[::2], rows[1::2], fillvalue=0)]
+        span *= 2
+    return rows[0]
+
+
+def _prefix_sums(s: int, span: int, d: int) -> int:
+    """The running sums of the rows 0..d of s: row x of the result is
+    the sum of rows 0..x of s.  Each round adds the int shifted by the
+    rows that each sum covers so far, doubling them, so after
+    log2(d+1) rounds, rounded up, row x sums every row up to x; the
+    rows past d are masked off.  Every sum is a count of at most d - 1
+    labels, below 2^w, so no field carries into the next."""
+    window = 1
+    while window <= d:
+        s += s << window * span
+        window *= 2
+    return s & (1 << (d + 1) * span) - 1
+
+
 @lru_cache(maxsize=None)
-def _subword_plan(letters: tuple[int, ...], dims: Dims):
-    """What subword_states reads of the word and the dims alone, built
-    once per word and dims: the values of each column block (label j,
-    values left to right), the tests of the accepted vectors, and for
-    each letter, from the last back, its pair mask and the tests of its
-    skip and its take predecessors.  A test (mask, bound) is the mask of
-    the labels after c on the values 1..j and D(c, j) of delta_k, the
-    Demazure product of the letters before, packed as a label vector:
-    the identity's, with letter t taken when label(t) < label(t+1).
-
-    Every label vector meets a bound of at least min(j, the values
-    labelled after c), so the tests at j are those of the labels c from
-    the least label on the values 1..j up to, not including, the
-    greatest on the values after j.  Taking t raises D(c, t) for
-    label(t) <= c < label(t+1) alone: the tests of a skip predecessor."""
-    d, n = dims.d, dims.n
-    label = [i for i, _ in dims.rows]  # the Demazure product's labels
-    col = [j for j, _ in dims.cols]
-    delta = sum(1 << (i * d + x) for x, i in enumerate(label))
-    ones = sum(1 << (i * d) for i in range(n + 1))  # bit 0 of every label's mask
-    blocks = tuple((j, tuple(values)) for j, values in groupby(range(d), key=col.__getitem__))
-    late = [sum(1 << (i * d) for i in range(c + 1, n + 1)) for c in range(n)]
-
-    def tests(j: int) -> tuple:
-        low = (1 << j) - 1
-        masks = [m * low for m in late[min(label[:j]) : max(label[j:])]]
-        return tuple(zip(masks, [(delta & mask).bit_count() for mask in masks]))
-
+def _plan(letters: tuple[int, ...], dims: Dims):
+    """What the backward pass reads of the word and the dims alone,
+    built once per word and dims: the field layout (unit, a 1 in every
+    field of a row; w, the field width less its guard bit; span, the
+    bits of a row; guard, every guard bit of a row), the rows of the
+    whole word's Demazure product with every guard bit set, guards, the
+    guard bits of every row, and for each letter, from the last back,
+    the bit offset of its row t-1, row t of delta_k with every guard bit
+    set, and whether delta grows there.  delta_0 is the identity's label
+    vector, and delta_(k+1) is delta_k with the labels of t and t+1
+    swapped when label(t) < label(t+1): the take that raises length."""
+    w = dims.d.bit_length()
+    unit = sum(1 << c * (w + 1) for c in range(dims.n))
+    guard, span = unit << w, dims.n * (w + 1)
+    delta = _prefix_rows((i for i, _ in dims.rows), unit, w)
     steps = []
     for t in letters:
-        pair, take, skip = ones << (t - 1), tests(t), ()
-        a, b = label[t - 1], label[t]
-        if a < b:
-            lo = min(label[:t])
-            skip = take[a - lo : b - lo]
-            label[t - 1], label[t] = b, a
-            diff = (delta ^ delta >> 1) & pair
-            delta ^= diff | diff << 1
-        steps.append((pair, skip, take))
+        lo, mid, hi = delta[t - 1 : t + 2]
+        grows = mid - lo < hi - mid
+        steps.append(((t - 1) * span, mid | guard, grows))
+        if grows:
+            delta[t] = lo + hi - mid
     steps.reverse()
-    final = tuple(test for j in range(1, d) for test in tests(j))
-    return blocks, final, tuple(steps)
+    guards = _pack([guard] * len(delta), span)
+    return (unit, w, span, guard), _pack(delta, span) | guards, guards, tuple(steps)
 
 
-def _within(s: int, tests: tuple) -> bool:
-    """Whether the label vector s meets every (mask, bound) of tests."""
-    for mask, bound in tests:
-        if (s & mask).bit_count() > bound:
-            return False
-    return True
+def _backward_pass(plan, accepted: list[int], reduced: bool) -> States:
+    """The live states of the word's subsets from the start to the
+    accepted vectors, in reduced mode of those whose every take raises
+    length, by one pass from the last letter back: the pass of
+    subword_states and of target_states, whose docstrings give the
+    encoding and the proof."""
+    (_, _, span, guard), final, guards, steps = plan
+    row, window, two = (1 << span) - 1, (1 << 3 * span) - 1, 2 * span
+    counts = dict.fromkeys((s for s in accepted if final - s & guards == guards), 1)
+    levels = [dict.fromkeys(counts, ())]  # from the last letter back
+    skipped = 0
+    for k, (at, bound, grows) in zip(range(len(steps) - 1, -1, -1), steps):
+        below, counts, level = counts, {}, {}
+        at_t = at + span
+        for s, n in below.items():
+            y = s >> at & window  # rows t-1, t and t+1
+            lo, mid, hi = y & row, y >> span & row, y >> two
+            c = lo + hi - mid
+            x = s + (c - mid << at_t)
+            nx = below.get(x)
+            # reduced, and the take s -> x raises length: mid - lo < hi - mid
+            up = reduced and c > mid
+            if nx is None and not up and bound - c & guard == guard:  # x's one kept child is s, its take
+                level[x] = ((1, s),)
+                counts[x] = n
+            if not grows or bound - mid & guard == guard:
+                if nx is None or reduced and not up:
+                    level[s] = ((0, s),)
+                    counts[s] = n
+                else:
+                    level[s] = ((0, s), (1, x))
+                    counts[s] = n + nx
+        if not level.keys().isdisjoint(below):
+            skipped |= 1 << k
+        levels.append(level)
+    return States(tuple(reversed(levels)), sum(counts.values()), skipped, reduced)
 
 
 def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
@@ -291,38 +341,54 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     d!/(r_0! ... r_n!) states per letter; start is the identity's label
     vector (the row block of each value).
 
-    The encoding.  A label vector is one int holding, for each label i,
-    the mask of the values labelled i at bit offset i*d: value x with
-    label i is bit i*d + x - 1.  The labels of t and t+1 differ where
-    bit t-1 and bit t of some label's mask differ, and swapping them
-    flips both bits in those masks, one XOR.
+    The encoding.  Write D_p(c, x) for the number of values <= x whose
+    label in p is later than c.  A label vector p is one int of rows:
+    row x, for x = 0..d, holds D_p(c, x) in field c, for c = 0..n-1.  Row
+    x sits at bit x*n*(w+1), field c at bit c*(w+1) within it, with w
+    the bit length of d.  A count is at most d - 1 < 2^w, so bit w of
+    each field, its guard bit, is 0.  Rows 0 (all 0) and d (the values
+    labelled after c, the same for every p) are stored too, so that the
+    rows on both sides of any letter's row can be read.  Row x less row
+    x-1 has a 1 in each field c < label(x), an int that grows with
+    label(x), so label(t) < label(t+1) exactly when row t - row t-1 <
+    row t+1 - row t as ints.  Swapping the labels of t and t+1 changes
+    row t alone, to row t-1 + row t+1 - row t.
 
     The accepted vectors.  A label vector is accepted when each column
     block j, a run of consecutive values, holds m(i, j) labels i for
     every i.  The pass starts from every accepted vector: each column
     block's labels in every distinct arrangement (_arrangements),
-    combined over the blocks.
+    combined over the blocks.  An arrangement is built as the int of its
+    differences, row x less row x-1, on its block's values; a
+    combination is the sum of its blocks' ints, whose running sums over
+    the rows (_prefix_sums) are its rows.
 
-    The Demazure bound.  Write D_p(c, j) for the number of values x <= j
-    whose label in p is later than c, one AND and one int.bit_count()
-    against the mask of the labels after c on the values 1..j.  It is
-    constant on a coset, and one coset lies below another in Bruhat
-    order exactly when each of its counts is at most the other's: the
-    tableau criterion (Bjorner and Brenti, Combinatorics of Coxeter
-    Groups, Thm. 2.1.5) read at the ends of the row blocks.  The
-    products of the subwords of letters[:k] are the permutations below
-    delta_k, the Demazure product of letters[:k] (the subword property
-    that target_states cites).  So a label vector at letter k is reached
-    from the start exactly when D_p <= D_delta_k everywhere, and only the
-    start meets the bound at letter 0, where delta_0 is the identity.
+    The Demazure bound.  D_p is constant on a coset, and one coset lies
+    below another in Bruhat order exactly when each of its counts is at
+    most the other's: the tableau criterion (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, Thm. 2.1.5) read at the ends of the
+    row blocks.  The Demazure product of a word, in the composition
+    order of composite, is delta() = id and delta(Q + (t,)) = s_t
+    delta(Q) when that raises length, that is when label(t) <
+    label(t+1), else delta(Q).  The subword property (Knutson and
+    Miller, Subword complexes in Coxeter groups, Adv. Math. 2004, sec. 3;
+    Bjorner and Brenti, ch. 2): x <= delta(Q) exactly when some reduced
+    subword of Q spells x, and every subword of Q spells some x <=
+    delta(Q).  So a label vector at letter k is reached from the start
+    exactly when D_p <= D_delta_k everywhere, delta_k the Demazure
+    product of letters[:k], and only the start meets the bound at letter
+    0, where delta_0 is the identity.  With bound a row with every guard
+    bit set, bound - row keeps every guard bit exactly when each field
+    of row is at most bound's: each field of the difference lies in
+    1..2^(w+1) - 1, so none borrows from the next, and one subtraction
+    tests a row, or the whole int against every row at once.
 
     Row t only.  Going back from letter k + 1 to k, a take predecessor
-    differs from its child, and delta_k from delta_(k+1), at j = t_k
-    alone.  The accepted vectors are tested on every count against the
+    differs from its child, and delta_k from delta_(k+1), in row t_k
+    alone.  The accepted vectors are tested on every row against the
     whole word's delta; by induction a state kept at letter k + 1 meets
-    the bound there, so each predecessor is tested at j = t_k alone.  A
-    skip predecessor is its child, so it is tested only for the labels
-    c at which delta_k's count at t_k is below delta_(k+1)'s.
+    the bound there, so a take predecessor is tested on row t_k alone,
+    and a skip predecessor, its child, only where delta grows at k.
 
     The pass.  One backward pass from the accepted vectors that meet
     the bound keeps, at each letter k, the predecessors of the states
@@ -342,72 +408,26 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     positive exactly when the skipped mask meets D; csm_pd reads it so
     for the D_Hom cells.
 
-    Per word and per orbit.  The column blocks, the tests of the
-    accepted vectors, and each letter's pair mask and tests depend on
-    the word and the dims alone, and _subword_plan builds them once per
-    word and dims.  Each orbit builds only its own: the accepted vectors
-    and the backward pass.
+    Per word and per orbit.  The field layout, the rows of the whole
+    word's delta and each letter's row offset, bound and growth depend
+    on the word and the dims alone, and _plan builds them once per word
+    and dims.  Each orbit builds only its own: the accepted vectors and
+    the backward pass.
     """
-    d, labels = r.dims.d, range(r.dims.n + 1)
-    blocks, final, steps = _subword_plan(letters, r.dims)
+    dims = r.dims
+    plan = _plan(letters, dims)
+    unit, w, span, _ = plan[0]
+    labels = range(dims.n + 1)
+    diffs = [unit & (1 << i * (w + 1)) - 1 for i in labels]  # row x less row x-1, by label(x)
     m = orbit_block_counts(r)
-
-    accepted = [0]
-    for j, values in blocks:
-        placed = _arrangements({i: m[(i, j)] for i in labels}, values, d)
-        accepted = [s | p for s in accepted for p in placed]
-
-    counts = dict.fromkeys((s for s in accepted if _within(s, final)), 1)
-    levels = [dict.fromkeys(counts, ())]  # from the last letter back
-    skipped = 0
-    for k, (pair, skip, take) in zip(range(len(steps) - 1, -1, -1), steps):
-        below, counts, level = counts, {}, {}
-        for s, n in below.items():
-            diff = (s ^ s >> 1) & pair
-            w = s ^ (diff | diff << 1)
-            nw = below.get(w)
-            if nw is None and _within(w, take):  # w's one kept child is s, its take
-                level[w] = ((1, s),)
-                counts[w] = n
-            if _within(s, skip):
-                level[s] = ((0, s),) if nw is None else ((0, s), (1, w))
-                counts[s] = n if nw is None else n + nw
-        if not level.keys().isdisjoint(below):
-            skipped |= 1 << k
-        levels.append(level)
-    return States(tuple(reversed(levels)), sum(counts.values()), skipped)
-
-
-def _prefix_rows(y, unit: int, w: int) -> list[int]:
-    """Rows 0..d of y's prefix counts, packed as in target_states: row i
-    adds [y(i) > j] to row i-1."""
-    out = [0]
-    for a in y:
-        out.append(out[-1] + (unit & (1 << (a - 1) * (w + 1)) - 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _target_plan(letters: tuple[int, ...], d: int):
-    """What target_states reads of the word and d alone, built once per
-    word and d: unit, a 1 in every field; w, the field width less its
-    guard bit; guard, every guard bit of a row; span, the bits of a row;
-    the rows of delta_0, the Demazure product of the whole word; and for
-    each letter, first to last, the bit offset of its row t and that row
-    of delta_(k+1) with every guard bit set."""
-    w = d.bit_length()
-    unit = sum(1 << j * (w + 1) for j in range(d - 1))
-    guard = unit << w
-    span = (d - 1) * (w + 1)
-    delta = _prefix_rows(range(1, d + 1), unit, w)  # the identity's, then delta_k's from the end
-    steps = []
-    for t in reversed(letters):
-        lo, mid, hi = delta[t - 1 : t + 2]
-        steps.append(((t - 1) * span, mid | guard))
-        if mid - lo < hi - mid:
-            delta[t] = lo + hi - mid
-    steps.reverse()
-    return unit, w, guard, span, tuple(delta), tuple(steps)
+    accepted, x = [0], 1
+    for j in range(dims.n, -1, -1):  # the column blocks, left to right
+        values = range(x, x + dims.r[j])
+        placed = _arrangements({i: m[i, j] for i in labels}, values, diffs, span)
+        accepted = [s + p for s in accepted for p in placed]
+        x = values.stop
+    accepted = [_prefix_sums(s, span, dims.d) for s in accepted]
+    return _backward_pass(plan, accepted, False)
 
 
 def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> States:
@@ -415,94 +435,24 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
     reduced subwords for v in reduced mode, counted over states instead
     of listed.
 
-    The state.  With u the product of the letters taken so far, the
-    letters still to be taken must spell x = v u^-1.  Taking letter t
-    turns u into s_t u and x into x s_t, which swaps x(t) and x(t+1).
-    The state is x, packed as its prefix-count rows: row i holds, in
-    field j for j = 1..d-1, C_i(j) = #{a <= i : x(a) > j}.  Row i sits
-    at bit i*(d-1)*(w+1), field j at bit (j-1)*(w+1) within it, with w
-    the bit length of d.  Rows 0 (all 0) and d (d - j, for every x) are
-    stored too, so that the rows on both sides of any letter's row can
-    be read.  A count is at most d - 1 < 2^w, so bit w of each field,
-    its guard bit, is 0.  Row i less row i-1 is the field vector
-    [x(i) > j], whose value as an int grows with x(i), so x(t) > x(t+1)
-    exactly when C_t - C_(t-1) > C_(t+1) - C_t as ints.  Taking t
-    changes row t alone, to C_(t-1) + C_(t+1) - C_t.  The start is v's
-    rows, at u = id.
-
-    Bruhat order.  x <= y exactly when each field of each row of x is at
-    most y's (Bjorner and Brenti, Combinatorics of Coxeter Groups,
-    Thm. 2.1.5).  The Demazure product of a word Q, in the composition
-    order of composite, is delta() = id and delta((t,) + Q) =
-    delta(Q) s_t when delta(Q)(t) < delta(Q)(t+1), that is when s_t
-    raises length, else delta(Q).  The subword property (Knutson and
-    Miller, Subword complexes in Coxeter groups, Adv. Math. 2004, sec. 3;
-    Bjorner and Brenti, ch. 2): x <= delta(Q) exactly when some reduced
-    subword of Q spells x, and every subword of Q spells some
-    x <= delta(Q).  Since l(x) <= l(delta(Q)) <= |Q|, a state with x <=
-    delta(letters[k:]) is never farther from v than the letters left.
-
-    The test.  A state x at letter k is kept only when x <=
-    delta_k = delta(letters[k:]), so only x = id, that is u = v, is kept
-    after the last letter, where delta is id.  In reduced mode a take is
-    allowed only when x(t) > x(t+1), so it lowers l(x) by one.  Then
-    l(x) + l(u) = l(v) holds from u = id on: l(v) <= l(x s_t) + l(s_t u)
-    <= l(x) - 1 + l(u) + 1, so each take raises l(u) by one, and each
-    accepted subset is a reduced word for v.  Conversely a reduced
-    subword of letters[k:] spelling x takes only letters that lower
-    l(x), so it is a completion.  So in reduced mode the test is exact:
-    a state is kept exactly when some accepted subset passes through
-    it, and the forward pass builds only live states.  In all-subsets
-    mode every take is allowed, and the test is only necessary, since a
-    completion spells x; states.live drops the states that reach
-    nothing.
-
-    Row t only.  delta_k is delta_(k+1) s_t or delta_(k+1), so the two
-    differ in row t at most, as a child differs from its parent.  The
-    start is tested on every row against delta_0; by induction a state
-    kept at letter k has every row at most delta_k's, so a child at
-    k + 1 need only have row t at most delta_(k+1)'s.  With bound that
-    row with every guard bit set, bound - c keeps every guard bit
-    exactly when each field of c is at most bound's: each field of the
-    difference lies in 1..2^(w+1) - 1, so none borrows from the next,
-    and one subtraction tests the row.  The rows of delta_(k+1) are
-    built from the end, with the same row-t step.
-
-    Per word and per orbit.  The field layout, the rows of delta_0 and
-    each letter's row offset and bound depend on the word and d alone,
-    and _target_plan builds them once per word and d.  Each target
-    builds only its own: v's rows, the start test, the forward walk and
-    states.live.
+    These are the states of subword_states on the dims (1, ..., 1): every
+    row block is one position, so the label vector of u is u^-1 less
+    one, a coset is one permutation, and the one accepted vector is v's.
+    A take raises length exactly when label(t) < label(t+1) before it,
+    and in reduced mode the pass keeps only those takes.  The test stays
+    exact: a state u kept at letter k lies below delta_k, so some reduced
+    subword of letters[:k] spells it, a path from the start whose every
+    take raises length, and the kept takes from u to v raise it too.  A
+    subset spells v by takes that each raise length exactly when it is a
+    reduced word for v.  For these dims the rows are those of u^-1's
+    prefix counts: row x holds, in field j - 1 for j = 1..d-1, #{a <= x :
+    u^-1(a) > j}.  Each target builds only its own: v's rows and the
+    backward pass.
     """
-    unit, w, guard, span, delta, steps = _target_plan(letters, len(v))
-    row = (1 << span) - 1
-
-    start = _prefix_rows(v, unit, w)
-    fits = all((b | guard) - c & guard == guard for b, c in zip(delta, start))
-    # row i goes to bit i*span.  Neighbours merge pairwise, so each of
-    # the log2(d) rounds copies every bit once, where a running sum of
-    # the shifted rows would copy the growing int once per row.
-    level, width = start, span
-    while len(level) > 1:
-        level = [lo | hi << width for lo, hi in zip_longest(level[::2], level[1::2], fillvalue=0)]
-        width *= 2
-    level = level if fits else []
-    children = []
-    for at, bound in steps:
-        kids, nxt = {}, {}
-        for s in level:
-            lo, mid, hi = s >> at & row, s >> at + span & row, s >> at + 2 * span & row
-            edges = ()
-            if bound - mid & guard == guard:
-                edges = ((0, s),)
-                nxt[s] = None
-            if not reduced or mid - lo > hi - mid:
-                c = lo + hi - mid
-                if bound - c & guard == guard:
-                    take = s + (c - mid << at + span)
-                    edges += ((1, take),)
-                    nxt[take] = None
-            kids[s] = edges
-        children.append(kids)
-        level = nxt
-    return live(children, level, reduced)
+    d = len(v)
+    plan = _plan(letters, Dims((1,) * d))
+    unit, w, span, _ = plan[0]
+    label = [0] * d
+    for q, x in enumerate(v):
+        label[x - 1] = q
+    return _backward_pass(plan, [_pack(_prefix_rows(label, unit, w), span)], reduced)

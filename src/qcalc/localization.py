@@ -93,16 +93,19 @@ def _require_reduced(word: Word):
 
 def orbit_states(r: RankArray) -> States:
     """The grid word's subsets with product in perm(r), as live states
-    (blockperm.subword_states).  Built once per quiver.Orbit; the pipe
-    dream and ratio CSM classes both walk it, each with its own
+    (blockperm.subword_states, one backward pass over the coset states
+    from the accepted label vectors).  Built once per quiver.Orbit; the
+    pipe dream and ratio CSM classes both walk it, each with its own
     weights."""
     return shared(r, "subword_states", lambda r: subword_states(grid_word(r.dims).letters, r))
 
 
 def orbit_reduced_states(r: RankArray) -> States:
     """The grid word's reduced subwords for z(r), as live states
-    (blockperm.target_states).  Built once per quiver.Orbit; the pipe
-    dream and ratio quiver polynomials both walk it."""
+    (blockperm.target_states: the same backward pass on the dims (1, ...,
+    1), from z(r)'s label vector alone, keeping only the takes that raise
+    length).  Built once per quiver.Orbit; the pipe dream and ratio
+    quiver polynomials both walk it."""
     return shared(
         r,
         "reduced_states",

@@ -10,8 +10,11 @@ edge at some column v(q); v is the dream's permutation.
 Crosses read rows bottom to top, west to east within a row, spell a
 word in simple transpositions (letter s_{q+p-1} at cell (q, p)) whose
 ordered product is v; the pipe dreams of a given permutation are
-therefore the paths of the region word's subword states
-(blockperm.target_states).
+therefore the paths of the region word's reduced subword states toward
+v (blockperm.target_states, the coset walk of blockperm.subword_states
+on the dims (1, ..., 1), toward v's vector alone).  The CSM formula
+walks the grid word's coset states toward perm(r)
+(blockperm.subword_states).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Levelled state DAGs: the record every state builder returns (States),
-the counting pass that keeps the live states of a forward builder
+the counting pass that keeps the live states of the cgpd routing states
 (live), and the one path sum that every formula walks with its own
 weights (state_sum)."""
 
@@ -18,15 +18,16 @@ class States:
     level passes through to its edges (c, t) in order: label c, and t
     the state reached at level k + 1.  The last level's states have no
     edges.  total is the number of paths.  Of the builders,
-    subword_states and target_states label the skip of letter k 0 and
+    blockperm.subword_states and target_states, both one exact backward
+    pass that keeps only live states, label the skip of letter k 0 and
     its take 1, skip first, over packed int states; a path is one
     accepted subset.  skipped has bit j set when some accepted subset
     skips position j (a position outside it is taken by all), and a
     skipped letter weighs 1 when reduced and h otherwise.
-    cgpd.orbit_states and minimal_states label the p-th cell in laying
-    order with the tile laid there, over states numbered within each
-    level; a path is one diagram, and skipped and reduced keep their
-    defaults.
+    cgpd.orbit_states, which keeps its live states through live, and
+    minimal_states label the p-th cell in laying order with the tile
+    laid there, over states numbered within each level; a path is one
+    diagram, and skipped and reduced keep their defaults.
     """
 
     levels: tuple[dict, ...]
@@ -63,29 +64,22 @@ class States:
                     stack.append(iter(levels[len(stack)][t]))
 
 
-def live(children: list[dict], ends, reduced: bool = False) -> States:
-    """The counting pass of the forward builders, target_states and
-    cgpd._states (blockperm.subword_states counts in its own backward
-    pass).  children[k] maps each state a forward pass reached at level
-    k to its edges (c, t), pruned branches left out; ends holds the
-    states reached at the last level, which all end a path.  N is 1 at
-    an end and N(s) is the sum of N over the edges of s; the states with
-    N > 0 are kept with their edges into live states, and total is the
-    sum of N at level 0, so level 0 must hold the start alone (so must
-    ends, when children is empty).
-
-    Bit k of skipped is set when the first kept edge of a kept state at
-    level k is labelled 0, the skip of target_states, which orders skip
-    before take.  A kept state is reached from the start and reaches an
-    end, so that is when some path skips position k.  No routing tile is
-    labelled 0, so the cgpd states keep skipped 0.
+def live(children: list[dict], ends) -> States:
+    """The counting pass of the forward builder cgpd._states (the
+    subword builders of blockperm keep only live states in their own
+    backward pass).  children[k] maps each state a forward pass reached
+    at level k to its edges (c, t), pruned branches left out; ends holds
+    the states reached at the last level, which all end a path.  N is 1
+    at an end and N(s) is the sum of N over the edges of s; the states
+    with N > 0 are kept with their edges into live states, and total is
+    the sum of N at level 0, so level 0 must hold the start alone (so
+    must ends, when children is empty).
     """
     counts = dict.fromkeys(ends, 1)
     levels = [dict.fromkeys(ends, ())]
-    skipped = 0
-    for k in range(len(children) - 1, -1, -1):
+    for kids in reversed(children):
         below, counts, level = counts, {}, {}
-        for s, edges in children[k].items():
+        for s, edges in kids.items():
             n, kept = 0, []
             for e in edges:
                 m = below.get(e[1])
@@ -95,10 +89,8 @@ def live(children: list[dict], ends, reduced: bool = False) -> States:
             if n:
                 level[s] = kept
                 counts[s] = n
-                if kept[0][0] == 0:
-                    skipped |= 1 << k
         levels.append(level)
-    return States(tuple(reversed(levels)), sum(counts.values()), skipped, reduced)
+    return States(tuple(reversed(levels)), sum(counts.values()))
 
 
 def state_sum(levels: tuple[dict, ...], weights) -> Poly:

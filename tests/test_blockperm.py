@@ -333,19 +333,25 @@ def test_subword_property_of_the_demazure_product():
                 assert spelled <= down, word
 
 
-def test_target_states_against_the_reference_on_larger_d(monkeypatch):
+def _assert_live(states) -> None:
+    """Every state at every level lies on a path from the root at level
+    0 to the last level: level 0 holds at most one state, each level's
+    states are exactly the ends of the edges from the level above, and
+    every state above the last level has an edge."""
+    levels = states.levels
+    assert len(levels[0]) <= 1
+    reached = set(levels[0])
+    for k, level in enumerate(levels):
+        assert set(level) == reached, k
+        assert all(level.values()) if k + 1 < len(levels) else not any(level.values()), k
+        reached = {t for edges in level.values() for _, t in edges}
+
+
+def test_target_states_against_the_reference_on_larger_d():
     """target_states against subword_subsets on seeded words for d = 5..8
     (at d = 8 the packed field widens from 4 to 5 bits), toward products
-    of random subwords and random permutations, in both modes.  In
-    reduced mode the forward pass expands only live states."""
-    expanded = []
-    live = blockperm.live
-
-    def spy(children, ends, reduced=False):
-        expanded.append([list(kids) for kids in children])
-        return live(children, ends, reduced)
-
-    monkeypatch.setattr(blockperm, "live", spy)
+    of random subwords and random permutations, in both modes.  In both
+    modes every state it keeps is live."""
 
     def against_the_reference(letters, v):
         d = len(v)
@@ -355,8 +361,7 @@ def test_target_states_against_the_reference_on_larger_d(monkeypatch):
             assert list(taken(states)) == ref, (letters, v, reduced)
             assert states.total == len(ref)
             assert states.skipped == _skipped(ref, len(letters)), (letters, v, reduced)
-            if reduced:
-                assert expanded[-1] == [list(level) for level in states.levels[:-1]]
+            _assert_live(states)
 
     rng = random.Random(23)
     for d in range(5, 9):
@@ -410,10 +415,12 @@ def test_target_states_figures_pinned():
 
 
 def _label_vector(s: int, dims: Dims) -> tuple:
-    """The label vector that a subword_states state packs: value x has
-    label i when bit i*d + x - 1 is set."""
-    d = dims.d
-    return tuple(next(i for i in range(dims.n + 1) if s >> (i * d + x) & 1) for x in range(d))
+    """The label vector that a subword_states state packs: row x, at bit
+    x*n*(w+1) with w the bit length of d, less row x - 1 has a 1 in each
+    of its n fields of w + 1 bits below the label of value x."""
+    n, f = dims.n, dims.d.bit_length() + 1
+    rows = [s >> x * n * f & (1 << n * f) - 1 for x in range(dims.d + 1)]
+    return tuple(sum(rows[x] - rows[x - 1] >> c * f & 1 for c in range(n)) for x in range(1, dims.d + 1))
 
 
 def test_subword_states_match_the_forward_builder():
@@ -421,15 +428,17 @@ def test_subword_states_match_the_forward_builder():
     the live states, edges, total, skipped mask and path order of the
     forward builder (flow bound, then counting) on the grid word of every
     orbit of sweep_dims(6), of the three-vertex dims (2,3,3), (3,3,2) and
-    (3,3,3), of (1^8), of (2,4,2), whose column blocks mix labels, and of
-    the eight dims of the benchmark's CSM workload (109 orbits)."""
-    extra = [(2, 3, 3), (3, 3, 2), (3, 3, 3), (1,) * 8, (2, 4, 2)]
+    (3,3,3), of (1^8), of (2,4,2), whose column blocks mix labels, of the
+    one-vertex (3), whose packed rows have no field, and of the eight
+    dims of the benchmark's CSM workload (109 orbits)."""
+    extra = [(2, 3, 3), (3, 3, 2), (3, 3, 3), (1,) * 8, (2, 4, 2), (3,)]
     extra += [(2, 2, 2, 1), (1, 2, 2, 2), (3, 2, 2), (2, 3, 1), (1, 3, 2), (2, 3, 2), (3, 3, 1), (1, 3, 3)]
     mixed = False
     for dims in sweep_dims(6) + [Dims(r) for r in extra]:
         letters = grid_word(dims).letters
         for r in enumerate_rank_arrays(dims):
             got, ref = subword_states(letters, r), forward_subword_states(letters, r)
+            _assert_live(got)
             assert (got.total, got.skipped, got.reduced) == (ref.total, ref.skipped, ref.reduced), r
             decoded = [
                 {
