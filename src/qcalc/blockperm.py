@@ -12,10 +12,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
 from math import factorial, prod
 
-from .quiver import Dims, RankArray, hom_rank_array, lace_array, shared
+from .quiver import Dims, RankArray, hom_rank_array, lace_array, per_orbit
 from .states import States
 
 Permutation = tuple  # one-line notation, values 1..d
@@ -85,14 +85,16 @@ def regions(dims: Dims) -> Regions:
     return Regions(frozenset(strict), frozenset(dhom))
 
 
+@per_orbit
 def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
-    """1-counts m(i, j) of the Zelevinsky permutation's blocks.
+    """1-counts m(i, j) of the Zelevinsky permutation's blocks, built
+    once per quiver.Orbit; do not mutate.
 
     Lace counts s_ji sit on and below the block diagonal, the
     superantidiagonal block carries r_{i,i+1}, and everything above it
     is empty.
     """
-    s, ranks = shared(r, "laces", lace_array).entries, r.entries
+    s, ranks = lace_array(r).entries, r.entries
     blocks = range(r.dims.n + 1)
     return {
         (i, j): s[j, i] if j <= i else ranks[i, j] if j == i + 1 else 0
@@ -115,7 +117,7 @@ def _block_perms(r: RankArray):
     d may be large.
     """
     dims = r.dims
-    owed = dict(orbit_block_counts(r))  # the search decrements it
+    owed = dict(block_counts(r))  # the search decrements it
     row = [i for i, _ in dims.rows]
     col = [j for j, _ in dims.cols]
     free = {j: [p for p, c in enumerate(col, 1) if c == j] for j in dict.fromkeys(col)}
@@ -144,8 +146,10 @@ def _block_perms(r: RankArray):
             stack.append(choices(row[q]))
 
 
+@per_orbit
 def zelevinsky_permutation(r: RankArray) -> Permutation:
-    """The minimal-length permutation with the block counts of r.
+    """The minimal-length permutation with the block counts of r, built
+    once per quiver.Orbit.
 
     Within each block row, read top to bottom, the ones go to column
     blocks left to right, and within each column block the receiving
@@ -155,7 +159,7 @@ def zelevinsky_permutation(r: RankArray) -> Permutation:
     It is the lexicographically first member of perm(r), the first that
     _block_perms yields.
     """
-    m = orbit_block_counts(r)
+    m = block_counts(r)
     free: dict[int, list[int]] = {}  # column block -> its columns, left to right
     for p, (j, _) in enumerate(r.dims.cols, start=1):
         free.setdefault(j, []).append(p)
@@ -179,18 +183,8 @@ def perm_count(r: RankArray) -> int:
     j its r_j columns over the row blocks in r_j! / prod_i m(i, j)!
     ways, and block (i, j) matches its m(i, j) rows to its columns in
     m(i, j)! ways: (prod_i r_i!)^2 / prod_(i, j) m(i, j)! in all."""
-    m = orbit_block_counts(r).values()
+    m = block_counts(r).values()
     return prod(map(factorial, r.dims.r)) ** 2 // prod(map(factorial, m))
-
-
-def orbit_block_counts(r: RankArray) -> dict[tuple[int, int], int]:
-    """block_counts(r), computed once per quiver.Orbit; do not mutate."""
-    return shared(r, "blocks", block_counts)
-
-
-def orbit_zperm(r: RankArray) -> Permutation:
-    """z(r), computed once per quiver.Orbit."""
-    return shared(r, "z", zelevinsky_permutation)
 
 
 def zelevinsky_hom(dims: Dims) -> Permutation:
@@ -216,16 +210,6 @@ def _arrangements(owed: dict[int, int], values: range, diffs: list[int], span: i
             if c
         ]
     return [s for s, _ in out]
-
-
-def _prefix_rows(labels, unit: int, w: int) -> list[int]:
-    """Rows 0..d of the label vector that gives value x the x-th label,
-    packed as in subword_states: row x adds to row x-1 a 1 in each field
-    c < label(x)."""
-    out = [0]
-    for i in labels:
-        out.append(out[-1] + (unit & (1 << i * (w + 1)) - 1))
-    return out
 
 
 def _pack(rows: list[int], span: int) -> int:
@@ -256,19 +240,21 @@ def _prefix_sums(s: int, span: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def _plan(letters: tuple[int, ...], dims: Dims):
     """What the backward pass reads of the word and the dims alone,
-    built once per word and dims: the field layout (unit, a 1 in every
-    field of a row; w, the field width less its guard bit; span, the
-    bits of a row; guard, every guard bit of a row), the rows of the
-    whole word's Demazure product with every guard bit set, guards, the
-    guard bits of every row, and for each letter, from the last back,
-    the bit offset of its row t-1, row t of delta_k with every guard bit
-    set, and whether delta grows there.  delta_0 is the identity's label
+    built once per word and dims: the field layout (diffs, row x less
+    row x-1 by label(x), a 1 in each field c < label(x); span, the bits
+    of a row; guard, every guard bit of a row), the rows of the whole
+    word's Demazure product with every guard bit set, guards, the guard
+    bits of every row, and for each letter, from the last back, the bit
+    offset of its row t-1, row t of delta_k with every guard bit set,
+    and whether delta grows there.  A label vector's rows are the
+    running sums of its values' diffs.  delta_0 is the identity's label
     vector, and delta_(k+1) is delta_k with the labels of t and t+1
     swapped when label(t) < label(t+1): the take that raises length."""
     w = dims.d.bit_length()
     unit = sum(1 << c * (w + 1) for c in range(dims.n))
     guard, span = unit << w, dims.n * (w + 1)
-    delta = _prefix_rows((i for i, _ in dims.rows), unit, w)
+    diffs = [unit & (1 << i * (w + 1)) - 1 for i in range(dims.n + 1)]
+    delta = list(accumulate((diffs[i] for i, _ in dims.rows), initial=0))
     steps = []
     for t in letters:
         lo, mid, hi = delta[t - 1 : t + 2]
@@ -278,7 +264,7 @@ def _plan(letters: tuple[int, ...], dims: Dims):
             delta[t] = lo + hi - mid
     steps.reverse()
     guards = _pack([guard] * len(delta), span)
-    return (unit, w, span, guard), _pack(delta, span) | guards, guards, tuple(steps)
+    return (diffs, span, guard), _pack(delta, span) | guards, guards, tuple(steps)
 
 
 def _backward_pass(plan, accepted: list[int], reduced: bool) -> States:
@@ -287,7 +273,7 @@ def _backward_pass(plan, accepted: list[int], reduced: bool) -> States:
     length, by one pass from the last letter back: the pass of
     subword_states and of target_states, whose docstrings give the
     encoding and the proof."""
-    (_, _, span, guard), final, guards, steps = plan
+    (_, span, guard), final, guards, steps = plan
     row, window, two = (1 << span) - 1, (1 << 3 * span) - 1, 2 * span
     counts = dict.fromkeys((s for s in accepted if final - s & guards == guards), 1)
     levels = [dict.fromkeys(counts, ())]  # from the last letter back
@@ -416,10 +402,9 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     """
     dims = r.dims
     plan = _plan(letters, dims)
-    unit, w, span, _ = plan[0]
+    diffs, span, _ = plan[0]
     labels = range(dims.n + 1)
-    diffs = [unit & (1 << i * (w + 1)) - 1 for i in labels]  # row x less row x-1, by label(x)
-    m = orbit_block_counts(r)
+    m = block_counts(r)
     accepted, x = [0], 1
     for j in range(dims.n, -1, -1):  # the column blocks, left to right
         values = range(x, x + dims.r[j])
@@ -451,8 +436,9 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
     """
     d = len(v)
     plan = _plan(letters, Dims((1,) * d))
-    unit, w, span, _ = plan[0]
+    diffs, span, _ = plan[0]
     label = [0] * d
     for q, x in enumerate(v):
         label[x - 1] = q
-    return _backward_pass(plan, [_pack(_prefix_rows(label, unit, w), span)], reduced)
+    rows = list(accumulate((diffs[q] for q in label), initial=0))
+    return _backward_pass(plan, [_pack(rows, span)], reduced)

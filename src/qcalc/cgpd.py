@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .poly import Poly, xvar
-from .quiver import Dims, RankArray, lace_array, shared
+from .quiver import Dims, RankArray, lace_array, per_orbit
 from .states import States, live, state_sum
 
 # The tiles that take exactly the strands arriving from (east, north), in
@@ -187,41 +187,39 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
     return live(children, level.values())
 
 
+@per_orbit
 def orbit_states(r: RankArray) -> States:
     """The routing states of the diagrams realizing the laces of r, built
     once per quiver.Orbit."""
-    return shared(r, "cgpd", lambda r: _states(r.dims, shared(r, "laces", lace_array).entries))
+    return _states(r.dims, lace_array(r).entries)
 
 
+@per_orbit
 def minimal_states(r: RankArray) -> States:
     """The paths of orbit_states with the fewest straight-strand tiles
     (+ - |).  A min-plus pass from the end gives the fewest each state's
     completions have; a pass from the root keeps the edges that attain
     it and counts the paths into each state it reaches.  Built once per
     quiver.Orbit."""
-
-    def build(r: RankArray) -> States:
-        levels = orbit_states(r).levels
-        fewest = [dict.fromkeys(levels[-1], 0)]
-        for level in reversed(levels[:-1]):
-            below = fewest[-1]
-            fewest.append({s: min([(c in "+-|") + below[t] for c, t in edges])
-                           for s, edges in level.items()})
-        fewest.reverse()
-        kept, paths = [], dict.fromkeys(levels[0], 1)
-        for p, level in enumerate(levels[:-1]):
-            here, below, reach, kids = fewest[p], fewest[p + 1], {}, {}
-            for s, count in paths.items():
-                kids[s] = edges = [(c, t) for c, t in level[s]
-                                   if (c in "+-|") + below[t] == here[s]]
-                for _, t in edges:
-                    reach[t] = reach.get(t, 0) + count
-            kept.append(kids)
-            paths = reach
-        kept.append(dict.fromkeys(paths, ()))
-        return States(tuple(kept), sum(paths.values()))
-
-    return shared(r, "cgpd_minimal", build)
+    levels = orbit_states(r).levels
+    fewest = [dict.fromkeys(levels[-1], 0)]
+    for level in reversed(levels[:-1]):
+        below = fewest[-1]
+        fewest.append({s: min([(c in "+-|") + below[t] for c, t in edges])
+                       for s, edges in level.items()})
+    fewest.reverse()
+    kept, paths = [], dict.fromkeys(levels[0], 1)
+    for p, level in enumerate(levels[:-1]):
+        here, below, reach, kids = fewest[p], fewest[p + 1], {}, {}
+        for s, count in paths.items():
+            kids[s] = edges = [(c, t) for c, t in level[s]
+                               if (c in "+-|") + below[t] == here[s]]
+            for _, t in edges:
+                reach[t] = reach.get(t, 0) + count
+        kept.append(kids)
+        paths = reach
+    kept.append(dict.fromkeys(paths, ()))
+    return States(tuple(kept), sum(paths.values()))
 
 
 def _spell(dims: Dims, words) -> list[CGPD]:

@@ -14,12 +14,13 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import cgpd, engine, pipedream, quiver
 from .blockperm import _block_perms, perm_count, zelevinsky_permutation
 from .cgpd import CGPD, enumerate_cgpd
 from .pipedream import PipeDream, enumerate_pipe_dreams
-from .poly import Poly, format_poly
+from .poly import format_poly
 from .quiver import (
     Dims,
     LaceArray,
@@ -50,14 +51,6 @@ def _perm_text(v: tuple) -> str:
     if len(v) <= 9:
         return "".join(str(k) for k in v)
     return ",".join(str(k) for k in v)
-
-
-def _poly_text(p: Poly, args, dims: Dims) -> str:
-    if args.format == "latex":
-        return format_poly(p, "latex")
-    if args.letters:
-        return format_poly(p, "letters", dims.r)
-    return format_poly(p)
 
 
 # -- rendering --------------------------------------------------------------
@@ -141,10 +134,14 @@ def _render(args) -> str:
             isinstance(c, list) and len(c) == 2 and all(map(quiver.is_int, c)) for c in pairs
         )):
             raise ValueError(f'"crosses" must be an array of [q, p] pairs, got {json.dumps(pairs)}')
+        crosses = Counter(map(tuple, pairs))
+        twice = [list(c) for c, count in crosses.items() if count > 1]
+        if twice:
+            raise ValueError(f'repeated cross {json.dumps(twice[0])} in "crosses"')
         dims = parse_dims(obj["dims"]) if "dims" in obj else Dims((d,))
         if dims.d != d:
             raise ValueError(f'"dims" {list(dims.r)} add up to {dims.d}, not "d" = {d}')
-        dream = PipeDream(dims, frozenset(map(tuple, pairs)))  # checks the region
+        dream = PipeDream(dims, frozenset(crosses))  # checks the region
         return render_pipedream(d, dream.crosses, dims)
     if what == "cgpd":
         return render_cgpd(CGPD.from_json(parse_dims(_field(obj, "dims")), obj))
@@ -186,7 +183,7 @@ def _cmd_poly(args) -> int:
         payload = {"target": args.command, "method": args.method, "polynomial": format_poly(p)}
         print(json.dumps(payload))
     else:
-        print(_poly_text(p, args, r.dims))
+        print(format_poly(p, "ascii" if args.format == "text" else args.format, r.dims.r))
     return 0
 
 
@@ -195,9 +192,11 @@ def _cmd_enum(args) -> int:
     printed; the JSON items make the bytes json.dumps gives for their
     list.  perm(r) is counted without listing it and streamed from its
     search, so a large one starts printing at once."""
+    if args.region and args.what != "pd":
+        raise ValueError(f"--region applies to --what pd only, not to --what {args.what}")
     r = parse_input(_load_json(args.input))
     if args.what == "pd":
-        found = enumerate_pipe_dreams(r.dims, zelevinsky_permutation(r), args.region)
+        found = enumerate_pipe_dreams(r.dims, zelevinsky_permutation(r), args.region or "strict")
         as_json = PipeDream.to_json
         as_text = lambda dream: render_pipedream(r.dims.d, dream.crosses, r.dims)
     elif args.what == "cgpd":
@@ -254,29 +253,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="qcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, methods=None):
+    def add(name, fn, formats=("text", "json"), methods=None):
         p = sub.add_parser(name)
         p.add_argument("input", help="path to a JSON file, or inline JSON")
         if methods:
             p.add_argument("--method", choices=tuple(methods), default="pd")
-        p.add_argument("--format", choices=("text", "latex", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(fn=fn)
         return p
 
     add("lace", _cmd_lace)
     add("zperm", _cmd_zperm)
     for target, methods in engine.METHODS.items():
-        p = add(target, _cmd_poly, methods)
-        p.add_argument("--letters", action="store_true")
+        add(target, _cmd_poly, ("text", "letters", "latex", "json"), methods)
     p = add("enum", _cmd_enum)
     p.add_argument("--what", choices=("pd", "cgpd", "perm"), default="pd")
-    p.add_argument("--region", choices=("strict", "full"), default="strict")
+    p.add_argument("--region", choices=("strict", "full"))  # --what pd's; strict by default
     add("check", _cmd_check)
     p = sub.add_parser("sweep")
     p.add_argument("budget", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_sweep)
-    p = add("render", _cmd_render)
+    p = add("render", _cmd_render, formats=())
     p.add_argument("--what", choices=("lacing", "pipedream", "cgpd", "zmatrix"), required=True)
 
     try:

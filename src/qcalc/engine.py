@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import cgpd, localization, pipedream
-from .blockperm import length, orbit_zperm, perm_count, regions
+from .blockperm import length, perm_count, regions, zelevinsky_permutation
 from .poly import Poly, format_poly
 from .quiver import Dims, Orbit, RankArray, enumerate_rank_arrays, to_json
 
@@ -116,10 +116,12 @@ class ConsistencyReport:
 def check(r: RankArray) -> ConsistencyReport:
     """Compute all six polynomials of r and verify every cross relation.
 
-    The formulas share one Orbit, so the block counts, z(r), the reduced
-    and the CSM subword states and the cgpd routing states (one forward
-    pass, read by both cgpd formulas) are built once; the counts are their
-    sizes, and no subword, member of perm(r) or CGPD object is listed.
+    The formulas share one Orbit, so each object built by a per_orbit
+    builder (quiver.per_orbit) is built once: the lace array, the block
+    counts, z(r), the reduced and the CSM subword states, and the cgpd
+    routing states (one forward pass, read by both cgpd formulas) and
+    their minimal paths.  The counts are their sizes, and no subword,
+    member of perm(r) or CGPD object is listed.
     rp_star, the number of reduced strict dreams of z(r), and p_total,
     the number of strict subwords with product in perm(r) (non-reduced
     strict dreams), are the totals (states.States.total) of the two
@@ -155,7 +157,7 @@ def check(r: RankArray) -> ConsistencyReport:
             polys[f"{t}_{right}"] = polys[f"{t}_{left}"]
 
     reg = regions(r.dims)
-    lz = length(orbit_zperm(orbit))
+    lz = length(zelevinsky_permutation(orbit))
     laws = {
         "degree": polys["qpoly_pd"].degree() == lz - len(reg.dhom_cells),
         "leading term": polys["csm_pd"].hbar_coefficient(reg.L - lz) == polys["qpoly_pd"],

@@ -22,14 +22,14 @@ from .blockperm import (
     composite,
     identity,
     length,
-    orbit_zperm,
     regions,
     require_permutation,
     subword_states,
     target_states,
+    zelevinsky_permutation,
 )
 from .poly import Poly, Variable, exact_divide, xvar
-from .quiver import Dims, RankArray, shared
+from .quiver import Dims, RankArray, per_orbit
 from .states import States, state_sum
 
 
@@ -91,26 +91,24 @@ def _require_reduced(word: Word):
         raise NotReducedWord(f"word {word.letters} is not reduced")
 
 
+@per_orbit
 def orbit_states(r: RankArray) -> States:
     """The grid word's subsets with product in perm(r), as live states
     (blockperm.subword_states, one backward pass over the coset states
     from the accepted label vectors).  Built once per quiver.Orbit; the
     pipe dream and ratio CSM classes both walk it, each with its own
     weights."""
-    return shared(r, "subword_states", lambda r: subword_states(grid_word(r.dims).letters, r))
+    return subword_states(grid_word(r.dims).letters, r)
 
 
+@per_orbit
 def orbit_reduced_states(r: RankArray) -> States:
     """The grid word's reduced subwords for z(r), as live states
     (blockperm.target_states: the same backward pass on the dims (1, ...,
     1), from z(r)'s label vector alone, keeping only the takes that raise
     length).  Built once per quiver.Orbit; the pipe dream and ratio
     quiver polynomials both walk it."""
-    return shared(
-        r,
-        "reduced_states",
-        lambda r: target_states(grid_word(r.dims).letters, orbit_zperm(r), True),
-    )
+    return target_states(grid_word(r.dims).letters, zelevinsky_permutation(r), True)
 
 
 def subword_pairs(takes, reduced: bool) -> list[tuple[Poly, Poly]]:

@@ -459,25 +459,18 @@ def _var_text(v: Variable, style: str, sizes: tuple[int, ...] | None = None) -> 
     return f"x{level}_{index}"
 
 
-class _Powers(dict):
-    """The factor texts of one variable by exponent: "" for 0, the name
-    for 1, and each higher power made on its first lookup, so only the
-    exponents that occur are ever printed.  In latex a power of x^a_b
-    braces its base, {x^{a}_{b}}^{e}, which is not a double superscript."""
-
-    __slots__ = ("head", "tail")
-
-    def __init__(self, v: Variable, style: str, sizes: tuple[int, ...] | None):
-        name = _var_text(v, style, sizes)
-        dict.__init__(self, {0: "", 1: name})
-        if style != "latex":
-            self.head, self.tail = f"{name}^", ""
-        else:
-            self.head, self.tail = (f"{name}^{{" if v == HBAR else f"{{{name}}}^{{"), "}"
-
-    def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self.head}{e}{self.tail}"
-        return text
+def _factor_texts(
+    v: Variable, style: str, sizes: tuple[int, ...] | None, top: int
+) -> dict[int, str]:
+    """The factor texts of one variable by exponent, 0 to top: "" for 0,
+    the name for 1, and name^e above.  In latex a power of x^a_b braces
+    its base, {x^{a}_{b}}^{e}, which is not a double superscript."""
+    name = _var_text(v, style, sizes)
+    if style != "latex":
+        head, tail = f"{name}^", ""
+    else:
+        head, tail = (f"{name}^{{" if v == HBAR else f"{{{name}}}^{{"), "}"
+    return {0: "", 1: name, **{e: f"{head}{e}{tail}" for e in range(2, top + 1)}}
 
 
 def format_poly(
@@ -491,7 +484,8 @@ def format_poly(
     The terms are sorted by graded-lex key (_grlex_key).  Each term is
     then read again, its exponents picked in the variable order by one
     itemgetter, and its factor texts looked up in one table per
-    variable (_Powers) and joined at C level, exponent 0's empty text
+    variable (_factor_texts, up to its field of seen, which is at least
+    every exponent) and joined at C level, exponent 0's empty text
     filtered out.  Only the sorted monomials and the output's pieces
     are held per term: keeping each term's exponents from the sort
     would save the second read but raise the peak memory.
@@ -502,7 +496,7 @@ def format_poly(
     read, seen = _reader(terms)
     slots = _slots(seen)
     pick = _picker(slots)
-    tables = [_Powers(_variable(s), style, sizes) for s in slots]
+    tables = [_factor_texts(_variable(s), style, sizes, seen[s]) for s in slots]
     sep = " " if style == "latex" else "*"
     join = sep.join
     pieces: list[str] = []

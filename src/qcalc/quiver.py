@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 
 class NotRealizable(Exception):
@@ -121,26 +121,33 @@ class Orbit(RankArray):
     that array's dims, entries and key as they are, without validating
     them again: a RankArray is validated when it is built and, being
     hashed, is never changed.  The memo is the orbit's own and starts
-    empty; what depends on the word or the dims alone is cached per word
-    or per dims, not here.
+    empty; it maps each per_orbit builder to what it built.  What
+    depends on the word or the dims alone is cached per word or per
+    dims, not here.
     """
 
     __slots__ = ("memo",)
 
     def __init__(self, r: RankArray):
         self.dims, self.entries, self._key = r.dims, r.entries, r._key
-        self.memo: dict[str, object] = {}
+        self.memo: dict[object, object] = {}
 
 
-def shared(r: RankArray, name: str, fn):
-    """fn(r), computed once per Orbit and kept under the fixed name; a
-    plain RankArray gets a fresh fn(r) on every call."""
-    if not isinstance(r, Orbit):
-        return fn(r)
-    memo = r.memo
-    if name not in memo:
-        memo[name] = fn(r)
-    return memo[name]
+def per_orbit(fn):
+    """Decorate a builder of one object of a rank array: fn(r) is built
+    once per Orbit and kept in its memo under fn itself; a plain
+    RankArray gets a fresh fn(r) on every call."""
+
+    @wraps(fn)
+    def once(r: RankArray):
+        if not isinstance(r, Orbit):
+            return fn(r)
+        memo = r.memo
+        if fn not in memo:
+            memo[fn] = fn(r)
+        return memo[fn]
+
+    return once
 
 
 class LaceArray:
@@ -209,6 +216,7 @@ class Rep:
                 raise ValueError(f"phi_{k} must be {r[k]} x {r[k-1]}")
 
 
+@per_orbit
 def lace_array(r: RankArray) -> LaceArray:
     """The lace array of a rank array, by inclusion-exclusion on ranks.
 

@@ -27,7 +27,11 @@ class States:
     cgpd.orbit_states, which keeps its live states through live, and
     minimal_states label the p-th cell in laying order with the tile
     laid there, over states numbered within each level; a path is one
-    diagram, and skipped and reduced keep their defaults.
+    diagram, and skipped and reduced keep their defaults.  An orbit's
+    four state sets come from per_orbit builders (quiver.per_orbit):
+    localization.orbit_states and orbit_reduced_states, through the
+    two subword builders, and cgpd.orbit_states and minimal_states, so
+    check() builds each once and every formula reads that one.
     """
 
     levels: tuple[dict, ...]

@@ -13,10 +13,10 @@ taken reads the paths of subword states as subsets.
 
 from qcalc.blockperm import (
     Permutation,
+    block_counts,
     identity,
     left_mul_s,
     length,
-    orbit_block_counts,
 )
 from qcalc.quiver import RankArray
 from qcalc.states import States
@@ -192,7 +192,7 @@ def forward_subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     """
     dims = r.dims
     d = dims.d
-    m = orbit_block_counts(r)
+    m = block_counts(r)
     col = [j for j, _ in dims.cols]
     want = {}  # boundary b -> (label i, need_b(i)) for the labels needed
     for b in range(1, d):

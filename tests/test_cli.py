@@ -55,12 +55,38 @@ def test_zperm_of_a_large_vertex(capsys):
         assert out.strip() == expected, argv
 
 
+FINAL = str(FIXTURES / "ex_final.json")
+FINAL_LETTERS = "a1*a2 - a1*c - a2*c - b1*b2 + b1*c + b2*c"
+
+
 def test_qpoly_letters_final(capsys):
-    code, out, _ = run(
-        capsys, "qpoly", "--method", "pd", "--letters", str(FIXTURES / "ex_final.json")
-    )
+    code, out, _ = run(capsys, "qpoly", "--method", "pd", "--format", "letters", FINAL)
     assert code == 0
-    assert out.strip() == "a1*a2 - a1*c - a2*c - b1*b2 + b1*c + b2*c"
+    assert out.strip() == FINAL_LETTERS
+
+
+REJECTED_OPTIONS = [
+    # (argv, the flag stderr must name)
+    (("qpoly", "--letters", FINAL), "--letters"),
+    (("csm", "--format", "latex", "--letters", FINAL), "--letters"),
+    *(((command, "--format", style, FINAL), "--format")
+      for command in ("lace", "zperm", "enum", "check") for style in ("letters", "latex")),
+    (("sweep", "1", "--format", "latex"), "--format"),
+    (("render", "--what", "lacing", "--format", "json", FINAL), "--format"),
+    (("enum", "--what", "cgpd", "--region", "full", FINAL), "--region"),
+    (("enum", "--what", "perm", "--region", "strict", FINAL), "--region"),
+]
+
+
+def test_each_subcommand_takes_only_its_own_options(capsys):
+    """Each --format lists only what its subcommand prints (qpoly and csm
+    print letters by --format letters, as test_qpoly_letters_final reads
+    them, and render has one output), and --region belongs to --what pd:
+    anything else exits 1 naming the flag."""
+    for argv, flag in REJECTED_OPTIONS:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert flag in err, argv
 
 
 def test_qpoly_methods_agree(capsys):
@@ -259,6 +285,8 @@ BAD_INPUT = [
     (("lace", '{"dims":[1,1],"rank":{"0,1":1},"lace":{"0,0":1,"1,1":1}}'), '"rank" and a "lace"'),
     # one key twice in one object, which json.loads would resolve to its last value
     (("lace", '{"dims":[1,1],"rank":{"0,1":1,"0,1":0}}'), 'repeated key "0,1"'),
+    # one cross twice, which a set of crosses would draw once
+    (("render", "--what", "pipedream", '{"d":3,"crosses":[[1,1],[1,1]]}'), "repeated cross [1, 1]"),
 ]
 
 

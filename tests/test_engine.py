@@ -9,7 +9,7 @@ from operator import or_
 
 import pytest
 
-from qcalc import blockperm, cgpd, engine, pipedream, quiver
+from qcalc import blockperm, cgpd, engine, localization, pipedream, quiver
 from qcalc.blockperm import perm_set, zelevinsky_permutation
 from qcalc.cgpd import enumerate_cgpd
 from qcalc.engine import ConsistencyReport, check, compute, sweep, sweep_dims
@@ -259,21 +259,53 @@ SHARED = (
 )
 
 
+PER_ORBIT = (
+    quiver.lace_array,
+    blockperm.block_counts,
+    blockperm.zelevinsky_permutation,
+    cgpd.orbit_states,
+    cgpd.minimal_states,
+    localization.orbit_states,
+    localization.orbit_reduced_states,
+)
+
+
 def test_check_builds_each_shared_object_once(monkeypatch):
+    """check() stores each per_orbit object once in its Orbit's memo, and
+    the builders behind them, which memoize nothing, run once each."""
+    stored = {}
+
+    class Memo(dict):
+        def __setitem__(self, key, value):
+            stored[key] = stored.get(key, 0) + 1
+            super().__setitem__(key, value)
+
+    class CountingOrbit(quiver.Orbit):
+        def __init__(self, r):
+            super().__init__(r)
+            self.memo = Memo()
+
     r = RankArray(Dims((2, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1})
     check(r)  # caches the Hom search of these dims
-    calls = _count_calls(monkeypatch, *SHARED)
+    monkeypatch.setattr(engine, "Orbit", CountingOrbit)
+    calls = _count_calls(
+        monkeypatch,
+        blockperm.perm_set,
+        blockperm.subword_states,
+        blockperm.target_states,
+        cgpd.enumerate_cgpd,
+        cgpd._states,
+    )
     report = check(r)
     assert report.ok
     assert report.rank is r
+    assert stored == {fn.__wrapped__: 1 for fn in PER_ORBIT}
     assert calls == {
-        "block_counts": 1,
         "perm_set": 0,
         "subword_states": 1,
         "target_states": 1,
         "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one state set
         "_states": 1,
-        "lace_array": 1,  # the block counts and the cgpd states read the one lace array
     }
 
 
