@@ -51,7 +51,7 @@ _TILES = {
 _SIDES = {code: sides for sides, tiles in _TILES.items() for code, _, _ in tiles}
 
 
-class InvalidCGPD(Exception):
+class InvalidCGPD(ValueError):
     pass
 
 

@@ -16,7 +16,7 @@ import os
 import sys
 from collections import Counter
 
-from . import cgpd, engine, pipedream, quiver
+from . import engine, quiver
 from .blockperm import _block_perms, perm_count, zelevinsky_permutation
 from .cgpd import CGPD, enumerate_cgpd
 from .pipedream import PipeDream, enumerate_pipe_dreams
@@ -81,9 +81,10 @@ def render_lacing(s: LaceArray) -> str:
     return "\n".join(lines)
 
 
-def render_pipedream(d: int, crosses: frozenset, dims: Dims) -> str:
+def render_pipedream(dream: PipeDream) -> str:
     """The d x d grid, '+' at crosses and '.' elsewhere, with rules
     between the blocks of dims (a single block draws none)."""
+    dims, crosses, d = dream.dims, dream.crosses, dream.dims.d
     cut = [p < d and dims.cols[p - 1][0] != dims.cols[p][0] for p in range(1, d + 1)]
     lines = []
     for q in range(1, d + 1):
@@ -141,8 +142,7 @@ def _render(args) -> str:
         dims = parse_dims(obj["dims"]) if "dims" in obj else Dims((d,))
         if dims.d != d:
             raise ValueError(f'"dims" {list(dims.r)} add up to {dims.d}, not "d" = {d}')
-        dream = PipeDream(dims, frozenset(crosses))  # checks the region
-        return render_pipedream(d, dream.crosses, dims)
+        return render_pipedream(PipeDream(dims, frozenset(crosses)))  # checks the region
     if what == "cgpd":
         return render_cgpd(CGPD.from_json(parse_dims(_field(obj, "dims")), obj))
     # "zmatrix"; argparse's choices admit nothing else
@@ -197,8 +197,7 @@ def _cmd_enum(args) -> int:
     r = parse_input(_load_json(args.input))
     if args.what == "pd":
         found = enumerate_pipe_dreams(r.dims, zelevinsky_permutation(r), args.region or "strict")
-        as_json = PipeDream.to_json
-        as_text = lambda dream: render_pipedream(r.dims.d, dream.crosses, r.dims)
+        as_json, as_text = PipeDream.to_json, render_pipedream
     elif args.what == "cgpd":
         found, as_json, as_text = enumerate_cgpd(r), CGPD.to_json, render_cgpd
     else:  # "perm"; argparse's choices admit nothing else
@@ -293,16 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
         return 141
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        quiver.NotRealizable,
-        quiver.BadRowSums,
-        cgpd.InvalidCGPD,
-        pipedream.RegionViolation,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every input error of the package is a ValueError
         print(f"qcalc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -205,13 +205,16 @@ def sweep_dims(budget: int) -> list[Dims]:
 
 
 def worker_count() -> int:
+    """QCALC_THREADS, at least 1 and at most the core count (a pool forks
+    all its workers at once); the core count when it is unset."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("QCALC_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return max(1, min(int(env), cores))
         except ValueError:
             raise ValueError(f"QCALC_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return cores
 
 
 def sweep_reports(budget: int) -> Iterator[ConsistencyReport]:

@@ -36,7 +36,7 @@ from .states import States, state_sum
 _HBAR = Poly.hbar()  # the skip weight of an undivided letter (subword_pairs)
 
 
-class NotReducedWord(Exception):
+class NotReducedWord(ValueError):
     pass
 
 

@@ -29,7 +29,7 @@ from .quiver import Dims, RankArray
 from .states import state_sum
 
 
-class RegionViolation(Exception):
+class RegionViolation(ValueError):
     pass
 
 

@@ -93,7 +93,7 @@ class NotDivisible(Exception):
     """No exact quotient exists; usually signals a convention bug upstream."""
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position

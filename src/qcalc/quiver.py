@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 
 
-class NotRealizable(Exception):
+class NotRealizable(ValueError):
     """The rank array has a negative derived lace entry at (p, q)."""
 
     def __init__(self, p: int, q: int, value: int):
@@ -25,7 +25,7 @@ class NotRealizable(Exception):
         self.p, self.q = p, q
 
 
-class BadRowSums(Exception):
+class BadRowSums(ValueError):
     """A lace array whose interval counts do not add up to the dims."""
 
 
@@ -407,11 +407,7 @@ def parse_input(obj: dict | str) -> RankArray:
     if "rank" in obj and "lace" in obj:
         raise ValueError('input carries both a "rank" and a "lace" object; give one')
     if "rank" in obj:
-        entries = read_entries("rank")
-        for i, j in dims.pairs():
-            if i != j and (i, j) not in entries:
-                raise ValueError(f"missing rank entry ({i},{j})")
-        return RankArray(dims, entries)
+        return RankArray(dims, read_entries("rank"))
     if "lace" in obj:
         return rank_array(LaceArray(dims, read_entries("lace")))
     raise ValueError('input must carry a "rank" or "lace" object')

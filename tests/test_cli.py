@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from qcalc import engine
+from qcalc import cgpd, engine, localization, pipedream, poly, quiver
 from qcalc.cgpd import CGPD, enumerate_cgpd
 from qcalc.cli import main, render_lacing, render_pipedream
+from qcalc.pipedream import PipeDream
 from qcalc.poly import parse_poly
 from qcalc.quiver import Dims, LaceArray, parse_input
 
@@ -287,6 +288,11 @@ BAD_INPUT = [
     (("lace", '{"dims":[1,1],"rank":{"0,1":1,"0,1":0}}'), 'repeated key "0,1"'),
     # one cross twice, which a set of crosses would draw once
     (("render", "--what", "pipedream", '{"d":3,"crosses":[[1,1],[1,1]]}'), "repeated cross [1, 1]"),
+    # one case for each input-error class the cases above do not reach
+    (("zperm", '{"dims":[1,1],"rank":{"0,1":2}}'), "s[0,0]"),  # NotRealizable
+    (("lace", '{"dims":[1,1],"lace":{"0,0":2}}'), "row 0"),  # BadRowSums
+    (("render", "--what", "pipedream", '{"d":2,"crosses":[[2,2]]}'), "(2,2)"),  # RegionViolation
+    (("render", "--what", "cgpd", '{"dims":[1,1],"rects":[[["?"]]]}'), "'?'"),  # InvalidCGPD
 ]
 
 
@@ -299,6 +305,26 @@ def test_bad_input_exits_one(capsys, argv, named):
     assert out == ""
     assert err.startswith("qcalc: error:") and named in err
     assert "Traceback" not in err and "No such file" not in err
+
+
+def test_a_fault_is_not_bad_input(monkeypatch):
+    """Every input-error class of the package is a ValueError, which main
+    reports on exit 1; a formula's own faults are not, and a KeyError
+    from a formula leaves main with its traceback."""
+    for bad_input in (
+        quiver.NotRealizable, quiver.BadRowSums, cgpd.InvalidCGPD,
+        pipedream.RegionViolation, poly.ParseError, localization.NotReducedWord,
+    ):
+        assert issubclass(bad_input, ValueError)
+    assert not issubclass(pipedream.DHomViolation, ValueError)
+    assert not issubclass(poly.NotDivisible, ValueError)
+
+    def faulty(r):
+        raise KeyError(r.dims)
+
+    monkeypatch.setitem(engine.METHODS["qpoly"], "pd", faulty)
+    with pytest.raises(KeyError):
+        main(["qpoly", str(FIXTURES / "ex_final.json")])
 
 
 def test_closed_stdout_is_not_an_input_error():
@@ -359,7 +385,7 @@ def test_render_pipedream_empty_grid(capsys):
 
 
 def test_render_pipedream_with_blocks():
-    text = render_pipedream(4, frozenset([(1, 1)]), Dims((1, 2, 1)))
+    text = render_pipedream(PipeDream(Dims((1, 2, 1)), frozenset([(1, 1)])))
     assert text.splitlines() == [
         "+|..|.",
         "-+--+-",
@@ -369,7 +395,7 @@ def test_render_pipedream_with_blocks():
         ".|..|.",
     ]
     # rules after rows 2 and 5 and after columns 1 and 4 (blocks right to left)
-    text = render_pipedream(6, frozenset([(1, 1), (2, 4)]), Dims((2, 3, 1)))
+    text = render_pipedream(PipeDream(Dims((2, 3, 1)), frozenset([(1, 1), (2, 4)])))
     assert text.splitlines() == [
         "+|...|..",
         ".|..+|..",
@@ -422,6 +448,15 @@ def test_csm_json_round_trip(capsys):
 
     r = parse_input(json.loads((FIXTURES / "ex_a3.json").read_text()))
     assert parse_poly(payload["polynomial"]) == compute(r, "csm", "pd")
+
+
+def test_thread_count_is_at_most_the_cores(monkeypatch):
+    """A pool forks all its workers at once, so QCALC_THREADS is capped at
+    the core count; this starts no pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for env, workers in (("100000", 3), ("2", 2), ("0", 1), ("-4", 1), ("", 3)):
+        monkeypatch.setenv("QCALC_THREADS", env)
+        assert engine.worker_count() == workers
 
 
 def test_bad_thread_count_exits_one(capsys, monkeypatch):
