@@ -6,7 +6,7 @@ dreams, chained generic pipe dreams, localization ratios) that can be
 cross-checked against one another.
 """
 
-from .poly import HBAR, Poly, exact_divide, format_poly, parse_poly, xvar
+from .poly import HBAR, Poly, format_poly, parse_poly, xvar
 from .quiver import (
     Dims,
     LaceArray,
@@ -21,14 +21,13 @@ from .quiver import (
 )
 from .blockperm import perm_set, zelevinsky_permutation
 from .pipedream import PipeDream, enumerate_pipe_dreams, quiver_poly_pd, csm_pd
-from .cgpd import CGPD, cgpd_infinity, csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
+from .cgpd import CGPD, csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
 from .localization import ajs_billey, csm_ratio, csm_restriction, quiver_poly_ratio
 from .engine import ConsistencyReport, check, compute, sweep
 
 __all__ = [
     "HBAR",
     "Poly",
-    "exact_divide",
     "format_poly",
     "parse_poly",
     "xvar",
@@ -49,7 +48,6 @@ __all__ = [
     "quiver_poly_pd",
     "csm_pd",
     "CGPD",
-    "cgpd_infinity",
     "csm_cgpd",
     "enumerate_cgpd",
     "quiver_poly_cgpd",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, zip_longest
 from math import factorial, prod
+from typing import Iterator
 
 from .quiver import Dims, RankArray, hom_rank_array, lace_array, per_orbit
 from .states import States
@@ -103,9 +104,9 @@ def block_counts(r: RankArray) -> dict[tuple[int, int], int]:
     }
 
 
-def _block_perms(r: RankArray):
-    """The permutations with the block 1-counts of r, in lexicographic
-    order, one at a time.
+def perm_set(r: RankArray) -> Iterator[Permutation]:
+    """perm(r): the permutations whose block 1-counts equal those of
+    z(r), in lexicographic order, one at a time.
 
     Rows are filled top to bottom, each with any free column whose block
     still owes the row's block a one.  A block owed a one always has a
@@ -157,7 +158,7 @@ def zelevinsky_permutation(r: RankArray) -> Permutation:
     block row or block column: each row block, top to bottom, takes its
     next m(i, j) free columns from each column block, left to right.
     It is the lexicographically first member of perm(r), the first that
-    _block_perms yields.
+    perm_set yields.
     """
     m = block_counts(r)
     free: dict[int, list[int]] = {}  # column block -> its columns, left to right
@@ -170,11 +171,6 @@ def zelevinsky_permutation(r: RankArray) -> Permutation:
         for j, left in columns.items()
         for p in islice(left, m[i, j])
     )
-
-
-def perm_set(r: RankArray) -> list[Permutation]:
-    """All permutations whose block 1-counts equal those of z(r), sorted."""
-    return list(_block_perms(r))
 
 
 def perm_count(r: RankArray) -> int:

@@ -276,11 +276,6 @@ def csm_cgpd(r: RankArray) -> Poly:
     return state_sum(orbit_states(r).levels, _tile_weights(r.dims, True))
 
 
-def cgpd_infinity(r: RankArray) -> list[CGPD]:
-    """The diagrams with the fewest straight-strand tiles, in tile-code order."""
-    return _spell(r.dims, map("".join, minimal_states(r).paths()))
-
-
 def quiver_poly_cgpd(r: RankArray) -> Poly:
     """Quiver polynomial as the h -> infinity limit of the CSM formula:
     only minimal diagrams survive, weighted by their straight tiles."""

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from . import engine, quiver
-from .blockperm import _block_perms, perm_count, zelevinsky_permutation
+from .blockperm import perm_count, perm_set, zelevinsky_permutation
 from .cgpd import CGPD, enumerate_cgpd
 from .pipedream import PipeDream, enumerate_pipe_dreams
 from .poly import format_poly
@@ -201,7 +201,7 @@ def _cmd_enum(args) -> int:
     elif args.what == "cgpd":
         found, as_json, as_text = enumerate_cgpd(r), CGPD.to_json, render_cgpd
     else:  # "perm"; argparse's choices admit nothing else
-        found, as_json, as_text = _block_perms(r), lambda v: {"perm": list(v)}, _perm_text
+        found, as_json, as_text = perm_set(r), lambda v: {"perm": list(v)}, _perm_text
     if args.format == "json":
         sys.stdout.write("[")
         for i, x in enumerate(found):

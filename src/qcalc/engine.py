@@ -8,8 +8,8 @@ polynomial has degree l(z(r)) - |D_Hom|, and it is the coefficient of
 h^(L - l(z(r))) in the CSM class.  A report holds two verdicts, equal
 (each pair of formulas of one target) and laws (each law by name), and
 every reader iterates them; a disagreement in either is recorded in the
-report (ok is False).  A formula that raises (exact_divide's
-NotDivisible, csm_pd's DHomViolation, any bug) is not caught: the
+report (ok is False).  A formula that raises (the DHomViolation of
+csm_pd or of the ratio formulas, any bug) is not caught: the
 exception leaves check() and ends sweep_reports(), so only the reports
 of the orbits before it survive, as the lines the CLI has already
 printed.

@@ -28,7 +28,7 @@ from .blockperm import (
     target_states,
     zelevinsky_permutation,
 )
-from .poly import Poly, Variable, exact_divide, xvar
+from .poly import Poly, Variable, xvar
 from .quiver import Dims, RankArray, per_orbit
 from .states import States, state_sum
 
@@ -38,6 +38,12 @@ _HBAR = Poly.hbar()  # the skip weight of an undivided letter (subword_pairs)
 
 class NotReducedWord(ValueError):
     pass
+
+
+class DHomViolation(Exception):
+    """An orbit's subsets skip a D_Hom position, or the Hom restriction is
+    not the product of the D_Hom roots: a fault of the state builders,
+    not bad input.  csm_pd and the ratio formulas (_cancel_hom) raise it."""
 
 
 @dataclass(frozen=True)
@@ -175,26 +181,23 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
     """The orbit's subword sum, given as the roots at num_common times
     num_rest, divided by the Hom-orbit restriction.
 
-    Shared forced positions cancel factor by factor, and exact_divide
-    certifies the division of what is left.  On an orbit neither division
-    runs: z(Hom) is dominant and its one reduced subword is D_Hom, so the
-    Hom restriction is (the D_Hom positions, 1) (pinned over
-    sweep_dims(8)), and every orbit's subsets take every D_Hom position
-    (all of sweep(7); csm_pd raises DHomViolation if one does not).  The
-    ratio is then the orbit's sum with the D_Hom roots left out.
+    The division only cancels.  z(Hom) is dominant and its one reduced
+    subword is D_Hom, so the Hom restriction is the product of the D_Hom
+    roots times 1 (_dhom_positions checks it once per dims), and every
+    orbit's subsets take every D_Hom position, so num_common holds them
+    all.  Those roots are a sub-multiset of the sum's factors, and the
+    exact quotient is num_rest times the roots at the rest of
+    num_common: the orbit's sum with the D_Hom roots left out.  A sum
+    that skips a D_Hom position raises DHomViolation, as csm_pd does on
+    the same states.
     """
-    den_common, den_rest = _hom_factored(dims)
+    dhom = _dhom_positions(dims)
+    if missing := sorted(dhom.difference(num_common)):
+        raise DHomViolation(f"subsets of the orbit skip D_Hom positions {missing}")
     betas = _grid_takes(dims, False)
-    den_set = frozenset(den_common)
     for j in num_common:
-        if j not in den_set:
+        if j not in dhom:
             num_rest = num_rest * betas[j]
-    num_set = frozenset(num_common)
-    for j in den_common:
-        if j not in num_set:
-            num_rest = exact_divide(num_rest, betas[j])
-    if den_rest != Poly.one():
-        num_rest = exact_divide(num_rest, den_rest)
     return num_rest
 
 
@@ -208,7 +211,19 @@ def csm_ratio(r: RankArray) -> Poly:
     return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_takes(r.dims, True)))
 
 
-@lru_cache(maxsize=None)
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
+    """The Hom-orbit restriction as (common, rest), from _forced_sum."""
     states = target_states(grid_word(dims).letters, blockperm.zelevinsky_hom(dims), True)
     return _forced_sum(states, _grid_takes(dims, False))
+
+
+@lru_cache(maxsize=None)
+def _dhom_positions(dims: Dims) -> frozenset[int]:
+    """The grid word positions of the D_Hom cells, once the Hom
+    restriction is checked to be their roots times 1, else
+    DHomViolation."""
+    dhom = regions(dims).dhom_cells
+    positions = tuple(j for j, c in enumerate(grid_word(dims).cells) if c in dhom)
+    if _hom_factored(dims) != (positions, Poly.one()):
+        raise DHomViolation(f"the Hom restriction of dims {list(dims.r)} is not its D_Hom roots")
+    return frozenset(positions)

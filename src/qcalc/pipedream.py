@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .blockperm import regions, require_permutation, target_states
-from .localization import grid_word, orbit_reduced_states, orbit_states, subword_pairs
+from .localization import (
+    DHomViolation,
+    grid_word,
+    orbit_reduced_states,
+    orbit_states,
+    subword_pairs,
+)
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray
 from .states import state_sum
@@ -31,10 +37,6 @@ from .states import state_sum
 
 class RegionViolation(ValueError):
     pass
-
-
-class DHomViolation(Exception):
-    """A non-reduced strict dream missing a cross above the superantidiagonal."""
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,7 @@ the next field.  A field is at most its monomial's total degree, so a
 product whose factors' degree bounds add up to less than 2^15 cannot
 overflow; only a larger one takes one OR over the keys of its result,
 then one AND against the guard bits of all slots, and raises
-OverflowError for an exponent that reached 2^15.  Dividing subtracts
-from the dividend with the guard bits of the operands' fields set; a
-guard bit that comes out cleared marks a field that borrowed, so the
-divisor does not divide.
+OverflowError for an exponent that reached 2^15.
 
 A polynomial maps packed monomials to nonzero integer coefficients
 (Poly.terms); the form is unique and the same in every process, so
@@ -37,9 +34,9 @@ equality is structural and a Poly pickles as its dict alone.  Every sum
 and product runs through the module's one accumulation loop,
 Poly.sum_of_products, and every exponent is read through one reader per
 polynomial, built from the OR of its keys (_reader).  Graded-lex order
-is computed only where it is needed (format_poly, leading_term,
-exact_divide): the key of a monomial is its degree followed by its
-exponents over the polynomial's variables in the variable order.
+is computed only where it is needed, in format_poly: the key of a
+monomial is its degree followed by its exponents over the polynomial's
+variables in the variable order.
 
 Multiplying by h^k is a shift of every key by k (Poly.times_hbar).  The
 CSM walks divide their weights by h that way (localization.subword_pairs
@@ -57,15 +54,12 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import isqrt
 from operator import getitem, itemgetter, or_
 from struct import Struct
 from typing import Iterable
 
 Variable = tuple
-Monomial = tuple  # tuple[tuple[Variable, int], ...], sorted, exponents > 0
 
 HBAR: Variable = ("h",)
 
@@ -87,10 +81,6 @@ def var_key(v: Variable) -> tuple:
     if v[0] == "x":
         return (0, v[1], v[2])
     return (1, 0, 0)
-
-
-class NotDivisible(Exception):
-    """No exact quotient exists; usually signals a convention bug upstream."""
 
 
 class ParseError(ValueError):
@@ -128,14 +118,6 @@ def _unit(v: Variable) -> int:
     """The packed monomial v^1, cached: the per-dims weight tables build
     one linear form per cell, two units each."""
     return 1 << (_WIDTH * _slot(v))
-
-
-def _mono_div(a: int, b: int) -> int | None:
-    """a / b, or None when b does not divide a.  The guard covers the
-    operands' fields only, so the subtraction is as long as they are."""
-    g = _GUARD & ((1 << (max(a.bit_length(), b.bit_length()) + _WIDTH)) - 1)
-    d = (a | g) - b
-    return d ^ g if d & g == g else None
 
 
 def _reader(keys: Iterable[int]):
@@ -360,9 +342,6 @@ class Poly:
             return -1
         return max(map(sum, map(_reader(self.terms)[0], self.terms)))
 
-    def variables(self) -> set[Variable]:
-        return {_variable(s) for s, e in enumerate(_reader(self.terms)[1]) if e}
-
     def times_hbar(self, k: int) -> "Poly":
         """self * h^k, each key shifted by k (h's field is slot 0, the
         lowest), with no product.  A negative k may leave a Laurent
@@ -376,67 +355,12 @@ class Poly:
         is slot 0, the lowest)."""
         return Poly({m - k: c for m, c in self.terms.items() if m & _FIELD == k})
 
-    def leading_term(self) -> tuple[Monomial, int]:
-        """Graded-lex leading term of a nonzero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        read, seen = _reader(self.terms)
-        slots = _slots(seen)
-        m = max(self.terms, key=_grlex_key(read, slots))
-        fields = read(m)
-        return tuple((_variable(s), fields[s]) for s in slots if fields[s]), self.terms[m]
-
 
 _ONE = Poly({0: 1}, 0)
 
 
 def _coerce(x: "Poly | int") -> Poly:
     return x if isinstance(x, Poly) else Poly.const(x)
-
-
-def exact_divide(num: Poly, den: Poly) -> Poly:
-    """The exact quotient q with q * den == num.
-
-    Division is multivariate reduction against the single divisor under
-    graded-lex order; any step that fails to cancel the leading term
-    raises NotDivisible.  The remainder is updated in place, and a heap
-    of grlex keys yields its leading monomial: every monomial a step adds
-    is below the one it cancels, so the heap maximum is always current.
-    """
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    read, seen = _reader(chain(num.terms, den.terms))
-    key = _grlex_key(read, _slots(seen))
-    den_lm = max(den.terms, key=key)
-    den_lc = den.terms[den_lm]
-    den_rest = [(m, c) for m, c in den.terms.items() if m != den_lm]
-    rem = dict(num.terms)
-    heap = [(-key(m), m) for m in rem]
-    heapify(heap)
-    quot: dict[int, int] = {}
-    while heap:
-        lm = heappop(heap)[1]
-        lc = rem.pop(lm, 0)
-        if not lc:
-            continue  # cancelled since it was queued
-        mq = _mono_div(lm, den_lm)
-        if mq is None or lc % den_lc != 0:
-            raise NotDivisible(f"{format_poly(den)} does not divide {format_poly(num)}")
-        c = lc // den_lc
-        quot[mq] = c
-        products = [m + mq for m, _ in den_rest]
-        if reduce(or_, products, 0) & _GUARD:
-            raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
-        for m, (_, dc) in zip(products, den_rest):
-            old = rem.get(m, 0)
-            new = old - c * dc
-            if new:
-                rem[m] = new
-                if not old:
-                    heappush(heap, (-key(m), m))
-            else:
-                del rem[m]
-    return Poly(quot)
 
 
 # -- formatting and parsing ----------------------------------------------

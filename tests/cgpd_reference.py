@@ -5,11 +5,23 @@ time, and shares no code with cgpd._states, cgpd.minimal_states or
 states.state_sum; only the tile table (_TILES), the laying order
 (_cells) and the tile weights come from the package.  In held mode it
 validates a given diagram, naming its first fault.
+
+cgpd_infinity is no part of the router: it spells the package's minimal
+states (cgpd.minimal_states) as diagrams, which only tests list.
 """
 
 import math
 
-from qcalc.cgpd import _SIDES, _TILES, CGPD, InvalidCGPD, _cells, _tile_weights
+from qcalc.cgpd import (
+    _SIDES,
+    _TILES,
+    CGPD,
+    InvalidCGPD,
+    _cells,
+    _spell,
+    _tile_weights,
+    minimal_states,
+)
 from qcalc.poly import Poly
 from qcalc.quiver import Dims, RankArray, lace_array
 
@@ -186,3 +198,8 @@ def cgpd_weight(delta: CGPD) -> Poly:
     weight per cell multiplies out to the same product."""
     weights = _tile_weights(delta.dims, True)
     return math.prod((weights[p][c] for p, c in enumerate(_routed(delta)[1])), start=Poly.one())
+
+
+def cgpd_infinity(r: RankArray) -> list[CGPD]:
+    """The diagrams with the fewest straight-strand tiles, in tile-code order."""
+    return _spell(r.dims, map("".join, minimal_states(r).paths()))

@@ -11,6 +11,9 @@ constants.
 One output differs on purpose: the reference prints a latex power as
 x^{0}_{1}^{2}, which TeX rejects as a double superscript, where the
 package prints {x^{0}_{1}}^{2}.  unbrace maps the package's form back.
+
+leading_term and variables are queries only tests make, on the same
+storage decoding and the reference's _grlex_key.
 """
 
 import re
@@ -48,6 +51,23 @@ def _grlex_key(read, slots: list[int]):
         return sum(fields) << top | int.from_bytes(digits(*[fields[s] for s in slots]), "big")
 
     return key
+
+
+def leading_term(p: Poly) -> tuple[tuple, int]:
+    """Graded-lex leading term of a nonzero polynomial, its monomial in
+    the public tuple-of-pairs form."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading term")
+    read, seen = _reader(p.terms)
+    slots = _slots(seen)
+    m = max(p.terms, key=_grlex_key(read, slots))
+    fields = read(m)
+    return tuple((_variable(s), fields[s]) for s in slots if fields[s]), p.terms[m]
+
+
+def variables(p: Poly) -> set[Variable]:
+    """The variables p uses."""
+    return {_variable(s) for s, e in enumerate(_reader(p.terms)[1]) if e}
 
 
 def _var_text(v: Variable, style: str, sizes: tuple[int, ...] | None = None) -> str:

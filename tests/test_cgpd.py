@@ -16,6 +16,7 @@ from cgpd_reference import (
     LaceCountMismatch,
     NorthLeak,
     SameColorCross,
+    cgpd_infinity,
     cgpd_weight,
     minimal_words,
     router_words,
@@ -26,7 +27,6 @@ from qcalc.cgpd import (
     InvalidCGPD,
     _spell,
     _tile_weights,
-    cgpd_infinity,
     csm_cgpd,
     enumerate_cgpd,
     minimal_states,

@@ -316,8 +316,9 @@ def test_a_fault_is_not_bad_input(monkeypatch):
         pipedream.RegionViolation, poly.ParseError, localization.NotReducedWord,
     ):
         assert issubclass(bad_input, ValueError)
-    assert not issubclass(pipedream.DHomViolation, ValueError)
-    assert not issubclass(poly.NotDivisible, ValueError)
+    # one fault class for csm_pd and the ratio formulas' Hom cancellation
+    assert pipedream.DHomViolation is localization.DHomViolation
+    assert not issubclass(localization.DHomViolation, ValueError)
 
     def faulty(r):
         raise KeyError(r.dims)

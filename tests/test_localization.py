@@ -2,10 +2,12 @@
 ratio formulas built from them."""
 
 import hashlib
+import re
 from itertools import groupby, permutations
 
 import pytest
 
+from qcalc import localization
 from qcalc.blockperm import (
     composite,
     length,
@@ -17,6 +19,7 @@ from qcalc.blockperm import (
 )
 from qcalc.engine import check, sweep_dims
 from qcalc.localization import (
+    DHomViolation,
     NotReducedWord,
     Word,
     _cancel_hom,
@@ -32,7 +35,7 @@ from qcalc.localization import (
     subword_pairs,
 )
 from qcalc.pipedream import csm_pd, quiver_poly_pd
-from qcalc.poly import NotDivisible, Poly, format_poly, xvar
+from qcalc.poly import Poly, format_poly, xvar
 from qcalc.quiver import (
     Dims,
     Orbit,
@@ -288,12 +291,23 @@ def test_hom_restriction_is_the_dhom_roots():
         assert common == tuple(j for j, c in enumerate(grid_word(dims).cells) if c in dhom), dims
 
 
-def test_cancel_hom_divides_a_root_the_orbit_does_not_take():
-    """Every orbit takes every D_Hom position, so the ratios never reach the
-    root division of _cancel_hom; drive it directly, exact and not."""
+def test_cancel_hom_rejects_a_sum_that_skips_a_dhom_position(monkeypatch):
+    """_cancel_hom divides by cancelling the D_Hom roots, so a sum whose
+    forced positions miss one, or a Hom restriction that is not the
+    D_Hom roots times 1, is a fault: DHomViolation, not a ValueError.
+    No orbit reaches either, so both are driven directly."""
+    assert not issubclass(DHomViolation, ValueError)
     dims = Dims((1, 1, 1))
-    (j,), _ = _hom_factored(dims)
-    beta = roots(grid_word(dims))[j]
-    assert _cancel_hom(dims, (), beta * Poly.hbar()) == Poly.hbar()
-    with pytest.raises(NotDivisible):
-        _cancel_hom(dims, (), Poly.hbar())
+    dhom, _ = _hom_factored(dims)
+    betas = roots(grid_word(dims))
+    others = tuple(j for j in range(len(betas)) if j not in dhom)
+    assert _cancel_hom(dims, dhom, Poly.hbar()) == Poly.hbar()
+    with pytest.raises(DHomViolation, match=re.escape(f"skip D_Hom positions {list(dhom)}")):
+        _cancel_hom(dims, others, Poly.hbar())
+    localization._dhom_positions.cache_clear()
+    monkeypatch.setattr(localization, "_hom_factored", lambda dims: (dhom, betas[dhom[0]]))
+    try:
+        with pytest.raises(DHomViolation, match="Hom restriction"):
+            _cancel_hom(dims, dhom, Poly.hbar())
+    finally:
+        localization._dhom_positions.cache_clear()

@@ -1,4 +1,5 @@
-"""The package defines nothing that only a test reaches."""
+"""The package defines nothing that only a test reaches, and README's
+Library section names everything it exports."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,11 @@ def test_every_definition_is_reached_from_package_code():
             ):
                 unreached.append(f"{module}:{node.lineno} {node.name}")
     assert unreached == []
+
+
+def test_readme_library_section_names_every_export():
+    """README's Library section names each entry of qcalc.__all__, in
+    backquotes."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in qcalc.__all__ if f"`{name}`" not in library] == []
