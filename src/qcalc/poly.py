@@ -31,12 +31,13 @@ OverflowError for an exponent that reached 2^15.
 A polynomial maps packed monomials to nonzero integer coefficients
 (Poly.terms); the form is unique and the same in every process, so
 equality is structural and a Poly pickles as its dict alone.  Every sum
-and product runs through the module's one accumulation loop,
-Poly.sum_of_products, and every exponent is read through one reader per
-polynomial, built from the OR of its keys (_reader).  Graded-lex order
-is computed only where it is needed, in format_poly: the key of a
-monomial is its degree followed by its exponents over the polynomial's
-variables in the variable order.
+and product of polynomials runs through the module's one accumulation
+loop, Poly.sum_of_products; parse_poly takes none, as it reads each
+term straight into one packed key.  Every exponent is read through one
+reader per polynomial, built from the OR of its keys (_reader).
+Graded-lex order is computed only where it is needed, in format_poly:
+the key of a monomial is its degree followed by its exponents over the
+polynomial's variables in the variable order.
 
 Multiplying by h^k is a shift of every key by k (Poly.times_hbar).  The
 CSM walks divide their weights by h that way (localization.subword_pairs
@@ -327,15 +328,6 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
     # -- queries ---------------------------------------------------------
-    def items(self):
-        """(monomial, coefficient) pairs, monomials in the public
-        tuple-of-pairs form."""
-        read, seen = _reader(self.terms)
-        named = [(_variable(s), s) for s in _slots(seen)]
-        for m, c in self.terms.items():
-            fields = read(m)
-            yield tuple((v, fields[s]) for v, s in named if fields[s]), c
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -441,71 +433,56 @@ _TOKEN = re.compile(r"\s*(x(\d+)_(\d+)|h|\d+|[-+*^])")
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse the canonical ascii grammar back into a polynomial."""
+    """Parse the canonical ascii grammar back into a polynomial: terms
+    joined by + or - (the first may be signed), each of factors n, h or
+    xA_B with an optional ^E joined by *, read straight into one
+    coefficient and one packed key.  A variable's exponent of 2^15 or
+    more, in a factor or summed over a term, raises OverflowError
+    whatever the coefficient: 0*x0_1^20000*x0_1^20000 raises too.
+    """
     pos = 0
     tokens: list[tuple[str, int]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    while m := _TOKEN.match(text, pos):
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
-
-    idx = 0
-
-    def peek() -> str | None:
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take() -> tuple[str, int]:
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_factor() -> Poly:
-        tok, at = take()
-        if tok.isdigit():
-            base: Poly | int = int(tok)
-        elif tok == "h":
-            base = Poly.hbar()
-        elif tok.startswith("x"):
-            m = _TOKEN.match(tok)
-            assert m is not None
-            base = Poly.var(xvar(int(m.group(2)), int(m.group(3))))
-        else:
-            raise ParseError(f"expected factor, got {tok!r}", at)
-        if peek() == "^":
-            take()
-            tok, at = take() if idx < len(tokens) else (None, len(text))
-            if tok is None or not tok.isdigit():
-                raise ParseError("expected exponent", at)
-            base = base ** int(tok)
-        return _coerce(base)
-
-    def parse_term() -> Poly:
-        p = parse_factor()
-        while peek() == "*":
-            take()
-            if peek() is None:
-                raise ParseError("dangling '*'", len(text))
-            p = p * parse_factor()
-        return p
-
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
     if not tokens:
         raise ParseError("empty input", 0)
-    sign = take()[0] if peek() in ("+", "-") else "+"
-    if peek() is None:
+    tokens.append(("", len(text)))  # the end, which no rule below accepts
+    i = int(tokens[0][0] in ("+", "-"))  # past a leading sign
+    if not tokens[i][0]:
         raise ParseError("expected term", len(text))
-    terms: list[Poly] = []  # summed once, as repeated + would copy the total each time
-    while True:
-        term = parse_term()
-        terms.append(term if sign == "+" else -term)
-        if peek() is None:
-            return Poly.sum(terms)
-        sign, at = take()
-        if sign not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-', got {sign!r}", at)
-        if peek() is None:
-            raise ParseError("dangling sign", len(text))
+    terms: dict[int, int] = {}
+    coef, key = (-1 if tokens[0][0] == "-" else 1), 0
+    while True:  # one factor, then the '*', sign or end after it
+        tok, at = tokens[i]
+        unit = 0  # an integer factor
+        if tok == "h":
+            unit = _unit(HBAR)
+        elif tok.startswith("x"):
+            unit = _unit(xvar(*map(int, tok[1:].split("_"))))
+        elif not tok.isdigit():
+            raise ParseError(f"expected factor, got {tok!r}", at)
+        e, i = 1, i + 1
+        if tokens[i][0] == "^":
+            exponent, at = tokens[i + 1]
+            if not exponent.isdigit():
+                raise ParseError("expected exponent", at)
+            e, i = int(exponent), i + 2
+        if not unit:
+            coef *= int(tok) ** e
+        # fields below 2^15 add without a carry into the next field
+        elif e >= _TOP or (key := key + e * unit) & _GUARD:
+            raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
+        sep, at = tokens[i]
+        if sep not in ("*", "+", "-", ""):
+            raise ParseError(f"expected '+' or '-', got {sep!r}", at)
+        if sep != "*":  # the term ends
+            terms[key] = terms.get(key, 0) + coef
+            if not sep:
+                return Poly({m: c for m, c in terms.items() if c})
+            coef, key = (-1 if sep == "-" else 1), 0
+        i += 1
+        if not tokens[i][0]:
+            raise ParseError("dangling '*'" if sep == "*" else "dangling sign", len(text))

@@ -156,17 +156,21 @@ class LaceArray:
     The row sums are checked in one pass over the intervals: each adds
     its count at row p and takes it off after row q (a difference
     array), and a running sum over the rows gives the laces through
-    each.  BadRowSums names the first row that is off.
+    each.  BadRowSums names the first row that is off; a ValueError
+    names a key outside dims.pairs(), or the first negative entry.
     """
 
     __slots__ = ("dims", "entries", "_key")
 
     def __init__(self, dims: Dims, entries: dict[tuple[int, int], int]):
         full = {pq: entries.get(pq, 0) for pq in dims.pairs()}
-        if any(v < 0 for v in full.values()):
-            raise ValueError("negative lace entry")
+        if not entries.keys() <= full.keys():
+            p, q = next(pq for pq in entries if pq not in full)
+            raise ValueError(f"bad lace index ({p},{q})")
         step = [0] * (dims.n + 2)
         for (p, q), v in full.items():
+            if v < 0:
+                raise ValueError(f"negative lace entry ({p},{q})")
             step[p] += v
             step[q + 1] -= v
         total = 0

@@ -12,8 +12,8 @@ One output differs on purpose: the reference prints a latex power as
 x^{0}_{1}^{2}, which TeX rejects as a double superscript, where the
 package prints {x^{0}_{1}}^{2}.  unbrace maps the package's form back.
 
-leading_term and variables are queries only tests make, on the same
-storage decoding and the reference's _grlex_key.
+leading_term, items and variables are queries only tests make, on the
+same storage decoding (leading_term on the reference's _grlex_key).
 """
 
 import re
@@ -63,6 +63,16 @@ def leading_term(p: Poly) -> tuple[tuple, int]:
     m = max(p.terms, key=_grlex_key(read, slots))
     fields = read(m)
     return tuple((_variable(s), fields[s]) for s in slots if fields[s]), p.terms[m]
+
+
+def items(p: Poly):
+    """(monomial, coefficient) pairs, monomials in the public
+    tuple-of-pairs form."""
+    read, seen = _reader(p.terms)
+    named = [(_variable(s), s) for s in _slots(seen)]
+    for m, c in p.terms.items():
+        fields = read(m)
+        yield tuple((v, fields[s]) for v, s in named if fields[s]), c
 
 
 def variables(p: Poly) -> set[Variable]:

@@ -293,6 +293,8 @@ BAD_INPUT = [
     (("lace", '{"dims":[1,1],"lace":{"0,0":2}}'), "row 0"),  # BadRowSums
     (("render", "--what", "pipedream", '{"d":2,"crosses":[[2,2]]}'), "(2,2)"),  # RegionViolation
     (("render", "--what", "cgpd", '{"dims":[1,1],"rects":[[["?"]]]}'), "'?'"),  # InvalidCGPD
+    # a negative lace entry, named by its interval
+    (("lace", '{"dims":[1,1],"lace":{"0,0":-1,"0,1":1,"1,1":1}}'), "(0,0)"),
 ]
 
 

@@ -184,22 +184,17 @@ UNRUN = {
     "poly.Poly.__hash__": 3,
     "poly.Poly.__bool__": 1,
     "poly.Poly.__repr__": 1,
-    "poly.Poly.items": 5,
     "poly.Poly.degree": 1,
     "poly._var_text": 1,
     "poly.format_poly": 1,
-    "poly.parse_poly": 31,
-    "poly.parse_poly.peek": 1,
-    "poly.parse_poly.take": 3,
-    "poly.parse_poly.parse_factor": 17,
-    "poly.parse_poly.parse_term": 7,
+    "poly.parse_poly": 45,
     "quiver.Dims.__post_init__": 1,
     "quiver.RankArray.__init__": 4,
     "quiver.RankArray.__getitem__": 1,
     "quiver.RankArray.__hash__": 1,
     "quiver.RankArray.__eq__": 1,
     "quiver.RankArray.__repr__": 1,
-    "quiver.LaceArray.__init__": 1,
+    "quiver.LaceArray.__init__": 2,
     "quiver.LaceArray.__getitem__": 1,
     "quiver.LaceArray.__hash__": 1,
     "quiver.LaceArray.__eq__": 1,

@@ -46,6 +46,7 @@ from qcalc.quiver import (
 )
 from qcalc.states import state_sum
 from blockperm_reference import all_reduced_words, block_w0, compose, w0
+from poly_reference import items
 from subword_reference import subword_subsets, taken
 
 
@@ -154,7 +155,7 @@ def test_csm_restriction_h_grading():
     for v in permutations(range(1, 4)):
         p = csm_restriction(tuple(v), word)
         assert all(
-            sum(e for _, e in mono) == 3 for mono, _ in p.items()
+            sum(e for _, e in mono) == 3 for mono, _ in items(p)
         )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import poly_reference
 import qcalc
-from poly_reference import leading_term, unbrace
+from poly_reference import items, leading_term, unbrace
 from qcalc import poly
 from qcalc.engine import sweep
 
@@ -100,7 +100,7 @@ class MissingAssignment(Exception):
 def substitute(p: Poly, assignment: dict) -> Poly:
     """Evaluate p under a total assignment of its variables (Poly or int)."""
     out = Poly.zero()
-    for mono, c in p.items():
+    for mono, c in items(p):
         term = Poly.const(c)
         for v, e in mono:
             if v not in assignment:
@@ -181,9 +181,47 @@ def test_parse_roundtrip():
 
 
 def test_parse_errors():
-    for text in ["", "x0_1 +", "* x0_1", "x0_1 ^ x1_1", "q"]:
-        with pytest.raises(ParseError):
+    """Each ParseError message at its position: the position of the
+    token at fault, or the length of the text where the text ends early."""
+    cases = [
+        ("", "empty input", 0),
+        ("   ", "empty input", 0),
+        ("x0_1 +", "dangling sign", 6),
+        ("x0_1 - ", "dangling sign", 7),
+        ("* x0_1", "expected factor, got '*'", 0),
+        ("x0_1 + +h", "expected factor, got '+'", 7),
+        ("x0_1 ^ x1_1", "expected exponent", 7),
+        ("x0_1^", "expected exponent", 5),
+        ("q", "unexpected character 'q'", 0),
+        ("x0_1 @", "unexpected character ' '", 4),  # the character where no token starts
+        ("2*x0_1 *  ", "dangling '*'", 10),
+        (" -", "expected term", 2),
+        ("x0_1 x1_1", "expected '+' or '-', got 'x1_1'", 5),
+        ("x0_1^2^3", "expected '+' or '-', got '^'", 6),
+    ]
+    for text, message, position in cases:
+        with pytest.raises(ParseError) as err:
             parse_poly(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position, text
+    # a variable outside the packed range is no parse error, and is named
+    # as soon as its factor is read, before a missing exponent
+    for text in ("x0_200", "x0_200^"):
+        with pytest.raises(ValueError, match="variable x0_200 is outside the packed range") as err:
+            parse_poly(text)
+        assert not isinstance(err.value, ParseError)
+
+
+def test_parsed_exponents_overflow_whatever_the_coefficient():
+    """A variable's exponent reaching 2^15, in one factor or over a term,
+    raises, wherever a zero factor stands in the term; just below, it
+    parses."""
+    for text in ("0*x0_1^20000*x0_1^20000", "x0_1^20000*0*x0_1^20000", "x0_1^20000*x0_1^20000*0", "0*h^32768"):
+        with pytest.raises(OverflowError, match=r"^an exponent reached 2\^15$"):
+            parse_poly(text)
+    assert parse_poly("x0_1^32767") == a ** (2**15 - 1)
+    assert parse_poly("h^32767*x0_1") == h ** (2**15 - 1) * a
+    assert parse_poly("x0_1^20000*x1_1^20000") == a**20000 * b**20000  # two fields, no carry
 
 
 def _grlex_cmp(a, b) -> int:
@@ -227,11 +265,11 @@ def test_order_matches_grlex_oracle():
             p = p + term
         if not p:
             continue
-        expected = sorted((m for m, _ in p.items()), key=cmp_to_key(_grlex_cmp), reverse=True)
+        expected = sorted((m for m, _ in items(p)), key=cmp_to_key(_grlex_cmp), reverse=True)
         pieces = re.split(r" [+-] ", format_poly(p))
         shown = [leading_term(parse_poly(piece.lstrip("-")))[0] for piece in pieces]
         assert shown == expected
-        assert leading_term(p) == (expected[0], dict(p.items())[expected[0]])
+        assert leading_term(p) == (expected[0], dict(items(p))[expected[0]])
 
 
 _CHILD = """
@@ -300,7 +338,7 @@ def test_exponent_overflow_raises():
     # an overflowing product whose coefficient cancels is still caught
     with pytest.raises(OverflowError):
         Poly.sum_of_products([(top, a), (-top, a)])
-    # parsed text overflows in the same kernel
+    # parsed text overflows too, by the parser's own guard
     for text in ("x0_1^32768", "x0_1^20000*x0_1^20000"):
         with pytest.raises(OverflowError):
             parse_poly(text)
@@ -314,7 +352,7 @@ def test_a_large_degree_with_small_exponents_is_no_overflow():
     product = left * right
     assert product._bound >= 2**15
     assert product.degree() == 2**15
-    assert list(product.items()) == [(((xvar(0, 1), 2**14), (xvar(1, 1), 2**14)), 1)]
+    assert list(items(product)) == [(((xvar(0, 1), 2**14), (xvar(1, 1), 2**14)), 1)]
     assert Poly.sum_of_products([(left, right), (-left, right)]) == 0
 
 
@@ -356,10 +394,10 @@ def test_slots_are_a_function_of_the_variable():
     for v, e in exponents.items():
         everything = everything * Poly.var(v) ** e
     assert poly_reference.variables(everything) == set(variables)
-    assert list(everything.items()) == [(tuple(sorted(exponents.items(), key=lambda p: var_key(p[0]))), 3)]
+    assert list(items(everything)) == [(tuple(sorted(exponents.items(), key=lambda p: var_key(p[0]))), 3)]
     for v in variables[::40]:
         assert poly_reference.variables(-Poly.var(v)) == {v}
-        assert list((-Poly.var(v)).items()) == [(((v, 1),), -1)]
+        assert list(items(-Poly.var(v))) == [(((v, 1),), -1)]
     # the guard covers the far fields too
     far = Poly.var(xvar(40, 40))
     top = (far ** 2**7) ** (2**8 - 1) * far ** (2**7 - 1)
@@ -430,7 +468,7 @@ def test_sum_of_products_copies_a_partner_of_one():
     expected = _schoolbook(blank, partner)
     for m, c in _schoolbook(a, b).items():
         expected[m] = expected.get(m, 0) + c
-    assert dict(q.items()) == {m: c for m, c in expected.items() if c}
+    assert dict(items(q)) == {m: c for m, c in expected.items() if c}
     # a sum is the sum of the products 1 * p, so its first summand is copied too
     q = Poly.sum([p, b])
     assert p.terms == before and q.terms is not p.terms
@@ -452,7 +490,7 @@ def _schoolbook(p, q) -> dict:
 
 
 def _coerce_items(x):
-    return x.items() if isinstance(x, Poly) else ([((), x)] if x else [])
+    return items(x) if isinstance(x, Poly) else ([((), x)] if x else [])
 
 
 def test_products_match_a_schoolbook_expansion():
@@ -476,6 +514,6 @@ def test_products_match_a_schoolbook_expansion():
     for p, q in pairs:
         for left, right in ((p, q), (q, p)):
             product = left * right
-            assert dict(product.items()) == _schoolbook(left, right), (left, right)
+            assert dict(items(product)) == _schoolbook(left, right), (left, right)
     assert (a - b) * (a + b) == a**2 - b**2  # the cross terms cancel
     assert (a - b) * 0 == 0 and 0 * (a - b) == 0 and Poly.zero() * (a + h) == 0

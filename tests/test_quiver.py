@@ -92,6 +92,15 @@ def test_lace_array_row_sums():
     assert s.laces() == [(0, 2), (1, 1)]
 
 
+def test_lace_array_names_a_bad_entry():
+    """A key outside dims.pairs() is named, as RankArray names one; so
+    is the first negative interval, in pairs order."""
+    with pytest.raises(ValueError, match=r"^bad lace index \(0,5\)$"):
+        LaceArray(Dims((1, 1)), {(0, 1): 1, (0, 5): 3, (1, 0): 3})
+    with pytest.raises(ValueError, match=r"^negative lace entry \(0,1\)$"):
+        LaceArray(Dims((1, 2, 1)), {(1, 1): -1, (0, 1): -1, (0, 2): 3})
+
+
 def test_not_realizable():
     dims = Dims((1, 1, 1))
     r = RankArray(dims, {(0, 1): 0, (0, 2): 1, (1, 2): 1})
