@@ -97,6 +97,15 @@ class RankArray:
         self.entries = full
         self._key = (dims, tuple(sorted(full.items())))
 
+    @classmethod
+    def _of_items(cls, dims: Dims, items: tuple[tuple[tuple[int, int], int], ...]) -> RankArray:
+        """The rank array whose entries are items, ((i, j), r_ij) for
+        every pair of dims.pairs() in that order, taken as they are:
+        for an enumerator whose arrays are valid as it builds them."""
+        r = object.__new__(cls)
+        r.dims, r.entries, r._key = dims, dict(items), (dims, items)
+        return r
+
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if i < 0 or j > self.dims.n:
@@ -119,8 +128,9 @@ class Orbit(RankArray):
     engine.check builds one per orbit and hands it to all six formulas;
     it compares and hashes as the plain rank array it wraps.  It takes
     that array's dims, entries and key as they are, without validating
-    them again: a RankArray is validated when it is built and, being
-    hashed, is never changed.  The memo is the orbit's own and starts
+    them again: a RankArray is validated when it is built, or valid as
+    enumerate_rank_arrays builds it, and, being hashed, is never
+    changed.  The memo is the orbit's own and starts
     empty; it maps each per_orbit builder to what it built.  What
     depends on the word or the dims alone is cached per word or per
     dims, not here.
@@ -263,40 +273,51 @@ def hom_rank_array(dims: Dims) -> RankArray:
     return RankArray(dims, entries)
 
 
-def enumerate_lace_arrays(dims: Dims) -> list[LaceArray]:
-    """All lace arrays for dims, in lexicographic order of their entries.
+def enumerate_rank_arrays(dims: Dims) -> list[RankArray]:
+    """Rank arrays of all orbits, in lexicographic order of their lace
+    arrays' entries in dims.pairs() order.
 
-    The intervals are filled in dims.pairs() order while room[i] counts
-    the laces row i still takes.  Every interval after (p, q) either
-    starts at p and ends after q, or starts after p.  So for q < n, row p
-    and the rows after it can still take laces later, and (p, q) may take
-    any count up to the least room of rows p..q.  No interval after
-    (p, n) covers row p, so (p, n) takes exactly row p's room, and fits
-    only when no row of p..n has less.  Each row is thus filled exactly
-    when the last interval through it is set, and counts are tried in
-    increasing order, which gives the lexicographic order.
+    Row p of a rank array is row p - 1 plus the laces starting at p:
+    r_pj = r_{p-1,j} + t_j, where t_j counts the laces [p, q] with
+    q >= j, so that s_pq = t_q - t_{q+1}.  Every lace through row p not
+    yet counted starts there, so t_p = r_p - r_{p-1,p}; after it, t
+    is any non-increasing run with t_j <= r_j - r_{p-1,j}, the room row
+    j has left.  Every such choice leaves room for the rows after it,
+    so the recursion over (p, j) in dims.pairs() order meets no dead
+    end.  A larger t_{j+1} is a smaller s_pj, so t is tried from the
+    largest down, which gives the lace arrays' order.  The entries
+    ((i, j), r_ij) are kept as one stack as they are set, and each
+    leaf takes them as they are (RankArray._of_items).
     """
-    pairs = dims.pairs()
-    entries: dict[tuple[int, int], int] = {}
-    results: list[LaceArray] = []
+    r, n = dims.r, dims.n
+    above = [0] * (n + 1)  # above[j] = r_{p-1,j}, or r_pj once (p, j) is set
+    items: list[tuple[tuple[int, int], int]] = []
+    results: list[RankArray] = []
 
-    def rec(idx: int, room: tuple[int, ...]):
-        if idx == len(pairs):
-            results.append(LaceArray(dims, entries))
+    def rec(p: int, j: int, t: int):
+        if j > n:
+            if p < n:
+                rec(p + 1, p + 1, 0)
+            else:
+                results.append(RankArray._of_items(dims, tuple(items)))
             return
-        p, q = pairs[idx]
-        cap = min(room[p : q + 1])
-        for value in range(cap + 1) if q < dims.n else [cap] if room[p] == cap else []:
-            entries[p, q] = value
-            rec(idx + 1, tuple(x - value if p <= i <= q else x for i, x in enumerate(room)))
+        was = above[j]
+        room = r[j] - was
+        for tj in [room] if j == p else range(min(t, room), -1, -1):
+            above[j] = was + tj
+            items.append(((p, j), was + tj))
+            rec(p, j + 1, tj)
+            items.pop()
+        above[j] = was
 
-    rec(0, dims.r)
+    rec(0, 0, 0)
     return results
 
 
-def enumerate_rank_arrays(dims: Dims) -> list[RankArray]:
-    """Rank arrays of all orbits, in the order of enumerate_lace_arrays."""
-    return [rank_array(s) for s in enumerate_lace_arrays(dims)]
+def enumerate_lace_arrays(dims: Dims) -> list[LaceArray]:
+    """All lace arrays for dims, in lexicographic order of their entries:
+    those of enumerate_rank_arrays(dims)."""
+    return [lace_array(r) for r in enumerate_rank_arrays(dims)]
 
 
 def representative(s: LaceArray) -> Rep:

@@ -1,16 +1,55 @@
-"""The references the tests check the Zelevinsky matrix and the block
-0/1 representative against.
+"""The references the tests check the orbit enumeration, the Zelevinsky
+matrix and the block 0/1 representative against.
 
-generic_representative moves quiver.representative to a point in
-general position by unimodular changes of basis; rank_array_of and
-nw_rank_profile measure ranks exactly over the integers, by
-fraction-free elimination (integer_rank).  From quiver they use only
-representative and the array types.
+lace_arrays_by_room is the former enumerator, which fills the lace
+intervals in order while tracking each row's room; rank_arrays_by_room
+composes it with quiver.rank_array.  generic_representative moves
+quiver.representative to a point in general position by unimodular
+changes of basis; rank_array_of and nw_rank_profile measure ranks
+exactly over the integers, by fraction-free elimination
+(integer_rank).  From quiver they use only representative, rank_array
+and the array types.
 """
 
 import random
 
-from qcalc.quiver import LaceArray, RankArray, Rep, representative
+from qcalc.quiver import Dims, LaceArray, RankArray, Rep, rank_array, representative
+
+
+def lace_arrays_by_room(dims: Dims) -> list[LaceArray]:
+    """All lace arrays for dims, in lexicographic order of their entries.
+
+    The intervals are filled in dims.pairs() order while room[i] counts
+    the laces row i still takes.  Every interval after (p, q) either
+    starts at p and ends after q, or starts after p.  So for q < n, row p
+    and the rows after it can still take laces later, and (p, q) may take
+    any count up to the least room of rows p..q.  No interval after
+    (p, n) covers row p, so (p, n) takes exactly row p's room, and fits
+    only when no row of p..n has less.  Each row is thus filled exactly
+    when the last interval through it is set, and counts are tried in
+    increasing order, which gives the lexicographic order.
+    """
+    pairs = dims.pairs()
+    entries: dict[tuple[int, int], int] = {}
+    results: list[LaceArray] = []
+
+    def rec(idx: int, room: tuple[int, ...]):
+        if idx == len(pairs):
+            results.append(LaceArray(dims, entries))
+            return
+        p, q = pairs[idx]
+        cap = min(room[p : q + 1])
+        for value in range(cap + 1) if q < dims.n else [cap] if room[p] == cap else []:
+            entries[p, q] = value
+            rec(idx + 1, tuple(x - value if p <= i <= q else x for i, x in enumerate(room)))
+
+    rec(0, dims.r)
+    return results
+
+
+def rank_arrays_by_room(dims: Dims) -> list[RankArray]:
+    """The rank arrays of lace_arrays_by_room(dims), validated, in its order."""
+    return [rank_array(s) for s in lace_arrays_by_room(dims)]
 
 
 def generic_representative(s: LaceArray, seed: int = 0) -> Rep:

@@ -200,6 +200,8 @@ UNRUN = {
     "quiver.LaceArray.__eq__": 1,
     "quiver.LaceArray.__repr__": 1,
     "quiver.Rep.__post_init__": 2,
+    "quiver.rank_array": 10,
+    "quiver.enumerate_lace_arrays": 1,
     "quiver.parse_input": 2,
     "quiver.parse_input.read_entries": 4,
     "states.States.paths": 2,

@@ -124,6 +124,18 @@ def test_pooled_sweep_returns_the_serial_polynomials(monkeypatch):
             assert format_poly(p * (p + local)) == format_poly(q * (q + local))
 
 
+def test_check_reports_an_enumerated_array_as_its_validated_copy():
+    """check() on each orbit of sweep(3) gives the same JSON report,
+    timings_ms aside, whether it starts from the enumerator's rank array
+    or from the RankArray validated from its entries."""
+    for dims in sweep_dims(3):
+        for r in enumerate_rank_arrays(dims):
+            enumerated = check(r).to_json()
+            validated = check(RankArray(dims, dict(r.entries))).to_json()
+            del enumerated["timings_ms"], validated["timings_ms"]
+            assert json.dumps(enumerated) == json.dumps(validated)
+
+
 def _distinct(report: ConsistencyReport) -> list[list[str]]:
     """The report's polynomial names grouped by object, after checking
     that two of one target are one object exactly when their terms are

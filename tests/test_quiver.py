@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from qcalc.blockperm import zelevinsky_permutation
+from qcalc.engine import sweep_dims
 from qcalc.poly import xvar
 from qcalc.quiver import (
     BadRowSums,
@@ -25,7 +26,13 @@ from qcalc.quiver import (
     to_json,
     zelevinsky_matrix,
 )
-from quiver_reference import generic_representative, integer_rank, nw_rank_profile, rank_array_of
+from quiver_reference import (
+    generic_representative,
+    integer_rank,
+    nw_rank_profile,
+    rank_array_of,
+    rank_arrays_by_room,
+)
 
 
 def test_dims_validation():
@@ -117,10 +124,46 @@ def test_lace_rank_inversion_exhaustive():
             assert rank_array(lace_array(r)) == r
 
 
+def test_rank_enumeration_is_the_room_recursion_in_order():
+    """enumerate_rank_arrays lists, list for list, the validated rank
+    arrays of the room recursion in quiver_reference: equal, in order,
+    with the same entries in the same insertion order and the same key.
+    Each also equals the RankArray built, and validated, from its
+    entries, so an array the enumerator takes unchecked cannot be a bad
+    one."""
+    extra = [(4, 3, 3, 2), (2, 2, 2, 2, 2), (1,) * 9, (5,)]
+    for dims in sweep_dims(8) + [Dims(r) for r in extra]:
+        ranks, expected = enumerate_rank_arrays(dims), rank_arrays_by_room(dims)
+        assert ranks == expected, dims
+        for r, e in zip(ranks, expected):
+            assert list(r.entries.items()) == list(e.entries.items())
+            assert r._key == e._key
+            assert r == RankArray(dims, dict(r.entries))
+
+
+def test_an_enumerated_rank_array_behaves_as_its_validated_copy():
+    """A rank array from the enumerator hashes, compares, pickles back,
+    wraps in Orbit and writes JSON exactly as the RankArray validated
+    from its entries."""
+    for dims in [Dims((1, 2, 1)), Dims((2, 3, 3)), Dims((3,))]:
+        for r in enumerate_rank_arrays(dims):
+            copy = RankArray(dims, dict(r.entries))
+            assert r == copy and copy == r and hash(r) == hash(copy)
+            assert repr(r) == repr(copy)
+            back = pickle.loads(pickle.dumps(r))
+            assert back == copy and hash(back) == hash(copy)
+            assert list(back.entries.items()) == list(copy.entries.items())
+            orbit = Orbit(r)
+            assert orbit == copy and hash(orbit) == hash(Orbit(copy))
+            assert orbit.entries is r.entries and orbit.memo == {}
+            assert json.dumps(to_json(r)) == json.dumps(to_json(copy))
+
+
 def test_lace_enumeration_is_the_row_sum_filter_in_order():
-    """enumerate_lace_arrays lists, in order, exactly the assignments that
-    itertools.product makes over dims.pairs(), each interval (p, q) taking
-    0..min(r_p..r_q), whose laces through every row add up to its dim."""
+    """enumerate_lace_arrays, the lace arrays of enumerate_rank_arrays,
+    lists in order exactly the assignments that itertools.product makes
+    over dims.pairs(), each interval (p, q) taking 0..min(r_p..r_q),
+    whose laces through every row add up to its dim."""
     small = [
         r for d in range(1, 10) for n in range(3)
         for r in itertools.product(range(1, d + 1), repeat=n + 1) if sum(r) == d
