@@ -35,7 +35,7 @@ from itertools import islice
 
 from .poly import Poly, xvar
 from .quiver import Dims, RankArray, lace_array, per_orbit
-from .states import States, live, state_sum
+from .states import States, state_sum
 
 # The tiles that take exactly the strands arriving from (east, north), in
 # trying order, each with the arriving strand ("E" or "N") it sends west
@@ -103,10 +103,13 @@ def _cells(dims: Dims) -> tuple[tuple[int, int, int], ...]:
 
 _END = ()  # the state after the last cell of a completed diagram
 
+_STRAIGHT = {code: int(code in "+-|") for code in "+-|rjb.B"}  # straight strands: + - |
 
-def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
+
+def _states(dims: Dims, want: dict[tuple[int, int], int]) -> tuple[States, tuple[list[int], ...]]:
     """The routing states of the diagrams realizing the laces want (lace
-    counts by interval): one forward pass, then states.live.
+    counts by interval), and the fewest straight tiles from each to the
+    end: one forward pass, then one backward pass.
 
     Cells are laid in _cells order, so the strands arriving at a cell
     from the east and the north are known when it is reached.  The state
@@ -132,6 +135,11 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
     of the untiled rectangle n that no pipe feeds start exactly the laces
     (n, n) owed, so it realizes want.  Its colors are the rectangles its
     pipes end in, which its tiles fix, so each path is one diagram.
+
+    The backward pass keeps the live states, which a path to the end
+    passes through, with their edges into live states in order, counts
+    the paths from each (total: from the start), and lists by number the
+    fewest straight tiles F(s) of each, the least _STRAIGHT[c] + F(t).
     """
     n, r = dims.n, dims.r
 
@@ -184,36 +192,56 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> States:
                         edges.append(("B" if one else code, reached.setdefault(t, len(reached))))
         children.append(kids)
         level = reached
-    return live(children, level.values())
+    paths, fewest = [1] * len(level), [0] * len(level)  # by state number, 0 paths when dead
+    levels, least = [dict.fromkeys(range(len(level)), ())], [fewest]
+    for kids in reversed(children):
+        after, under = paths, fewest
+        paths, fewest, live = [0] * len(kids), [0] * len(kids), {}
+        for s, edges in kids.items():
+            if len(edges) == 1:  # most states: the one edge, its list kept
+                c, t = edges[0]
+                if p := after[t]:
+                    live[s], paths[s], fewest[s] = edges, p, _STRAIGHT[c] + under[t]
+                continue
+            p, f, kept = 0, len(children), []
+            for e in edges:
+                if m := after[e[1]]:
+                    p, f = p + m, min(f, _STRAIGHT[e[0]] + under[e[1]])
+                    kept.append(e)
+            if p:
+                live[s], paths[s], fewest[s] = kept, p, f
+        levels.append(live)
+        least.append(fewest)
+    return States(tuple(reversed(levels)), sum(paths)), tuple(reversed(least))
 
 
 @per_orbit
-def orbit_states(r: RankArray) -> States:
-    """The routing states of the diagrams realizing the laces of r, built
-    once per quiver.Orbit."""
+def orbit_routing(r: RankArray) -> tuple[States, tuple[list[int], ...]]:
+    """The routing states of the diagrams realizing the laces of r and
+    their fewest straight tiles (_states), built once per quiver.Orbit."""
     return _states(r.dims, lace_array(r).entries)
+
+
+def orbit_states(r: RankArray) -> States:
+    """The routing states of the diagrams realizing the laces of r."""
+    return orbit_routing(r)[0]
 
 
 @per_orbit
 def minimal_states(r: RankArray) -> States:
-    """The paths of orbit_states with the fewest straight-strand tiles
-    (+ - |).  A min-plus pass from the end gives the fewest each state's
-    completions have; a pass from the root keeps the edges that attain
-    it and counts the paths into each state it reaches.  Built once per
-    quiver.Orbit."""
-    levels = orbit_states(r).levels
-    fewest = [dict.fromkeys(levels[-1], 0)]
-    for level in reversed(levels[:-1]):
-        below = fewest[-1]
-        fewest.append({s: min([(c in "+-|") + below[t] for c, t in edges])
-                       for s, edges in level.items()})
-    fewest.reverse()
-    kept, paths = [], dict.fromkeys(levels[0], 1)
-    for p, level in enumerate(levels[:-1]):
-        here, below, reach, kids = fewest[p], fewest[p + 1], {}, {}
+    """The paths of orbit_states with the fewest straight tiles (+ - |):
+    one pass from the root keeps the edges (c, t) of each state s where
+    _STRAIGHT[c] + F(t) = F(s) (orbit_routing), counting paths into each
+    state.  Built once per quiver.Orbit."""
+    states, fewest = orbit_routing(r)
+    kept, paths = [], dict.fromkeys(states.levels[0], 1)
+    for level, here, below in zip(states.levels, fewest, fewest[1:]):
+        reach, kids = {}, {}
         for s, count in paths.items():
-            kids[s] = edges = [(c, t) for c, t in level[s]
-                               if (c in "+-|") + below[t] == here[s]]
+            edges = level[s]  # a state's one edge attains its fewest
+            if len(edges) > 1:
+                edges = [e for e in edges if _STRAIGHT[e[0]] + below[e[1]] == here[s]]
+            kids[s] = edges
             for _, t in edges:
                 reach[t] = reach.get(t, 0) + count
         kept.append(kids)

@@ -187,18 +187,23 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
     orbit's subsets take every D_Hom position, so num_common holds them
     all.  Those roots are a sub-multiset of the sum's factors, and the
     exact quotient is num_rest times the roots at the rest of
-    num_common: the orbit's sum with the D_Hom roots left out.  A sum
-    that skips a D_Hom position raises DHomViolation, as csm_pd does on
-    the same states.
+    num_common: the orbit's sum with the D_Hom roots left out.  Those
+    roots, linear forms, are multiplied into one new factor in word
+    order, and num_rest times it is one product (none where num_rest is
+    Poly.one()).  A sum that skips a D_Hom position raises
+    DHomViolation, as csm_pd does on the same states.
     """
     dhom = _dhom_positions(dims)
     if missing := sorted(dhom.difference(num_common)):
         raise DHomViolation(f"subsets of the orbit skip D_Hom positions {missing}")
     betas = _grid_takes(dims, False)
+    factor = None  # the forced roots outside D_Hom, multiplied in word order
     for j in num_common:
         if j not in dhom:
-            num_rest = num_rest * betas[j]
-    return num_rest
+            factor = Poly(betas[j].terms.copy(), 1) if factor is None else factor * betas[j]
+    if factor is None:
+        return num_rest
+    return factor if num_rest is Poly.one() else num_rest * factor
 
 
 def quiver_poly_ratio(r: RankArray) -> Poly:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from itertools import islice
 from math import isqrt
 from operator import getitem, itemgetter, or_
 from struct import Struct
@@ -429,7 +430,8 @@ def format_poly(
     return " ".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*(x(\d+)_(\d+)|h|\d+|[-+*^])")
+_GOOD = re.compile(r"x\d+_\d+|h|\d+|[-+*^]")  # a token
+_TOKEN = re.compile(rf"\s*({_GOOD.pattern}|\S)")  # or any character where none starts
 
 
 def parse_poly(text: str) -> Poly:
@@ -439,50 +441,54 @@ def parse_poly(text: str) -> Poly:
     coefficient and one packed key.  A variable's exponent of 2^15 or
     more, in a factor or summed over a term, raises OverflowError
     whatever the coefficient: 0*x0_1^20000*x0_1^20000 raises too.
+    One findall lists the tokens; a character where none starts raises
+    before the grammar runs; positions are found again only for errors.
     """
-    pos = 0
-    tokens: list[tuple[str, int]] = []
-    while m := _TOKEN.match(text, pos):
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    if text[pos:].strip():
+    tokens = _TOKEN.findall(text)
+
+    def at(i: int, group: int = 1) -> int:  # token i's start, or its space's (0)
+        m = next(islice(_TOKEN.finditer(text), i, None), None)
+        return len(text) if m is None else m.start(group)
+
+    if bad := [tok for tok in set(tokens) if not _GOOD.fullmatch(tok)]:
+        pos = at(min(map(tokens.index, bad)), 0)
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     if not tokens:
         raise ParseError("empty input", 0)
-    tokens.append(("", len(text)))  # the end, which no rule below accepts
-    i = int(tokens[0][0] in ("+", "-"))  # past a leading sign
-    if not tokens[i][0]:
+    tokens.append("")  # the end, which no rule below accepts
+    i = int(tokens[0] in ("+", "-"))  # past a leading sign
+    if not tokens[i]:
         raise ParseError("expected term", len(text))
     terms: dict[int, int] = {}
-    coef, key = (-1 if tokens[0][0] == "-" else 1), 0
+    coef, key = (-1 if tokens[0] == "-" else 1), 0
     while True:  # one factor, then the '*', sign or end after it
-        tok, at = tokens[i]
+        tok = tokens[i]
         unit = 0  # an integer factor
         if tok == "h":
             unit = _unit(HBAR)
         elif tok.startswith("x"):
             unit = _unit(xvar(*map(int, tok[1:].split("_"))))
         elif not tok.isdigit():
-            raise ParseError(f"expected factor, got {tok!r}", at)
+            raise ParseError(f"expected factor, got {tok!r}", at(i))
         e, i = 1, i + 1
-        if tokens[i][0] == "^":
-            exponent, at = tokens[i + 1]
+        if tokens[i] == "^":
+            exponent = tokens[i + 1]
             if not exponent.isdigit():
-                raise ParseError("expected exponent", at)
+                raise ParseError("expected exponent", at(i + 1))
             e, i = int(exponent), i + 2
         if not unit:
             coef *= int(tok) ** e
         # fields below 2^15 add without a carry into the next field
         elif e >= _TOP or (key := key + e * unit) & _GUARD:
             raise OverflowError(f"an exponent reached 2^{_WIDTH - 1}")
-        sep, at = tokens[i]
+        sep = tokens[i]
         if sep not in ("*", "+", "-", ""):
-            raise ParseError(f"expected '+' or '-', got {sep!r}", at)
+            raise ParseError(f"expected '+' or '-', got {sep!r}", at(i))
         if sep != "*":  # the term ends
             terms[key] = terms.get(key, 0) + coef
             if not sep:
                 return Poly({m: c for m, c in terms.items() if c})
             coef, key = (-1 if sep == "-" else 1), 0
         i += 1
-        if not tokens[i][0]:
+        if not tokens[i]:
             raise ParseError("dangling '*'" if sep == "*" else "dangling sign", len(text))

@@ -1,7 +1,6 @@
-"""Levelled state DAGs: the record every state builder returns (States),
-the counting pass that keeps the live states of the cgpd routing states
-(live), and the one path sum that every formula walks with its own
-weights (state_sum)."""
+"""Levelled state DAGs: the record every state builder returns (States)
+and the one path sum that every formula walks with its own weights
+(state_sum)."""
 
 from __future__ import annotations
 
@@ -24,13 +23,13 @@ class States:
     accepted subset.  skipped has bit j set when some accepted subset
     skips position j (a position outside it is taken by all), and a
     skipped letter weighs 1 when reduced and h otherwise.
-    cgpd.orbit_states, which keeps its live states through live, and
+    cgpd.orbit_states, kept live by the routing's own backward pass, and
     minimal_states label the p-th cell in laying order with the tile
     laid there, over states numbered within each level; a path is one
     diagram, and skipped and reduced keep their defaults.  An orbit's
     four state sets come from per_orbit builders (quiver.per_orbit):
     localization.orbit_states and orbit_reduced_states, through the
-    two subword builders, and cgpd.orbit_states and minimal_states, so
+    two subword builders, and cgpd.orbit_routing and minimal_states, so
     check() builds each once and every formula reads that one.
     """
 
@@ -66,35 +65,6 @@ class States:
                 else:
                     labels.append(c)
                     stack.append(iter(levels[len(stack)][t]))
-
-
-def live(children: list[dict], ends) -> States:
-    """The counting pass of the forward builder cgpd._states (the
-    subword builders of blockperm keep only live states in their own
-    backward pass).  children[k] maps each state a forward pass reached
-    at level k to its edges (c, t), pruned branches left out; ends holds
-    the states reached at the last level, which all end a path.  N is 1
-    at an end and N(s) is the sum of N over the edges of s; the states
-    with N > 0 are kept with their edges into live states, and total is
-    the sum of N at level 0, so level 0 must hold the start alone (so
-    must ends, when children is empty).
-    """
-    counts = dict.fromkeys(ends, 1)
-    levels = [dict.fromkeys(ends, ())]
-    for kids in reversed(children):
-        below, counts, level = counts, {}, {}
-        for s, edges in kids.items():
-            n, kept = 0, []
-            for e in edges:
-                m = below.get(e[1])
-                if m:
-                    n += m
-                    kept.append(e)
-            if n:
-                level[s] = kept
-                counts[s] = n
-        levels.append(level)
-    return States(tuple(reversed(levels)), sum(counts.values()))
 
 
 def state_sum(levels: tuple[dict, ...], weights) -> Poly:

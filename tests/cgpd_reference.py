@@ -8,6 +8,9 @@ validates a given diagram, naming its first fault.
 
 cgpd_infinity is no part of the router: it spells the package's minimal
 states (cgpd.minimal_states) as diagrams, which only tests list.
+two_pass_minimal_states is the builder of those states that the package
+had before the routing's backward pass counted the fewest straight tiles
+itself: a min-plus pass from the end, then a pass from the root.
 """
 
 import math
@@ -21,9 +24,11 @@ from qcalc.cgpd import (
     _spell,
     _tile_weights,
     minimal_states,
+    orbit_states,
 )
 from qcalc.poly import Poly
 from qcalc.quiver import Dims, RankArray, lace_array
+from qcalc.states import States
 
 
 class EdgeMismatch(InvalidCGPD):
@@ -203,3 +208,29 @@ def cgpd_weight(delta: CGPD) -> Poly:
 def cgpd_infinity(r: RankArray) -> list[CGPD]:
     """The diagrams with the fewest straight-strand tiles, in tile-code order."""
     return _spell(r.dims, map("".join, minimal_states(r).paths()))
+
+
+def two_pass_minimal_states(r: RankArray) -> States:
+    """The paths of cgpd.orbit_states with the fewest straight-strand
+    tiles (+ - |).  A min-plus pass from the end gives the fewest each
+    state's completions have; a pass from the root keeps the edges that
+    attain it and counts the paths into each state it reaches."""
+    levels = orbit_states(r).levels
+    fewest = [dict.fromkeys(levels[-1], 0)]
+    for level in reversed(levels[:-1]):
+        below = fewest[-1]
+        fewest.append({s: min([(c in "+-|") + below[t] for c, t in edges])
+                       for s, edges in level.items()})
+    fewest.reverse()
+    kept, paths = [], dict.fromkeys(levels[0], 1)
+    for p, level in enumerate(levels[:-1]):
+        here, below, reach, kids = fewest[p], fewest[p + 1], {}, {}
+        for s, count in paths.items():
+            kids[s] = edges = [(c, t) for c, t in level[s]
+                               if (c in "+-|") + below[t] == here[s]]
+            for _, t in edges:
+                reach[t] = reach.get(t, 0) + count
+        kept.append(kids)
+        paths = reach
+    kept.append(dict.fromkeys(paths, ()))
+    return States(tuple(kept), sum(paths.values()))

@@ -20,6 +20,7 @@ from cgpd_reference import (
     cgpd_weight,
     minimal_words,
     router_words,
+    two_pass_minimal_states,
     validate,
 )
 from qcalc.cgpd import (
@@ -258,6 +259,24 @@ def test_cgpd_states_figures_pinned():
     assert _cgpd_figures(ranks) == (
         "b94369b164fce514d1419e2f315803a3e666c3bfb72d59eba0ec4e1a1be985a1"
     )
+
+
+def test_minimal_states_match_the_two_pass_builder():
+    """minimal_states, one pass from the root over the fewest straight
+    tiles that the routing's backward pass records, gives the States of
+    the two-pass builder it replaced (a min-plus pass from the end, then
+    one from the root): the same levels, states in the same order, edges
+    in the same order, and the same total."""
+    ranks = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
+    ranks += enumerate_rank_arrays(Dims((2, 3, 3)))
+    ranks.append(parse_input(json.loads((FIXTURES / "ex_lace.json").read_text())))
+    for r in ranks:
+        got, ref = minimal_states(r), two_pass_minimal_states(r)
+        assert got == ref, r.entries
+        assert [list(level.items()) for level in got.levels] == [
+            list(level.items()) for level in ref.levels
+        ], r.entries
+        assert got.total == ref.total
 
 
 def test_word_sums_match_a_plain_product_sum():

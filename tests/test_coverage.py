@@ -187,7 +187,8 @@ UNRUN = {
     "poly.Poly.degree": 1,
     "poly._var_text": 1,
     "poly.format_poly": 1,
-    "poly.parse_poly": 45,
+    "poly.parse_poly": 43,
+    "poly.parse_poly.at": 2,
     "quiver.Dims.__post_init__": 1,
     "quiver.RankArray.__init__": 4,
     "quiver.RankArray.__getitem__": 1,

@@ -275,7 +275,7 @@ PER_ORBIT = (
     quiver.lace_array,
     blockperm.block_counts,
     blockperm.zelevinsky_permutation,
-    cgpd.orbit_states,
+    cgpd.orbit_routing,
     cgpd.minimal_states,
     localization.orbit_states,
     localization.orbit_reduced_states,

@@ -23,6 +23,8 @@ from qcalc.localization import (
     NotReducedWord,
     Word,
     _cancel_hom,
+    _forced_sum,
+    _grid_takes,
     _hom_factored,
     ajs_billey,
     csm_ratio,
@@ -47,6 +49,7 @@ from qcalc.quiver import (
 from qcalc.states import state_sum
 from blockperm_reference import all_reduced_words, block_w0, compose, w0
 from poly_reference import items
+from test_blockperm import QPOLY_LARGE
 from subword_reference import subword_subsets, taken
 
 
@@ -312,3 +315,53 @@ def test_cancel_hom_rejects_a_sum_that_skips_a_dhom_position(monkeypatch):
             _cancel_hom(dims, dhom, Poly.hbar())
     finally:
         localization._dhom_positions.cache_clear()
+
+
+def _multiply_back(dims: Dims, common, rest: Poly) -> Poly:
+    """_cancel_hom's quotient as it was taken before the forced roots
+    were multiplied into one factor: each root at common outside the
+    D_Hom cells multiplied onto rest one product at a time, in word
+    order."""
+    word, dhom = grid_word(dims), regions(dims).dhom_cells
+    betas = roots(word)
+    for j in common:
+        if word.cells[j] not in dhom:
+            rest = rest * betas[j]
+    return rest
+
+
+def test_cancel_hom_matches_the_one_at_a_time_multiply_back():
+    """_cancel_hom gives the class of the one-at-a-time multiply-back,
+    for both targets.  On every orbit of sweep_dims(6) and on the 339
+    orbits of the qpoly_large dims, the quiver polynomial's forced
+    positions and walk sum are the orbit's own.  For the CSM target the
+    orbit's own walk sum is taken on sweep_dims(6); on the qpoly_large
+    dims, whose CSM walks take minutes together, the CSM states' forced
+    positions are taken with two sums in place of the walk's: 1, and the
+    quiver polynomial's walk sum."""
+    for dims in sweep_dims(6):
+        for r in enumerate_rank_arrays(dims):
+            for states, divided in ((orbit_reduced_states(r), False), (orbit_states(r), True)):
+                common, rest = _forced_sum(states, _grid_takes(dims, divided))
+                assert _cancel_hom(dims, common, rest) == _multiply_back(dims, common, rest), r
+    for dims in map(Dims, QPOLY_LARGE):
+        L = len(grid_word(dims).letters)
+        for r in enumerate_rank_arrays(dims):
+            common, rest = _forced_sum(orbit_reduced_states(r), _grid_takes(dims, False))
+            assert _cancel_hom(dims, common, rest) == _multiply_back(dims, common, rest), r
+            skipped = orbit_states(r).skipped
+            forced = tuple(j for j in range(L) if not skipped >> j & 1)
+            for sum_ in (Poly.one(), rest):
+                assert _cancel_hom(dims, forced, sum_) == _multiply_back(dims, forced, sum_), r
+
+
+def test_cancel_hom_of_a_sum_of_one_is_a_fresh_root():
+    """A walk sum of 1 with one forced root outside D_Hom: the quotient
+    is that root, as a new Poly, not the cached take weight."""
+    dims = Dims((1, 1, 1))
+    dhom, _ = _hom_factored(dims)
+    j = min(set(range(len(grid_word(dims).letters))) - set(dhom))
+    got = _cancel_hom(dims, tuple(sorted(dhom + (j,))), Poly.one())
+    cached = _grid_takes(dims, False)[j]
+    assert got == roots(grid_word(dims))[j] == cached
+    assert got is not cached and got.terms is not cached.terms
