@@ -117,7 +117,7 @@ def orbit_reduced_states(r: RankArray) -> States:
     return target_states(grid_word(r.dims).letters, zelevinsky_permutation(r), True)
 
 
-def subword_pairs(takes, reduced: bool) -> list[tuple[Poly, Poly]]:
+def subword_pairs(takes, reduced: bool, fold: bool = True) -> list[tuple[Poly, Poly]]:
     """The (skip, take) weights of each letter of a subword walk
     (states.state_sum), takes[k] the take weight of letter k: the one
     place that builds them.  In reduced mode a skip weighs 1.  Otherwise
@@ -125,12 +125,15 @@ def subword_pairs(takes, reduced: bool) -> list[tuple[Poly, Poly]]:
     skip weighs 1, except where takes[k] is Poly.one(), a take weight 1
     left undivided, where a skip weighs h (the callers put it where
     every subset takes); and h^D, D the number of divided letters, is
-    folded into the last letter's weights (_fold_hbar)."""
+    folded into the last letter's weights (_fold_hbar).  Without fold
+    the pairs are left unfolded: the ratio walks build them once per
+    dims and fold the last letter per D (_ratio_pairs, _last_pair)."""
     one = Poly.one()
     if reduced:
         return [(one, w) for w in takes]
     pairs = [(_HBAR, w) if w is one else (one, w) for w in takes]
-    _fold_hbar(pairs, sum(map(is_not, takes, repeat(one))))
+    if fold:
+        _fold_hbar(pairs, sum(map(is_not, takes, repeat(one))))
     return pairs
 
 
@@ -164,17 +167,50 @@ def csm_restriction(v: tuple, word: Word) -> Poly:
     return _restriction(v, word, reduced=False)
 
 
-def _forced_sum(states: States, takes) -> tuple[tuple[int, ...], Poly]:
+@lru_cache(maxsize=None)
+def _ratio_pairs(dims: Dims, reduced: bool) -> tuple[tuple, tuple[Poly, Poly]]:
+    """(free, forced): a ratio walk's (skip, take) weights at each grid
+    word position that some subset skips, its take weight that of
+    _grid_takes, and at a position every subset takes, a take weight
+    Poly.one(), which a CSM walk leaves undivided.  Both come from
+    subword_pairs, unfolded, once per dims and target; a CSM walk's last
+    letter is folded per orbit (_last_pair)."""
+    free = tuple(subword_pairs(_grid_takes(dims, not reduced), reduced, fold=False))
+    (forced,) = subword_pairs((Poly.one(),), reduced, fold=False)
+    return free, forced
+
+
+@lru_cache(maxsize=None)
+def _last_pair(dims: Dims, D: int, free: bool) -> tuple[Poly, Poly]:
+    """The last letter's (skip, take) weights of a CSM ratio walk with D
+    free letters, free when some subset skips the last letter: the
+    unfolded pair of _ratio_pairs times h^D (_fold_hbar)."""
+    pairs, forced = _ratio_pairs(dims, False)
+    last = [pairs[-1] if free else forced]
+    _fold_hbar(last, D)
+    return last[0]
+
+
+def _forced_sum(states: States, dims: Dims) -> tuple[tuple[int, ...], Poly]:
     """(common, rest): the positions every accepted subset takes, and the
     state sum walked with the take weights of _grid_takes, those
     positions' set to Poly.one(), which a CSM walk leaves undivided
     (subword_pairs).  The full sum is rest times the roots at common;
     keeping that forced block factored lets the ratio formulas cancel it
-    without expanding it."""
-    skipped, one = states.skipped, Poly.one()
-    common = tuple(j for j in range(len(takes)) if not skipped >> j & 1)
-    walk = [w if skipped >> j & 1 else one for j, w in enumerate(takes)]
-    return common, state_sum(states.levels, subword_pairs(walk, states.reduced))
+    without expanding it.  The walk's pairs depend on the orbit only
+    through states.skipped: the per-dims pairs of _ratio_pairs, the
+    forced pair put where skipped has no bit, and in a CSM walk the last
+    letter's pair folded by h^D, D the free letters (_last_pair)."""
+    skipped, reduced = states.skipped, states.reduced
+    free, forced = _ratio_pairs(dims, reduced)
+    walk = list(free)
+    common = tuple(j for j in range(len(walk)) if not skipped >> j & 1)
+    for j in common:
+        walk[j] = forced
+    if walk and not reduced:
+        L = len(walk)
+        walk[-1] = _last_pair(dims, L - len(common), bool(skipped >> L - 1 & 1))
+    return common, state_sum(states.levels, walk)
 
 
 def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
@@ -189,37 +225,41 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
     exact quotient is num_rest times the roots at the rest of
     num_common: the orbit's sum with the D_Hom roots left out.  Those
     roots, linear forms, are multiplied into one new factor in word
-    order, and num_rest times it is one product (none where num_rest is
-    Poly.one()).  A sum that skips a D_Hom position raises
-    DHomViolation, as csm_pd does on the same states.
+    order, each a kernel product (Poly.sum_of_products), and num_rest
+    times it is one more (none where num_rest is Poly.one(), and then a
+    lone root is returned as a copy, not the cached take weight).  A sum
+    that skips a D_Hom position raises DHomViolation, as csm_pd does on
+    the same states.
     """
     dhom = _dhom_positions(dims)
-    if missing := sorted(dhom.difference(num_common)):
-        raise DHomViolation(f"subsets of the orbit skip D_Hom positions {missing}")
-    betas = _grid_takes(dims, False)
-    factor = None  # the forced roots outside D_Hom, multiplied in word order
-    for j in num_common:
-        if j not in dhom:
-            factor = Poly(betas[j].terms.copy(), 1) if factor is None else factor * betas[j]
-    if factor is None:
+    if missing := dhom.difference(num_common):
+        raise DHomViolation(f"subsets of the orbit skip D_Hom positions {sorted(missing)}")
+    betas, product = _grid_takes(dims, False), Poly.sum_of_products
+    forced = [betas[j] for j in num_common if j not in dhom]
+    if not forced:
         return num_rest
-    return factor if num_rest is Poly.one() else num_rest * factor
+    factor = forced[0]  # the forced roots outside D_Hom, multiplied in word order
+    for beta in forced[1:]:
+        factor = product(((factor, beta),))
+    if num_rest is not Poly.one():
+        return product(((num_rest, factor),))
+    return factor if len(forced) > 1 else Poly(factor.terms.copy(), 1)
 
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), _grid_takes(r.dims, False)))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), r.dims))
 
 
 def csm_ratio(r: RankArray) -> Poly:
     """Sum of cell restrictions over perm(r), divided by the Hom class."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), _grid_takes(r.dims, True)))
+    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), r.dims))
 
 
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
     """The Hom-orbit restriction as (common, rest), from _forced_sum."""
     states = target_states(grid_word(dims).letters, blockperm.zelevinsky_hom(dims), True)
-    return _forced_sum(states, _grid_takes(dims, False))
+    return _forced_sum(states, dims)
 
 
 @lru_cache(maxsize=None)

@@ -194,6 +194,15 @@ class LaceArray:
         self.entries = full
         self._key = (dims, tuple(full.items()))  # dims.pairs() is sorted
 
+    @classmethod
+    def _of_items(cls, dims: Dims, items: tuple[tuple[tuple[int, int], int], ...]) -> LaceArray:
+        """The lace array whose entries are items, ((p, q), s_pq) for
+        every pair of dims.pairs() in that order, taken as they are: for
+        lace_array, whose entries are valid as it derives them."""
+        s = object.__new__(cls)
+        s.dims, s.entries, s._key = dims, dict(items), (dims, items)
+        return s
+
     def __getitem__(self, pq: tuple[int, int]) -> int:
         return self.entries.get(pq, 0)
 
@@ -236,17 +245,20 @@ def lace_array(r: RankArray) -> LaceArray:
 
     s_pq = r_pq - r_{p-1,q} - r_{p,q+1} + r_{p-1,q+1}, with out-of-range
     entries read as zero.  A negative entry means no representation has
-    these composite ranks.
+    these composite ranks.  The array is not validated again
+    (LaceArray._of_items): its keys are dims.pairs(), and the entries
+    through row i telescope to r_ii, which a RankArray holds at r_i, so
+    every row sum is right.
     """
     ranks = r.entries  # every pair of r.dims, and nothing out of range
     get = ranks.get
-    entries = {}
+    items = []
     for p, q in r.dims.pairs():
         s = ranks[p, q] - get((p - 1, q), 0) - get((p, q + 1), 0) + get((p - 1, q + 1), 0)
         if s < 0:
             raise NotRealizable(p, q, s)
-        entries[(p, q)] = s
-    return LaceArray(r.dims, entries)
+        items.append(((p, q), s))
+    return LaceArray._of_items(r.dims, tuple(items))
 
 
 def rank_array(s: LaceArray) -> RankArray:

@@ -86,23 +86,34 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
 
     It runs from the last level back, keeping one level of partial sums
     at a time.  A node whose single edge weighs 1 passes its child's sum
-    through, and a node with an edge of weight 1 puts it first, so the
-    kernel starts the node's sum as a copy of that child's.  A weight 1
-    is told by identity with the shared Poly.one(), from which every
-    weight 1 of the package comes, so no weight is compared term by
-    term.  The take weights are built once per dims or per word, the
-    sums once per orbit.  Level 0 holds the root, or nothing when
-    nothing is accepted, and then the sum is 0.
+    through, a node whose single edge leads to a sum of 1 takes the
+    edge's weight as its sum, and a node with an edge of weight 1 puts
+    it first, so the kernel starts the node's sum as a copy of that
+    child's.  A 1 is told by identity with the shared Poly.one(), from
+    which every weight 1 of the package comes, and which a node passes
+    through, so no weight or sum is compared term by term.  The take
+    weights are built once per dims or per word, the sums once per
+    orbit.  So a node's sum may be an object a weight table holds; the
+    walk returns a copy of such a root (Poly.one() itself is returned
+    as it is).  Level 0 holds the root, or nothing when nothing is
+    accepted, and then the sum is 0.
     """
     one = Poly.one()
     below = dict.fromkeys(levels[-1], one)
+    lent = set()  # the ids of the weights taken as a node's sum
     for k in range(len(levels) - 2, -1, -1):
         w = weights[k]
         level = {}
         for s, edges in levels[k].items():
-            if len(edges) == 1 and w[edges[0][0]] is one:
-                level[s] = below[edges[0][1]]
-                continue
+            if len(edges) == 1:
+                c, t = edges[0]
+                if w[c] is one:
+                    level[s] = below[t]
+                    continue
+                if below[t] is one:
+                    level[s] = w[c]
+                    lent.add(id(w[c]))
+                    continue
             pairs = [(w[c], below[t]) for c, t in edges]
             if len(pairs) > 1 and pairs[0][0] is not one:
                 for i, pair in enumerate(pairs):
@@ -114,4 +125,4 @@ def state_sum(levels: tuple[dict, ...], weights) -> Poly:
     if not below:
         return Poly.zero()
     (root,) = below.values()
-    return root
+    return Poly(root.terms.copy(), root._bound) if id(root) in lent else root

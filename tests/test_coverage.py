@@ -179,12 +179,14 @@ UNRUN = {
     "poly.Poly.__neg__": 1,
     "poly.Poly.__sub__": 1,
     "poly.Poly.__rsub__": 1,
+    "poly.Poly.__mul__": 1,
     "poly.Poly.__pow__": 6,
     "poly.Poly.__eq__": 2,
     "poly.Poly.__hash__": 3,
     "poly.Poly.__bool__": 1,
     "poly.Poly.__repr__": 1,
     "poly.Poly.degree": 1,
+    "poly._coerce": 1,
     "poly._var_text": 1,
     "poly.format_poly": 1,
     "poly.parse_poly": 43,
@@ -195,7 +197,7 @@ UNRUN = {
     "quiver.RankArray.__hash__": 1,
     "quiver.RankArray.__eq__": 1,
     "quiver.RankArray.__repr__": 1,
-    "quiver.LaceArray.__init__": 2,
+    "quiver.LaceArray.__init__": 5,
     "quiver.LaceArray.__getitem__": 1,
     "quiver.LaceArray.__hash__": 1,
     "quiver.LaceArray.__eq__": 1,

@@ -17,7 +17,8 @@ from qcalc.blockperm import (
     target_states,
     zelevinsky_permutation,
 )
-from qcalc.engine import check, sweep_dims
+from qcalc.cgpd import _tile_weights
+from qcalc.engine import METHODS, check, sweep_dims
 from qcalc.localization import (
     DHomViolation,
     NotReducedWord,
@@ -36,7 +37,7 @@ from qcalc.localization import (
     roots,
     subword_pairs,
 )
-from qcalc.pipedream import csm_pd, quiver_poly_pd
+from qcalc.pipedream import _cell_pairs, csm_pd, quiver_poly_pd
 from qcalc.poly import Poly, format_poly, xvar
 from qcalc.quiver import (
     Dims,
@@ -341,13 +342,13 @@ def test_cancel_hom_matches_the_one_at_a_time_multiply_back():
     quiver polynomial's walk sum."""
     for dims in sweep_dims(6):
         for r in enumerate_rank_arrays(dims):
-            for states, divided in ((orbit_reduced_states(r), False), (orbit_states(r), True)):
-                common, rest = _forced_sum(states, _grid_takes(dims, divided))
+            for states in (orbit_reduced_states(r), orbit_states(r)):
+                common, rest = _forced_sum(states, dims)
                 assert _cancel_hom(dims, common, rest) == _multiply_back(dims, common, rest), r
     for dims in map(Dims, QPOLY_LARGE):
         L = len(grid_word(dims).letters)
         for r in enumerate_rank_arrays(dims):
-            common, rest = _forced_sum(orbit_reduced_states(r), _grid_takes(dims, False))
+            common, rest = _forced_sum(orbit_reduced_states(r), dims)
             assert _cancel_hom(dims, common, rest) == _multiply_back(dims, common, rest), r
             skipped = orbit_states(r).skipped
             forced = tuple(j for j in range(L) if not skipped >> j & 1)
@@ -365,3 +366,65 @@ def test_cancel_hom_of_a_sum_of_one_is_a_fresh_root():
     cached = _grid_takes(dims, False)[j]
     assert got == roots(grid_word(dims))[j] == cached
     assert got is not cached and got.terms is not cached.terms
+
+
+def _per_orbit_pairs(states, dims: Dims) -> list:
+    """The ratio walk's (skip, take) weights as they were built before
+    the per-dims tables: on every orbit, the grid word's take weights
+    with Poly.one() at each position every subset takes, through
+    subword_pairs, which folds h^D into the last letter of a CSM walk."""
+    one, skipped = Poly.one(), states.skipped
+    takes = _grid_takes(dims, not states.reduced)
+    walk = [w if skipped >> j & 1 else one for j, w in enumerate(takes)]
+    return subword_pairs(walk, states.reduced)
+
+
+def test_ratio_pairs_match_the_per_orbit_build(monkeypatch):
+    """_forced_sum walks the per-dims pairs of _ratio_pairs, the forced
+    pair where no subset skips a position and _last_pair's fold last: the
+    pairs of the per-orbit build, weight for weight, each 1 the shared
+    Poly.one() exactly where it was.  Both targets, on every orbit of
+    sweep_dims(6) and of the qpoly_large dims; the walk itself is left
+    out, since the CSM walks of the larger dims take minutes."""
+    walked = []
+    monkeypatch.setattr(localization, "state_sum", lambda levels, pairs: walked.append(pairs))
+    one = Poly.one()
+    orbits = [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]
+    orbits += [r for dims in map(Dims, QPOLY_LARGE) for r in enumerate_rank_arrays(dims)]
+    for r in map(Orbit, orbits):
+        for states in (orbit_reduced_states(r), orbit_states(r)):
+            _forced_sum(states, r.dims)
+            pairs, expected = walked.pop(), _per_orbit_pairs(states, r.dims)
+            assert pairs == expected, (r, states.reduced)
+            assert [[w is one for w in p] for p in pairs] == [
+                [w is one for w in p] for p in expected
+            ], (r, states.reduced)
+    assert len(orbits) == 551 + 339
+
+
+def test_no_formula_returns_an_object_a_weight_table_holds():
+    """A state-sum node whose child's sum is 1 takes its edge's weight
+    as its sum, uncopied, and _cancel_hom may be left with one cached
+    root: neither may leave a formula, whose caller could then share a
+    weight table's Poly or its terms.  The shared Poly.one(), which is
+    never written, is the one exception.  Every formula on every orbit
+    of sweep_dims(6) and of (2,3,3), against the tables of pd
+    (_cell_pairs), ratio (_grid_takes, _ratio_pairs and every D of
+    _last_pair) and cgpd (_tile_weights)."""
+    one = Poly.one()
+    dims_list = sweep_dims(6) + [Dims((2, 3, 3))]
+    for dims in dims_list:
+        held = list(_grid_takes(dims, False) + _grid_takes(dims, True))
+        for reduced in (False, True):
+            free, forced = localization._ratio_pairs(dims, reduced)
+            held += [w for pair in (*_cell_pairs(dims, reduced), *free, forced) for w in pair]
+            held += [w for weights in _tile_weights(dims, reduced) for w in weights.values()]
+        if L := len(grid_word(dims).letters):
+            held += [w for D in range(L + 1) for free in (False, True)
+                     for w in localization._last_pair(dims, D, free)]
+        ids = {i for w in held if w is not one for i in (id(w), id(w.terms))}
+        for r in map(Orbit, enumerate_rank_arrays(dims)):
+            for table in METHODS.values():
+                for fn in table.values():
+                    p = fn(r)
+                    assert p is one or not {id(p), id(p.terms)} & ids, (r, fn.__name__)

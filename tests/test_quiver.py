@@ -116,6 +116,20 @@ def test_not_realizable():
     assert (err.value.p, err.value.q) == (0, 1)
 
 
+def test_lace_array_is_its_validated_copy():
+    """lace_array builds its LaceArray unchecked (LaceArray._of_items);
+    on every rank array of sweep_dims(7) and of the Hom arrays of its
+    dims, it equals the LaceArray validated from its entries, with the
+    same entries in the same insertion order, the same key and hash."""
+    for dims in sweep_dims(7):
+        for r in enumerate_rank_arrays(dims) + [hom_rank_array(dims)]:
+            s = lace_array(r)
+            copy = LaceArray(dims, dict(s.entries))
+            assert s == copy and hash(s) == hash(copy), r
+            assert list(s.entries.items()) == list(copy.entries.items())
+            assert s._key == copy._key and repr(s) == repr(copy)
+
+
 def test_lace_rank_inversion_exhaustive():
     for dims in [Dims((1, 1)), Dims((2, 2)), Dims((1, 2, 1)), Dims((2, 1, 2)), Dims((1, 2, 2, 1))]:
         for s in enumerate_lace_arrays(dims):
