@@ -16,7 +16,7 @@ from itertools import accumulate, islice, zip_longest
 from math import factorial, prod
 from typing import Iterator
 
-from .quiver import Dims, RankArray, hom_rank_array, lace_array, per_orbit
+from .quiver import Dims, RankArray, lace_array, per_orbit
 from .states import States
 
 Permutation = tuple  # one-line notation, values 1..d
@@ -183,10 +183,6 @@ def perm_count(r: RankArray) -> int:
     return prod(map(factorial, r.dims.r)) ** 2 // prod(map(factorial, m))
 
 
-def zelevinsky_hom(dims: Dims) -> Permutation:
-    return zelevinsky_permutation(hom_rank_array(dims))
-
-
 # -- the subword states, one builder of states.States ----------------------
 
 def _arrangements(owed: dict[int, int], values: range, diffs: list[int], span: int) -> list[int]:
@@ -301,9 +297,10 @@ def _backward_pass(plan, accepted: list[int], reduced: bool) -> States:
     return States(tuple(reversed(levels)), sum(counts.values()), skipped, reduced)
 
 
-def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
+def subword_states(letters: tuple[int, ...], r: RankArray, reduced: bool = False) -> States:
     """The subsets of the word whose ordered product lies in perm(r),
-    counted over states instead of listed.
+    only the reduced subwords for z(r) in reduced mode, counted over
+    states instead of listed.
 
     The state.  Write a permutation u as its label vector: the label of
     a value x is the row block of the position u^-1(x) that holds it.  A
@@ -390,6 +387,30 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     positive exactly when the skipped mask meets D; csm_pd reads it so
     for the D_Hom cells.
 
+    Reduced mode: the reduced subwords for z(r), over the same states.
+    A take raises the length of the coset's shortest element exactly
+    when label(t) < label(t+1) before it, and s_t times that element is
+    then the new coset's shortest.  z(r) is the shortest element of z(r)
+    W_rows (no inversion inside a row block), and every right factor u
+    of a reduced word for a minimal coset representative is minimal in
+    u W_rows, since a descent of u in W_rows would be one of z(r)
+    (Bjorner and Brenti, ch. 2).  So every take of a reduced word for
+    z(r) raises length, and a path from the start whose every take
+    raises length spells the shortest element of its last coset by a
+    reduced word.  The reduced subwords for z(r) are therefore the paths
+    to z(r)'s label vector whose every take raises length: the pass
+    starts from that vector alone and keeps only those takes (a take
+    between equal labels, which leaves the state as it is, among the
+    dropped).  The bound stays exact as in target_states, read on
+    shortest elements: a coset kept at letter k has its shortest element
+    below delta_k, spelled by a reduced subword of letters[:k] whose
+    prefixes are minimal too.  z(r) gives each column block's values to
+    the row blocks in order (zelevinsky_permutation), so its vector is
+    each block's first arrangement, labels ascending.  Paths, order,
+    total and skipped are those of target_states toward z(r), over
+    states of (d+1) n (w+1) bits, not (d+1)(d-1)(w+1), and z(r) is not
+    built.
+
     Per word and per orbit.  The field layout, the rows of the whole
     word's delta and each letter's row offset, bound and growth depend
     on the word and the dims alone, and _plan builds them once per word
@@ -401,6 +422,9 @@ def subword_states(letters: tuple[int, ...], r: RankArray) -> States:
     diffs, span, _ = plan[0]
     labels = range(dims.n + 1)
     m = block_counts(r)
+    if reduced:  # z(r)'s vector: each column block, left to right, labels ascending
+        z = (diffs[i] for j in range(dims.n, -1, -1) for i in labels for _ in range(m[i, j]))
+        return _backward_pass(plan, [_pack(list(accumulate(z, initial=0)), span)], True)
     accepted, x = [0], 1
     for j in range(dims.n, -1, -1):  # the column blocks, left to right
         values = range(x, x + dims.r[j])
@@ -428,7 +452,11 @@ def target_states(letters: tuple[int, ...], v: Permutation, reduced: bool) -> St
     reduced word for v.  For these dims the rows are those of u^-1's
     prefix counts: row x holds, in field j - 1 for j = 1..d-1, #{a <= x :
     u^-1(a) > j}.  Each target builds only its own: v's rows and the
-    backward pass.
+    backward pass.  It serves any permutation and any word: pipe dreams
+    of a given v (pipedream.enumerate_pipe_dreams) and the restrictions
+    on any word (localization.ajs_billey, csm_restriction).  An orbit's
+    walk toward z(r) takes subword_states in reduced mode instead, over
+    the orbit's own cosets, whose states are n/(d-1) the size.
     """
     d = len(v)
     plan = _plan(letters, Dims((1,) * d))

@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import repeat
 from operator import is_not
 
-from . import blockperm
 from .blockperm import (
     composite,
     identity,
@@ -26,10 +25,9 @@ from .blockperm import (
     require_permutation,
     subword_states,
     target_states,
-    zelevinsky_permutation,
 )
 from .poly import Poly, Variable, xvar
-from .quiver import Dims, RankArray, per_orbit
+from .quiver import Dims, RankArray, hom_rank_array, per_orbit
 from .states import States, state_sum
 
 
@@ -110,11 +108,12 @@ def orbit_states(r: RankArray) -> States:
 @per_orbit
 def orbit_reduced_states(r: RankArray) -> States:
     """The grid word's reduced subwords for z(r), as live states
-    (blockperm.target_states: the same backward pass on the dims (1, ...,
-    1), from z(r)'s label vector alone, keeping only the takes that raise
-    length).  Built once per quiver.Orbit; the pipe dream and ratio
-    quiver polynomials both walk it."""
-    return target_states(grid_word(r.dims).letters, zelevinsky_permutation(r), True)
+    (blockperm.subword_states in reduced mode: the same backward pass
+    over the orbit's cosets, from z(r)'s label vector alone, keeping
+    only the takes that raise length; z(r) itself is not built).  Built
+    once per quiver.Orbit; the pipe dream and ratio quiver polynomials
+    both walk it."""
+    return subword_states(grid_word(r.dims).letters, r, True)
 
 
 def subword_pairs(takes, reduced: bool, fold: bool = True) -> list[tuple[Poly, Poly]]:
@@ -213,7 +212,7 @@ def _forced_sum(states: States, dims: Dims) -> tuple[tuple[int, ...], Poly]:
     return common, state_sum(states.levels, walk)
 
 
-def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
+def _cancel_hom(r: RankArray, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
     """The orbit's subword sum, given as the roots at num_common times
     num_rest, divided by the Hom-orbit restriction.
 
@@ -223,42 +222,57 @@ def _cancel_hom(dims: Dims, num_common: tuple[int, ...], num_rest: Poly) -> Poly
     orbit's subsets take every D_Hom position, so num_common holds them
     all.  Those roots are a sub-multiset of the sum's factors, and the
     exact quotient is num_rest times the roots at the rest of
-    num_common: the orbit's sum with the D_Hom roots left out.  Those
-    roots, linear forms, are multiplied into one new factor in word
-    order, each a kernel product (Poly.sum_of_products), and num_rest
-    times it is one more (none where num_rest is Poly.one(), and then a
-    lone root is returned as a copy, not the cached take weight).  A sum
-    that skips a D_Hom position raises DHomViolation, as csm_pd does on
-    the same states.
+    num_common (_forced_roots): the orbit's sum with the D_Hom roots
+    left out.  num_rest times that factor is one more kernel product
+    (Poly.sum_of_products); where num_rest is Poly.one() the factor is
+    returned as a copy, since an Orbit's memo, or the table of take
+    weights for a lone root, holds it.  A sum that skips a D_Hom
+    position raises DHomViolation, as csm_pd does on the same states.
     """
-    dhom = _dhom_positions(dims)
+    dhom = _dhom_positions(r.dims)
     if missing := dhom.difference(num_common):
         raise DHomViolation(f"subsets of the orbit skip D_Hom positions {sorted(missing)}")
-    betas, product = _grid_takes(dims, False), Poly.sum_of_products
-    forced = [betas[j] for j in num_common if j not in dhom]
+    forced = tuple(j for j in num_common if j not in dhom)
     if not forced:
         return num_rest
-    factor = forced[0]  # the forced roots outside D_Hom, multiplied in word order
-    for beta in forced[1:]:
-        factor = product(((factor, beta),))
+    factor = _forced_roots(r, forced)
     if num_rest is not Poly.one():
-        return product(((num_rest, factor),))
-    return factor if len(forced) > 1 else Poly(factor.terms.copy(), 1)
+        return Poly.sum_of_products(((num_rest, factor),))
+    return Poly(factor.terms.copy(), factor._bound)
+
+
+@per_orbit
+def _forced_roots(r: RankArray, positions: tuple[int, ...]) -> Poly:
+    """The product of the grid word's roots at positions, linear forms
+    multiplied into one factor in word order, each a kernel product
+    (Poly.sum_of_products); a lone root is the cached take weight
+    itself.  _cancel_hom multiplies it back for the forced positions
+    outside D_Hom.  Built once per quiver.Orbit and positions, so in
+    check() the two ratio targets share it where their forced positions
+    agree, as they did on every orbit measured."""
+    betas, product = _grid_takes(r.dims, False), Poly.sum_of_products
+    factor = betas[positions[0]]
+    for j in positions[1:]:
+        factor = product(((factor, betas[j]),))
+    return factor
 
 
 def quiver_poly_ratio(r: RankArray) -> Poly:
     """Restriction of [X_{z(r)}] divided by that of [X_{z(Hom)}]."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_reduced_states(r), r.dims))
+    return _cancel_hom(r, *_forced_sum(orbit_reduced_states(r), r.dims))
 
 
 def csm_ratio(r: RankArray) -> Poly:
     """Sum of cell restrictions over perm(r), divided by the Hom class."""
-    return _cancel_hom(r.dims, *_forced_sum(orbit_states(r), r.dims))
+    return _cancel_hom(r, *_forced_sum(orbit_states(r), r.dims))
 
 
 def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
-    """The Hom-orbit restriction as (common, rest), from _forced_sum."""
-    states = target_states(grid_word(dims).letters, blockperm.zelevinsky_hom(dims), True)
+    """The Hom-orbit restriction as (common, rest), from _forced_sum over
+    the grid word's reduced subwords for z(Hom): subword_states in
+    reduced mode on the dense orbit's rank array, as orbit_reduced_states
+    walks any orbit's."""
+    states = subword_states(grid_word(dims).letters, hom_rank_array(dims), True)
     return _forced_sum(states, dims)
 
 

@@ -12,9 +12,12 @@ word in simple transpositions (letter s_{q+p-1} at cell (q, p)) whose
 ordered product is v; the pipe dreams of a given permutation are
 therefore the paths of the region word's reduced subword states toward
 v (blockperm.target_states, the coset walk of blockperm.subword_states
-on the dims (1, ..., 1), toward v's vector alone).  The CSM formula
-walks the grid word's coset states toward perm(r)
-(blockperm.subword_states).
+on the dims (1, ..., 1), toward v's vector alone), which
+enumerate_pipe_dreams lists.  Both formulas walk the grid word's states
+over the orbit's own cosets (blockperm.subword_states): the quiver
+polynomial the reduced subwords for z(r), whose shortest-coset walk
+spells exactly z(r)'s reduced words, and the CSM class every subset
+with product in perm(r).
 """
 
 from __future__ import annotations

@@ -131,7 +131,8 @@ class Orbit(RankArray):
     them again: a RankArray is validated when it is built, or valid as
     enumerate_rank_arrays builds it, and, being hashed, is never
     changed.  The memo is the orbit's own and starts
-    empty; it maps each per_orbit builder to what it built.  What
+    empty; it maps each per_orbit builder, with the arguments it took
+    after the orbit if any, to what it built.  What
     depends on the word or the dims alone is cached per word or per
     dims, not here.
     """
@@ -144,18 +145,20 @@ class Orbit(RankArray):
 
 
 def per_orbit(fn):
-    """Decorate a builder of one object of a rank array: fn(r) is built
-    once per Orbit and kept in its memo under fn itself; a plain
-    RankArray gets a fresh fn(r) on every call."""
+    """Decorate a builder of one object of a rank array: fn(r, *key),
+    key any hashable arguments after r, is built once per Orbit and key
+    and kept in its memo under fn itself, or under (fn, *key) when key
+    is not empty; a plain RankArray gets a fresh fn(r, *key) on every
+    call."""
 
     @wraps(fn)
-    def once(r: RankArray):
+    def once(r: RankArray, *key):
         if not isinstance(r, Orbit):
-            return fn(r)
-        memo = r.memo
-        if fn not in memo:
-            memo[fn] = fn(r)
-        return memo[fn]
+            return fn(r, *key)
+        memo, at = r.memo, (fn, *key) if key else fn
+        if at not in memo:
+            memo[at] = fn(r, *key)
+        return memo[at]
 
     return once
 

@@ -28,9 +28,12 @@ class States:
     laid there, over states numbered within each level; a path is one
     diagram, and skipped and reduced keep their defaults.  An orbit's
     four state sets come from per_orbit builders (quiver.per_orbit):
-    localization.orbit_states and orbit_reduced_states, through the
-    two subword builders, and cgpd.orbit_routing and minimal_states, so
-    check() builds each once and every formula reads that one.
+    localization.orbit_states and orbit_reduced_states, both through
+    subword_states over the orbit's cosets (all subsets toward perm(r),
+    and in reduced mode the reduced subwords for z(r)), and
+    cgpd.orbit_routing and minimal_states, so check() builds each once
+    and every formula reads that one.  target_states, over permutations,
+    serves a given permutation and any word.
     """
 
     levels: tuple[dict, ...]

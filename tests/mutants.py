@@ -206,7 +206,7 @@ MUTANTS = [
         lambda: patched(Poly, "var_diff", classmethod(_var_diff_reversed)),
         failed=0,
         changed=151,
-        missed_until="9 (symmetry and duality laws)",
+        missed_until="18 (exact additivity)",
     ),
     *(
         Mutant(

@@ -16,7 +16,6 @@ from qcalc.blockperm import (
     regions,
     subword_states,
     target_states,
-    zelevinsky_hom,
     zelevinsky_permutation,
 )
 from qcalc.engine import sweep_dims
@@ -33,6 +32,11 @@ from blockperm_reference import (
     w0,
 )
 from subword_reference import forward_subword_states, subword_subsets, taken
+
+
+def zelevinsky_hom(dims: Dims) -> Permutation:
+    """z(Hom), the Zelevinsky permutation of the dense orbit."""
+    return zelevinsky_permutation(hom_rank_array(dims))
 
 
 def simple(t: int, d: int) -> Permutation:
@@ -380,6 +384,26 @@ def test_target_states_against_the_reference_on_larger_d():
 
 # the dims of the benchmark's qpoly_large workload, d = 8 to 12
 QPOLY_LARGE = [(3, 3, 2), (2, 3, 3), (3, 3, 3), (2, 3, 3, 2), (2, 2, 2, 2, 2), (1, 2, 3, 2, 1)]
+
+
+def test_reduced_subword_states_match_target_states_toward_z():
+    """subword_states in reduced mode, over the orbit's cosets from z(r)'s
+    label vector, walks the paths of target_states toward z(r) over
+    permutations, in the same order, with the same total, skipped mask
+    and live states per level: on the grid word of every orbit of
+    sweep_dims(6) and of the qpoly_large dims (551 + 339 orbits)."""
+    orbits = 0
+    for dims in sweep_dims(6) + [Dims(r) for r in QPOLY_LARGE]:
+        letters = grid_word(dims).letters
+        for r in enumerate_rank_arrays(dims):
+            got = subword_states(letters, r, True)
+            ref = target_states(letters, zelevinsky_permutation(r), True)
+            assert (got.total, got.skipped, got.reduced) == (ref.total, ref.skipped, True), r
+            assert [len(level) for level in got.levels] == [len(level) for level in ref.levels], r
+            assert list(got.paths()) == list(ref.paths()), r
+            _assert_live(got)
+            orbits += 1
+    assert orbits == 551 + 339
 
 
 def _target_figures(dims_list) -> str:

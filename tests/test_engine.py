@@ -284,7 +284,10 @@ PER_ORBIT = (
 
 def test_check_builds_each_shared_object_once(monkeypatch):
     """check() stores each per_orbit object once in its Orbit's memo, and
-    the builders behind them, which memoize nothing, run once each."""
+    the builders behind them, which memoize nothing, run once each.  The
+    two ratio targets share the product of the roots forced outside
+    D_Hom, stored under its positions: none on the first orbit, the
+    positions (0, 1) on the second."""
     stored = {}
 
     class Memo(dict):
@@ -297,8 +300,13 @@ def test_check_builds_each_shared_object_once(monkeypatch):
             super().__init__(r)
             self.memo = Memo()
 
-    r = RankArray(Dims((2, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1})
-    check(r)  # caches the Hom search of these dims
+    dims = Dims((2, 2, 1))
+    orbits = {
+        (): RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 1}),
+        (0, 1): RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 0}),
+    }
+    for r in orbits.values():
+        check(r)  # caches the Hom search of these dims
     monkeypatch.setattr(engine, "Orbit", CountingOrbit)
     calls = _count_calls(
         monkeypatch,
@@ -308,17 +316,22 @@ def test_check_builds_each_shared_object_once(monkeypatch):
         cgpd.enumerate_cgpd,
         cgpd._states,
     )
-    report = check(r)
-    assert report.ok
-    assert report.rank is r
-    assert stored == {fn.__wrapped__: 1 for fn in PER_ORBIT}
-    assert calls == {
-        "perm_set": 0,
-        "subword_states": 1,
-        "target_states": 1,
-        "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one state set
-        "_states": 1,
-    }
+    for forced, r in orbits.items():
+        stored.clear()
+        for name in calls:
+            calls[name] = 0
+        report = check(r)
+        assert report.ok
+        assert report.rank is r
+        shared = {(localization._forced_roots.__wrapped__, forced): 1} if forced else {}
+        assert stored == {**{fn.__wrapped__: 1 for fn in PER_ORBIT}, **shared}
+        assert calls == {
+            "perm_set": 0,
+            "subword_states": 2,  # all subsets, and the reduced subwords for z(r)
+            "target_states": 0,
+            "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one state set
+            "_states": 1,
+        }
 
 
 def test_compute_shares_nothing_between_requests(monkeypatch):
@@ -333,8 +346,8 @@ def test_compute_shares_nothing_between_requests(monkeypatch):
     assert calls == {
         "block_counts": 8,
         "perm_set": 0,
-        "subword_states": 4,
-        "target_states": 4,
+        "subword_states": 8,
+        "target_states": 0,
         "enumerate_cgpd": 0,
         "_states": 4,
         "lace_array": 12,  # a plain rank array memoizes nothing

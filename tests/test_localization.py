@@ -14,7 +14,6 @@ from qcalc.blockperm import (
     perm_set,
     regions,
     subword_states,
-    target_states,
     zelevinsky_permutation,
 )
 from qcalc.cgpd import _tile_weights
@@ -169,8 +168,8 @@ def test_orbit_subwords_order_pinned():
     it.  The digest was captured at commit a8098bf from the subword
     search that subword_reference keeps, which lists the same (J, v)
     pairs in the same order, over
-    both walks of each orbit: target_states toward z(r), reduced, and
-    subword_states toward perm(r), all subsets, v the product of J."""
+    both walks of each orbit, subword_states toward z(r), reduced, and
+    toward perm(r), all subsets, v the product of J."""
     ranks = [r for dims in sweep_dims(5) for r in enumerate_rank_arrays(dims)]
     ranks.append(parse_input({"dims": [2, 3, 3], "rank": {"0,1": 1, "0,2": 0, "1,2": 1}}))
     digest = hashlib.sha256()
@@ -178,7 +177,7 @@ def test_orbit_subwords_order_pinned():
     for r in ranks:
         letters = grid_word(r.dims).letters
         z = zelevinsky_permutation(r)
-        reduced = [(J, z) for J in taken(target_states(letters, z, True))]
+        reduced = [(J, z) for J in taken(subword_states(letters, r, True))]
         every = [
             (J, composite(tuple(letters[k] for k in J), r.dims.d))
             for J in taken(subword_states(letters, r))
@@ -254,7 +253,7 @@ def test_state_sum_matches_subset_sum():
             for j in sorted(common):
                 if word.cells[j] not in dhom:
                     pd_ref = pd_ref * labels[j]
-            ratio_ref = _cancel_hom(dims, tuple(sorted(common)), rest)
+            ratio_ref = _cancel_hom(r, tuple(sorted(common)), rest)
             if not reduced and n < small and len(common) < L:
                 ones = common | {min(set(range(L)) - common)}
                 divided = [
@@ -303,17 +302,18 @@ def test_cancel_hom_rejects_a_sum_that_skips_a_dhom_position(monkeypatch):
     No orbit reaches either, so both are driven directly."""
     assert not issubclass(DHomViolation, ValueError)
     dims = Dims((1, 1, 1))
+    hom = hom_rank_array(dims)
     dhom, _ = _hom_factored(dims)
     betas = roots(grid_word(dims))
     others = tuple(j for j in range(len(betas)) if j not in dhom)
-    assert _cancel_hom(dims, dhom, Poly.hbar()) == Poly.hbar()
+    assert _cancel_hom(hom, dhom, Poly.hbar()) == Poly.hbar()
     with pytest.raises(DHomViolation, match=re.escape(f"skip D_Hom positions {list(dhom)}")):
-        _cancel_hom(dims, others, Poly.hbar())
+        _cancel_hom(hom, others, Poly.hbar())
     localization._dhom_positions.cache_clear()
     monkeypatch.setattr(localization, "_hom_factored", lambda dims: (dhom, betas[dhom[0]]))
     try:
         with pytest.raises(DHomViolation, match="Hom restriction"):
-            _cancel_hom(dims, dhom, Poly.hbar())
+            _cancel_hom(hom, dhom, Poly.hbar())
     finally:
         localization._dhom_positions.cache_clear()
 
@@ -344,28 +344,38 @@ def test_cancel_hom_matches_the_one_at_a_time_multiply_back():
         for r in enumerate_rank_arrays(dims):
             for states in (orbit_reduced_states(r), orbit_states(r)):
                 common, rest = _forced_sum(states, dims)
-                assert _cancel_hom(dims, common, rest) == _multiply_back(dims, common, rest), r
+                assert _cancel_hom(r, common, rest) == _multiply_back(dims, common, rest), r
     for dims in map(Dims, QPOLY_LARGE):
         L = len(grid_word(dims).letters)
         for r in enumerate_rank_arrays(dims):
             common, rest = _forced_sum(orbit_reduced_states(r), dims)
-            assert _cancel_hom(dims, common, rest) == _multiply_back(dims, common, rest), r
+            assert _cancel_hom(r, common, rest) == _multiply_back(dims, common, rest), r
             skipped = orbit_states(r).skipped
             forced = tuple(j for j in range(L) if not skipped >> j & 1)
             for sum_ in (Poly.one(), rest):
-                assert _cancel_hom(dims, forced, sum_) == _multiply_back(dims, forced, sum_), r
+                assert _cancel_hom(r, forced, sum_) == _multiply_back(dims, forced, sum_), r
 
 
 def test_cancel_hom_of_a_sum_of_one_is_a_fresh_root():
-    """A walk sum of 1 with one forced root outside D_Hom: the quotient
-    is that root, as a new Poly, not the cached take weight."""
+    """A walk sum of 1 with forced roots outside D_Hom: the quotient is
+    their product, as a new Poly, neither the cached take weight of a
+    lone root nor the factor an Orbit's memo holds; a plain rank array
+    and an Orbit alike."""
     dims = Dims((1, 1, 1))
     dhom, _ = _hom_factored(dims)
-    j = min(set(range(len(grid_word(dims).letters))) - set(dhom))
-    got = _cancel_hom(dims, tuple(sorted(dhom + (j,))), Poly.one())
-    cached = _grid_takes(dims, False)[j]
-    assert got == roots(grid_word(dims))[j] == cached
-    assert got is not cached and got.terms is not cached.terms
+    others = sorted(set(range(len(grid_word(dims).letters))) - set(dhom))
+    betas = roots(grid_word(dims))
+    for r in (hom_rank_array(dims), Orbit(hom_rank_array(dims))):
+        j = others[0]
+        got = _cancel_hom(r, tuple(sorted(dhom + (j,))), Poly.one())
+        cached = _grid_takes(dims, False)[j]
+        assert got == betas[j] == cached
+        assert got is not cached and got.terms is not cached.terms
+        got = _cancel_hom(r, tuple(sorted(dhom + tuple(others[:2]))), Poly.one())
+        assert got == betas[others[0]] * betas[others[1]]
+        held = [p for p in getattr(r, "memo", {}).values() if isinstance(p, Poly)]
+        assert len(held) == isinstance(r, Orbit) * 2
+        assert not {id(got), id(got.terms)} & {i for p in held for i in (id(p), id(p.terms))}
 
 
 def _per_orbit_pairs(states, dims: Dims) -> list:
@@ -410,7 +420,8 @@ def test_no_formula_returns_an_object_a_weight_table_holds():
     never written, is the one exception.  Every formula on every orbit
     of sweep_dims(6) and of (2,3,3), against the tables of pd
     (_cell_pairs), ratio (_grid_takes, _ratio_pairs and every D of
-    _last_pair) and cgpd (_tile_weights)."""
+    _last_pair) and cgpd (_tile_weights), and against the Polys its
+    Orbit's memo holds (the forced factor the ratio targets share)."""
     one = Poly.one()
     dims_list = sweep_dims(6) + [Dims((2, 3, 3))]
     for dims in dims_list:
@@ -424,7 +435,8 @@ def test_no_formula_returns_an_object_a_weight_table_holds():
                      for w in localization._last_pair(dims, D, free)]
         ids = {i for w in held if w is not one for i in (id(w), id(w.terms))}
         for r in map(Orbit, enumerate_rank_arrays(dims)):
-            for table in METHODS.values():
-                for fn in table.values():
-                    p = fn(r)
-                    assert p is one or not {id(p), id(p.terms)} & ids, (r, fn.__name__)
+            out = {fn.__name__: fn(r) for table in METHODS.values() for fn in table.values()}
+            shared = [p for p in r.memo.values() if isinstance(p, Poly) and p is not one]
+            shared = ids | {i for p in shared for i in (id(p), id(p.terms))}
+            for name, p in out.items():
+                assert p is one or not {id(p), id(p.terms)} & shared, (r, name)
