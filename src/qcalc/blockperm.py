@@ -147,10 +147,8 @@ def perm_set(r: RankArray) -> Iterator[Permutation]:
             stack.append(choices(row[q]))
 
 
-@per_orbit
 def zelevinsky_permutation(r: RankArray) -> Permutation:
-    """The minimal-length permutation with the block counts of r, built
-    once per quiver.Orbit.
+    """The minimal-length permutation with the block counts of r.
 
     Within each block row, read top to bottom, the ones go to column
     blocks left to right, and within each column block the receiving
@@ -171,6 +169,28 @@ def zelevinsky_permutation(r: RankArray) -> Permutation:
         for j, left in columns.items()
         for p in islice(left, m[i, j])
     )
+
+
+def zelevinsky_length(r: RankArray) -> int:
+    """l(z(r)), read from the block counts without building z(r).
+
+    z(r) has no inversion inside a block row or a block column, and a
+    one of row block i in column block j lies above and to the right of
+    a one of row block i' in column block j' exactly when i < i' and j <
+    j' (column blocks are labelled right to left).  So l(z(r)) is the
+    sum of m(i, j) m(i', j') over i < i' and j < j': row block by row
+    block, with one running sum per column block of the ones above.
+    """
+    m, blocks = block_counts(r), range(r.dims.n + 1)
+    above = [0] * len(blocks)  # above[j]: the ones of column block j in the rows so far
+    total = 0
+    for i in blocks:
+        left = 0  # the ones above in the column blocks before j
+        for j in blocks:
+            total += m[i, j] * left
+            left += above[j]
+            above[j] += m[i, j]
+    return total
 
 
 def perm_count(r: RankArray) -> int:

@@ -190,31 +190,31 @@ def _last_pair(dims: Dims, D: int, free: bool) -> tuple[Poly, Poly]:
     return last[0]
 
 
-def _forced_sum(states: States, dims: Dims) -> tuple[tuple[int, ...], Poly]:
-    """(common, rest): the positions every accepted subset takes, and the
-    state sum walked with the take weights of _grid_takes, those
-    positions' set to Poly.one(), which a CSM walk leaves undivided
-    (subword_pairs).  The full sum is rest times the roots at common;
-    keeping that forced block factored lets the ratio formulas cancel it
-    without expanding it.  The walk's pairs depend on the orbit only
-    through states.skipped: the per-dims pairs of _ratio_pairs, the
-    forced pair put where skipped has no bit, and in a CSM walk the last
-    letter's pair folded by h^D, D the free letters (_last_pair)."""
+def _forced_sum(states: States, dims: Dims) -> tuple[int, Poly]:
+    """(common, rest): the positions every accepted subset takes, as a
+    mask with bit j for grid word position j (the complement of
+    states.skipped), and the state sum walked with the take weights of
+    _grid_takes, those positions' set to Poly.one(), which a CSM walk
+    leaves undivided (subword_pairs).  The full sum is rest times the
+    roots at common; keeping that forced block factored lets the ratio
+    formulas cancel it without expanding it.  The walk's pairs depend on
+    the orbit only through states.skipped: the per-dims pairs of
+    _ratio_pairs, the forced pair put where skipped has no bit, and in a
+    CSM walk the last letter's pair folded by h^D, D the free letters,
+    skipped's bit count (_last_pair)."""
     skipped, reduced = states.skipped, states.reduced
     free, forced = _ratio_pairs(dims, reduced)
-    walk = list(free)
-    common = tuple(j for j in range(len(walk)) if not skipped >> j & 1)
-    for j in common:
-        walk[j] = forced
+    L = len(free)
+    walk = [pair if skipped >> j & 1 else forced for j, pair in enumerate(free)]
     if walk and not reduced:
-        L = len(walk)
-        walk[-1] = _last_pair(dims, L - len(common), bool(skipped >> L - 1 & 1))
-    return common, state_sum(states.levels, walk)
+        walk[-1] = _last_pair(dims, skipped.bit_count(), bool(skipped >> L - 1 & 1))
+    return ~skipped & (1 << L) - 1, state_sum(states.levels, walk)
 
 
-def _cancel_hom(r: RankArray, num_common: tuple[int, ...], num_rest: Poly) -> Poly:
-    """The orbit's subword sum, given as the roots at num_common times
-    num_rest, divided by the Hom-orbit restriction.
+def _cancel_hom(r: RankArray, num_common: int, num_rest: Poly) -> Poly:
+    """The orbit's subword sum, given as the roots at the positions of
+    the mask num_common (_forced_sum) times num_rest, divided by the
+    Hom-orbit restriction.
 
     The division only cancels.  z(Hom) is dominant and its one reduced
     subword is D_Hom, so the Hom restriction is the product of the D_Hom
@@ -227,13 +227,14 @@ def _cancel_hom(r: RankArray, num_common: tuple[int, ...], num_rest: Poly) -> Po
     (Poly.sum_of_products); where num_rest is Poly.one() the factor is
     returned as a copy, since an Orbit's memo, or the table of take
     weights for a lone root, holds it.  A sum that skips a D_Hom
-    position raises DHomViolation, as csm_pd does on the same states.
+    position raises DHomViolation, as csm_pd does on the same states;
+    the missing positions are listed only then.
     """
     dhom = _dhom_positions(r.dims)
-    if missing := dhom.difference(num_common):
-        raise DHomViolation(f"subsets of the orbit skip D_Hom positions {sorted(missing)}")
-    forced = tuple(j for j in num_common if j not in dhom)
-    if not forced:
+    if missing := dhom & ~num_common:
+        listed = [j for j in range(missing.bit_length()) if missing >> j & 1]
+        raise DHomViolation(f"subsets of the orbit skip D_Hom positions {listed}")
+    if not (forced := num_common & ~dhom):
         return num_rest
     factor = _forced_roots(r, forced)
     if num_rest is not Poly.one():
@@ -242,18 +243,18 @@ def _cancel_hom(r: RankArray, num_common: tuple[int, ...], num_rest: Poly) -> Po
 
 
 @per_orbit
-def _forced_roots(r: RankArray, positions: tuple[int, ...]) -> Poly:
-    """The product of the grid word's roots at positions, linear forms
-    multiplied into one factor in word order, each a kernel product
-    (Poly.sum_of_products); a lone root is the cached take weight
-    itself.  _cancel_hom multiplies it back for the forced positions
-    outside D_Hom.  Built once per quiver.Orbit and positions, so in
-    check() the two ratio targets share it where their forced positions
-    agree, as they did on every orbit measured."""
-    betas, product = _grid_takes(r.dims, False), Poly.sum_of_products
-    factor = betas[positions[0]]
-    for j in positions[1:]:
-        factor = product(((factor, betas[j]),))
+def _forced_roots(r: RankArray, positions: int) -> Poly:
+    """The product of the grid word's roots at the positions of the mask
+    positions, linear forms multiplied into one factor in word order,
+    each a kernel product (Poly.sum_of_products); a lone root is the
+    cached take weight itself.  _cancel_hom multiplies it back for the
+    forced positions outside D_Hom.  Built once per quiver.Orbit and
+    mask, so in check() the two ratio targets share it where their
+    forced positions agree, as they did on every orbit measured."""
+    product = Poly.sum_of_products
+    factor, *rest = (b for j, b in enumerate(_grid_takes(r.dims, False)) if positions >> j & 1)
+    for beta in rest:
+        factor = product(((factor, beta),))
     return factor
 
 
@@ -267,7 +268,7 @@ def csm_ratio(r: RankArray) -> Poly:
     return _cancel_hom(r, *_forced_sum(orbit_states(r), r.dims))
 
 
-def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
+def _hom_factored(dims: Dims) -> tuple[int, Poly]:
     """The Hom-orbit restriction as (common, rest), from _forced_sum over
     the grid word's reduced subwords for z(Hom): subword_states in
     reduced mode on the dense orbit's rank array, as orbit_reduced_states
@@ -277,12 +278,19 @@ def _hom_factored(dims: Dims) -> tuple[tuple[int, ...], Poly]:
 
 
 @lru_cache(maxsize=None)
-def _dhom_positions(dims: Dims) -> frozenset[int]:
-    """The grid word positions of the D_Hom cells, once the Hom
-    restriction is checked to be their roots times 1, else
-    DHomViolation."""
+def _dhom_mask(dims: Dims) -> int:
+    """The grid word positions of the D_Hom cells, as a mask with bit j
+    for position j, the encoding of States.skipped.  csm_pd reads it as
+    it is; the ratio formulas through _dhom_positions."""
     dhom = regions(dims).dhom_cells
-    positions = tuple(j for j, c in enumerate(grid_word(dims).cells) if c in dhom)
-    if _hom_factored(dims) != (positions, Poly.one()):
+    return sum(1 << j for j, c in enumerate(grid_word(dims).cells) if c in dhom)
+
+
+@lru_cache(maxsize=None)
+def _dhom_positions(dims: Dims) -> int:
+    """_dhom_mask(dims), once the Hom restriction is checked to be the
+    roots at those positions times 1, else DHomViolation."""
+    dhom = _dhom_mask(dims)
+    if _hom_factored(dims) != (dhom, Poly.one()):
         raise DHomViolation(f"the Hom restriction of dims {list(dims.r)} is not its D_Hom roots")
-    return frozenset(positions)
+    return dhom

@@ -28,6 +28,7 @@ from functools import lru_cache
 from .blockperm import regions, require_permutation, target_states
 from .localization import (
     DHomViolation,
+    _dhom_mask,
     grid_word,
     orbit_reduced_states,
     orbit_states,
@@ -116,14 +117,15 @@ def csm_pd(r: RankArray) -> Poly:
     The sum runs over the orbit's shared states (states.state_sum): a
     cross weighs its cell label, a D_Hom cell weighs 1, a missing cross
     weighs h, and every dream must cross every D_Hom cell, else
-    DHomViolation.  The walk is divided by h (_cell_pairs, cached per
-    dims): a missing cross weighs 1, and every node's sum is a
-    polynomial of degree D = dim Hom, the number of cells outside D_Hom.
+    DHomViolation: states.skipped, a mask of the positions some dream
+    leaves uncrossed, meets no bit of the D_Hom mask
+    (localization._dhom_mask), and the missed cells are listed only when
+    it does.  The walk is divided by h (_cell_pairs, cached per dims): a
+    missing cross weighs 1, and every node's sum is a polynomial of
+    degree D = dim Hom, the number of cells outside D_Hom.
     """
     states = orbit_states(r)
-    cells = grid_word(r.dims).cells
-    dhom = regions(r.dims).dhom_cells
-    skipped = states.skipped
-    if missing := [c for k, c in enumerate(cells) if skipped >> k & 1 and c in dhom]:
-        raise DHomViolation(f"dreams of the orbit miss cells {sorted(missing)}")
+    if missing := states.skipped & _dhom_mask(r.dims):
+        cells = [c for k, c in enumerate(grid_word(r.dims).cells) if missing >> k & 1]
+        raise DHomViolation(f"dreams of the orbit miss cells {sorted(cells)}")
     return state_sum(states.levels, _cell_pairs(r.dims, False))

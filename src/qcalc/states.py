@@ -22,7 +22,11 @@ class States:
     its take 1, skip first, over packed int states; a path is one
     accepted subset.  skipped has bit j set when some accepted subset
     skips position j (a position outside it is taken by all), and a
-    skipped letter weighs 1 when reduced and h otherwise.
+    skipped letter weighs 1 when reduced and h otherwise.  The formulas
+    read skipped as it is: csm_pd against the D_Hom mask, and the ratio
+    formulas, whose forced positions are its complement and whose h^D
+    takes D from its bit count (localization._forced_sum), with position
+    sets as masks in the same encoding.
     cgpd.orbit_states, kept live by the routing's own backward pass, and
     minimal_states label the p-th cell in laying order with the tile
     laid there, over states numbered within each level; a path is one

@@ -16,6 +16,7 @@ from qcalc.blockperm import (
     regions,
     subword_states,
     target_states,
+    zelevinsky_length,
     zelevinsky_permutation,
 )
 from qcalc.engine import sweep_dims
@@ -138,6 +139,19 @@ def test_zelevinsky_permutation_examples():
     r2 = RankArray(Dims((1, 2, 1)), {(0, 1): 1, (0, 2): 0, (1, 2): 1})
     assert zelevinsky_permutation(r2) == (2, 1, 4, 3)
     assert zelevinsky_hom(Dims((3, 3, 2))) == (3, 4, 5, 1, 2, 6, 7, 8)
+
+
+def test_zelevinsky_length_is_the_length_of_z():
+    """zelevinsky_length reads l(z(r)) from the block counts: it equals
+    the inversion count of z(r) itself on every orbit of sweep_dims(7),
+    of the qpoly_large dims and of a few others, single vertices and a
+    long equioriented string among them."""
+    others = [(4, 3, 3, 2), (1,) * 9, (5,), (3, 1, 3), (1, 4, 1, 2)]
+    orbits = [r for dims in sweep_dims(7) for r in enumerate_rank_arrays(dims)]
+    orbits += [r for dims in map(Dims, QPOLY_LARGE + others) for r in enumerate_rank_arrays(dims)]
+    for r in orbits:
+        assert zelevinsky_length(r) == length(zelevinsky_permutation(r)), r
+    assert len(orbits) == 1343 + 339 + 363
 
 
 def test_perm_set_12():

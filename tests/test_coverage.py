@@ -146,6 +146,7 @@ def unrun_by_function() -> dict[str, int]:
 
 
 UNRUN = {
+    "blockperm.length": 1,
     "blockperm.require_permutation": 1,
     "blockperm.left_mul_s": 1,
     "blockperm.composite": 4,
@@ -162,10 +163,10 @@ UNRUN = {
     "localization._restriction": 6,
     "localization.ajs_billey": 1,
     "localization.csm_restriction": 1,
-    "localization._cancel_hom": 1,
+    "localization._cancel_hom": 2,
     "localization._dhom_positions": 1,
     "pipedream.region_cells": 1,
-    "pipedream.csm_pd": 1,
+    "pipedream.csm_pd": 2,
     "poly.ParseError.__init__": 2,
     "poly.Poly.__getstate__": 1,
     "poly.Poly.__setstate__": 2,

@@ -274,7 +274,6 @@ SHARED = (
 PER_ORBIT = (
     quiver.lace_array,
     blockperm.block_counts,
-    blockperm.zelevinsky_permutation,
     cgpd.orbit_routing,
     cgpd.minimal_states,
     localization.orbit_states,
@@ -286,8 +285,8 @@ def test_check_builds_each_shared_object_once(monkeypatch):
     """check() stores each per_orbit object once in its Orbit's memo, and
     the builders behind them, which memoize nothing, run once each.  The
     two ratio targets share the product of the roots forced outside
-    D_Hom, stored under its positions: none on the first orbit, the
-    positions (0, 1) on the second."""
+    D_Hom, stored under the mask of its positions: none on the first
+    orbit, positions 0 and 1 on the second.  z(r) is not built."""
     stored = {}
 
     class Memo(dict):
@@ -302,8 +301,8 @@ def test_check_builds_each_shared_object_once(monkeypatch):
 
     dims = Dims((2, 2, 1))
     orbits = {
-        (): RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 1}),
-        (0, 1): RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 0}),
+        0: RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 1}),
+        0b11: RankArray(dims, {(0, 1): 1, (0, 2): 0, (1, 2): 0}),
     }
     for r in orbits.values():
         check(r)  # caches the Hom search of these dims
@@ -313,6 +312,7 @@ def test_check_builds_each_shared_object_once(monkeypatch):
         blockperm.perm_set,
         blockperm.subword_states,
         blockperm.target_states,
+        blockperm.zelevinsky_permutation,
         cgpd.enumerate_cgpd,
         cgpd._states,
     )
@@ -329,6 +329,7 @@ def test_check_builds_each_shared_object_once(monkeypatch):
             "perm_set": 0,
             "subword_states": 2,  # all subsets, and the reduced subwords for z(r)
             "target_states": 0,
+            "zelevinsky_permutation": 0,  # the degree law reads l(z(r)) from the block counts
             "enumerate_cgpd": 0,  # the counts and every cgpd formula read the one state set
             "_states": 1,
         }

@@ -3,6 +3,7 @@ ratio formulas built from them."""
 
 import hashlib
 import re
+from functools import lru_cache
 from itertools import groupby, permutations
 
 import pytest
@@ -253,7 +254,7 @@ def test_state_sum_matches_subset_sum():
             for j in sorted(common):
                 if word.cells[j] not in dhom:
                     pd_ref = pd_ref * labels[j]
-            ratio_ref = _cancel_hom(r, tuple(sorted(common)), rest)
+            ratio_ref = _cancel_hom(r, sum(1 << j for j in common), rest)
             if not reduced and n < small and len(common) < L:
                 ones = common | {min(set(range(L)) - common)}
                 divided = [
@@ -292,7 +293,7 @@ def test_hom_restriction_is_the_dhom_roots():
         common, rest = _hom_factored(dims)
         dhom = regions(dims).dhom_cells
         assert rest == Poly.one(), dims
-        assert common == tuple(j for j, c in enumerate(grid_word(dims).cells) if c in dhom), dims
+        assert common == sum(1 << j for j, c in enumerate(grid_word(dims).cells) if c in dhom), dims
 
 
 def test_cancel_hom_rejects_a_sum_that_skips_a_dhom_position(monkeypatch):
@@ -305,12 +306,13 @@ def test_cancel_hom_rejects_a_sum_that_skips_a_dhom_position(monkeypatch):
     hom = hom_rank_array(dims)
     dhom, _ = _hom_factored(dims)
     betas = roots(grid_word(dims))
-    others = tuple(j for j in range(len(betas)) if j not in dhom)
+    positions = [j for j in range(len(betas)) if dhom >> j & 1]
+    others = (1 << len(betas)) - 1 & ~dhom
     assert _cancel_hom(hom, dhom, Poly.hbar()) == Poly.hbar()
-    with pytest.raises(DHomViolation, match=re.escape(f"skip D_Hom positions {list(dhom)}")):
+    with pytest.raises(DHomViolation, match=re.escape(f"skip D_Hom positions {positions}")):
         _cancel_hom(hom, others, Poly.hbar())
     localization._dhom_positions.cache_clear()
-    monkeypatch.setattr(localization, "_hom_factored", lambda dims: (dhom, betas[dhom[0]]))
+    monkeypatch.setattr(localization, "_hom_factored", lambda dims: (dhom, betas[positions[0]]))
     try:
         with pytest.raises(DHomViolation, match="Hom restriction"):
             _cancel_hom(hom, dhom, Poly.hbar())
@@ -325,8 +327,8 @@ def _multiply_back(dims: Dims, common, rest: Poly) -> Poly:
     order."""
     word, dhom = grid_word(dims), regions(dims).dhom_cells
     betas = roots(word)
-    for j in common:
-        if word.cells[j] not in dhom:
+    for j in range(len(betas)):
+        if common >> j & 1 and word.cells[j] not in dhom:
             rest = rest * betas[j]
     return rest
 
@@ -351,9 +353,97 @@ def test_cancel_hom_matches_the_one_at_a_time_multiply_back():
             common, rest = _forced_sum(orbit_reduced_states(r), dims)
             assert _cancel_hom(r, common, rest) == _multiply_back(dims, common, rest), r
             skipped = orbit_states(r).skipped
-            forced = tuple(j for j in range(L) if not skipped >> j & 1)
+            forced = ~skipped & (1 << L) - 1
             for sum_ in (Poly.one(), rest):
                 assert _cancel_hom(r, forced, sum_) == _multiply_back(dims, forced, sum_), r
+
+
+def _tuple_forced_sum(states, dims: Dims) -> tuple:
+    """_forced_sum as it was before the position masks: common a tuple
+    of the positions every subset takes, the walk's forced pairs set
+    one position at a time, and D counted from common."""
+    skipped, reduced = states.skipped, states.reduced
+    free, forced = localization._ratio_pairs(dims, reduced)
+    walk = list(free)
+    common = tuple(j for j in range(len(walk)) if not skipped >> j & 1)
+    for j in common:
+        walk[j] = forced
+    if walk and not reduced:
+        L = len(walk)
+        walk[-1] = localization._last_pair(dims, L - len(common), bool(skipped >> L - 1 & 1))
+    return common, localization.state_sum(states.levels, walk)
+
+
+@lru_cache(maxsize=None)
+def _tuple_dhom_positions(dims: Dims) -> frozenset:
+    """_dhom_positions as it was before the position masks: a frozenset
+    of the D_Hom cells' positions, certified by the tuple _forced_sum
+    over the Hom orbit's reduced subwords."""
+    dhom = regions(dims).dhom_cells
+    positions = tuple(j for j, c in enumerate(grid_word(dims).cells) if c in dhom)
+    hom = subword_states(grid_word(dims).letters, hom_rank_array(dims), True)
+    assert _tuple_forced_sum(hom, dims) == (positions, Poly.one()), dims
+    return frozenset(positions)
+
+
+def _tuple_cancel_hom(r, num_common: tuple, num_rest: Poly) -> Poly:
+    """_cancel_hom as it was before the position masks: the forced
+    positions outside D_Hom a tuple, their roots multiplied in word
+    order into one factor."""
+    dhom = _tuple_dhom_positions(r.dims)
+    if missing := dhom.difference(num_common):
+        raise DHomViolation(f"subsets of the orbit skip D_Hom positions {sorted(missing)}")
+    forced = tuple(j for j in num_common if j not in dhom)
+    if not forced:
+        return num_rest
+    betas, product = _grid_takes(r.dims, False), Poly.sum_of_products
+    factor = betas[forced[0]]
+    for j in forced[1:]:
+        factor = product(((factor, betas[j]),))
+    if num_rest is not Poly.one():
+        return product(((num_rest, factor),))
+    return Poly(factor.terms.copy(), factor._bound)
+
+
+def test_position_masks_match_the_tuple_reference(monkeypatch):
+    """_forced_sum and _cancel_hom over position masks give what the
+    tuple and frozenset versions gave: common the mask of the reference's
+    tuple, the same walk sum (Poly.one() by identity where it was), and
+    equal classes, for both targets.  On every orbit of sweep_dims(6)
+    and on the 339 orbits of the qpoly_large dims, the quiver
+    polynomial's walk is the orbit's own.  The CSM target walks its own
+    states on sweep_dims(6); on the qpoly_large dims, whose CSM walks
+    take minutes together, the walk records its pairs, which must agree
+    pair for pair, and returns two stand-in sums in turn: 1, and the
+    quiver polynomial's walk sum."""
+    one = Poly.one()
+
+    def agree(r, states):
+        (common, rest), (ref_common, ref_rest) = (
+            _forced_sum(states, r.dims), _tuple_forced_sum(states, r.dims))
+        assert common == sum(1 << j for j in ref_common), (r, states.reduced)
+        assert rest == ref_rest and (rest is one) == (ref_rest is one), (r, states.reduced)
+        assert _cancel_hom(r, common, rest) == _tuple_cancel_hom(r, ref_common, ref_rest), r
+        return rest
+
+    for r in map(Orbit, [r for dims in sweep_dims(6) for r in enumerate_rank_arrays(dims)]):
+        for states in (orbit_reduced_states(r), orbit_states(r)):
+            agree(r, states)
+    walked = []
+    large = [r for dims in map(Dims, QPOLY_LARGE) for r in enumerate_rank_arrays(dims)]
+    for r in map(Orbit, large):
+        with monkeypatch.context() as patch:
+            rest = agree(r, orbit_reduced_states(r))
+            for stand_in in (one, rest):
+                walk = lambda levels, pairs: walked.append(pairs) or stand_in
+                patch.setattr(localization, "state_sum", walk)
+                agree(r, orbit_states(r))
+                pairs, ref_pairs = walked[-2:]
+                assert pairs == ref_pairs, r
+                assert [[w is one for w in p] for p in pairs] == [
+                    [w is one for w in p] for p in ref_pairs
+                ], r
+    assert len(walked) == 339 * 4
 
 
 def test_cancel_hom_of_a_sum_of_one_is_a_fresh_root():
@@ -363,15 +453,15 @@ def test_cancel_hom_of_a_sum_of_one_is_a_fresh_root():
     and an Orbit alike."""
     dims = Dims((1, 1, 1))
     dhom, _ = _hom_factored(dims)
-    others = sorted(set(range(len(grid_word(dims).letters))) - set(dhom))
+    others = [j for j in range(len(grid_word(dims).letters)) if not dhom >> j & 1]
     betas = roots(grid_word(dims))
     for r in (hom_rank_array(dims), Orbit(hom_rank_array(dims))):
         j = others[0]
-        got = _cancel_hom(r, tuple(sorted(dhom + (j,))), Poly.one())
+        got = _cancel_hom(r, dhom | 1 << j, Poly.one())
         cached = _grid_takes(dims, False)[j]
         assert got == betas[j] == cached
         assert got is not cached and got.terms is not cached.terms
-        got = _cancel_hom(r, tuple(sorted(dhom + tuple(others[:2]))), Poly.one())
+        got = _cancel_hom(r, dhom | 1 << others[0] | 1 << others[1], Poly.one())
         assert got == betas[others[0]] * betas[others[1]]
         held = [p for p in getattr(r, "memo", {}).values() if isinstance(p, Poly)]
         assert len(held) == isinstance(r, Orbit) * 2

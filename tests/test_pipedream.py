@@ -1,5 +1,6 @@
 """Pipe dream tracing, enumeration, and both pipe dream formulas."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -117,9 +118,10 @@ def test_csm_pd_121_hom():
 
 def test_dhom_violation(monkeypatch):
     """csm_pd raises DHomViolation when a dream of the orbit misses a
-    D_Hom cell.  No orbit has one, so regions is patched to declare D_Hom
-    a strict cell that an accepted subset skips."""
-    from qcalc import pipedream
+    D_Hom cell.  No orbit has one, so regions is patched, where the
+    per-dims D_Hom mask reads it, to declare D_Hom a strict cell that an
+    accepted subset skips."""
+    from qcalc import localization
     from qcalc.blockperm import Regions, perm_set
     from qcalc.localization import grid_word
 
@@ -130,9 +132,13 @@ def test_dhom_violation(monkeypatch):
     cell = next(c for k, c in enumerate(word.cells) if k not in J)
     assert cell not in real.dhom_cells
     fake = Regions(real.strict_cells, real.dhom_cells | {cell})
-    monkeypatch.setattr(pipedream, "regions", lambda dims: fake)
-    with pytest.raises(DHomViolation):
-        csm_pd(r)
+    localization._dhom_mask.cache_clear()
+    monkeypatch.setattr(localization, "regions", lambda dims: fake)
+    try:
+        with pytest.raises(DHomViolation, match=re.escape(f"miss cells {[cell]}")):
+            csm_pd(r)
+    finally:
+        localization._dhom_mask.cache_clear()
 
 
 def test_quiver_poly_pd_final_example():
