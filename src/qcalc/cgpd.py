@@ -20,11 +20,15 @@ Tiles are written with one-character codes:
     "b"  bump            east-to-south and north-to-west, no crossing
 
 The color of a pipe is the last rectangle it appears in; two pipes of
-equal color may never cross.
+equal color may never cross.  Every tile keeps the strands arriving
+from the east and the north (east goes west, north goes south: . - | +)
+or swaps them (north goes west, east goes south: r j b).
 
 The formulas list no diagram: the routing states of an orbit form one
 levelled DAG (orbit_states), which states.state_sum sums and whose
-paths enumeration spells.
+paths enumeration spells.  The routing lays one cell at a time by one
+keep-or-swap step per state, and a state owes only the laces of the
+rectangle it is in.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .states import States, state_sum
 
 # The tiles that take exactly the strands arriving from (east, north), in
 # trying order, each with the arriving strand ("E" or "N") it sends west
-# and the one it sends south.
+# and the one it sends south: the first keeps them, the second swaps them.
 _TILES = {
     (False, False): ((".", None, None),),
     (True, False): (("-", "E", None), ("r", None, "E")),
@@ -49,6 +53,13 @@ _TILES = {
 
 # each known tile code's (east, north) key in _TILES
 _SIDES = {code: sides for sides, tiles in _TILES.items() for code, _, _ in tiles}
+
+# each (east, north) key's codes of the tile that keeps the arriving
+# strands (the first in _TILES: east goes west, north goes south) and of
+# the one that swaps them (the second: north goes west, east goes south),
+# None for the blank, which has no strand to swap
+_KEEP_SWAP = {sides: (tiles[0][0], tiles[1][0] if tiles[1:] else None)
+              for sides, tiles in _TILES.items()}
 
 
 class InvalidCGPD(ValueError):
@@ -121,20 +132,30 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> tuple[States, tuple
         row's cell, once laid) southward;
       - feed: the pipes that leave rectangle i - 1 southward into the
         later rows of i (None where a pipe starts);
-      - owed: the counts of the laces (p, c), p >= i, still to start, in
-        Dims.pairs order.
+      - owed: the counts of the laces (i, c), c = i..n, still to start,
+        which enter loads from want; a later rectangle's laces are the
+        same in every state, so no state carries them.
 
     A starting pipe takes each color c of a lace (i, c) still owed, in
-    ascending order; then each tile that _TILES lists for the arriving
-    strands is tried in its order, sending them on west and south.  No
-    edge leaves where a pipe of color c leaves rectangle i westward with
-    c != i or southward out of its last row with c == i, so every pipe
-    ends in the rectangle of its color, nor where two pipes of one color
-    cross; their bump is labelled B.  A state that closes rectangle i
-    still owing a lace (i, c) is dropped, and a path ends where the rows
-    of the untiled rectangle n that no pipe feeds start exactly the laces
-    (n, n) owed, so it realizes want.  Its colors are the rectangles its
-    pipes end in, which its tiles fix, so each path is one diagram.
+    ascending order.  Then each tile either keeps the arriving strands,
+    east going west and north going south (. - | +), or swaps them,
+    north going west and east going south (r j b); the keep is tried
+    first, as _TILES lists it (_KEEP_SWAP), and leaves cols as they are.
+    No edge leaves where a pipe of color c leaves rectangle i westward
+    with c != i or southward out of its last row with c == i, so every
+    pipe ends in the rectangle of its color, nor where two pipes of one
+    color cross (east == north); their bump is labelled B.
+
+    A path realizes want, whose row sums are the dims: r_i is the sum
+    of want[p, q] over p <= i <= q.  If every lace of the rectangles
+    before i has started, the pipes of the laces (p, q), p < i <= q,
+    pass south into rectangle i, since a pipe leaves only the rectangle
+    of its color westward, and feed that many of its rows; the other
+    rows are as many as the laces (i, c), and each starts one.  So no
+    state closes a rectangle still owing a lace, and the rows of the
+    untiled rectangle n that no pipe feeds are its laces (n, n).  Its
+    colors are the rectangles its pipes end in, which its tiles fix, so
+    each path is one diagram.
 
     The backward pass keeps the live states, which a path to the end
     passes through, with their edges into live states in order, counts
@@ -142,74 +163,79 @@ def _states(dims: Dims, want: dict[tuple[int, int], int]) -> tuple[States, tuple
     fewest straight tiles F(s) of each, the least _STRAIGHT[c] + F(t).
     """
     n, r = dims.n, dims.r
+    owing = [tuple(want[i, c] for c in range(i, n + 1)) for i in range(n)]
 
-    def enter(i: int, feed: tuple, owed: tuple):
+    def enter(i: int, feed: tuple):
         """The state at the first cell of rectangle i, whose rows feed's
-        pipes enter; at rectangle n, the end if its unfed rows start
-        exactly the laces still owed.  None where rectangle i - 1 left a
-        lace unstarted or the laces do not come out."""
-        if i:
-            if any(owed[: n - i + 2]):
-                return None
-            owed = owed[n - i + 2:]
-        if i == n:
-            return _END if feed.count(None) == owed[0] else None
-        return feed[0], (None,) * r[i + 1], feed[1:], owed
+        pipes enter; the end at rectangle n."""
+        return _END if i == n else (feed[0], (None,) * r[i + 1], feed[1:], owing[i])
 
-    start = enter(0, (None,) * r[0], tuple(want[pq] for pq in dims.pairs()))
-    level = {} if start is None else {start: 0}  # state -> its number
-    children = []
+    level = {enter(0, (None,) * r[0]): 0}  # state -> its number
+    children, codes = [], _KEEP_SWAP
     for i, j, k in _cells(dims):
-        kids, reached = {}, {}
-        for s, number in level.items():
+        first, west_edge, last = k == r[i + 1], k == 1, j == r[i]
+        kids, reached = [], {}  # each state's edges, by number; state -> its number
+        add = reached.setdefault
+        for s in level:
             east, cols, feed, owed = s
-            if east is None and k == r[i + 1]:
+            north = cols[k - 1]
+            has_north = north is not None
+            edges = []
+            kids.append(edges)
+            if first and east is None:
                 starts = [(c, owed[: c - i] + (owed[c - i] - 1,) + owed[c - i + 1:])
                           for c in range(i, n + 1) if owed[c - i]]
             else:
-                starts = [(east, owed)]
-            north = cols[k - 1]
-            edges = kids[number] = []
+                starts = ((east, owed),)
             for east, owed in starts:
-                strand = {"E": east, "N": north, None: None}
-                for code, to_west, to_south in _TILES[east is not None, north is not None]:
-                    west, down = strand[to_west], strand[to_south]
-                    one = west is not None and west == down
-                    if (
-                        one and code == "+"
-                        or k == 1 and west is not None and west != i
-                        or j == r[i] and down == i
-                    ):
-                        continue
-                    below = cols[: k - 1] + (down,) + cols[k:]
-                    if k > 1:
-                        t = west, below, feed, owed
-                    elif j < r[i]:
+                keep, swap = codes[east is not None, has_north]
+                if (east is None or east != north) and not (
+                    west_edge and east is not None and east != i or last and north == i
+                ):
+                    if not west_edge:
+                        t = east, cols, feed, owed
+                    elif not last:
+                        t = feed[0], cols, feed[1:], owed
+                    else:
+                        t = enter(i + 1, cols)
+                    edges.append((keep, add(t, len(reached))))
+                if swap and not (west_edge and has_north and north != i or last and east == i):
+                    below = cols[: k - 1] + (east,) + cols[k:]
+                    if not west_edge:
+                        t = north, below, feed, owed
+                    elif not last:
                         t = feed[0], below, feed[1:], owed
                     else:
-                        t = enter(i + 1, below, owed)
-                    if t is not None:
-                        edges.append(("B" if one else code, reached.setdefault(t, len(reached))))
+                        t = enter(i + 1, below)
+                    edges.append(("B" if east == north else swap, add(t, len(reached))))
         children.append(kids)
         level = reached
+    straight = _STRAIGHT
     paths, fewest = [1] * len(level), [0] * len(level)  # by state number, 0 paths when dead
     levels, least = [dict.fromkeys(range(len(level)), ())], [fewest]
     for kids in reversed(children):
         after, under = paths, fewest
-        paths, fewest, live = [0] * len(kids), [0] * len(kids), {}
-        for s, edges in kids.items():
+        paths, fewest, live = [], [], {}
+        for s, edges in enumerate(kids):
             if len(edges) == 1:  # most states: the one edge, its list kept
                 c, t = edges[0]
                 if p := after[t]:
-                    live[s], paths[s], fewest[s] = edges, p, _STRAIGHT[c] + under[t]
+                    live[s] = edges
+                paths.append(p)
+                fewest.append(straight[c] + under[t] if p else 0)
                 continue
             p, f, kept = 0, len(children), []
             for e in edges:
                 if m := after[e[1]]:
-                    p, f = p + m, min(f, _STRAIGHT[e[0]] + under[e[1]])
+                    p += m
+                    g = straight[e[0]] + under[e[1]]
+                    if g < f:
+                        f = g
                     kept.append(e)
             if p:
-                live[s], paths[s], fewest[s] = kept, p, f
+                live[s] = kept
+            paths.append(p)
+            fewest.append(f if p else 0)
         levels.append(live)
         least.append(fewest)
     return States(tuple(reversed(levels)), sum(paths)), tuple(reversed(least))

@@ -11,12 +11,19 @@ states (cgpd.minimal_states) as diagrams, which only tests list.
 two_pass_minimal_states is the builder of those states that the package
 had before the routing's backward pass counted the fewest straight tiles
 itself: a min-plus pass from the end, then a pass from the root.
+routing_states is the routing pass cgpd._states had before its
+keep-or-swap step, kept as it was: it sends the arriving strands through
+a dict per state and tile, and each state owes the laces of every later
+rectangle.  No package code calls it; test_cgpd holds the package's pass
+to its (States, fewest), state for state and edge for edge.
 """
 
 import math
 
 from qcalc.cgpd import (
+    _END,
     _SIDES,
+    _STRAIGHT,
     _TILES,
     CGPD,
     InvalidCGPD,
@@ -234,3 +241,112 @@ def two_pass_minimal_states(r: RankArray) -> States:
         paths = reach
     kept.append(dict.fromkeys(paths, ()))
     return States(tuple(kept), sum(paths.values()))
+
+
+def routing_states(dims: Dims, want: dict[tuple[int, int], int]) -> tuple[States, tuple[list[int], ...]]:
+    """The routing states of the diagrams realizing the laces want (lace
+    counts by interval), and the fewest straight tiles from each to the
+    end: one forward pass, then one backward pass.
+
+    Cells are laid in _cells order, so the strands arriving at a cell
+    from the east and the north are known when it is reached.  The state
+    before a cell of rectangle i holds the colors of the strands that
+    cross the laying frontier, and the laces still owed:
+      - east: the strand arriving from the east (None for none; at a
+        row's first cell, None for a pipe that starts there);
+      - cols: per column, the strand leaving the cell above (or this
+        row's cell, once laid) southward;
+      - feed: the pipes that leave rectangle i - 1 southward into the
+        later rows of i (None where a pipe starts);
+      - owed: the counts of the laces (p, c), p >= i, still to start, in
+        Dims.pairs order.
+
+    A starting pipe takes each color c of a lace (i, c) still owed, in
+    ascending order; then each tile that _TILES lists for the arriving
+    strands is tried in its order, sending them on west and south.  No
+    edge leaves where a pipe of color c leaves rectangle i westward with
+    c != i or southward out of its last row with c == i, so every pipe
+    ends in the rectangle of its color, nor where two pipes of one color
+    cross; their bump is labelled B.  A state that closes rectangle i
+    still owing a lace (i, c) is dropped, and a path ends where the rows
+    of the untiled rectangle n that no pipe feeds start exactly the laces
+    (n, n) owed, so it realizes want.  Its colors are the rectangles its
+    pipes end in, which its tiles fix, so each path is one diagram.
+
+    The backward pass keeps the live states, which a path to the end
+    passes through, with their edges into live states in order, counts
+    the paths from each (total: from the start), and lists by number the
+    fewest straight tiles F(s) of each, the least _STRAIGHT[c] + F(t).
+    """
+    n, r = dims.n, dims.r
+
+    def enter(i: int, feed: tuple, owed: tuple):
+        """The state at the first cell of rectangle i, whose rows feed's
+        pipes enter; at rectangle n, the end if its unfed rows start
+        exactly the laces still owed.  None where rectangle i - 1 left a
+        lace unstarted or the laces do not come out."""
+        if i:
+            if any(owed[: n - i + 2]):
+                return None
+            owed = owed[n - i + 2:]
+        if i == n:
+            return _END if feed.count(None) == owed[0] else None
+        return feed[0], (None,) * r[i + 1], feed[1:], owed
+
+    start = enter(0, (None,) * r[0], tuple(want[pq] for pq in dims.pairs()))
+    level = {} if start is None else {start: 0}  # state -> its number
+    children = []
+    for i, j, k in _cells(dims):
+        kids, reached = {}, {}
+        for s, number in level.items():
+            east, cols, feed, owed = s
+            if east is None and k == r[i + 1]:
+                starts = [(c, owed[: c - i] + (owed[c - i] - 1,) + owed[c - i + 1:])
+                          for c in range(i, n + 1) if owed[c - i]]
+            else:
+                starts = [(east, owed)]
+            north = cols[k - 1]
+            edges = kids[number] = []
+            for east, owed in starts:
+                strand = {"E": east, "N": north, None: None}
+                for code, to_west, to_south in _TILES[east is not None, north is not None]:
+                    west, down = strand[to_west], strand[to_south]
+                    one = west is not None and west == down
+                    if (
+                        one and code == "+"
+                        or k == 1 and west is not None and west != i
+                        or j == r[i] and down == i
+                    ):
+                        continue
+                    below = cols[: k - 1] + (down,) + cols[k:]
+                    if k > 1:
+                        t = west, below, feed, owed
+                    elif j < r[i]:
+                        t = feed[0], below, feed[1:], owed
+                    else:
+                        t = enter(i + 1, below, owed)
+                    if t is not None:
+                        edges.append(("B" if one else code, reached.setdefault(t, len(reached))))
+        children.append(kids)
+        level = reached
+    paths, fewest = [1] * len(level), [0] * len(level)  # by state number, 0 paths when dead
+    levels, least = [dict.fromkeys(range(len(level)), ())], [fewest]
+    for kids in reversed(children):
+        after, under = paths, fewest
+        paths, fewest, live = [0] * len(kids), [0] * len(kids), {}
+        for s, edges in kids.items():
+            if len(edges) == 1:  # most states: the one edge, its list kept
+                c, t = edges[0]
+                if p := after[t]:
+                    live[s], paths[s], fewest[s] = edges, p, _STRAIGHT[c] + under[t]
+                continue
+            p, f, kept = 0, len(children), []
+            for e in edges:
+                if m := after[e[1]]:
+                    p, f = p + m, min(f, _STRAIGHT[e[0]] + under[e[1]])
+                    kept.append(e)
+            if p:
+                live[s], paths[s], fewest[s] = kept, p, f
+        levels.append(live)
+        least.append(fewest)
+    return States(tuple(reversed(levels)), sum(paths)), tuple(reversed(least))

@@ -20,13 +20,16 @@ from cgpd_reference import (
     cgpd_weight,
     minimal_words,
     router_words,
+    routing_states,
     two_pass_minimal_states,
     validate,
 )
 from qcalc.cgpd import (
+    _TILES,
     CGPD,
     InvalidCGPD,
     _spell,
+    _states,
     _tile_weights,
     csm_cgpd,
     enumerate_cgpd,
@@ -36,7 +39,14 @@ from qcalc.cgpd import (
 )
 from qcalc.engine import check, sweep_dims
 from qcalc.poly import Poly, format_poly, xvar
-from qcalc.quiver import Dims, RankArray, enumerate_rank_arrays, hom_rank_array, parse_input
+from qcalc.quiver import (
+    Dims,
+    RankArray,
+    enumerate_rank_arrays,
+    hom_rank_array,
+    lace_array,
+    parse_input,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -277,6 +287,40 @@ def test_minimal_states_match_the_two_pass_builder():
             list(level.items()) for level in ref.levels
         ], r.entries
         assert got.total == ref.total
+
+
+def test_tiles_keep_then_swap():
+    """In every entry of _TILES the first tile keeps the arriving strands
+    (east goes west, north goes south) and the second, where there is
+    one, swaps them (north goes west, east goes south): the order the
+    routing's keep-or-swap step tries them in."""
+    for (east, north), tiles in _TILES.items():
+        keep = ("E" if east else None, "N" if north else None)
+        assert tiles[0][1:] == keep
+        assert [tile[1:] for tile in tiles[1:]] == ([keep[::-1]] if east or north else [])
+
+
+def test_routing_matches_the_strand_dict_pass():
+    """The keep-or-swap routing pass (cgpd._states) gives the (States,
+    fewest) of the pass it replaced (cgpd_reference.routing_states), which
+    sent strands through a dict per state and owed the laces of every
+    later rectangle: the same states in the same order at every level,
+    their edges in the same order, the same total and the same fewest
+    straight tiles, on every orbit of sweep_dims(7), of the dims of the
+    csm_mid and qpoly_large benchmark workloads, and of every fixture."""
+    mid = [(2, 2, 2, 1), (1, 2, 2, 2), (3, 2, 2), (2, 3, 1), (1, 3, 2), (2, 3, 2), (3, 3, 1),
+           (1, 3, 3)]
+    large = [(3, 3, 2), (2, 3, 3), (3, 3, 3), (2, 3, 3, 2), (2, 2, 2, 2, 2), (1, 2, 3, 2, 1)]
+    ranks = [r for dims in sweep_dims(7) for r in enumerate_rank_arrays(dims)]
+    ranks += [r for dims in mid + large for r in enumerate_rank_arrays(Dims(dims))]
+    ranks += [parse_input(json.loads(path.read_text())) for path in sorted(FIXTURES.glob("*.json"))]
+    for r in ranks:
+        want = lace_array(r).entries
+        (got, fewest), (ref, ref_fewest) = _states(r.dims, want), routing_states(r.dims, want)
+        assert (got, fewest) == (ref, ref_fewest), r.entries
+        assert [list(level.items()) for level in got.levels] == [
+            list(level.items()) for level in ref.levels
+        ], r.entries
 
 
 def test_word_sums_match_a_plain_product_sum():

@@ -151,7 +151,6 @@ UNRUN = {
     "blockperm.left_mul_s": 1,
     "blockperm.composite": 4,
     "cgpd.CGPD.__post_init__": 2,
-    "cgpd._states.enter": 1,
     "cli._perm_text": 1,
     "cli.main": 4,
     "cli": 1,
